@@ -8,6 +8,7 @@ the field to unit return time would blow up at the boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,10 +35,13 @@ class FlowSettings:
     max_steps: int = 2_000_000
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ConfigurationError("step must be positive")
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ConfigurationError("tolerances must be positive")
+        # written so that NaN fails every check: NaN comparisons are false
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ConfigurationError("step must be positive and finite")
+        if not all(math.isfinite(t) and t > 0 for t in (self.abs_tol, self.rel_tol)):
+            raise ConfigurationError("tolerances must be positive and finite")
+        if not self.max_steps >= 1:
+            raise ConfigurationError("max_steps must be at least 1")
         if self.integrator not in ("rk4", "rk45"):
             raise ConfigurationError(f"unknown integrator {self.integrator!r}")
 
@@ -55,6 +59,10 @@ class IsotopyPath:
 
 
 def _check_in_disc(xy, s):
+    if not np.all(np.isfinite(xy)):
+        raise IntegrationError(
+            f"trajectory state is not finite at s = {s}", last_s=s, last_state=xy
+        )
     r = np.sqrt(xy[..., 0] ** 2 + xy[..., 1] ** 2)
     worst = float(np.max(r)) if r.size else 0.0
     if worst > 1.0 + DISC_DRIFT_TOL:
@@ -297,21 +305,19 @@ class PeriodicPointRecord:
         }
 
 
-def _iterate_map(H, pts, k, settings):
-    cur = pts
-    for _ in range(k):
-        cur = return_map(H, cur, settings)
-    return cur
-
-
 def periodic_point_scan(H, max_period, grid_points, tol=1e-6, settings=None,
                         newton_steps=10, newton_tol=1e-10):
     """Scan grid points for |psi^k(p) - p| < tol, k <= max_period.
 
     Candidates are refined by Newton on psi^k - id using the variational
-    Jacobian; points where the Newton system is singular (every point of a
-    rational rotation, for instance) keep their scan residual and are
-    reported rather than dropped.
+    Jacobian.  The refinement is batched per period: every hit of period k
+    is refined together, one batched ``linearized_return`` per iteration of
+    psi, and a point leaves the batch once it converges or its Newton
+    system turns singular.  The per-point semantics are those of refining
+    each hit on its own: records come in period order, then grid order;
+    points where the Newton system is singular (every point of a rational
+    rotation, for instance) keep their scan residual and are reported
+    rather than dropped.
     """
     if max_period > 64:
         raise PreconditionError("periodic scans are desk scale: max_period <= 64")
@@ -326,36 +332,46 @@ def periodic_point_scan(H, max_period, grid_points, tol=1e-6, settings=None,
         current = return_map(H, current, settings)
         res = np.sqrt(np.sum((current - pts[remaining]) ** 2, axis=-1))
         hits = res < tol
-        for idx in np.nonzero(hits)[0]:
-            p0 = pts[remaining[idx]]
-            rec = _refine_periodic_point(
-                H, p0, k, settings, newton_steps, newton_tol
-            )
-            found.append(rec)
+        found.extend(_refine_periodic_points(
+            H, pts[remaining[hits]], k, settings, newton_steps, newton_tol
+        ))
         remaining = remaining[~hits]
         current = current[~hits]
     return found
 
 
-def _refine_periodic_point(H, p0, k, settings, newton_steps, newton_tol):
+def _refine_periodic_points(H, p0, k, settings, newton_steps, newton_tol):
+    """Newton on psi^k - id for a batch (n, 2) of period-k candidates."""
     p = np.array(p0, dtype=float)
-    residual = None
+    residual = [None] * len(p)
+    converged = np.zeros(len(p), dtype=bool)
+    active = np.arange(len(p))
+    eye = np.eye(2)
     for _ in range(newton_steps):
-        jac = np.eye(2)
-        cur = p
+        if not len(active):
+            break
+        start = p[active]
+        jac = eye
+        cur = start
         for _ in range(k):
             jstep, cur = linearized_return(H, cur, settings, return_endpoint=True)
             jac = jstep @ jac
-        delta = cur - p
-        residual = float(np.hypot(*delta))
-        if residual < newton_tol:
-            return PeriodicPointRecord(k, p, residual, converged=True)
-        system = jac - np.eye(2)
-        if abs(np.linalg.det(system)) < 1e-12:
-            # rigid-rotation-like: psi^k = id, nothing to refine
-            return PeriodicPointRecord(k, p, residual, converged=False)
-        step = np.linalg.solve(system, delta)
-        p = p - step
-        if np.hypot(*p) > 1.0:
-            p = p / np.hypot(*p)
-    return PeriodicPointRecord(k, p, residual, converged=False)
+        delta = cur - start
+        res = np.hypot(delta[:, 0], delta[:, 1])
+        for i, r in zip(active, res):
+            residual[i] = float(r)
+        done = res < newton_tol
+        converged[active[done]] = True
+        system = jac - eye
+        # singular: rigid-rotation-like, psi^k = id, nothing to refine
+        singular = np.abs(np.linalg.det(system)) < 1e-12
+        move = ~done & ~singular
+        step = np.linalg.solve(system[move], delta[move][:, :, None])
+        moved = start[move] - step[:, :, 0]
+        norm = np.hypot(moved[:, 0], moved[:, 1])
+        outside = norm > 1.0
+        moved[outside] = moved[outside] / norm[outside, None]
+        p[active[move]] = moved
+        active = active[move]
+    return [PeriodicPointRecord(k, p[i], residual[i], converged=bool(converged[i]))
+            for i in range(len(p))]

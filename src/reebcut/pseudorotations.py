@@ -322,13 +322,17 @@ class _InverseRadiusSquared:
         tail = r2 >= self._switch2
         return np.where(tail, r2, self._sp(x, y, grid=False))
 
-    def grad(self, xy):
+    def grad_components(self, xy):
+        """The two partials (dW/dx, dW/dy) as separate arrays."""
         x, y = xy[..., 0], xy[..., 1]
         r2 = x * x + y * y
         tail = r2 >= self._switch2
         gx = np.where(tail, 2.0 * x, self._spx(x, y, grid=False))
         gy = np.where(tail, 2.0 * y, self._spy(x, y, grid=False))
-        return np.stack([gx, gy], axis=-1)
+        return gx, gy
+
+    def grad(self, xy):
+        return np.stack(self.grad_components(xy), axis=-1)
 
     def hessian(self, xy):
         x, y = xy[..., 0], xy[..., 1]
@@ -370,6 +374,11 @@ class ConjugatedRotationHamiltonian(Hamiltonian):
 
     def grad(self, s, xy):
         return -self.pq * self.w.grad(np.asarray(xy, float))
+
+    def velocity(self, s, xy):
+        # same products, in the same order, as the generic velocity of grad
+        gx, gy = self.w.grad_components(np.asarray(xy, float))
+        return np.stack([0.5 * (-self.pq * gy), -0.5 * (-self.pq * gx)], axis=-1)
 
     def ds(self, s, xy):
         return np.zeros(np.asarray(xy).shape[:-1])
@@ -789,15 +798,16 @@ class ComposedHamiltonian(Hamiltonian):
                 ).reshape(grid_n, grid_n)
 
     def _slice(self, j):
-        if j not in self._splines:
+        cached = self._splines.get(j)
+        if cached is None:
             sp = RectBivariateSpline(self._ax, self._ax, self._w2[j], kx=5, ky=5)
-            self._splines[j] = (
-                sp, sp.partial_derivative(1, 0), sp.partial_derivative(0, 1)
-            )
-            # rolling evictions: outer integrations march forward in s
+            cached = (sp, sp.partial_derivative(1, 0), sp.partial_derivative(0, 1))
+            self._splines[j] = cached
+            # evict the slice farthest from j: outer integrations march
+            # forward in s, but a caller may also step back
             if len(self._splines) > 16:
-                self._splines.pop(min(self._splines))
-        return self._splines[j]
+                self._splines.pop(max(self._splines, key=lambda a: abs(a - j)))
+        return cached
 
     def _s_weights(self, s):
         s = float(s)

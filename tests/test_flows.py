@@ -13,6 +13,8 @@ from reebcut import (
     reeb_period,
     return_map,
 )
+from reebcut import flows
+from reebcut.flows import PeriodicPointRecord
 from reebcut.geometry import TWO_PI, polar_grid
 
 from conftest import (SQRT2, polynomial_defect_hamiltonian,
@@ -212,6 +214,107 @@ def test_periodic_scan_conjugated_stage(stage_2_1_3, fast_flow):
     assert np.max(np.abs(flows - oracle)) <= 1e-6
 
 
+def _reference_refine(H, p0, k, settings, newton_steps, newton_tol):
+    """Newton on psi^k - id for one point: the per-point reference."""
+    p = np.array(p0, dtype=float)
+    residual = None
+    for _ in range(newton_steps):
+        jac = np.eye(2)
+        cur = p
+        for _ in range(k):
+            jstep, cur = flows.linearized_return(H, cur, settings,
+                                                 return_endpoint=True)
+            jac = jstep @ jac
+        delta = cur - p
+        residual = float(np.hypot(*delta))
+        if residual < newton_tol:
+            return PeriodicPointRecord(k, p, residual, converged=True)
+        system = jac - np.eye(2)
+        if abs(np.linalg.det(system)) < 1e-12:
+            return PeriodicPointRecord(k, p, residual, converged=False)
+        step = np.linalg.solve(system, delta)
+        p = p - step
+        if np.hypot(*p) > 1.0:
+            p = p / np.hypot(*p)
+    return PeriodicPointRecord(k, p, residual, converged=False)
+
+
+def _reference_scan(H, max_period, grid, tol, settings, sizes,
+                    newton_steps=10, newton_tol=1e-10):
+    """The scan with one refinement per hit.  Returns the records and, for
+    each hit, (k, linearized_return calls it made) as logged in ``sizes``."""
+    pts = np.asarray(grid, dtype=float).reshape(-1, 2)
+    found, per_hit = [], []
+    remaining = np.arange(len(pts))
+    current = pts.copy()
+    for k in range(1, max_period + 1):
+        if not len(remaining):
+            break
+        current = return_map(H, current, settings)
+        res = np.sqrt(np.sum((current - pts[remaining]) ** 2, axis=-1))
+        hits = res < tol
+        for idx in np.nonzero(hits)[0]:
+            before = len(sizes)
+            found.append(_reference_refine(H, pts[remaining[idx]], k, settings,
+                                           newton_steps, newton_tol))
+            per_hit.append((k, len(sizes) - before))
+        remaining = remaining[~hits]
+        current = current[~hits]
+    return found, per_hit
+
+
+@pytest.mark.parametrize("case", ["rigid", "identity", "defect", "stage"])
+def test_batched_refinement_matches_per_point_loop(case, monkeypatch, request,
+                                                   fast_flow):
+    grid = polar_grid(2, 4, r_max=0.75)
+    if case == "rigid":
+        H, max_period, tol = RigidRotationHamiltonian(2, 1, 3), 3, 1e-6
+    elif case == "identity":
+        H, max_period, tol = QuadraticHamiltonian(2.0, 0.0), 2, 1e-8
+    elif case == "defect":
+        # a loose scan tolerance makes Newton take real steps here
+        H, max_period, tol = polynomial_defect_hamiltonian(2, 0.4, 0.3), 2, 0.3
+    else:
+        H, max_period, tol = request.getfixturevalue("stage_2_1_3").hamiltonian, 3, 1e-5
+        grid = polar_grid(2, 4, r_max=0.75, include_center=False)
+
+    sizes = []
+    real = flows.linearized_return
+
+    def counted(H, p, *args, **kwargs):
+        sizes.append(len(np.reshape(p, (-1, 2))))
+        return real(H, p, *args, **kwargs)
+
+    monkeypatch.setattr(flows, "linearized_return", counted)
+    expected, per_hit = _reference_scan(H, max_period, grid, tol, fast_flow, sizes)
+    reference_points = sum(sizes)
+    sizes.clear()
+    records = periodic_point_scan(H, max_period, grid, tol=tol, settings=fast_flow)
+
+    assert records
+    assert [(r.period, r.converged) for r in records] == [
+        (r.period, r.converged) for r in expected]
+    for got, want in zip(records, expected):
+        assert np.max(np.abs(got.point - want.point)) <= 1e-12
+        assert abs(got.residual - want.residual) <= 1e-12
+    # every Newton step costs k calls for all hits of period k together
+    periods = {k for k, _ in per_hit}
+    assert len(sizes) == sum(max(n for j, n in per_hit if j == k) for k in periods)
+    assert sum(sizes) == reference_points
+
+
+def test_refinement_reports_singular_points_unconverged():
+    # psi^2 = id for a half turn, so Newton on psi^2 - id is singular at
+    # every point; none converges before that shows with a 1e-20 target
+    H = RigidRotationHamiltonian(2, 1, 2)
+    grid = polar_grid(2, 4, r_max=0.7, include_center=False)
+    records = periodic_point_scan(H, 2, grid, tol=1e-6, newton_tol=1e-20,
+                                  settings=FlowSettings(step=TWO_PI / 200))
+    assert len(records) == len(grid)
+    assert all(r.period == 2 and not r.converged for r in records)
+    assert np.array_equal(np.array([r.point for r in records]), grid)
+
+
 def test_periodic_scan_rejects_large_period():
     H = RigidRotationHamiltonian(2, 1, 3)
     with pytest.raises(PreconditionError):
@@ -227,3 +330,25 @@ def test_flow_settings_validation():
         FlowSettings(abs_tol=0.0)
     with pytest.raises(ConfigurationError):
         FlowSettings(integrator="euler")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("step", float("nan")), ("step", float("inf")), ("abs_tol", float("nan")),
+    ("rel_tol", float("inf")), ("max_steps", 0),
+])
+def test_flow_settings_reject_non_finite(field, value):
+    from reebcut.errors import ConfigurationError
+
+    with pytest.raises(ConfigurationError):
+        FlowSettings(**{field: value})
+
+
+def test_return_map_rejects_non_finite_state(fast_flow):
+    from reebcut.errors import IntegrationError
+
+    H = RigidRotationHamiltonian(2, 1, 3)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(IntegrationError):
+            return_map(H, np.array([np.nan, 0.0]), fast_flow)
+        with pytest.raises(IntegrationError):
+            linearized_return(H, np.array([[0.1, 0.0], [0.2, np.inf]]), fast_flow)

@@ -320,6 +320,20 @@ def test_composition_law_time_dependent():
     assert np.max(np.abs(left - right)) <= 1e-5
 
 
+def test_composed_slice_cache_survives_backward_step():
+    K = compact_disc_hamiltonian(amp=0.05)
+    composite = ComposedHamiltonian(K, RigidRotationHamiltonian(2, 1, 2),
+                                    n_slices=32, grid_n=21)
+    for j in range(5, 30):
+        composite._slice(j)
+    # a backward step after a forward sweep used to evict its own slice
+    spline, _, _ = composite._slice(2)
+    ax = composite._ax
+    assert spline(ax[7], ax[12], grid=False) == pytest.approx(
+        composite._w2[2][7, 12], abs=1e-12)
+    assert 2 in composite._splines and len(composite._splines) == 16
+
+
 def test_orbit_statistics_aborts_on_escape(fast_flow):
     # a Hamiltonian that is not tangent to the boundary pushes orbits out
     from reebcut import CallableHamiltonian
