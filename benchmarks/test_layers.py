@@ -13,6 +13,7 @@ import pytest
 
 from reebcut import ConjugatorSpec, FlowSettings, conjugated_stage, periodic_point_scan
 from reebcut.geometry import TWO_PI, polar_grid
+from reebcut.pseudorotations import DiscDiffeo, _InverseRadiusSquared
 
 
 @pytest.fixture(scope="module")
@@ -36,3 +37,24 @@ def test_stage_velocity_single_point(benchmark, small_stage):
     point = np.array([0.3, 0.2])
     v = benchmark(small_stage.hamiltonian.velocity, 0.0, point)
     assert v.shape == (2,) and np.all(np.isfinite(v))
+
+
+def test_wfield_build(benchmark, small_stage):
+    field = benchmark.pedantic(
+        _InverseRadiusSquared, args=(small_stage.conjugator, small_stage.delta),
+        kwargs={"grid_n": 128}, rounds=3, iterations=1,
+    )
+    assert np.isfinite(field.value(np.array([0.5, 0.0])))
+
+
+def test_conjugator_inverse_annulus(benchmark, small_stage):
+    # 50k points spread over the generator's support annulus, flowed with
+    # the step count of the W-field build
+    gen = small_stage.conjugator.generator
+    rng = np.random.default_rng(0)
+    r = np.sqrt(rng.uniform(gen.t0, gen.t1, 50_000))
+    theta = rng.uniform(0.0, TWO_PI, r.size)
+    pts = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+    inv = benchmark.pedantic(DiscDiffeo(gen, steps=150).inverse, args=(pts,),
+                             rounds=3, iterations=1)
+    assert inv.shape == pts.shape and np.all(np.isfinite(inv))

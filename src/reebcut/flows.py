@@ -58,11 +58,15 @@ class IsotopyPath:
         return self.points[-1]
 
 
-def _check_in_disc(xy, s):
+def _check_finite(xy, s):
     if not np.all(np.isfinite(xy)):
         raise IntegrationError(
             f"trajectory state is not finite at s = {s}", last_s=s, last_state=xy
         )
+
+
+def _check_in_disc(xy, s):
+    _check_finite(xy, s)
     r = np.sqrt(xy[..., 0] ** 2 + xy[..., 1] ** 2)
     worst = float(np.max(r)) if r.size else 0.0
     if worst > 1.0 + DISC_DRIFT_TOL:
@@ -80,6 +84,7 @@ def _rk4(velocity, y0, s0, s1, step, record=False, check_disc=True):
         n_steps += 1
     h = (s1 - s0) / n_steps
     y = np.array(y0, dtype=float)
+    _check_finite(y, s0)
     if record:
         out = np.empty((n_steps + 1,) + y.shape)
         out[0] = y
@@ -119,6 +124,7 @@ _DP_B4 = np.array(
 
 def _rk45(velocity, y0, s0, s1, settings, record=False, check_disc=True):
     y = np.array(y0, dtype=float)
+    _check_finite(y, s0)
     s = s0
     h = min(settings.step, abs(s1 - s0)) * np.sign(s1 - s0 or 1.0)
     ss = [s]

@@ -430,8 +430,12 @@ class ContactAuditReport:
     passed: bool = field(init=False)
 
     def __post_init__(self):
+        # a non-finite score fails: NaN comparisons are false, and an
+        # infinite margin or slope is no evidence of the contact condition
         self.passed = bool(
-            self.min_margin > 0.0
+            np.isfinite(self.min_margin)
+            and np.isfinite(self.boundary_slope_max)
+            and self.min_margin > 0.0
             and self.boundary_slope_max < 2.0 * self.boundary_value
         )
 
@@ -449,7 +453,8 @@ def contact_audit(H, grid=None):
     """Minimize the contact margin over a grid and check the boundary slope.
 
     Iteration order is fixed (s-major), so the report is deterministic
-    regardless of how the per-slice work is scheduled.
+    regardless of how the per-slice work is scheduled.  The reductions
+    propagate NaN, so a non-finite sample fails the audit.
     """
     grid = grid or SamplingGrid()
     pts = grid.disc_points()
@@ -459,11 +464,11 @@ def contact_audit(H, grid=None):
     slope_max = -np.inf
     for s in grid.s_values():
         margin = contact_margin(H, s, pts)
-        min_margin = min(min_margin, float(np.min(margin)))
+        min_margin = float(np.minimum(min_margin, np.min(margin)))
         g = H.grad(s, bpts)
         # on r = 1 the radial derivative is x dH/dx + y dH/dy
         slope = bpts[..., 0] * g[..., 0] + bpts[..., 1] * g[..., 1]
-        slope_max = max(slope_max, float(np.max(slope)))
+        slope_max = float(np.maximum(slope_max, np.max(slope)))
     return ContactAuditReport(
         min_margin=min_margin,
         boundary_slope_max=slope_max,

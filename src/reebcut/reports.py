@@ -8,6 +8,7 @@ times (those go to a separate timings file) so its bytes are reproducible.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -96,6 +97,10 @@ def _check_fields(block, schema, path=""):
                 f"{path}{key} must be {getattr(kind, '__name__', kind)}",
                 field=path + key,
             )
+        # json.load accepts NaN and +-Infinity; no schema float admits them
+        if kind is float and not math.isfinite(val):
+            raise ValidationError(f"{path}{key} must be finite: {val!r}",
+                                  field=path + key)
         if check is not None and not check(val):
             raise ValidationError(f"{path}{key} out of range: {val!r}",
                                   field=path + key)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -347,8 +349,12 @@ def test_return_map_rejects_non_finite_state(fast_flow):
     from reebcut.errors import IntegrationError
 
     H = RigidRotationHamiltonian(2, 1, 3)
-    with np.errstate(invalid="ignore"):
+    # rejected before the first step: no step runs, so nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(IntegrationError):
             return_map(H, np.array([np.nan, 0.0]), fast_flow)
         with pytest.raises(IntegrationError):
             linearized_return(H, np.array([[0.1, 0.0], [0.2, np.inf]]), fast_flow)
+        with pytest.raises(IntegrationError):
+            return_map(H, np.array([np.nan, 0.0]), FlowSettings(integrator="rk45"))

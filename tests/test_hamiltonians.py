@@ -222,6 +222,24 @@ def test_contact_audit_grid_minimization():
     assert abs(rep.min_margin - 3.9) <= 1e-6
 
 
+def test_contact_audit_fails_on_nan():
+    # the quadratic model of test_contact_audit_constant_margin, broken to
+    # NaN where x > 0.5 on the later s-slices only
+    a0, a2 = SQRT2, 2 - SQRT2
+
+    def broken(s, xy):
+        return np.where((s >= np.pi) & (xy[..., 0] > 0.5), np.nan, 1.0)
+
+    H = CallableHamiltonian(
+        lambda s, xy: broken(s, xy) * (a0 + a2 * np.sum(xy**2, axis=-1)),
+        a0 + a2,
+        grad_fn=lambda s, xy: broken(s, xy)[..., None] * (2.0 * a2 * xy),
+    )
+    rep = contact_audit(H, SamplingGrid(8, 16, 16))
+    assert np.isnan(rep.min_margin) and np.isnan(rep.boundary_slope_max)
+    assert not rep.passed
+
+
 def test_contact_audit_rejects_coarse_grid():
     with pytest.raises(ConfigurationError):
         SamplingGrid(4, 64, 64)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.interpolate import RectBivariateSpline
 
 from reebcut import (
     BindingChart,
@@ -22,6 +23,7 @@ from reebcut import (
     rigid_rotation_hamiltonian,
     stage_sequence,
 )
+from reebcut import pseudorotations
 from reebcut.binding import ExtensionSettings
 from reebcut.pseudorotations import fd_weights
 from reebcut.geometry import TWO_PI, polar_grid
@@ -114,6 +116,86 @@ def test_conjugator_audit_runs():
     phi = build_conjugator(ConjugatorSpec(amplitude=0.1), audit=True)
     assert phi.audit["area_defect"] <= 1e-8
     assert phi.audit["round_trip"] <= 1e-8
+
+
+def bitwise_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_conjugator_blocked_flow_is_exact(rng, monkeypatch):
+    phi = build_conjugator(ConjugatorSpec(amplitude=0.2, mode=3, phase=0.4),
+                           steps=20)
+    # 1001 points: not a multiple of the block size
+    pts = rng.uniform(-0.9, 0.9, (13, 77, 2))
+    oracles = (phi, phi.inverse, phi.jacobian, phi.inverse_jacobian)
+    single = [f(pts) for f in oracles]
+    monkeypatch.setattr(pseudorotations, "_FLOW_BLOCK", 97)
+    for f, ref in zip(oracles, single):
+        assert bitwise_equal(f(pts), ref)
+    point = np.array([0.5, 0.1])
+    assert bitwise_equal(phi(point), phi(point[None])[0])
+
+
+def _old_bump(gen, t, order):
+    inside = (t > gen.t0) & (t < gen.t1)
+    a = np.where(inside, t - gen.t0, 0.0)
+    b = np.where(inside, gen.t1 - t, 0.0)
+    if order == 0:
+        return gen._norm * (a * b) ** 4
+    return gen._norm * 4.0 * (a * b) ** 3 * (b - a)
+
+
+def _old_angular(gen, xy, d):
+    z = xy[..., 0] + 1j * xy[..., 1]
+    return z ** (gen.spec.mode - d) * np.exp(-1j * gen.spec.phase)
+
+
+@pytest.mark.parametrize("spec", [
+    ConjugatorSpec(),
+    ConjugatorSpec(amplitude=0.12, delta=0.2, mode=2, r_inner=0.2),
+    ConjugatorSpec(amplitude=0.3, delta=0.35, mode=1, r_inner=0.1, phase=1.1),
+    ConjugatorSpec(amplitude=0.05, delta=0.4, mode=5, phase=-0.7),
+])
+def test_conjugator_fused_velocity_is_exact(spec, rng):
+    gen = spec.generator()
+    r0, r1 = spec.r_inner, 1.0 - spec.delta
+    special = np.array([
+        [0.0, 0.0], [r0, 0.0], [0.0, -r0], [r1, 0.0], [0.0, r1], [-r1, 0.0],
+        [0.5, 0.0], [0.0, -0.5], [-0.3, 0.0], [0.0, 0.95],
+    ])
+    pts = np.concatenate([special, rng.uniform(-1.0, 1.0, (400, 2))])
+    # the old grad: the _bump/_angular composition
+    x, y = pts[:, 0], pts[:, 1]
+    t = x * x + y * y
+    w, wp = _old_bump(gen, t, 0), _old_bump(gen, t, 1)
+    p = np.real(_old_angular(gen, pts, 0))
+    zk1 = spec.mode * _old_angular(gen, pts, 1)
+    gx = spec.amplitude * (2.0 * x * wp * p + w * np.real(zk1))
+    gy = spec.amplitude * (2.0 * y * wp * p + w * -np.imag(zk1))
+    grad = np.stack([gx, gy], axis=-1)
+    assert bitwise_equal(gen.grad(0.0, pts), grad)
+    velocity = np.stack([0.5 * grad[..., 1], -0.5 * grad[..., 0]], axis=-1)
+    assert bitwise_equal(gen.velocity(0.0, pts), velocity)
+    assert bitwise_equal(gen.velocity(0.0, pts[1]), velocity[1])
+
+
+def test_w_field_support_mask_is_exact():
+    spec = ConjugatorSpec(amplitude=0.12, delta=0.2, mode=2, r_inner=0.2)
+    phi = build_conjugator(spec)
+    grid_n, pad, steps = 128, 0.05, 150
+    field = pseudorotations._InverseRadiusSquared(phi, spec.delta, grid_n,
+                                                  pad, steps)
+    # the old build: flow every grid point of the inner disc
+    ax = np.linspace(-1.0 - pad, 1.0 + pad, grid_n)
+    xx, yy = np.meshgrid(ax, ax, indexing="ij")
+    pts = np.stack([xx, yy], axis=-1).reshape(-1, 2)
+    r2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
+    w = r2.copy()
+    inner = r2 < (1.0 - spec.delta + 2.0 * (ax[1] - ax[0])) ** 2
+    inv = pseudorotations.DiscDiffeo(phi.generator, steps=steps).inverse(pts[inner])
+    w[inner] = inv[:, 0] ** 2 + inv[:, 1] ** 2
+    old = RectBivariateSpline(ax, ax, w.reshape(grid_n, grid_n), kx=5, ky=5)
+    assert bitwise_equal(field._sp.get_coeffs(), old.get_coeffs())
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,26 @@ def test_cli_validation_exit_two(tmp_path, capsys):
     assert "missing field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario, payload, field", [
+    ("cut-check",
+     {"hamiltonian": {"type": "cosine-defect", "h": 3, "c": float("nan")}},
+     "hamiltonian.c"),
+    ("return-map",
+     {"hamiltonian": {"type": "rigid", "h": 2, "p": 1, "q": 3},
+      "step": float("inf")},
+     "step"),
+], ids=["c-nan", "step-infinity"])
+def test_cli_non_finite_float_exit_two(tmp_path, capsys, scenario, payload, field):
+    # json.dumps writes the NaN / Infinity tokens that json.load accepts
+    cfg = write_config(tmp_path, payload)
+    text = (tmp_path / "config.json").read_text()
+    assert "NaN" in text or "Infinity" in text
+    code = main([scenario, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"{field} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_unreadable_config(tmp_path):
     assert main(["ellipsoid", "--config", str(tmp_path / "nope.json")]) == 2
 
