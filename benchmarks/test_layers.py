@@ -11,7 +11,13 @@ the end-to-end benchmark lives in ``bench/``.
 import numpy as np
 import pytest
 
-from reebcut import ConjugatorSpec, FlowSettings, conjugated_stage, periodic_point_scan
+from reebcut import (
+    ConjugatorSpec,
+    FlowSettings,
+    conjugated_stage,
+    orbit_statistics,
+    periodic_point_scan,
+)
 from reebcut.geometry import TWO_PI, polar_grid
 from reebcut.pseudorotations import DiscDiffeo, _InverseRadiusSquared
 
@@ -37,6 +43,16 @@ def test_stage_velocity_single_point(benchmark, small_stage):
     point = np.array([0.3, 0.2])
     v = benchmark(small_stage.hamiltonian.velocity, 0.0, point)
     assert v.shape == (2,) and np.all(np.isfinite(v))
+
+
+def test_orbit_statistics(benchmark, small_stage):
+    # single-point return maps: one-point velocity calls dominate
+    settings = FlowSettings(step=TWO_PI / 400)
+    stats = benchmark.pedantic(
+        orbit_statistics, args=(small_stage.hamiltonian, np.array([0.5, 0.0])),
+        kwargs={"iterations": 16, "settings": settings}, rounds=3, iterations=1,
+    )
+    assert stats.completed == 16 and not stats.aborted
 
 
 def test_wfield_build(benchmark, small_stage):

@@ -379,6 +379,17 @@ class _InverseRadiusSquared:
         gy = np.where(tail, 2.0 * y, self._spy(x, y, grid=False))
         return gx, gy
 
+    def point_grad(self, x, y):
+        """(dW/dx, dW/dy) at one point given as two floats, as floats.
+
+        The same tail test and the same splines as ``grad_components``, so
+        the result is bitwise equal to that of a one-point batch.
+        """
+        if x * x + y * y >= self._switch2:
+            return 2.0 * x, 2.0 * y
+        return (float(self._spx(x, y, grid=False)),
+                float(self._spy(x, y, grid=False)))
+
     def grad(self, xy):
         return np.stack(self.grad_components(xy), axis=-1)
 
@@ -425,7 +436,14 @@ class ConjugatedRotationHamiltonian(Hamiltonian):
 
     def velocity(self, s, xy):
         # same products, in the same order, as the generic velocity of grad
-        gx, gy = self.w.grad_components(np.asarray(xy, float))
+        xy = np.asarray(xy, float)
+        if xy.shape == (2,):
+            # One-point return maps (orbit_statistics) are bound by numpy
+            # dispatch on 1-element arrays, so one point is computed in
+            # Python floats.  It must stay bitwise equal to the batched path.
+            gx, gy = self.w.point_grad(*xy.tolist())
+            return np.array([0.5 * (-self.pq * gy), -0.5 * (-self.pq * gx)])
+        gx, gy = self.w.grad_components(xy)
         return np.stack([0.5 * (-self.pq * gy), -0.5 * (-self.pq * gx)], axis=-1)
 
     def ds(self, s, xy):
@@ -781,6 +799,10 @@ def orbit_statistics(H, p0, iterations=512, bins=32, settings=None):
 # ---------------------------------------------------------------------------
 
 
+# how far s may stray outside [0, 2*pi] before slice interpolation refuses it
+_S_DOMAIN_SLACK = 1e-12
+
+
 class ComposedHamiltonian(Hamiltonian):
     """K_s + H2 o (Psi^K_s)^{-1}: the generator of Psi^K_s o psi^{H2}_s.
 
@@ -859,6 +881,12 @@ class ComposedHamiltonian(Hamiltonian):
 
     def _s_weights(self, s):
         s = float(s)
+        # the composite is in general not 2pi-periodic, so the cubic must
+        # not extrapolate; the slack covers RK4's rounding of the last step
+        if not (-_S_DOMAIN_SLACK <= s <= TWO_PI + _S_DOMAIN_SLACK):
+            raise PreconditionError(
+                f"s = {s} lies outside the tabulated domain [0, 2*pi]"
+            )
         ds = self.s_nodes[1] - self.s_nodes[0]
         j = int(np.clip(np.floor(s / ds), 1, len(self.s_nodes) - 3))
         js = [j - 1, j, j + 1, j + 2]

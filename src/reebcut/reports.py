@@ -26,7 +26,7 @@ from .binding import (
     make_f_tilde,
     pullback_residual,
 )
-from .errors import ValidationError
+from .errors import EvaluationError, ValidationError
 from .flows import FlowSettings, integrate_isotopy, return_map_report
 from .geometry import TWO_PI
 from .hamiltonians import (
@@ -264,6 +264,14 @@ def _check(name, value, threshold, passed=None, mode="<="):
     }
 
 
+def _strict_json(obj, **kwargs):
+    """Standard JSON text: NaN and +-Infinity are an evaluation failure."""
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False, **kwargs) + "\n"
+    except ValueError as exc:
+        raise EvaluationError(f"result is not finite JSON: {exc}") from exc
+
+
 def run(config: RunConfig) -> RunReport:
     """Execute one scenario and assemble its report (plus files)."""
     t0 = time.perf_counter()
@@ -283,12 +291,12 @@ def run(config: RunConfig) -> RunReport:
         config.out_dir.mkdir(parents=True, exist_ok=True)
         if config.plots:
             emit_plots(plots, config.out_dir, report)
-        (config.out_dir / "report.json").write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
-        (config.out_dir / "timings.json").write_text(
-            json.dumps(report.wall_times, indent=2) + "\n"
-        )
+        # serialize both before writing either, so a non-finite value
+        # leaves no partial report behind
+        report_text = _strict_json(report.to_dict(), sort_keys=True)
+        timings_text = _strict_json(report.wall_times)
+        (config.out_dir / "report.json").write_text(report_text)
+        (config.out_dir / "timings.json").write_text(timings_text)
         for name, text in csv_files:
             (config.out_dir / name).write_text(text)
     return report

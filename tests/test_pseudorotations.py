@@ -220,6 +220,31 @@ def test_stage_tail_identity_bitwise(stage_2_1_3):
         assert np.array_equal(H.value(0.0, ring), rigid.value(0.0, ring))
 
 
+def test_stage_single_point_velocity_is_exact(stage_2_1_3, fast_flow):
+    H = stage_2_1_3.hamiltonian
+    switch2 = H.w._switch2
+    edge = np.sqrt(switch2)
+    assert edge * edge == switch2
+    points = [
+        [0.0, 0.0], [0.3, 0.2], [-0.45, 0.1], [0.12, -0.61],
+        [0.5, 0.0], [0.0, -0.5], [-0.7, 0.0], [0.0, 0.35],
+        [edge, 0.0],                          # r^2 exactly on the switch
+        [np.nextafter(edge, 0.0), 0.0],       # its neighbour inside
+        [0.97 * np.cos(1.1), 0.97 * np.sin(1.1)],
+    ]
+    for p in np.array(points):
+        one = H.velocity(0.0, p)
+        assert one.shape == (2,)
+        assert bitwise_equal(one, H.velocity(0.0, p[None])[0])
+
+    p = np.array([0.5, 0.0])
+    q = p[None]
+    for _ in range(32):
+        p = return_map(H, p, fast_flow)
+        q = return_map(H, q, fast_flow)
+        assert bitwise_equal(p, q[0])
+
+
 def test_stage_conjugation_invariance(stage_2_1_3, rng, fast_flow):
     H = stage_2_1_3.hamiltonian
     phi = stage_2_1_3.conjugator
@@ -414,6 +439,21 @@ def test_composed_slice_cache_survives_backward_step():
     assert spline(ax[7], ax[12], grid=False) == pytest.approx(
         composite._w2[2][7, 12], abs=1e-12)
     assert 2 in composite._splines and len(composite._splines) == 16
+
+
+def test_composed_rejects_s_outside_domain():
+    K = compact_disc_hamiltonian(amp=0.05)
+    composite = ComposedHamiltonian(K, RigidRotationHamiltonian(2, 1, 2),
+                                    n_slices=32, grid_n=21)
+    pt = np.array([0.3, 0.2])
+    for s in (3.0 * np.pi, -0.5):
+        with pytest.raises(PreconditionError):
+            composite.value(s, pt)
+        with pytest.raises(PreconditionError):
+            composite.grad(s, pt)
+    # the ends and an RK4-sized overshoot of them stay inside the domain
+    for s in (0.0, TWO_PI, np.nextafter(TWO_PI, 7.0), -1e-15):
+        assert np.all(np.isfinite(composite.grad(s, pt)))
 
 
 def test_orbit_statistics_aborts_on_escape(fast_flow):

@@ -157,6 +157,23 @@ def test_cli_non_finite_float_exit_two(tmp_path, capsys, scenario, payload, fiel
     assert not (tmp_path / "o").exists()
 
 
+def test_cli_non_finite_result_exit_three(tmp_path, capsys, monkeypatch):
+    from reebcut import reports
+
+    def nan_runner(params, rng):
+        return ({"score": float("nan")},
+                [reports._check("finite", 0.0, 1.0)], [])
+
+    monkeypatch.setitem(reports._RUNNERS, "ellipsoid", nan_runner)
+    cfg = write_config(tmp_path, {"a0": SQRT2, "h": 2})
+    out = tmp_path / "o"
+    code = main(["ellipsoid", "--config", cfg, "--out", str(out)])
+    assert code == 3
+    assert "not finite JSON" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+    assert not (out / "timings.json").exists()
+
+
 def test_cli_unreadable_config(tmp_path):
     assert main(["ellipsoid", "--config", str(tmp_path / "nope.json")]) == 2
 
