@@ -8,6 +8,11 @@ The tier-1 suite does not collect this file (``testpaths = ["tests"]``);
 the end-to-end benchmark lives in ``bench/``.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -74,3 +79,14 @@ def test_conjugator_inverse_annulus(benchmark, small_stage):
     inv = benchmark.pedantic(DiscDiffeo(gen, steps=150).inverse, args=(pts,),
                              rounds=3, iterations=1)
     assert inv.shape == pts.shape and np.all(np.isfinite(inv))
+
+
+def test_cli_import(benchmark):
+    # spawn to ``import reebcut.cli`` in a fresh interpreter: the start-up
+    # cost every CLI invocation pays before its scenario runs
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-c", "import reebcut.cli"]
+    proc = benchmark.pedantic(subprocess.run, args=(argv,),
+                              kwargs={"env": env}, rounds=5, iterations=1)
+    assert proc.returncode == 0

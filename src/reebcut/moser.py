@@ -13,9 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import RectBivariateSpline
-from scipy.spatial import cKDTree
 
 from .errors import ConfigurationError, PreconditionError
 from .geometry import TWO_PI
@@ -328,6 +325,8 @@ class MoserMap:
     """The time-1 Moser flow pulling omega_1 back to omega_0 on the square."""
 
     def __init__(self, sigma: OneForm2D, g0, g1, settings: MoserSettings):
+        from scipy.interpolate import RectBivariateSpline
+
         self.settings = settings
         n = g0.n
         x = np.arange(n) / n
@@ -576,6 +575,9 @@ class CanonicalHamiltonian(Hamiltonian):
     def _slice_spline(self, j):
         if j in self._splines:
             return self._splines[j]
+        from scipy.interpolate import RectBivariateSpline
+        from scipy.spatial import cKDTree
+
         pad = 6
         th = self.theta_nodes
         th_pad = np.concatenate([th[-pad:] - TWO_PI, th, th[:pad] + TWO_PI])
@@ -804,6 +806,8 @@ def _radial_antiderivative(gamma, r_nodes):
         cum = mean * r + prim
         full = np.concatenate([cum, mean * 1.0 + prim[:, :1, :]], axis=1)
         return full - full[:, -1:, :]
+    from scipy.integrate import cumulative_simpson
+
     g_cum = cumulative_simpson(gamma, x=r_nodes, axis=1, initial=0.0)
     return g_cum - g_cum[:, -1:, :]
 
@@ -816,6 +820,8 @@ def g_function_values(path, s, targets, route="radial", n_quad=129,
     walks parallel to the x-axis from the right or left boundary point at
     the same height.  Exactness of the form makes both agree.
     """
+    from scipy.integrate import cumulative_simpson
+
     targets = np.asarray(targets, dtype=float)
     out = np.empty(len(targets))
     h = probe_step

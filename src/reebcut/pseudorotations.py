@@ -17,10 +17,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
-from .errors import IntegrationError, PreconditionError
-from .flows import FlowSettings, periodic_point_scan, return_map
+from .errors import ConfigurationError, IntegrationError, PreconditionError
+from .flows import (
+    FlowSettings,
+    area_preservation_audit,
+    periodic_point_scan,
+    return_map,
+)
 from .geometry import TWO_PI, polar_grid
 from .hamiltonians import (
     Hamiltonian,
@@ -339,6 +343,8 @@ class _InverseRadiusSquared:
 
     def __init__(self, phi: DiscDiffeo, delta, grid_n=512, pad=0.05,
                  flow_steps=150):
+        from scipy.interpolate import RectBivariateSpline
+
         self.delta = delta
         lim = 1.0 + pad
         ax = np.linspace(-lim, lim, grid_n)
@@ -578,6 +584,18 @@ def _stage_extension_settings(delta):
     return ExtensionSettings(rho0=rho0, k_max=k_max)
 
 
+def _thread_count():
+    """Worker cap from REEBCUT_THREADS; unset, empty, 0 and 1 mean serial."""
+    raw = os.environ.get("REEBCUT_THREADS", "").strip()
+    if not raw:
+        return 0
+    if not raw.isdecimal():
+        raise ConfigurationError(
+            f"REEBCUT_THREADS must be a non-negative integer, got {raw!r}"
+        )
+    return int(raw)
+
+
 def stage_sequence(target_a, count, h, schedule: ConjugatorSchedule = None,
                    settings: FlowSettings = None, scan_grid=(3, 8),
                    audit_grid=SamplingGrid(n_s=8, n_r=24, n_theta=24),
@@ -590,6 +608,7 @@ def stage_sequence(target_a, count, h, schedule: ConjugatorSchedule = None,
     in C^k norms on a fixed polar grid.  Stages are independent; when
     REEBCUT_THREADS is set they are built in a pool and merged in order.
     """
+    n_threads = _thread_count()
     schedule = schedule or ConjugatorSchedule()
     settings = settings or FlowSettings()
     convergents = continued_fraction_convergents(target_a, count)
@@ -607,7 +626,6 @@ def stage_sequence(target_a, count, h, schedule: ConjugatorSchedule = None,
             ham, BindingChart(h=h),
             _stage_extension_settings(spec.delta),
         )
-        from .flows import area_preservation_audit
         area = area_preservation_audit(ham, polar_grid(3, 6, r_max=0.8),
                                        settings)
         recs = periodic_point_scan(ham, max_period=q,
@@ -626,7 +644,6 @@ def stage_sequence(target_a, count, h, schedule: ConjugatorSchedule = None,
         return stage, ext
 
     tasks = list(enumerate(convergents, start=1))
-    n_threads = int(os.environ.get("REEBCUT_THREADS", "0") or 0)
     if n_threads > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             results = list(pool.map(build, tasks))
@@ -826,6 +843,8 @@ class ComposedHamiltonian(Hamiltonian):
         self._splines = {}
 
     def _build(self, n_slices, grid_n, pad, substeps):
+        from scipy.interpolate import RectBivariateSpline
+
         ax = np.linspace(-1.0 - pad, 1.0 + pad, grid_n)
         self._ax = ax
         self.s_nodes = np.linspace(0.0, TWO_PI, n_slices + 1)
@@ -870,6 +889,8 @@ class ComposedHamiltonian(Hamiltonian):
     def _slice(self, j):
         cached = self._splines.get(j)
         if cached is None:
+            from scipy.interpolate import RectBivariateSpline
+
             sp = RectBivariateSpline(self._ax, self._ax, self._w2[j], kx=5, ky=5)
             cached = (sp, sp.partial_derivative(1, 0), sp.partial_derivative(0, 1))
             self._splines[j] = cached

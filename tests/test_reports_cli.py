@@ -250,6 +250,23 @@ def test_thread_cap_does_not_change_results(tmp_path, monkeypatch):
     assert [s.to_dict() for s in seq1.stages] == [s.to_dict() for s in seq2.stages]
 
 
+@pytest.mark.parametrize("value", ["two", "-1", "1.5"])
+def test_thread_cap_rejects_invalid_value(tmp_path, monkeypatch, capsys, value):
+    from reebcut import golden_mean_inverse, pseudorotations
+    from reebcut.errors import ConfigurationError
+
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a stage was built before the cap was parsed")
+
+    monkeypatch.setattr(pseudorotations, "conjugated_stage", no_stage)
+    monkeypatch.setenv("REEBCUT_THREADS", value)
+    with pytest.raises(ConfigurationError, match="REEBCUT_THREADS"):
+        pseudorotations.stage_sequence(golden_mean_inverse(), 2, 2)
+    path = write_config(tmp_path, {"h": 2, "count": 1})
+    assert main(["pseudorotation", "--config", path]) == 3
+    assert "REEBCUT_THREADS" in capsys.readouterr().err
+
+
 def test_pseudorotation_scenario(tmp_path):
     config = RunConfig.parse(
         "pseudorotation",

@@ -1,0 +1,68 @@
+"""Start-up cost: the numpy-only scenarios never load scipy.
+
+scipy.interpolate takes most of a second to import, so the library imports
+scipy only where it builds splines.  Each check runs in a fresh interpreter,
+because this test process has long since loaded scipy.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from reebcut.reports import SCENARIOS, SPLINE_SCENARIOS
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# small configs of every scenario that builds no splines
+NUMPY_ONLY = {
+    "ellipsoid": {"a0": 1.4142, "h": 2, "pullback_grid": [8, 8, 8],
+                  "self_linking": False},
+    "cut-check": {"hamiltonian": {"type": "cosine-defect", "h": 3, "c": 0.4,
+                                  "d": 0.5}, "k_max": 2},
+    "self-linking": {"a0": 1.4142, "h": 2, "n_samples": 256},
+    "return-map": {"hamiltonian": {"type": "rigid", "h": 2, "p": 1, "q": 3},
+                   "n_points": 4, "step": 0.05},
+    "poincare-lemma": {"n": 32, "threshold": 1.0},
+}
+
+PROBE = """
+import json, sys, tempfile
+from pathlib import Path
+
+import reebcut.cli
+
+loaded = {"import reebcut.cli": "scipy" in sys.modules}
+import reebcut
+from reebcut import moser, pseudorotations
+from reebcut.reports import RunConfig, run
+
+same = {
+    "stage_sequence": reebcut.stage_sequence is pseudorotations.stage_sequence,
+    "ComposedHamiltonian":
+        reebcut.ComposedHamiltonian is pseudorotations.ComposedHamiltonian,
+    "moser_flow": reebcut.moser_flow is moser.moser_flow,
+}
+with tempfile.TemporaryDirectory() as out:
+    for scenario, params in json.loads(sys.argv[1]).items():
+        run(RunConfig.parse(scenario, params, out_dir=Path(out) / scenario,
+                            plots=True))
+        loaded[scenario] = "scipy" in sys.modules
+print(json.dumps({"loaded": loaded, "same": same}))
+"""
+
+
+def test_numpy_only_scenarios_do_not_load_scipy():
+    assert set(NUMPY_ONLY) == set(SCENARIOS) - set(SPLINE_SCENARIOS)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(NUMPY_ONLY)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["loaded"] == {
+        name: False for name in ["import reebcut.cli", *NUMPY_ONLY]
+    }
+    assert all(result["same"].values()), result["same"]
