@@ -19,7 +19,9 @@ import pytest
 from reebcut import (
     ConjugatorSpec,
     FlowSettings,
+    RigidRotationHamiltonian,
     conjugated_stage,
+    linearized_return,
     orbit_statistics,
     periodic_point_scan,
 )
@@ -79,6 +81,22 @@ def test_conjugator_inverse_annulus(benchmark, small_stage):
     inv = benchmark.pedantic(DiscDiffeo(gen, steps=150).inverse, args=(pts,),
                              rounds=3, iterations=1)
     assert inv.shape == pts.shape and np.all(np.isfinite(inv))
+
+
+def test_linearized_return(benchmark):
+    # the return-map scenario's variational flow: 2000 seeded points of the
+    # rigid H(2, 1, 3), drawn as that scenario draws them, at step 2pi/2000
+    rng = np.random.default_rng(0)
+    r = np.sqrt(rng.uniform(0.05, 0.9, 2000))
+    theta = rng.uniform(0.0, TWO_PI, r.size)
+    pts = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+    jac = benchmark.pedantic(
+        linearized_return, args=(RigidRotationHamiltonian(2, 1, 3), pts),
+        kwargs={"settings": FlowSettings(step=TWO_PI / 2000)},
+        rounds=3, iterations=1,
+    )
+    det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
+    assert np.max(np.abs(det - 1.0)) <= 1e-9
 
 
 def test_cli_import(benchmark):

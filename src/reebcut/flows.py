@@ -25,7 +25,9 @@ class FlowSettings:
 
     Fixed-step RK4 is the default: deterministic step sequences make every
     report bit-reproducible.  The adaptive pair is opt-in for stiff user
-    Hamiltonians.
+    Hamiltonians, and only for the isotopy itself: the variational flow
+    (``linearized_return`` and the audits built on it) is fixed-step RK4
+    only.
     """
 
     integrator: str = "rk4"
@@ -77,31 +79,72 @@ def _check_in_disc(xy, s):
         )
 
 
-def _rk4(velocity, y0, s0, s1, step, record=False, check_disc=True):
+def _step_grid(s0, s1, step):
+    """Step count and signed step of the fixed-step integrator on [s0, s1]."""
     n_steps = max(1, int(np.ceil(abs(s1 - s0) / step - 1e-12)))
     # even count keeps composite Simpson available on the recorded grid
-    if n_steps % 2:
-        n_steps += 1
-    h = (s1 - s0) / n_steps
-    y = np.array(y0, dtype=float)
-    _check_finite(y, s0)
+    n_steps += n_steps % 2
+    return n_steps, (s1 - s0) / n_steps
+
+
+def _rk4_steps(velocity, y, s0, h, n_steps, velocity_jacobian=None,
+               record=False):
+    """``n_steps`` fixed RK4 steps of size ``h`` from parameter ``s0``.
+
+    Returns ``(y, J)``: J solves dJ/ds = DX_s J from J = I as its own
+    (..., 2, 2) array when ``velocity_jacobian`` is given, else it is None.
+    With ``record`` both are stacked over the steps, the start first.
+    DX J takes two rounded products per entry: np.matmul may fuse the
+    multiply-add and so move the last bit.
+    """
+
+    def dxj(s, q, j):
+        a = velocity_jacobian(s, q)
+        return (a[..., :, 0, None] * j[..., None, 0, :]
+                + a[..., :, 1, None] * j[..., None, 1, :])
+
+    jac = (None if velocity_jacobian is None
+           else np.broadcast_to(np.eye(2), y.shape[:-1] + (2, 2)))
+    jacs = None
     if record:
-        out = np.empty((n_steps + 1,) + y.shape)
-        out[0] = y
+        ys = np.empty((n_steps + 1,) + y.shape)
+        ys[0] = y
+        if jac is not None:
+            jacs = np.empty((n_steps + 1,) + jac.shape)
+            jacs[0] = jac
     s = s0
     for i in range(n_steps):
         k1 = velocity(s, y)
-        k2 = velocity(s + 0.5 * h, y + 0.5 * h * k1)
-        k3 = velocity(s + 0.5 * h, y + 0.5 * h * k2)
-        k4 = velocity(s + h, y + h * k3)
+        if jac is None:
+            k2 = velocity(s + 0.5 * h, y + 0.5 * h * k1)
+            k3 = velocity(s + 0.5 * h, y + 0.5 * h * k2)
+            k4 = velocity(s + h, y + h * k3)
+        else:
+            l1 = dxj(s, y, jac)
+            q = y + 0.5 * h * k1
+            k2, l2 = velocity(s + 0.5 * h, q), dxj(s + 0.5 * h, q, jac + 0.5 * h * l1)
+            q = y + 0.5 * h * k2
+            k3, l3 = velocity(s + 0.5 * h, q), dxj(s + 0.5 * h, q, jac + 0.5 * h * l2)
+            q = y + h * k3
+            k4, l4 = velocity(s + h, q), dxj(s + h, q, jac + h * l3)
+            jac = jac + (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         s = s0 + (i + 1) * h
         if record:
-            out[i + 1] = y
-    if check_disc:
-        _check_in_disc(y if not record else out[-1], s)
+            ys[i + 1] = y
+            if jac is not None:
+                jacs[i + 1] = jac
+    return (ys, jacs) if record else (y, jac)
+
+
+def _rk4(velocity, y0, s0, s1, step, record=False):
+    n_steps, h = _step_grid(s0, s1, step)
+    y = np.array(y0, dtype=float)
+    _check_finite(y, s0)
+    y, _ = _rk4_steps(velocity, y, s0, h, n_steps, record=record)
+    _check_in_disc(y[-1] if record else y, s0 + n_steps * h)
     if record:
-        return np.linspace(s0, s1, n_steps + 1), out
+        return np.linspace(s0, s1, n_steps + 1), y
     return y
 
 
@@ -122,7 +165,7 @@ _DP_B4 = np.array(
 )
 
 
-def _rk45(velocity, y0, s0, s1, settings, record=False, check_disc=True):
+def _rk45(velocity, y0, s0, s1, settings, record=False):
     y = np.array(y0, dtype=float)
     _check_finite(y, s0)
     s = s0
@@ -157,17 +200,16 @@ def _rk45(velocity, y0, s0, s1, settings, record=False, check_disc=True):
             raise IntegrationError("step underflow", last_s=s, last_state=y)
     else:
         raise IntegrationError("max step count exceeded", last_s=s, last_state=y)
-    if check_disc:
-        _check_in_disc(y, s)
+    _check_in_disc(y, s)
     if record:
         return np.array(ss), np.array(ys)
     return y
 
 
-def _solve(velocity, y0, s0, s1, settings, record=False, check_disc=True):
+def _solve(velocity, y0, s0, s1, settings, record=False):
     if settings.integrator == "rk4":
-        return _rk4(velocity, y0, s0, s1, settings.step, record, check_disc)
-    return _rk45(velocity, y0, s0, s1, settings, record, check_disc)
+        return _rk4(velocity, y0, s0, s1, settings.step, record)
+    return _rk45(velocity, y0, s0, s1, settings, record)
 
 
 def integrate_isotopy(H, p0, s0=0.0, s1=TWO_PI, settings=None, record=True):
@@ -189,36 +231,25 @@ def return_map(H, p, settings=None):
     return integrate_isotopy(H, p, 0.0, TWO_PI, settings, record=False)
 
 
-def _variational_velocity(H):
-    def velocity(s, state):
-        xy = state[..., :2]
-        jac = state[..., 2:].reshape(state.shape[:-1] + (2, 2))
-        v = H.velocity(s, xy)
-        a = H.velocity_jacobian(s, xy)
-        dj = np.einsum("...ij,...jk->...ik", a, jac)
-        return np.concatenate(
-            [v, dj.reshape(state.shape[:-1] + (4,))], axis=-1
-        )
-
-    return velocity
-
-
 def linearized_return(H, p, settings=None, s1=TWO_PI, return_endpoint=False):
     """Solve the variational equation dJ/ds = DX_s(path) J with J(0) = I.
 
     Returns the 2x2 monodromy of the return map (batched when ``p`` is a
-    batch); with ``return_endpoint`` also the flowed points.
+    batch); with ``return_endpoint`` also the flowed points.  The
+    variational flow is fixed-step RK4 only: ``settings.integrator`` must
+    be ``"rk4"``.
     """
     settings = settings or FlowSettings()
+    if settings.integrator != "rk4":
+        raise ConfigurationError(
+            "the variational flow is fixed-step RK4 only, not integrator "
+            f"{settings.integrator!r}"
+        )
     xy = as_xy(p)
-    eye = np.broadcast_to(np.eye(2).reshape((1,) * (xy.ndim - 1) + (2, 2)),
-                          xy.shape[:-1] + (2, 2))
-    state0 = np.concatenate([xy, eye.reshape(xy.shape[:-1] + (4,))], axis=-1)
-    out = _solve(_variational_velocity(H), state0, 0.0, s1, settings,
-                 record=False, check_disc=False)
-    end = out[..., :2]
+    _check_finite(xy, 0.0)
+    n_steps, h = _step_grid(0.0, s1, settings.step)
+    end, jac = _rk4_steps(H.velocity, xy, 0.0, h, n_steps, H.velocity_jacobian)
     _check_in_disc(end, s1)
-    jac = out[..., 2:].reshape(xy.shape[:-1] + (2, 2))
     if return_endpoint:
         return jac, end
     return jac
@@ -279,11 +310,12 @@ def return_map_report(H, points, settings=None, rotation_radii=()):
     jac, images = linearized_return(H, pts, settings, return_endpoint=True)
     det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
     rotations = []
-    for r in rotation_radii:
-        start = np.array([r, 0.0])
-        img = return_map(H, start, settings)
-        angle = np.arctan2(img[1], img[0])
-        rotations.append((float(r), float(angle)))
+    if len(rotation_radii):
+        radii = np.asarray(rotation_radii, dtype=float)
+        img = return_map(H, np.stack([radii, np.zeros_like(radii)], axis=-1),
+                         settings)
+        angles = np.arctan2(img[:, 1], img[:, 0])
+        rotations = [(float(r), float(a)) for r, a in zip(radii, angles)]
     return ReturnMapReport(
         points=pts,
         images=images,

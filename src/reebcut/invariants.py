@@ -21,7 +21,7 @@ from .errors import (
     PreconditionError,
     ResolutionError,
 )
-from .flows import FlowSettings, _rk4, _variational_velocity
+from .flows import FlowSettings, _check_finite, _rk4_steps, _step_grid
 from .geometry import TWO_PI
 from .hamiltonians import QuadraticHamiltonian
 
@@ -154,21 +154,19 @@ class RotationSettings:
 
 def _winding_of_transported_vector(H, p, period, covers, flow_settings):
     """Total continuous angle of J(s) v0 over ``covers`` periods, / 2 pi."""
-    state0 = np.array([p[0], p[1], 1.0, 0.0, 0.0, 1.0])
-    s_grid, states = _rk4(
-        _variational_velocity(H), state0, 0.0, period * covers,
-        flow_settings.step, record=True, check_disc=False,
-    )
-    vx = states[:, 2]   # J @ (1, 0)
-    vy = states[:, 4]
+    _check_finite(p, 0.0)
+    n_steps, step = _step_grid(0.0, period * covers, flow_settings.step)
+    _, jacs = _rk4_steps(H.velocity, p, 0.0, step, n_steps,
+                         H.velocity_jacobian, record=True)
+    vx = jacs[:, 0, 0]   # J @ (1, 0)
+    vy = jacs[:, 1, 0]
     angles = np.arctan2(vy, vx)
     increments = np.diff(angles)
     increments = (increments + np.pi) % TWO_PI - np.pi
     total = float(np.sum(increments))
 
     # one-cover monodromy for the ellipticity check
-    n_per = (len(s_grid) - 1) // covers
-    mono = states[n_per, 2:].reshape(2, 2)
+    mono = jacs[n_steps // covers]
     tr = mono[0, 0] + mono[1, 1]
     if abs(tr) > 2.0 + 1e-9:
         raise NonEllipticOrbitError(

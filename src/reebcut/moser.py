@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, PreconditionError
+from .flows import _rk4_steps
 from .geometry import TWO_PI
 from .hamiltonians import Hamiltonian
 
@@ -468,26 +469,14 @@ class HamiltonianIsotopyPath:
             s = s_values[idx]
             if s > s_prev:
                 n = max(2, int(np.ceil((s - s_prev) / TWO_PI * self.steps_per_period)))
-                cur = _rk4_plain(self.generator.velocity, cur, s_prev, s, n)
+                cur, _ = _rk4_steps(self.generator.velocity, cur, s_prev,
+                                    (s - s_prev) / n, n)
                 s_prev = s
             out[idx] = cur
         return out
 
     def __call__(self, s, points):
         return self.evaluate_on_grid([s], points)[0]
-
-
-def _rk4_plain(velocity, y0, s0, s1, n_steps):
-    h = (s1 - s0) / n_steps
-    y = y0
-    for i in range(n_steps):
-        s = s0 + i * h
-        k1 = velocity(s, y)
-        k2 = velocity(s + 0.5 * h, y + 0.5 * h * k1)
-        k3 = velocity(s + 0.5 * h, y + 0.5 * h * k2)
-        k4 = velocity(s + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return y
 
 
 def _stencil_derivative(samples, ds, axis=0):

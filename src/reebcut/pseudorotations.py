@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ConfigurationError, IntegrationError, PreconditionError
 from .flows import (
     FlowSettings,
+    _rk4_steps,
     area_preservation_audit,
     periodic_point_scan,
     return_map,
@@ -244,23 +245,18 @@ class DiscDiffeo:
         out = np.empty_like(flat)
         if want_jacobian:
             jac_out = np.empty((len(flat), 2, 2))
+        gen = self.generator
 
-        def field(t, q):
-            return self.generator.velocity(0.0, q)
+        def field(s, q):
+            return gen.velocity(0.0, q)
+
+        def field_jacobian(s, q):
+            return gen.velocity_jacobian(0.0, q)
 
         for lo in range(0, len(flat), _FLOW_BLOCK):
-            y = flat[lo:lo + _FLOW_BLOCK]
-            if want_jacobian:
-                jac = np.broadcast_to(np.eye(2), y.shape[:-1] + (2, 2)).copy()
-            for i in range(self.steps):
-                if want_jacobian:
-                    y, jac = _rk4_step_with_jacobian(self.generator, y, jac, h)
-                else:
-                    k1 = field(0, y)
-                    k2 = field(0, y + 0.5 * h * k1)
-                    k3 = field(0, y + 0.5 * h * k2)
-                    k4 = field(0, y + h * k3)
-                    y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            y, jac = _rk4_steps(field, flat[lo:lo + _FLOW_BLOCK], 0.0, h,
+                                self.steps,
+                                field_jacobian if want_jacobian else None)
             out[lo:lo + _FLOW_BLOCK] = y
             if want_jacobian:
                 jac_out[lo:lo + _FLOW_BLOCK] = jac
@@ -280,23 +276,6 @@ class DiscDiffeo:
 
     def inverse_jacobian(self, pts):
         return self._flow(pts, -1.0, want_jacobian=True)[1]
-
-
-def _rk4_step_with_jacobian(gen, y, jac, h):
-    def f(q):
-        return gen.velocity(0.0, q)
-
-    def df(q, j):
-        return np.einsum("...ik,...kj->...ij", gen.velocity_jacobian(0.0, q), j)
-
-    k1, l1 = f(y), df(y, jac)
-    k2, l2 = f(y + 0.5 * h * k1), df(y + 0.5 * h * k1, jac + 0.5 * h * l1)
-    k3, l3 = f(y + 0.5 * h * k2), df(y + 0.5 * h * k2, jac + 0.5 * h * l2)
-    k4, l4 = f(y + h * k3), df(y + h * k3, jac + h * l3)
-    return (
-        y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4),
-        jac + (h / 6.0) * (l1 + 2 * l2 + 2 * l3 + l4),
-    )
 
 
 def build_conjugator(spec: ConjugatorSpec, steps=300, audit=False,

@@ -4,28 +4,38 @@ import numpy as np
 import pytest
 
 from reebcut import (
+    ConfigurationError,
+    ConjugatorSpec,
     FlowSettings,
     PreconditionError,
     QuadraticHamiltonian,
     RigidRotationHamiltonian,
     area_preservation_audit,
+    conjugated_stage,
     integrate_isotopy,
     linearized_return,
     periodic_point_scan,
     reeb_period,
     return_map,
+    return_map_report,
 )
 from reebcut import flows
 from reebcut.flows import PeriodicPointRecord
 from reebcut.geometry import TWO_PI, polar_grid
 
-from conftest import (SQRT2, polynomial_defect_hamiltonian,
-                      radial_collar_hamiltonian, random_disc_points)
+from conftest import (SQRT2, compact_disc_hamiltonian,
+                      polynomial_defect_hamiltonian, radial_collar_hamiltonian,
+                      random_disc_points)
 
 
 def rotation_matrix(angle):
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[c, -s], [s, c]])
+
+
+def bitwise_equal(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +141,84 @@ def test_linearized_determinant_is_one(rng):
     jac = linearized_return(H, pts)
     det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
     assert np.max(np.abs(det - 1.0)) <= 1e-6
+
+
+def _packed_linearized_return(H, p, settings):
+    """The packed-state variational flow: (xy, J) as one six-column state,
+    DX J by einsum, the fixed-step RK4 loop written out.  Returns (J, end)."""
+
+    def velocity(s, state):
+        xy = state[..., :2]
+        jac = state[..., 2:].reshape(state.shape[:-1] + (2, 2))
+        v = H.velocity(s, xy)
+        dj = np.einsum("...ij,...jk->...ik", H.velocity_jacobian(s, xy), jac)
+        return np.concatenate([v, dj.reshape(state.shape[:-1] + (4,))], axis=-1)
+
+    xy = np.asarray(p, dtype=float)
+    eye = np.broadcast_to(np.eye(2), xy.shape[:-1] + (2, 2))
+    y = np.concatenate([xy, eye.reshape(xy.shape[:-1] + (4,))], axis=-1)
+    n = max(1, int(np.ceil(TWO_PI / settings.step - 1e-12)))
+    n += n % 2
+    h = TWO_PI / n
+    s = 0.0
+    for i in range(n):
+        k1 = velocity(s, y)
+        k2 = velocity(s + 0.5 * h, y + 0.5 * h * k1)
+        k3 = velocity(s + 0.5 * h, y + 0.5 * h * k2)
+        k4 = velocity(s + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        s = 0.0 + (i + 1) * h
+    return y[..., 2:].reshape(xy.shape[:-1] + (2, 2)), y[..., :2]
+
+
+@pytest.fixture(scope="module")
+def coarse_stage():
+    spec = ConjugatorSpec(amplitude=0.12, delta=0.2, mode=2, r_inner=0.2)
+    return conjugated_stage(2, 1, 3, spec, w_grid=128).hamiltonian
+
+
+@pytest.mark.parametrize("case", ["rigid", "time_dependent", "defect", "stage"])
+def test_linearized_return_matches_packed_state_bitwise(case, request, rng):
+    H = {
+        "rigid": lambda: RigidRotationHamiltonian(2, 1, 3),
+        "time_dependent": lambda: compact_disc_hamiltonian(time_factor=np.cos),
+        "defect": lambda: polynomial_defect_hamiltonian(3, 1.0, 0.3),
+        "stage": lambda: request.getfixturevalue("coarse_stage"),
+    }[case]()
+    settings = FlowSettings(step=TWO_PI / 200)
+    # the origin and the axes give exact zeros, whose signs count too
+    pts = np.vstack([[[0.0, 0.0], [0.5, 0.0], [0.0, -0.4]],
+                     random_disc_points(rng, 37, r_max=0.85)])
+    for p in (pts, pts[4]):
+        jac, end = linearized_return(H, p, settings, return_endpoint=True)
+        want_jac, want_end = _packed_linearized_return(H, p, settings)
+        assert bitwise_equal(jac, want_jac)
+        assert bitwise_equal(end, want_end)
+
+
+@pytest.mark.parametrize("audit", [
+    lambda H, p, fs: linearized_return(H, p, fs),
+    lambda H, p, fs: area_preservation_audit(H, p, fs),
+    lambda H, p, fs: return_map_report(H, p, fs),
+], ids=["linearized_return", "area_preservation_audit", "return_map_report"])
+def test_variational_flow_rejects_adaptive_integrator(audit):
+    H = RigidRotationHamiltonian(2, 1, 3)
+    with pytest.raises(ConfigurationError, match="rk45"):
+        audit(H, np.array([[0.3, 0.0]]), FlowSettings(integrator="rk45"))
+
+
+@pytest.mark.parametrize("radii", [(0.3, 0.6), (0.45,), ()])
+def test_rotation_radii_batch_matches_single_point_maps(radii, fast_flow):
+    H = RigidRotationHamiltonian(2, 1, 3)
+    rep = return_map_report(H, polar_grid(2, 3), fast_flow, rotation_radii=radii)
+    expected = []
+    for r in radii:
+        img = return_map(H, np.array([r, 0.0]), fast_flow)
+        expected.append((float(r), float(np.arctan2(img[1], img[0]))))
+    assert len(rep.rotation_by_radius) == len(radii)
+    assert all(type(pair) is tuple for pair in rep.rotation_by_radius)
+    assert bitwise_equal(np.reshape(rep.rotation_by_radius, (-1, 2)),
+                         np.reshape(expected, (-1, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,32 @@ def test_canonical_round_trip_autonomous(autonomous_recovery):
     assert worst <= 1e-5
 
 
+def test_isotopy_path_matches_plain_rk4_loop_bitwise():
+    # the fixed-step loop the path ran before it used flows' RK4 steps
+    K = compact_disc_hamiltonian(amp=0.02, time_factor=np.cos)
+    path = HamiltonianIsotopyPath(K, steps_per_period=200)
+    s_values = np.array([1.5, 0.0, 0.4, 1.5 + 1e-9, 6.0])
+    pts = polar_grid(3, 5, r_max=0.8)
+    expected = np.empty((len(s_values),) + pts.shape)
+    cur, s_prev = pts, 0.0
+    for idx in np.argsort(s_values):
+        s = s_values[idx]
+        if s > s_prev:
+            n = max(2, int(np.ceil((s - s_prev) / (2 * np.pi) * 200)))
+            h = (s - s_prev) / n
+            for i in range(n):
+                t = s_prev + i * h
+                k1 = K.velocity(t, cur)
+                k2 = K.velocity(t + 0.5 * h, cur + 0.5 * h * k1)
+                k3 = K.velocity(t + 0.5 * h, cur + 0.5 * h * k2)
+                k4 = K.velocity(t + h, cur + h * k3)
+                cur = cur + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            s_prev = s
+        expected[idx] = cur
+    got = path.evaluate_on_grid(s_values, pts)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
 def test_canonical_identity_path_gives_zero():
     class IdentityPath:
         def evaluate_on_grid(self, s_values, pts):

@@ -136,6 +136,44 @@ def test_conjugator_blocked_flow_is_exact(rng, monkeypatch):
     assert bitwise_equal(phi(point), phi(point[None])[0])
 
 
+def _einsum_flow_with_jacobian(gen, pts, h, steps):
+    """The whole-batch RK4 loop with the einsum Jacobian step that
+    DiscDiffeo used before its flow ran on flows' RK4 steps."""
+
+    def f(q):
+        return gen.velocity(0.0, q)
+
+    def df(q, j):
+        return np.einsum("...ik,...kj->...ij", gen.velocity_jacobian(0.0, q), j)
+
+    y = pts
+    jac = np.broadcast_to(np.eye(2), y.shape[:-1] + (2, 2)).copy()
+    for _ in range(steps):
+        k1, l1 = f(y), df(y, jac)
+        k2, l2 = f(y + 0.5 * h * k1), df(y + 0.5 * h * k1, jac + 0.5 * h * l1)
+        k3, l3 = f(y + 0.5 * h * k2), df(y + 0.5 * h * k2, jac + 0.5 * h * l2)
+        k4, l4 = f(y + h * k3), df(y + h * k3, jac + h * l3)
+        y, jac = (y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4),
+                  jac + (h / 6.0) * (l1 + 2 * l2 + 2 * l3 + l4))
+    return y, jac
+
+
+def test_conjugator_jacobian_matches_einsum_step(rng, monkeypatch):
+    steps = 20
+    phi = build_conjugator(ConjugatorSpec(amplitude=0.2, mode=3, phase=0.4),
+                           steps=steps)
+    # 301 points with the origin and axis points (exact zeros) among them
+    pts = np.vstack([[[0.0, 0.0], [0.6, 0.0], [0.0, -0.5]],
+                     rng.uniform(-0.9, 0.9, (298, 2))])
+    monkeypatch.setattr(pseudorotations, "_FLOW_BLOCK", 64)
+    for sign, flow, jacobian in ((1.0, phi, phi.jacobian),
+                                 (-1.0, phi.inverse, phi.inverse_jacobian)):
+        end, jac = _einsum_flow_with_jacobian(phi.generator, pts,
+                                              sign * 1.0 / steps, steps)
+        assert bitwise_equal(jacobian(pts), jac)
+        assert bitwise_equal(flow(pts), end)
+
+
 def _old_bump(gen, t, order):
     inside = (t > gen.t0) & (t < gen.t1)
     a = np.where(inside, t - gen.t0, 0.0)
