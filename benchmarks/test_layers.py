@@ -83,6 +83,18 @@ def test_conjugator_inverse_annulus(benchmark, small_stage):
     assert inv.shape == pts.shape and np.all(np.isfinite(inv))
 
 
+def test_conjugator_velocity_block(benchmark, small_stage):
+    # one generator velocity call on one DiscDiffeo block: 16384 seeded
+    # points of the support annulus
+    gen = small_stage.conjugator.generator
+    rng = np.random.default_rng(0)
+    r = np.sqrt(rng.uniform(gen.t0, gen.t1, 16_384))
+    theta = rng.uniform(0.0, TWO_PI, r.size)
+    pts = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+    v = benchmark(gen.velocity, 0.0, pts)
+    assert v.shape == pts.shape and np.all(np.isfinite(v))
+
+
 def test_linearized_return(benchmark):
     # the return-map scenario's variational flow: 2000 seeded points of the
     # rigid H(2, 1, 3), drawn as that scenario draws them, at step 2pi/2000

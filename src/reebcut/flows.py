@@ -137,11 +137,38 @@ def _rk4_steps(velocity, y, s0, h, n_steps, velocity_jacobian=None,
     return (ys, jacs) if record else (y, jac)
 
 
-def _rk4(velocity, y0, s0, s1, step, record=False):
+def _rk4_point_steps(point_velocity, xy, s0, h, n_steps):
+    """``_rk4_steps`` for one (2,) state, carried as two Python floats.
+
+    A return map of one point is bound by numpy dispatch on 2-element
+    arrays.  Python floats perform the same IEEE operations as numpy's
+    elementwise float64 loops, and every update below is written in the
+    order of ``_rk4_steps``, so the endpoint is bitwise the same.
+    """
+    x, y = xy.tolist()
+    s0, h = float(s0), float(h)
+    s = s0
+    for i in range(n_steps):
+        k1x, k1y = point_velocity(s, x, y)
+        k2x, k2y = point_velocity(s + 0.5 * h, x + 0.5 * h * k1x,
+                                  y + 0.5 * h * k1y)
+        k3x, k3y = point_velocity(s + 0.5 * h, x + 0.5 * h * k2x,
+                                  y + 0.5 * h * k2y)
+        k4x, k4y = point_velocity(s + h, x + h * k3x, y + h * k3y)
+        x = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        s = s0 + (i + 1) * h
+    return np.array([x, y])
+
+
+def _rk4(velocity, y0, s0, s1, step, record=False, point_velocity=None):
     n_steps, h = _step_grid(s0, s1, step)
     y = np.array(y0, dtype=float)
     _check_finite(y, s0)
-    y, _ = _rk4_steps(velocity, y, s0, h, n_steps, record=record)
+    if point_velocity is not None and not record and y.shape == (2,):
+        y = _rk4_point_steps(point_velocity, y, s0, h, n_steps)
+    else:
+        y, _ = _rk4_steps(velocity, y, s0, h, n_steps, record=record)
     _check_in_disc(y[-1] if record else y, s0 + n_steps * h)
     if record:
         return np.linspace(s0, s1, n_steps + 1), y
@@ -206,10 +233,11 @@ def _rk45(velocity, y0, s0, s1, settings, record=False):
     return y
 
 
-def _solve(velocity, y0, s0, s1, settings, record=False):
+def _solve(H, y0, s0, s1, settings, record=False):
     if settings.integrator == "rk4":
-        return _rk4(velocity, y0, s0, s1, settings.step, record)
-    return _rk45(velocity, y0, s0, s1, settings, record)
+        return _rk4(H.velocity, y0, s0, s1, settings.step, record,
+                    getattr(H, "point_velocity", None))
+    return _rk45(H.velocity, y0, s0, s1, settings, record)
 
 
 def integrate_isotopy(H, p0, s0=0.0, s1=TWO_PI, settings=None, record=True):
@@ -217,13 +245,15 @@ def integrate_isotopy(H, p0, s0=0.0, s1=TWO_PI, settings=None, record=True):
 
     Returns an IsotopyPath when ``record`` is set, otherwise the endpoint
     array.  Points must stay in the closed disc (small drift tolerated).
+    An unrecorded single (2,) point of an H with ``point_velocity`` is
+    integrated in Python floats, bitwise equal to the array path.
     """
     settings = settings or FlowSettings()
     y0 = as_xy(p0)
     if record:
-        s_values, points = _solve(H.velocity, y0, s0, s1, settings, record=True)
+        s_values, points = _solve(H, y0, s0, s1, settings, record=True)
         return IsotopyPath(s_values=s_values, points=points)
-    return _solve(H.velocity, y0, s0, s1, settings, record=False)
+    return _solve(H, y0, s0, s1, settings, record=False)
 
 
 def return_map(H, p, settings=None):

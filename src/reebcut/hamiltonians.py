@@ -105,6 +105,13 @@ class Hamiltonian:
     analytic expressions; the base class falls back to centered finite
     differences (inward-shifted at the boundary).
 
+    A subclass may also define ``point_velocity(s, x, y)``: the velocity at
+    one point given as two floats, returned as a ``(vx, vy)`` float pair
+    bitwise equal to ``velocity`` on that point.  The fixed-step flow of a
+    single unrecorded point then runs in Python floats instead of numpy
+    calls on 2-element arrays.  The base class does not define it, so every
+    other Hamiltonian integrates through ``velocity``.
+
     Attributes
     ----------
     boundary_value : float

@@ -173,12 +173,6 @@ class GridFunction2D:
             (float(x[nz[1].min()]), float(x[nz[1].max()])),
         )
 
-    @classmethod
-    def from_function(cls, fn, n=256, **kw):
-        x = np.arange(n) / n
-        xx, yy = np.meshgrid(x, x, indexing="ij")
-        return cls(values=fn(xx, yy), **kw)
-
     def to_csv(self, path):
         (x0, x1), (y0, y1) = self.support_box()
         header = f"n={self.n} support_x=[{x0},{x1}] support_y=[{y0},{y1}]"

@@ -167,10 +167,14 @@ class _ConjugatorGenerator(Hamiltonian):
         ab = a * b
         w = self._norm * ab ** 4
         wp = self._norm * 4.0 * ab ** 3 * (b - a)
-        z = x + 1j * y
+        # x + iy as a zero-copy view of the (..., 2) pairs
+        z = np.ascontiguousarray(xy).view(np.complex128)[..., 0]
         rot = np.exp(-1j * self.spec.phase)
         p = np.real(z ** k * rot)
-        zk1 = k * (z ** (k - 1) * rot)
+        # z ** 1 costs a complex pow and returns z, except that a zero base
+        # comes back as +0: only the origin, outside the support, can then
+        # see its zero gradient change sign, and only from -0.0 inputs
+        zk1 = k * ((z if k == 2 else z ** (k - 1)) * rot)
         px, py = np.real(zk1), -np.imag(zk1)
         gx = self.spec.amplitude * (2.0 * x * wp * p + w * px)
         gy = self.spec.amplitude * (2.0 * y * wp * p + w * py)
@@ -181,8 +185,12 @@ class _ConjugatorGenerator(Hamiltonian):
                         axis=-1)
 
     def velocity(self, s, xy):
-        gx, gy = self._grad_components(np.asarray(xy, dtype=float))
-        return np.stack([0.5 * gy, -0.5 * gx], axis=-1)
+        xy = np.asarray(xy, dtype=float)
+        gx, gy = self._grad_components(xy)
+        out = np.empty(xy.shape)
+        np.multiply(0.5, gy, out=out[..., 0])
+        np.multiply(-0.5, gx, out=out[..., 1])
+        return out
 
     def hessian(self, s, xy):
         xy = np.asarray(xy, dtype=float)
@@ -419,15 +427,21 @@ class ConjugatedRotationHamiltonian(Hamiltonian):
     def grad(self, s, xy):
         return -self.pq * self.w.grad(np.asarray(xy, float))
 
+    def point_velocity(self, s, x, y):
+        """The velocity at one point given as two floats, as a float pair.
+
+        One-point return maps (orbit_statistics) are bound by numpy
+        dispatch on 2-element arrays, so the flow integrates them through
+        this.  It must stay bitwise equal to the batched ``velocity``.
+        """
+        gx, gy = self.w.point_grad(x, y)
+        return 0.5 * (-self.pq * gy), -0.5 * (-self.pq * gx)
+
     def velocity(self, s, xy):
         # same products, in the same order, as the generic velocity of grad
         xy = np.asarray(xy, float)
         if xy.shape == (2,):
-            # One-point return maps (orbit_statistics) are bound by numpy
-            # dispatch on 1-element arrays, so one point is computed in
-            # Python floats.  It must stay bitwise equal to the batched path.
-            gx, gy = self.w.point_grad(*xy.tolist())
-            return np.array([0.5 * (-self.pq * gy), -0.5 * (-self.pq * gx)])
+            return np.array(self.point_velocity(s, *xy.tolist()))
         gx, gy = self.w.grad_components(xy)
         return np.stack([0.5 * (-self.pq * gy), -0.5 * (-self.pq * gx)], axis=-1)
 

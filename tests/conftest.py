@@ -14,16 +14,24 @@ from reebcut.geometry import TWO_PI
 SQRT2 = np.sqrt(2.0)
 
 
-def smooth_bump_t(t, t0, t1, order=0):
-    """C-infinity bump in t on [t0, t1], peak value 1."""
+def _bump_core(t, t0, t1):
     u = (np.asarray(t, dtype=float) - t0) / (t1 - t0)
     inside = (u > 1e-9) & (u < 1 - 1e-9)
     uc = np.where(inside, u, 0.5)
-    core = np.exp(-1.0 / (uc * (1.0 - uc)) + 4.0)
-    if order == 0:
-        return np.where(inside, core, 0.0)
+    return inside, uc, np.exp(-1.0 / (uc * (1.0 - uc)) + 4.0)
+
+
+def smooth_bump_t(t, t0, t1):
+    """C-infinity bump in t on [t0, t1], peak value 1."""
+    inside, _, core = _bump_core(t, t0, t1)
+    return np.where(inside, core, 0.0)
+
+
+def smooth_bump_t_jet(t, t0, t1):
+    """The bump and its t-derivative, from one shared exp core."""
+    inside, uc, core = _bump_core(t, t0, t1)
     dcore = core * (1.0 - 2.0 * uc) / (uc * (1.0 - uc)) ** 2 / (t1 - t0)
-    return np.where(inside, dcore, 0.0)
+    return np.where(inside, core, 0.0), np.where(inside, dcore, 0.0)
 
 
 def compact_disc_hamiltonian(amp=0.02, t0=0.04, t1=0.7744, angular=0.4,
@@ -38,8 +46,7 @@ def compact_disc_hamiltonian(amp=0.02, t0=0.04, t1=0.7744, angular=0.4,
     def grad(s, xy):
         x, y = xy[..., 0], xy[..., 1]
         t = x * x + y * y
-        w = smooth_bump_t(t, t0, t1)
-        wp = smooth_bump_t(t, t0, t1, 1)
+        w, wp = smooth_bump_t_jet(t, t0, t1)
         gx = amp * (wp * 2 * x * (1 + angular * x) + w * angular)
         gy = amp * (wp * 2 * y * (1 + angular * x))
         g = np.stack([gx, gy], axis=-1)

@@ -446,3 +446,61 @@ def test_return_map_rejects_non_finite_state(fast_flow):
             linearized_return(H, np.array([[0.1, 0.0], [0.2, np.inf]]), fast_flow)
         with pytest.raises(IntegrationError):
             return_map(H, np.array([np.nan, 0.0]), FlowSettings(integrator="rk45"))
+
+
+# ---------------------------------------------------------------------------
+# the one-point path in Python floats
+# ---------------------------------------------------------------------------
+
+
+def _stage_starts(H):
+    edge = np.sqrt(H.w._switch2)
+    assert edge * edge == H.w._switch2
+    return np.array([
+        [0.3, 0.2], [-0.45, 0.1], [0.12, -0.61], [0.5, -0.0], [-0.0, 0.35],
+        [0.0, 0.0],                                  # the fixed center
+        [0.9 * np.cos(2.0), 0.9 * np.sin(2.0)],      # the rigid tail
+        [edge, 0.0], [0.0, -edge],                   # r^2 exactly on the switch
+        [np.nextafter(edge, 0.0), 0.0],              # its neighbour inside
+    ])
+
+
+def test_single_point_float_path_matches_array_path(stage_2_1_3, fast_flow,
+                                                     monkeypatch):
+    H = stage_2_1_3.hamiltonian
+    starts = _stage_starts(H)
+    # the array path: a (1, 2) batch, and the recorded path of one point
+    batch = [return_map(H, p[None], fast_flow)[0] for p in starts]
+    recorded = [integrate_isotopy(H, p, settings=fast_flow).endpoint
+                for p in starts]
+    monkeypatch.setattr(flows, "_rk4_steps", lambda *a, **k: pytest.fail(
+        "one unrecorded point must take the float path"))
+    for p, b, r in zip(starts, batch, recorded):
+        one = return_map(H, p, fast_flow)
+        assert one.shape == (2,)
+        assert bitwise_equal(one, b)
+        assert bitwise_equal(one, r)
+
+
+def test_single_point_float_path_refuses_bad_states(stage_2_1_3, fast_flow):
+    from reebcut.errors import IntegrationError
+
+    H = stage_2_1_3.hamiltonian
+    with pytest.raises(IntegrationError, match="left the closed disc"):
+        return_map(H, np.array([1.01, 0.0]), fast_flow)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in ([np.nan, 0.3], [0.2, np.inf]):
+            with pytest.raises(IntegrationError, match="not finite"):
+                return_map(H, np.array(bad), fast_flow)
+
+
+def test_hamiltonians_without_point_velocity_keep_array_path(fast_flow):
+    # the base class defines no point_velocity: the analytic families and
+    # CallableHamiltonian integrate one point through velocity
+    H = compact_disc_hamiltonian()
+    assert not hasattr(H, "point_velocity")
+    assert not hasattr(RigidRotationHamiltonian(2, 1, 3), "point_velocity")
+    p = np.array([0.4, -0.3])
+    assert bitwise_equal(return_map(H, p, fast_flow),
+                         return_map(H, p[None], fast_flow)[0])

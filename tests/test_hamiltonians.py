@@ -18,7 +18,7 @@ from reebcut import (
 from reebcut.hamiltonians import CallableHamiltonian, PullbackHamiltonian, check_s_periodicity
 from reebcut.geometry import TWO_PI
 
-from conftest import SQRT2, random_disc_points
+from conftest import SQRT2, compact_disc_hamiltonian, random_disc_points
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +115,44 @@ def test_vector_field_definition_on_random_points(rng):
         defect = np.stack([-2 * X[..., 1] - g[..., 0],
                            2 * X[..., 0] - g[..., 1]], axis=-1)
         assert np.max(np.abs(defect)) <= 1e-8
+
+
+def _two_call_bump(t, t0, t1, order):
+    # the compact fixture's bump before its value and derivative shared
+    # one exp core: each order rebuilt the core
+    u = (np.asarray(t, dtype=float) - t0) / (t1 - t0)
+    inside = (u > 1e-9) & (u < 1 - 1e-9)
+    uc = np.where(inside, u, 0.5)
+    core = np.exp(-1.0 / (uc * (1.0 - uc)) + 4.0)
+    if order == 0:
+        return np.where(inside, core, 0.0)
+    dcore = core * (1.0 - 2.0 * uc) / (uc * (1.0 - uc)) ** 2 / (t1 - t0)
+    return np.where(inside, dcore, 0.0)
+
+
+@pytest.mark.parametrize("kw", [
+    {}, {"amp": 0.05, "angular": 0.0, "t0": 0.01, "t1": 0.81},
+    {"time_factor": np.cos},
+])
+def test_compact_fixture_grad_is_bitwise_unchanged(kw, rng):
+    H = compact_disc_hamiltonian(**kw)
+    amp, t0, t1 = kw.get("amp", 0.02), kw.get("t0", 0.04), kw.get("t1", 0.7744)
+    angular = kw.get("angular", 0.4)
+    pts = np.concatenate([
+        [[0.0, 0.0], [-0.0, 0.5], [0.5, -0.0], [np.sqrt(t0), 0.0],
+         [0.0, -np.sqrt(t1)], [0.99, 0.0]],
+        random_disc_points(rng, 500, r_max=0.99, r_min=0.0),
+    ])
+    x, y = pts[:, 0], pts[:, 1]
+    t = x * x + y * y
+    w, wp = _two_call_bump(t, t0, t1, 0), _two_call_bump(t, t0, t1, 1)
+    gx = amp * (wp * 2 * x * (1 + angular * x) + w * angular)
+    gy = amp * (wp * 2 * y * (1 + angular * x))
+    ref = np.stack([gx, gy], axis=-1)
+    for s in (0.0, 1.3):
+        want = ref * np.cos(s) if "time_factor" in kw else ref
+        got = H.grad(s, pts)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 # ---------------------------------------------------------------------------

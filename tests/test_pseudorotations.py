@@ -193,6 +193,7 @@ def _old_angular(gen, xy, d):
     ConjugatorSpec(amplitude=0.12, delta=0.2, mode=2, r_inner=0.2),
     ConjugatorSpec(amplitude=0.3, delta=0.35, mode=1, r_inner=0.1, phase=1.1),
     ConjugatorSpec(amplitude=0.05, delta=0.4, mode=5, phase=-0.7),
+    ConjugatorSpec(mode=2, phase=0.3),
 ])
 def test_conjugator_fused_velocity_is_exact(spec, rng):
     gen = spec.generator()
@@ -200,6 +201,9 @@ def test_conjugator_fused_velocity_is_exact(spec, rng):
     special = np.array([
         [0.0, 0.0], [r0, 0.0], [0.0, -r0], [r1, 0.0], [0.0, r1], [-r1, 0.0],
         [0.5, 0.0], [0.0, -0.5], [-0.3, 0.0], [0.0, 0.95],
+        # signed zeros, in the support and on its edges
+        [-0.0, 0.5], [-0.0, -0.5], [0.5, -0.0], [-0.45, -0.0],
+        [-0.0, r0], [r1, -0.0], [-0.0, 0.95],
     ])
     pts = np.concatenate([special, rng.uniform(-1.0, 1.0, (400, 2))])
     # the old grad: the _bump/_angular composition
@@ -214,7 +218,17 @@ def test_conjugator_fused_velocity_is_exact(spec, rng):
     assert bitwise_equal(gen.grad(0.0, pts), grad)
     velocity = np.stack([0.5 * grad[..., 1], -0.5 * grad[..., 0]], axis=-1)
     assert bitwise_equal(gen.velocity(0.0, pts), velocity)
-    assert bitwise_equal(gen.velocity(0.0, pts[1]), velocity[1])
+    # a strided (non-contiguous) batch and single points give the same bits
+    strided = np.repeat(pts, 3, axis=1)[::2, ::3]
+    assert not strided.flags.c_contiguous
+    assert bitwise_equal(gen.velocity(0.0, strided), velocity[::2])
+    assert bitwise_equal(gen.grad(0.0, strided), grad[::2])
+    for i in (1, 10, 12, len(special), len(pts) - 1):
+        assert bitwise_equal(gen.velocity(0.0, pts[i]), velocity[i])
+    # at the origin with negative zeros only the sign of the zero gradient
+    # may differ from the composition (a zero base of z ** 1 comes back +0)
+    origin = np.array([[-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0]])
+    assert np.all(gen.velocity(0.0, origin) == 0.0)
 
 
 def test_w_field_support_mask_is_exact():
@@ -492,6 +506,24 @@ def test_composed_rejects_s_outside_domain():
     # the ends and an RK4-sized overshoot of them stay inside the domain
     for s in (0.0, TWO_PI, np.nextafter(TWO_PI, 7.0), -1e-15):
         assert np.all(np.isfinite(composite.grad(s, pt)))
+
+
+def test_stage_orbit_statistics_float_path_is_exact(stage_2_1_3, fast_flow):
+    from types import SimpleNamespace
+
+    H = stage_2_1_3.hamiltonian
+    # no point_velocity: the same stage integrated by the array path
+    array_only = SimpleNamespace(velocity=H.velocity)
+    for p0, iterations in (([0.5, 0.1], 12), ([1.01, 0.0], 4)):
+        stats = orbit_statistics(H, np.array(p0), iterations=iterations,
+                                 settings=fast_flow)
+        ref = orbit_statistics(array_only, np.array(p0), iterations=iterations,
+                               settings=fast_flow)
+        assert (stats.completed, stats.aborted) == (ref.completed, ref.aborted)
+        assert bitwise_equal(stats.radii, ref.radii)
+        assert bitwise_equal(stats.angles, ref.angles)
+    # the start outside the disc aborts before its first return
+    assert (stats.completed, stats.aborted) == (0, True)
 
 
 def test_orbit_statistics_aborts_on_escape(fast_flow):
