@@ -1,4 +1,4 @@
-"""Layer microbenchmarks for the flow and stage-Hamiltonian hot paths.
+"""Layer microbenchmarks for the flow, stage-Hamiltonian and Moser hot paths.
 
 Run from the repository root with pytest-benchmark:
 
@@ -19,11 +19,15 @@ import pytest
 from reebcut import (
     ConjugatorSpec,
     FlowSettings,
+    GridFunction2D,
+    MoserSettings,
     RigidRotationHamiltonian,
     conjugated_stage,
     linearized_return,
+    moser_flow,
     orbit_statistics,
     periodic_point_scan,
+    zero_integral_fixture,
 )
 from reebcut.geometry import TWO_PI, polar_grid
 from reebcut.pseudorotations import DiscDiffeo, _InverseRadiusSquared
@@ -109,6 +113,22 @@ def test_linearized_return(benchmark):
     )
     det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
     assert np.max(np.abs(det - 1.0)) <= 1e-9
+
+
+def test_moser_field(benchmark):
+    # one Moser field evaluation on the 16384 nodes of the moser scenario's
+    # n=128 grid (four splines of degree 5 at every node)
+    n = 128
+    base = zero_integral_fixture(2, n)
+    w0 = GridFunction2D(np.ones((n, n)), compact=False)
+    w1 = GridFunction2D(1.0 + 0.2 / np.abs(base.values).max() * base.values,
+                        compact=False)
+    psi = moser_flow(w0, w1, settings=MoserSettings(steps=1))
+    x = np.arange(n) / n
+    xx, yy = np.meshgrid(x, x, indexing="ij")
+    nodes = np.stack([xx, yy], axis=-1).reshape(-1, 2)
+    v = benchmark(psi._field, 0.5, nodes)
+    assert v.shape == nodes.shape and np.all(np.isfinite(v))
 
 
 def test_cli_import(benchmark):

@@ -10,6 +10,7 @@ square lemma: it only line-integrates the exact form psi* lambda - lambda.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -315,6 +316,80 @@ class MoserSettings:
     steps: int = 80
     spline_degree: int = 5
 
+    def __post_init__(self):
+        if not (isinstance(self.steps, numbers.Integral) and self.steps >= 1):
+            raise ConfigurationError("steps must be an integer of at least 1")
+        if not (isinstance(self.spline_degree, numbers.Integral)
+                and 1 <= self.spline_degree <= 5):
+            raise ConfigurationError("spline_degree must be an integer in 1..5")
+
+
+_BLOCK = 4096
+
+
+def _fpbspl_basis(t, k, arg):
+    """FITPACK's B-spline basis of degree ``k`` on knots ``t`` at ``arg``.
+
+    Returns ``(offset, h)``: at point p the k + 1 nonzero basis values
+    ``h[0][p] .. h[k][p]`` belong to the coefficients ``offset[p] ..
+    offset[p] + k``.  This is the per-point work of ``fpbisp`` with
+    ``fpbspl``, vectorised over points with the same clamp, interval and
+    operation order, so the values are bitwise FITPACK's.  Arguments
+    outside [t[k], t[n-k-1]] are clamped to it; NaN stays NaN and lands in
+    the last interval, as in FITPACK's left-to-right knot scan.
+    """
+    n = len(t)
+    tb, te = t[k], t[n - k - 1]
+    arg = np.where(arg < tb, tb, arg)
+    arg = np.where(arg > te, te, arg)
+    l = np.clip(np.searchsorted(t, arg, "right") - 1, k, n - k - 2)
+    # t[l + d] for d <= 0 and d >= 1 straddle arg, and t[l + 1] > t[l]:
+    # interpolating knots never take fpbspl's zero-width branch
+    knot = {d: t[l + d] for d in range(1 - k, k + 1)}
+    right = {d: knot[d] - arg for d in range(1, k + 1)}
+    left = {d: arg - knot[d] for d in range(1 - k, 1)}
+    h = [np.ones_like(arg)]
+    for j in range(1, k + 1):
+        # fpbspl sets h(1) = 0, then for i = 1..j:
+        #   h(i) = h(i) + f * (t(li) - x);  h(i+1) = f * (x - t(lj))
+        nxt = []
+        carry = 0.0
+        for i in range(1, j + 1):
+            f = h[i - 1] / (knot[i] - knot[i - j])
+            nxt.append(carry + f * right[i])
+            carry = f * left[i - j]
+        nxt.append(carry)
+        h = nxt
+    return l - k, h
+
+
+def _tensor_splines_ev(tx, ty, kx, ky, coefs, x, y):
+    """Several bivariate splines on shared knots at the points (x[p], y[p]).
+
+    ``coefs`` is (m, ncoef), one row of FITPACK coefficients per spline;
+    the result is (m, npoints).  Each value is summed from 0.0 in
+    ``fpbisp``'s order, ``sp += (c * wx[i1]) * wy[j1]`` with i1 outer, so it
+    equals ``RectBivariateSpline.ev`` bit for bit, while the basis is built
+    once for all m splines.  Points go in blocks to keep temporaries small.
+    """
+    nky1 = len(ty) - ky - 1
+    out = np.empty((len(coefs), x.size))
+    for start in range(0, x.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        lx, wx = _fpbspl_basis(tx, kx, x[block])
+        ly, wy = _fpbspl_basis(ty, ky, y[block])
+        base = lx * nky1 + ly
+        acc = np.zeros((len(coefs), base.size))
+        for i1 in range(kx + 1):
+            row = base + i1 * nky1
+            for j1 in range(ky + 1):
+                c = np.take(coefs, row + j1, axis=1)
+                c *= wx[i1]
+                c *= wy[j1]
+                acc += c
+        out[:, block] = acc
+    return out
+
 
 class MoserMap:
     """The time-1 Moser flow pulling omega_1 back to omega_0 on the square."""
@@ -326,10 +401,19 @@ class MoserMap:
         n = g0.n
         x = np.arange(n) / n
         deg = settings.spline_degree
-        self._sx = RectBivariateSpline(x, x, sigma.dx.values, kx=deg, ky=deg)
-        self._sy = RectBivariateSpline(x, x, sigma.dy.values, kx=deg, ky=deg)
-        self._g0 = RectBivariateSpline(x, x, g0.values, kx=deg, ky=deg)
-        self._g1 = RectBivariateSpline(x, x, g1.values, kx=deg, ky=deg)
+
+        def fit(values):
+            return RectBivariateSpline(x, x, values, kx=deg, ky=deg)
+
+        self._g1 = fit(g1.values)
+        # one grid and degree, so the four fits share their knots; the
+        # first three splines are dropped as soon as their coefficients
+        # are read
+        self._knots = self._g1.get_knots()
+        self._coefs = np.stack(
+            [fit(v).get_coeffs() for v in (sigma.dx.values, sigma.dy.values,
+                                           g0.values)]
+            + [self._g1.get_coeffs()])
         self._hi = x[-1]
         self.n = n
         # sigma vanishes outside this box in exact arithmetic; the field is
@@ -347,26 +431,20 @@ class MoserMap:
         # sigma + i_X omega_t = 0  =>  X = (-sigma_y, sigma_x) / g_t
         px = np.clip(pts[..., 0], 0.0, self._hi)
         py = np.clip(pts[..., 1], 0.0, self._hi)
-        sx = self._sx.ev(px, py)
-        sy = self._sy.ev(px, py)
-        gt = (1.0 - t) * self._g0.ev(px, py) + t * self._g1.ev(px, py)
+        deg = self.settings.spline_degree
+        sx, sy, g0, g1 = _tensor_splines_ev(
+            *self._knots, deg, deg, self._coefs, px.ravel(), py.ravel()
+        ).reshape((4,) + px.shape)
+        gt = (1.0 - t) * g0 + t * g1
         x0, x1, y0, y1 = self._box
         inside = (px >= x0) & (px <= x1) & (py >= y0) & (py <= y1)
         return np.stack([np.where(inside, -sy / gt, 0.0),
                          np.where(inside, sx / gt, 0.0)], axis=-1)
 
     def __call__(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        y = pts.copy()
         nsteps = self.settings.steps
-        h = 1.0 / nsteps
-        for i in range(nsteps):
-            t = i * h
-            k1 = self._field(t, y)
-            k2 = self._field(t + 0.5 * h, y + 0.5 * h * k1)
-            k3 = self._field(t + 0.5 * h, y + 0.5 * h * k2)
-            k4 = self._field(t + h, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        y, _ = _rk4_steps(self._field, np.asarray(pts, dtype=float), 0.0,
+                          1.0 / nsteps, nsteps)
         return y
 
     def displacement(self):

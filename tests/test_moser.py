@@ -4,6 +4,7 @@ import pytest
 from reebcut import (
     BumpProfile,
     CanonicalRecoverySettings,
+    ConfigurationError,
     GridFunction2D,
     HamiltonianIsotopyPath,
     MoserSettings,
@@ -15,7 +16,7 @@ from reebcut import (
     primitive_residual,
     zero_integral_fixture,
 )
-from reebcut.moser import g_function_values
+from reebcut.moser import MoserMap, _tensor_splines_ev, g_function_values
 from reebcut.geometry import polar_grid
 
 from conftest import compact_disc_hamiltonian
@@ -168,6 +169,87 @@ def test_moser_rejects_unequal_integrals():
     w1 = GridFunction2D(np.ones((n, n)) * 1.01, compact=False)
     with pytest.raises(PreconditionError):
         moser_flow(w0, w1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("steps", 0),        # was a bare ZeroDivisionError
+    ("steps", -3),       # was silently the identity map
+    ("steps", 2.5),
+    ("spline_degree", 0),
+    ("spline_degree", 6),  # was FITPACK's own error from the fit
+])
+def test_moser_settings_rejects_bad_values(field, value):
+    with pytest.raises(ConfigurationError):
+        MoserSettings(**{field: value})
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("degree", [1, 3, 5])
+def test_shared_basis_evaluator_matches_fitpack_bitwise(degree):
+    from scipy.interpolate import RectBivariateSpline
+
+    rng = np.random.default_rng(degree)
+    x = np.arange(24) / 24
+    y = np.sort(rng.uniform(-1.0, 2.0, 19))
+    splines = [RectBivariateSpline(x, y, rng.standard_normal((24, 19)),
+                                   kx=degree, ky=degree) for _ in range(3)]
+    tx, ty = splines[0].get_knots()
+    coefs = np.stack([sp.get_coeffs() for sp in splines])
+    xs = np.concatenate([
+        x, 0.5 * (x[1:] + x[:-1]),                # grid nodes, midpoints
+        rng.uniform(-0.5, 1.5, 400),              # inside and clamped
+        [-1.0, 2.0, -0.0, 0.0, np.nan, np.inf, -np.inf, np.nan],
+    ])
+    ys = np.concatenate([
+        np.resize(y, 24), np.resize(0.5 * (y[1:] + y[:-1]), 23),
+        rng.uniform(-2.0, 3.0, 400),
+        [0.5, -5.0, 0.0, -0.0, 0.1, 0.2, np.nan, np.nan],
+    ])
+    got = _tensor_splines_ev(tx, ty, degree, degree, coefs, xs, ys)
+    assert got.shape == (3, xs.size)
+    for row, sp in zip(got, splines):
+        assert np.array_equal(_bits(row), _bits(sp.ev(xs, ys)))
+
+
+def test_moser_grid_images_match_fitpack_rk4_loop_bitwise():
+    # the flow as it was written before the shared-basis evaluator and the
+    # shared RK4 loop: four scipy ``ev`` calls per field, inline RK4 steps
+    from scipy.interpolate import RectBivariateSpline
+
+    w0, w1 = _density_pair(32, 0.3)
+    settings = MoserSettings(steps=6)
+    sigma = poincare_primitive(GridFunction2D(w1.values - w0.values))
+    psi = MoserMap(sigma, w0, w1, settings)
+
+    x = np.arange(32) / 32
+    sx, sy, g0, g1 = (RectBivariateSpline(x, x, v, kx=5, ky=5)
+                      for v in (sigma.dx.values, sigma.dy.values,
+                                w0.values, w1.values))
+    x0, x1, y0, y1 = psi._box
+
+    def field(t, pts):
+        px = np.clip(pts[..., 0], 0.0, x[-1])
+        py = np.clip(pts[..., 1], 0.0, x[-1])
+        gt = (1.0 - t) * g0.ev(px, py) + t * g1.ev(px, py)
+        inside = (px >= x0) & (px <= x1) & (py >= y0) & (py <= y1)
+        return np.stack([np.where(inside, -sy.ev(px, py) / gt, 0.0),
+                         np.where(inside, sx.ev(px, py) / gt, 0.0)], axis=-1)
+
+    xx, yy = np.meshgrid(x, x, indexing="ij")
+    y = np.stack([xx, yy], axis=-1).reshape(-1, 2)
+    h = 1.0 / settings.steps
+    for i in range(settings.steps):
+        t = i * h
+        k1 = field(t, y)
+        k2 = field(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = field(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = field(t + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    assert np.max(np.abs(psi.displacement())) > 1e-3
+    assert np.array_equal(_bits(psi.grid_images), _bits(y.reshape(32, 32, 2)))
 
 
 # ---------------------------------------------------------------------------
