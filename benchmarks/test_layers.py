@@ -1,4 +1,4 @@
-"""Layer microbenchmarks for the flow, stage-Hamiltonian and Moser hot paths.
+"""Layer microbenchmarks for the flow, stage, composite and Moser hot paths.
 
 Run from the repository root with pytest-benchmark:
 
@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from reebcut import (
+    ComposedHamiltonian,
     ConjugatorSpec,
     FlowSettings,
     GridFunction2D,
@@ -31,6 +32,10 @@ from reebcut import (
 )
 from reebcut.geometry import TWO_PI, polar_grid
 from reebcut.pseudorotations import DiscDiffeo, _InverseRadiusSquared
+
+# the tier-1 fixtures: the composite build is timed on their generator K
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from conftest import compact_disc_hamiltonian  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +118,19 @@ def test_linearized_return(benchmark):
     )
     det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
     assert np.max(np.abs(det - 1.0)) <= 1e-9
+
+
+def test_composed_build(benchmark):
+    # one ComposedHamiltonian build with the composition-law tests'
+    # generators (compact K, rigid H2) on a coarse lattice: 32 slices of a
+    # 61^2 grid, each two RK4 substeps of K and one quintic spline march
+    K = compact_disc_hamiltonian(amp=0.05)
+    H2 = RigidRotationHamiltonian(2, 1, 2)
+    composite = benchmark.pedantic(
+        ComposedHamiltonian, args=(K, H2),
+        kwargs={"n_slices": 32, "grid_n": 61}, rounds=3, iterations=1,
+    )
+    assert np.all(np.isfinite(composite._w2))
 
 
 def test_moser_field(benchmark):

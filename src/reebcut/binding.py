@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, PreconditionError
-from .geometry import TWO_PI, wrap_angle
+from .geometry import TWO_PI, spectral_derivative, wrap_angle
 
 # ---------------------------------------------------------------------------
 # chart and binding function
@@ -149,14 +149,6 @@ def _extrapolation_weights(nodes):
             if i != j:
                 w[i] *= xj / (xj - xi)
     return w
-
-
-def _spectral_theta_derivative(values, order=1):
-    """d/dvartheta along the last axis (periodic, spectral)."""
-    n = values.shape[-1]
-    k = 1.0j * np.fft.fftfreq(n, d=1.0 / n)
-    hat = np.fft.fft(values, axis=-1) * k**order
-    return np.real(np.fft.ifft(hat, axis=-1))
 
 
 @dataclass
@@ -426,7 +418,7 @@ def _assemble_extension_report(H, chart, settings, data: LiftJetData):
     nk = len(dk)
     use1 = slice(0, min(4, nk))
     f_rho0_chk = _limit_to_zero(d1, dk, use=use1)
-    f_theta = _spectral_theta_derivative(data.deriv_values)
+    f_theta = spectral_derivative(data.deriv_values)
     g_cos = cos_t * d1 - sin_t * f_theta / dk[None, :, None]
     g_sin = sin_t * d1 + cos_t * f_theta / dk[None, :, None]
     lim_cos = _limit_to_zero(g_cos, dk, use=use1)
@@ -457,8 +449,8 @@ def _assemble_extension_report(H, chart, settings, data: LiftJetData):
     # ---- C^2: assembled second derivatives via the 5-term decomposition
     if settings.k_max >= 2:
         rho_k = dk[None, :, None]
-        f_rt = _spectral_theta_derivative(d1)
-        f_tt = _spectral_theta_derivative(data.deriv_values, order=2)
+        f_rt = spectral_derivative(d1)
+        f_tt = spectral_derivative(data.deriv_values, order=2)
         s, c = sin_t, cos_t
         f_xx = (d2 * c**2 - f_rt * 2 * s * c / rho_k + d1 * s**2 / rho_k
                 + f_tt * s**2 / rho_k**2 + f_theta * 2 * s * c / rho_k**2)
@@ -587,7 +579,7 @@ def extended_contact_audit(f_lift, chart: BindingChart, n_b=16, n_dirs=32,
     f = f_lift(bb, rr, tt)
     eta = rho_samples[None, :, None] / 4.0
     f_rho = (f_lift(bb, rr + eta, tt) - f_lift(bb, rr - eta, tt)) / (2 * eta)
-    f_b = _spectral_b_derivative(f)
+    f_b = spectral_derivative(f, axis=0)
 
     shell = (1.0 - rr**2)
     density = 2 * f * shell**2 + shell**2 * f_rho * rr + 4 * f * shell * rr**2
@@ -622,13 +614,6 @@ def extended_contact_audit(f_lift, chart: BindingChart, n_b=16, n_dirs=32,
         passed=passed,
         certificate=cert,
     )
-
-
-def _spectral_b_derivative(values):
-    n = values.shape[0]
-    k = 1.0j * np.fft.fftfreq(n, d=1.0 / n)
-    hat = np.fft.fft(values, axis=0) * k[:, None, None]
-    return np.real(np.fft.ifft(hat, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -851,7 +836,7 @@ def primitive_change_audit(F: PolarFunction, h, n_theta=64, boundary_tol=1e-6,
     theta = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
 
     ft = F.dtheta(np.ones_like(theta), theta)
-    ftt = _theta_fft_derivative(ft)
+    ftt = spectral_derivative(ft, order=2)
     theta2_defect = float(np.max(np.abs(ftt)))
 
     # one-sided r-derivative of dF/dtheta at the boundary
@@ -906,9 +891,3 @@ def _g_boundary_limit(F, theta, hr=1e-3):
     # second one-sided derivative of dF/dtheta at r = 1, then halve
     c = np.array([45.0, -154.0, 214.0, -156.0, 61.0, -10.0]) / 12.0
     return (c @ vals) / hr**2 / 2.0
-
-
-def _theta_fft_derivative(values, order=2):
-    n = len(values)
-    k = 1.0j * np.fft.fftfreq(n, d=1.0 / n)
-    return np.real(np.fft.ifft(np.fft.fft(values) * k**order))

@@ -21,31 +21,20 @@ DISC_DRIFT_TOL = 1e-6
 
 @dataclass
 class FlowSettings:
-    """Integrator configuration.
+    """Integrator configuration: the step of the fixed-step RK4.
 
-    Fixed-step RK4 is the default: deterministic step sequences make every
-    report bit-reproducible.  The adaptive pair is opt-in for stiff user
-    Hamiltonians, and only for the isotopy itself: the variational flow
-    (``linearized_return`` and the audits built on it) is fixed-step RK4
-    only.
+    A deterministic step sequence makes every report bit-reproducible.
     """
 
-    integrator: str = "rk4"
+    # not a field: the one integrator, still read by name by the benchmark
+    # tracer (bench/tracer.py), which counts RK4 steps only when it is "rk4"
+    integrator = "rk4"
     step: float = TWO_PI / 2000.0
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_steps: int = 2_000_000
 
     def __post_init__(self):
-        # written so that NaN fails every check: NaN comparisons are false
+        # written so that NaN fails the check: NaN comparisons are false
         if not (math.isfinite(self.step) and self.step > 0):
             raise ConfigurationError("step must be positive and finite")
-        if not all(math.isfinite(t) and t > 0 for t in (self.abs_tol, self.rel_tol)):
-            raise ConfigurationError("tolerances must be positive and finite")
-        if not self.max_steps >= 1:
-            raise ConfigurationError("max_steps must be at least 1")
-        if self.integrator not in ("rk4", "rk45"):
-            raise ConfigurationError(f"unknown integrator {self.integrator!r}")
 
 
 @dataclass
@@ -175,71 +164,6 @@ def _rk4(velocity, y0, s0, s1, step, record=False, point_velocity=None):
     return y
 
 
-# Dormand-Prince 5(4) coefficients for the adaptive path
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
-
-
-def _rk45(velocity, y0, s0, s1, settings, record=False):
-    y = np.array(y0, dtype=float)
-    _check_finite(y, s0)
-    s = s0
-    h = min(settings.step, abs(s1 - s0)) * np.sign(s1 - s0 or 1.0)
-    ss = [s]
-    ys = [y.copy()]
-    for _ in range(settings.max_steps):
-        if (s1 - s) * np.sign(h) <= 1e-15:
-            break
-        if abs(h) > abs(s1 - s):
-            h = s1 - s
-        ks = []
-        for i in range(7):
-            yi = y
-            for a, k in zip(_DP_A[i], ks):
-                yi = yi + h * a * k
-            ks.append(velocity(s + _DP_C[i] * h, yi))
-        y5 = y + h * sum(b * k for b, k in zip(_DP_B5, ks))
-        y4 = y + h * sum(b * k for b, k in zip(_DP_B4, ks))
-        scale = settings.abs_tol + settings.rel_tol * np.maximum(
-            np.abs(y), np.abs(y5)
-        )
-        err = float(np.max(np.abs(y5 - y4) / scale))
-        if err <= 1.0:
-            s = s + h
-            y = y5
-            ss.append(s)
-            ys.append(y.copy())
-        factor = 0.9 * (max(err, 1e-16)) ** (-0.2)
-        h = h * min(5.0, max(0.2, factor))
-        if abs(h) < 1e-14:
-            raise IntegrationError("step underflow", last_s=s, last_state=y)
-    else:
-        raise IntegrationError("max step count exceeded", last_s=s, last_state=y)
-    _check_in_disc(y, s)
-    if record:
-        return np.array(ss), np.array(ys)
-    return y
-
-
-def _solve(H, y0, s0, s1, settings, record=False):
-    if settings.integrator == "rk4":
-        return _rk4(H.velocity, y0, s0, s1, settings.step, record,
-                    getattr(H, "point_velocity", None))
-    return _rk45(H.velocity, y0, s0, s1, settings, record)
-
-
 def integrate_isotopy(H, p0, s0=0.0, s1=TWO_PI, settings=None, record=True):
     """Solve dp/ds = X_s(p) for one point or a batch.
 
@@ -249,11 +173,9 @@ def integrate_isotopy(H, p0, s0=0.0, s1=TWO_PI, settings=None, record=True):
     integrated in Python floats, bitwise equal to the array path.
     """
     settings = settings or FlowSettings()
-    y0 = as_xy(p0)
-    if record:
-        s_values, points = _solve(H, y0, s0, s1, settings, record=True)
-        return IsotopyPath(s_values=s_values, points=points)
-    return _solve(H, y0, s0, s1, settings, record=False)
+    out = _rk4(H.velocity, as_xy(p0), s0, s1, settings.step, record,
+               getattr(H, "point_velocity", None))
+    return IsotopyPath(*out) if record else out
 
 
 def return_map(H, p, settings=None):
@@ -265,16 +187,9 @@ def linearized_return(H, p, settings=None, s1=TWO_PI, return_endpoint=False):
     """Solve the variational equation dJ/ds = DX_s(path) J with J(0) = I.
 
     Returns the 2x2 monodromy of the return map (batched when ``p`` is a
-    batch); with ``return_endpoint`` also the flowed points.  The
-    variational flow is fixed-step RK4 only: ``settings.integrator`` must
-    be ``"rk4"``.
+    batch); with ``return_endpoint`` also the flowed points.
     """
     settings = settings or FlowSettings()
-    if settings.integrator != "rk4":
-        raise ConfigurationError(
-            "the variational flow is fixed-step RK4 only, not integrator "
-            f"{settings.integrator!r}"
-        )
     xy = as_xy(p)
     _check_finite(xy, 0.0)
     n_steps, h = _step_grid(0.0, s1, settings.step)
@@ -290,26 +205,28 @@ def reeb_period(H, path: IsotopyPath, closure_tol=1e-6):
 
     The field R satisfies alpha(R) = H + lambda(X), so true Reeb time is the
     integral of that density over one parameter period.  Composite Simpson
-    on the integrator grid (the step count is kept even for this).
+    on the integrator grid, whose step count is kept even for this; a path
+    on any other grid is refused.
     """
     gap = float(np.max(np.abs(path.points[0] - path.points[-1])))
     if gap > closure_tol:
         raise PreconditionError(f"path does not close up (gap {gap:.3e})")
     s = path.s_values
+    n = len(s) - 1
+    h = (s[-1] - s[0]) / n
+    if n % 2 or not np.allclose(np.diff(s), h, rtol=0,
+                                atol=1e-12 * abs(h) + 1e-15):
+        raise PreconditionError(
+            "reeb_period needs an even number of uniform steps"
+        )
     vals = np.empty(len(s))
     for i, si in enumerate(s):
         xy = path.points[i]
         g = H.grad(si, xy)
         lam = -0.5 * (xy[..., 0] * g[..., 0] + xy[..., 1] * g[..., 1])
         vals[i] = H.value(si, xy) + lam
-    n = len(s) - 1
-    h = (s[-1] - s[0]) / n
-    uniform = np.allclose(np.diff(s), h, rtol=0, atol=1e-12 * abs(h) + 1e-15)
-    if n % 2 == 0 and uniform:
-        return float(h / 3.0 * (vals[0] + vals[-1] + 4 * vals[1:-1:2].sum()
-                                + 2 * vals[2:-2:2].sum()))
-    # adaptive paths have non-uniform nodes; trapezoid handles them
-    return float(np.trapezoid(vals, s))
+    return float(h / 3.0 * (vals[0] + vals[-1] + 4 * vals[1:-1:2].sum()
+                            + 2 * vals[2:-2:2].sum()))
 
 
 def area_preservation_audit(H, grid_points, settings=None):

@@ -67,6 +67,20 @@ class SolidTorusPoint:
         return np.array([self.s, self.p.x, self.p.y], dtype=float)
 
 
+def spectral_derivative(values, axis=-1, order=1):
+    """d^order/dt^order of samples taken uniformly on t in [0, 2*pi).
+
+    Differentiates along ``axis`` by multiplying the FFT with (i k)^order.
+    """
+    values = np.asarray(values)
+    n = values.shape[axis]
+    shape = [1] * values.ndim
+    shape[axis] = n
+    k = (1.0j * np.fft.fftfreq(n, d=1.0 / n)) ** order
+    hat = np.fft.fft(values, axis=axis) * k.reshape(shape)
+    return np.real(np.fft.ifft(hat, axis=axis))
+
+
 def as_xy(points) -> np.ndarray:
     """Coerce DiscPoint / pair / array-like into an ndarray of shape (..., 2)."""
     if isinstance(points, DiscPoint):

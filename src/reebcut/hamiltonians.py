@@ -161,6 +161,26 @@ class Hamiltonian:
         return out
 
 
+def slice_weights(s_nodes, s):
+    """Cubic Lagrange weights in s across the four nearest uniform slices.
+
+    Returns the four slice indices and their weights.  The caller applies
+    its own domain rule to s first (wrap or refuse); near either end the
+    stencil stays inside the nodes.
+    """
+    ds = s_nodes[1] - s_nodes[0]
+    j = int(np.clip(np.floor(s / ds), 1, len(s_nodes) - 3))
+    js = [j - 1, j, j + 1, j + 2]
+    w = []
+    for a in js:
+        num = 1.0
+        for b in js:
+            if b != a:
+                num *= (s - s_nodes[b]) / (s_nodes[a] - s_nodes[b])
+        w.append(num)
+    return js, w
+
+
 class QuadraticHamiltonian(Hamiltonian):
     """H = a2 r^2 + a0, the intrinsic model of an ellipsoid Reeb flow.
 

@@ -22,7 +22,7 @@ from .errors import (
     ResolutionError,
 )
 from .flows import FlowSettings, _check_finite, _rk4_steps, _step_grid
-from .geometry import TWO_PI
+from .geometry import TWO_PI, spectral_derivative
 from .hamiltonians import QuadraticHamiltonian
 
 DEGENERACY_TOL = 1e-9
@@ -253,14 +253,6 @@ def rotation_number(H, orbit, frame=Frame.INTERIOR, settings=None,
 # ---------------------------------------------------------------------------
 
 
-def _closed_curve_tangents(curve):
-    """Spectral d/dt of a closed curve sampled uniformly on [0, 2 pi)."""
-    n = len(curve)
-    k = 1.0j * np.fft.fftfreq(n, d=1.0 / n)
-    hat = np.fft.fft(curve, axis=0) * k[:, None]
-    return np.real(np.fft.ifft(hat, axis=0))
-
-
 def gauss_linking_integral(curve1, curve2):
     """Gauss double integral of two closed curves in R^3.
 
@@ -270,8 +262,8 @@ def gauss_linking_integral(curve1, curve2):
     """
     c1 = np.asarray(curve1, dtype=float)
     c2 = np.asarray(curve2, dtype=float)
-    t1 = _closed_curve_tangents(c1) * (TWO_PI / len(c1))
-    t2 = _closed_curve_tangents(c2) * (TWO_PI / len(c2))
+    t1 = spectral_derivative(c1, axis=0) * (TWO_PI / len(c1))
+    t2 = spectral_derivative(c2, axis=0) * (TWO_PI / len(c2))
     diff = c1[:, None, :] - c2[None, :, :]
     dist3 = np.sum(diff**2, axis=-1) ** 1.5
     cross = np.cross(t1[:, None, :], t2[None, :, :])

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigurationError, PreconditionError
 from .flows import _rk4_steps
 from .geometry import TWO_PI
-from .hamiltonians import Hamiltonian
+from .hamiltonians import Hamiltonian, slice_weights
 
 # ---------------------------------------------------------------------------
 # spectral helpers on periodic grids
@@ -701,18 +701,8 @@ class CanonicalHamiltonian(Hamiltonian):
         return self._splines[j]
 
     def _s_weights(self, s):
-        s = float(s) % TWO_PI
-        ds = self.s_nodes[1] - self.s_nodes[0]
-        j = int(np.clip(np.floor(s / ds), 1, len(self.s_nodes) - 3))
-        js = [j - 1, j, j + 1, j + 2]
-        w = []
-        for a in js:
-            num = 1.0
-            for b in js:
-                if b != a:
-                    num *= (s - self.s_nodes[b]) / (self.s_nodes[a] - self.s_nodes[b])
-            w.append(num)
-        return js, w
+        # the canonical Hamiltonian is 2pi-periodic in s
+        return slice_weights(self.s_nodes, float(s) % TWO_PI)
 
     def value(self, s, xy):
         xy = np.asarray(xy, dtype=float)
@@ -855,14 +845,7 @@ def _radial_antiderivative(gamma, r_nodes):
     if annular:
         body = gamma[:, :n, :]
         mean = body.mean(axis=1, keepdims=True)
-        k = 2.0j * np.pi * np.fft.fftfreq(n, d=1.0 / n)
-        hat = np.fft.fft(body - mean, axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            hat = np.where(k[None, :, None] == 0, 0.0,
-                           hat / np.where(k[None, :, None] == 0, 1.0,
-                                          k[None, :, None]))
-        prim = np.real(np.fft.ifft(hat, axis=1))
-        prim = prim - prim[:, :1, :]
+        prim = spectral_cumulative(body - mean, axis=1)
         r = r_nodes[:n].reshape(1, n, 1)
         cum = mean * r + prim
         full = np.concatenate([cum, mean * 1.0 + prim[:, :1, :]], axis=1)

@@ -33,6 +33,7 @@ from .hamiltonians import (
     SamplingGrid,
     _rigid_value,
     contact_audit,
+    slice_weights,
 )
 from .binding import BindingChart, ExtensionSettings, extension_test
 
@@ -811,6 +812,9 @@ def orbit_statistics(H, p0, iterations=512, bins=32, settings=None):
 
 # how far s may stray outside [0, 2*pi] before slice interpolation refuses it
 _S_DOMAIN_SLACK = 1e-12
+# the slice lattice's margin around the unit square, and RK4 steps per slice
+_GRID_PAD = 0.05
+_BUILD_SUBSTEPS = 2
 
 
 class ComposedHamiltonian(Hamiltonian):
@@ -828,17 +832,17 @@ class ComposedHamiltonian(Hamiltonian):
     time_dependent = True
 
     def __init__(self, K: Hamiltonian, H2: Hamiltonian, n_slices=240,
-                 grid_n=301, pad=0.05, substeps=2):
+                 grid_n=301):
         self.K = K
         self.H2 = H2
         self.boundary_value = K.boundary_value + H2.boundary_value
-        self._build(n_slices, grid_n, pad, substeps)
+        self._build(n_slices, grid_n)
         self._splines = {}
 
-    def _build(self, n_slices, grid_n, pad, substeps):
+    def _build(self, n_slices, grid_n):
         from scipy.interpolate import RectBivariateSpline
 
-        ax = np.linspace(-1.0 - pad, 1.0 + pad, grid_n)
+        ax = np.linspace(-1.0 - _GRID_PAD, 1.0 + _GRID_PAD, grid_n)
         self._ax = ax
         self.s_nodes = np.linspace(0.0, TWO_PI, n_slices + 1)
         xx, yy = np.meshgrid(ax, ax, indexing="ij")
@@ -852,16 +856,8 @@ class ComposedHamiltonian(Hamiltonian):
         inverse = nodes.copy()            # Psi_0^{-1} = id
         for j in range(n_slices):
             s_hi = self.s_nodes[j + 1]
-            h = (self.s_nodes[j] - s_hi) / substeps
-            pts = nodes.copy()
-            s = s_hi
-            for _ in range(substeps):
-                k1 = self.K.velocity(s, pts)
-                k2 = self.K.velocity(s + 0.5 * h, pts + 0.5 * h * k1)
-                k3 = self.K.velocity(s + 0.5 * h, pts + 0.5 * h * k2)
-                k4 = self.K.velocity(s + h, pts + h * k3)
-                pts = pts + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-                s += h
+            h = (self.s_nodes[j] - s_hi) / _BUILD_SUBSTEPS
+            pts, _ = _rk4_steps(self.K.velocity, nodes, s_hi, h, _BUILD_SUBSTEPS)
             px = np.clip(pts[:, 0], ax[0], ax[-1])
             py = np.clip(pts[:, 1], ax[0], ax[-1])
             if scalar_march:
@@ -901,17 +897,7 @@ class ComposedHamiltonian(Hamiltonian):
             raise PreconditionError(
                 f"s = {s} lies outside the tabulated domain [0, 2*pi]"
             )
-        ds = self.s_nodes[1] - self.s_nodes[0]
-        j = int(np.clip(np.floor(s / ds), 1, len(self.s_nodes) - 3))
-        js = [j - 1, j, j + 1, j + 2]
-        w = []
-        for a in js:
-            num = 1.0
-            for b in js:
-                if b != a:
-                    num *= (s - self.s_nodes[b]) / (self.s_nodes[a] - self.s_nodes[b])
-            w.append(num)
-        return js, w
+        return slice_weights(self.s_nodes, s)
 
     def value(self, s, xy):
         xy = np.asarray(xy, dtype=float)

@@ -15,8 +15,9 @@ from reebcut import (
     hamiltonian_vector_field,
     liouville_pairing,
 )
-from reebcut.hamiltonians import CallableHamiltonian, PullbackHamiltonian, check_s_periodicity
-from reebcut.geometry import TWO_PI
+from reebcut.hamiltonians import (CallableHamiltonian, PullbackHamiltonian,
+                                  check_s_periodicity, slice_weights)
+from reebcut.geometry import TWO_PI, spectral_derivative
 
 from conftest import SQRT2, compact_disc_hamiltonian, random_disc_points
 
@@ -45,6 +46,40 @@ def test_solid_torus_point_normalizes_s():
     pt = SolidTorusPoint(7.0, DiscPoint(0.1, 0.2))
     assert 0.0 <= pt.s < TWO_PI
     assert abs(pt.s - (7.0 - TWO_PI)) < 1e-15
+
+
+def test_spectral_derivative_exact_on_trig_polynomials():
+    t = np.linspace(0.0, TWO_PI, 16, endpoint=False)
+    f = np.stack([np.sin(3 * t), np.cos(2 * t) + 0.5], axis=-1)
+    df = np.stack([3 * np.cos(3 * t), -2 * np.sin(2 * t)], axis=-1)
+    assert np.max(np.abs(spectral_derivative(f, axis=0) - df)) <= 1e-13
+    d2 = spectral_derivative(f.T, order=2)
+    assert np.max(np.abs(d2 - np.stack([-9 * np.sin(3 * t),
+                                        -4 * np.cos(2 * t)]))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [7, 8, 64, 65])
+def test_spectral_derivative_matches_the_old_copies_bitwise(n):
+    # the helper replaced copies that multiplied by k itself (order 1) and
+    # by k**order; both must give the same bits
+    def old(values, axis, order, power):
+        k = 1.0j * np.fft.fftfreq(n, d=1.0 / n)
+        k = k**order if power else k
+        shape = [1] * values.ndim
+        shape[axis] = n
+        hat = np.fft.fft(values, axis=axis) * k.reshape(shape)
+        return np.real(np.fft.ifft(hat, axis=axis))
+
+    rng = np.random.default_rng(n)
+    cases = [(rng.standard_normal((3, n)), -1, 1, True),
+             (rng.standard_normal((3, n)), -1, 2, True),
+             (rng.standard_normal(n), -1, 2, True),
+             (rng.standard_normal((n, 4, 5)), 0, 1, False),
+             (rng.standard_normal((n, 3)), 0, 1, False)]
+    for values, axis, order, power in cases:
+        got = spectral_derivative(values, axis=axis, order=order)
+        want = old(values, axis, order, power)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_boundary_value_within_tolerance():
@@ -312,3 +347,47 @@ def test_oracle_failure_carries_location():
         H.value(0.7, np.array([0.1, 0.2]))
     assert err.value.s == 0.7
     assert err.value.point is not None
+
+
+# ---------------------------------------------------------------------------
+# cubic slice weights in s
+# ---------------------------------------------------------------------------
+
+
+def _old_slice_weights(s_nodes, s):
+    """The four-node Lagrange loop each sliced Hamiltonian carried."""
+    ds = s_nodes[1] - s_nodes[0]
+    j = int(np.clip(np.floor(s / ds), 1, len(s_nodes) - 3))
+    js = [j - 1, j, j + 1, j + 2]
+    w = []
+    for a in js:
+        num = 1.0
+        for b in js:
+            if b != a:
+                num *= (s - s_nodes[b]) / (s_nodes[a] - s_nodes[b])
+        w.append(num)
+    return js, w
+
+
+def test_slice_weights_match_the_old_loop_bitwise():
+    from types import SimpleNamespace
+
+    from reebcut.moser import CanonicalHamiltonian
+    from reebcut.pseudorotations import ComposedHamiltonian
+
+    def same(got, want):
+        return got[0] == want[0] and np.array_equal(
+            np.array(got[1]).view(np.int64), np.array(want[1]).view(np.int64))
+
+    s_nodes = np.linspace(0.0, TWO_PI, 33)
+    stub = SimpleNamespace(s_nodes=s_nodes)
+    mids = 0.5 * (s_nodes[1:] + s_nodes[:-1])
+    # nodes (both ends among them), midpoints and the canonical wrap; the
+    # canonical Hamiltonian wraps s mod 2pi first, the composite does not
+    for s in list(s_nodes) + list(mids):
+        want = _old_slice_weights(s_nodes, float(s))
+        assert same(slice_weights(s_nodes, float(s)), want)
+        assert same(ComposedHamiltonian._s_weights(stub, s), want)
+    for s in list(s_nodes) + list(mids) + [TWO_PI + 0.3, -0.2]:
+        want = _old_slice_weights(s_nodes, float(s) % TWO_PI)
+        assert same(CanonicalHamiltonian._s_weights(stub, s), want)

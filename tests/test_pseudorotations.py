@@ -508,6 +508,64 @@ def test_composed_rejects_s_outside_domain():
         assert np.all(np.isfinite(composite.grad(s, pt)))
 
 
+def _old_composed_w2(K, H2, n_slices, grid_n):
+    """The composite's slice table as built with its own RK4 loop (two
+    substeps per slice, time advanced by ``s += h``, pad 0.05)."""
+    ax = np.linspace(-1.05, 1.05, grid_n)
+    s_nodes = np.linspace(0.0, TWO_PI, n_slices + 1)
+    xx, yy = np.meshgrid(ax, ax, indexing="ij")
+    nodes = np.stack([xx, yy], axis=-1).reshape(-1, 2)
+    w2 = np.empty((n_slices + 1, grid_n, grid_n))
+    w2[0] = H2.value(0.0, nodes).reshape(grid_n, grid_n)
+    inverse = nodes.copy()
+    for j in range(n_slices):
+        s_hi = s_nodes[j + 1]
+        h = (s_nodes[j] - s_hi) / 2
+        pts = nodes.copy()
+        s = s_hi
+        for _ in range(2):
+            k1 = K.velocity(s, pts)
+            k2 = K.velocity(s + 0.5 * h, pts + 0.5 * h * k1)
+            k3 = K.velocity(s + 0.5 * h, pts + 0.5 * h * k2)
+            k4 = K.velocity(s + h, pts + h * k3)
+            pts = pts + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            s += h
+        px = np.clip(pts[:, 0], ax[0], ax[-1])
+        py = np.clip(pts[:, 1], ax[0], ax[-1])
+        if not H2.time_dependent:
+            spw = RectBivariateSpline(ax, ax, w2[j], kx=5, ky=5)
+            w2[j + 1] = spw.ev(px, py).reshape(grid_n, grid_n)
+        else:
+            spx = RectBivariateSpline(ax, ax, inverse[:, 0].reshape(grid_n, grid_n),
+                                      kx=5, ky=5)
+            spy = RectBivariateSpline(ax, ax, inverse[:, 1].reshape(grid_n, grid_n),
+                                      kx=5, ky=5)
+            inverse = np.stack([spx.ev(px, py), spy.ev(px, py)], axis=-1)
+            w2[j + 1] = H2.value(s_nodes[j + 1], inverse).reshape(grid_n, grid_n)
+    return w2
+
+
+@pytest.mark.parametrize("case", ["scalar_march", "time_dependent"])
+def test_composed_build_matches_own_rk4_loop_bitwise(case):
+    if case == "scalar_march":
+        K = compact_disc_hamiltonian(amp=0.05)
+        H2 = RigidRotationHamiltonian(2, 1, 2)
+    else:
+        K = compact_disc_hamiltonian(amp=0.04, time_factor=np.cos)
+        H2 = compact_disc_hamiltonian(amp=0.03, time_factor=np.sin)
+    composite = ComposedHamiltonian(K, H2, n_slices=32, grid_n=21)
+    want = _old_composed_w2(K, H2, 32, 21)
+    assert np.array_equal(composite._w2.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("option", ["pad", "substeps"])
+def test_composed_has_no_lattice_options(option):
+    K = compact_disc_hamiltonian(amp=0.05)
+    with pytest.raises(TypeError):
+        ComposedHamiltonian(K, RigidRotationHamiltonian(2, 1, 2), n_slices=32,
+                            grid_n=21, **{option: 2})
+
+
 def test_stage_orbit_statistics_float_path_is_exact(stage_2_1_3, fast_flow):
     from types import SimpleNamespace
 
