@@ -229,6 +229,22 @@ def test_linearized_return_matches_packed_state_bitwise(case, request, rng):
         assert bitwise_equal(end, want_end)
 
 
+@pytest.mark.parametrize("audit", [
+    lambda H, p, fs: linearized_return(H, p, fs),
+    lambda H, p, fs: area_preservation_audit(H, p, fs),
+    lambda H, p, fs: return_map_report(H, p, fs),
+], ids=["linearized_return", "area_preservation_audit", "return_map_report"])
+def test_variational_flow_rejects_adaptive_integrator(audit, fast_flow):
+    # the adaptive pair is gone: asking for it fails at the settings, so the
+    # variational flow is only ever run by RK4
+    H = RigidRotationHamiltonian(2, 1, 3)
+    p = np.array([[0.3, 0.0]])
+    with pytest.raises(TypeError, match="integrator"):
+        audit(H, p, FlowSettings(integrator="rk45"))
+    assert fast_flow.integrator == "rk4"
+    audit(H, p, fast_flow)
+
+
 @pytest.mark.parametrize("radii", [(0.3, 0.6), (0.45,), ()])
 def test_rotation_radii_batch_matches_single_point_maps(radii, fast_flow):
     H = RigidRotationHamiltonian(2, 1, 3)
