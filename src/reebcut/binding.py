@@ -167,11 +167,13 @@ class LiftJetData:
     d_rho4: np.ndarray
 
 
-def sample_lift_jets(lift, b_values, rungs, n_dirs, n_deriv_rungs=None,
-                     eta_frac=3.5):
+_ETA_FRAC = 3.5
+
+
+def sample_lift_jets(lift, b_values, rungs, n_dirs, n_deriv_rungs=None):
     """Evaluate a lift u(b, rho, vartheta) and rho-derivative stencils.
 
-    Derivatives use centered 5-point stencils with step rho/eta_frac; they
+    Derivatives use centered 5-point stencils with step rho/_ETA_FRAC; they
     are only taken on the shallow rungs, where the 1/rho^2 cancellation in
     typical lifts has not yet amplified rounding noise.
     """
@@ -191,7 +193,7 @@ def sample_lift_jets(lift, b_values, rungs, n_dirs, n_deriv_rungs=None,
 
     offsets = np.arange(-3, 4)
     rk = deriv_rungs[None, :, None, None]
-    eta = rk / eta_frac
+    eta = rk / _ETA_FRAC
     bb4 = b_values[:, None, None, None]
     tt4 = dirs[None, None, None, :]
     rho_nodes = rk + offsets[None, None, :, None] * eta
@@ -245,6 +247,9 @@ class OrderVerdict:
         }
 
 
+_THRESHOLD_SCALE = 1e-4
+
+
 @dataclass
 class ExtensionSettings:
     """Ladder and thresholds for the smooth-extension verdicts."""
@@ -255,15 +260,13 @@ class ExtensionSettings:
     n_dirs: int = 64
     n_b: int = 8
     expected_a: float = None
-    threshold_scale: float = 1e-4
-    eta_frac: float = 3.5
     n_deriv_rungs: int = 6
 
     def rungs(self):
         return self.rho0 * 0.5 ** np.arange(self.n_rungs)
 
     def threshold(self, order):
-        return self.threshold_scale * (order + 1)
+        return _THRESHOLD_SCALE * (order + 1)
 
 
 @dataclass
@@ -327,14 +330,14 @@ class ExtensionReport:
         }
 
 
-def _deriv_limit(deriv, deriv_rungs, n_fit=3):
+def _deriv_limit(deriv, deriv_rungs):
     """rho -> 0 limit of a derivative ladder (Lagrange, shallow rungs).
 
     Shallow rungs keep the 1/rho^2 rounding amplification of the lift out
     of the stencil; three nodes make the extrapolation exact through
     quadratic rho-dependence, which covers every model jet here.
     """
-    return _limit_to_zero(deriv, deriv_rungs, use=slice(0, n_fit))
+    return _limit_to_zero(deriv, deriv_rungs, use=slice(0, 3))
 
 
 def extension_test(H, chart: BindingChart, settings: ExtensionSettings = None):
@@ -362,7 +365,7 @@ def extension_test(H, chart: BindingChart, settings: ExtensionSettings = None):
     if settings.n_rungs < 5:
         raise ConfigurationError("the rho ladder needs at least 5 rungs")
     rungs = settings.rungs()
-    max_reach = rungs[0] * (1.0 + 3.0 / settings.eta_frac)
+    max_reach = rungs[0] * (1.0 + 3.0 / _ETA_FRAC)
     if max_reach >= chart.rho_max:
         raise ConfigurationError(
             f"rho ladder (reach {max_reach:.4f}) exits the chart "
@@ -371,14 +374,12 @@ def extension_test(H, chart: BindingChart, settings: ExtensionSettings = None):
 
     lift = make_f_tilde(H, chart)
     b_values = np.linspace(0.0, TWO_PI, settings.n_b, endpoint=False)
-    data = sample_lift_jets(
-        lift, b_values, rungs, settings.n_dirs,
-        n_deriv_rungs=settings.n_deriv_rungs, eta_frac=settings.eta_frac,
-    )
-    return _assemble_extension_report(H, chart, settings, data)
+    data = sample_lift_jets(lift, b_values, rungs, settings.n_dirs,
+                            n_deriv_rungs=settings.n_deriv_rungs)
+    return _assemble_extension_report(chart, settings, data)
 
 
-def _assemble_extension_report(H, chart, settings, data: LiftJetData):
+def _assemble_extension_report(chart, settings, data: LiftJetData):
     rungs = data.rungs
     verdicts = []
 
@@ -821,8 +822,11 @@ class PolarFunction:
         return (self.value(r, theta + step) - self.value(r, theta - step)) / (2 * step)
 
 
-def primitive_change_audit(F: PolarFunction, h, n_theta=64, boundary_tol=1e-6,
-                           collar=0.3, settings: ExtensionSettings = None):
+_BOUNDARY_TOL = 1e-6
+
+
+def primitive_change_audit(F: PolarFunction, h, n_theta=64,
+                           settings: ExtensionSettings = None):
     """Audit whether lambda + dF still yields an extendable contact form.
 
     Invariance of the new form under the boundary circle action forces the
@@ -847,7 +851,7 @@ def primitive_change_audit(F: PolarFunction, h, n_theta=64, boundary_tol=1e-6,
     mixed = -(c @ vals) / hr
     mixed_defect = float(np.max(np.abs(mixed)))
 
-    ok_boundary = theta2_defect <= boundary_tol and mixed_defect <= boundary_tol
+    ok_boundary = theta2_defect <= _BOUNDARY_TOL and mixed_defect <= _BOUNDARY_TOL
 
     settings = settings or ExtensionSettings(
         k_max=2, rho0=0.25, n_rungs=8, n_deriv_rungs=4, n_b=6, n_dirs=n_theta
@@ -870,10 +874,9 @@ def primitive_change_audit(F: PolarFunction, h, n_theta=64, boundary_tol=1e-6,
 
     b_values = np.linspace(0.0, TWO_PI, settings.n_b, endpoint=False)
     data = sample_lift_jets(lift, b_values, settings.rungs(), settings.n_dirs,
-                            n_deriv_rungs=settings.n_deriv_rungs,
-                            eta_frac=settings.eta_frac)
+                            n_deriv_rungs=settings.n_deriv_rungs)
     chart = BindingChart(h=h, eps=min(0.99, (settings.rungs()[0] * 2.2) ** 2 + 0.2))
-    report = _assemble_extension_report(None, chart, settings, data)
+    report = _assemble_extension_report(chart, settings, data)
 
     passed = ok_boundary and report.order_passed(2)
     return PrimitiveChangeReport(

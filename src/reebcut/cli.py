@@ -3,8 +3,7 @@
     reebcut <scenario> --config <file.json> [--out <dir>] [--plots] [--seed <n>]
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 invalid
-configuration, 3 runtime error.  REEBCUT_THREADS caps the parallelism of
-batch stages (they are pure, so results do not depend on it).
+configuration, 3 runtime error.
 """
 
 from __future__ import annotations

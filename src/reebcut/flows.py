@@ -200,7 +200,11 @@ def linearized_return(H, p, settings=None, s1=TWO_PI, return_endpoint=False):
     return jac
 
 
-def reeb_period(H, path: IsotopyPath, closure_tol=1e-6):
+# the largest endpoint gap of a path that reeb_period accepts as closed
+_CLOSURE_TOL = 1e-6
+
+
+def reeb_period(H, path: IsotopyPath):
     """Elapsed Reeb time along a closed orbit of R = d/ds + X_s.
 
     The field R satisfies alpha(R) = H + lambda(X), so true Reeb time is the
@@ -209,7 +213,7 @@ def reeb_period(H, path: IsotopyPath, closure_tol=1e-6):
     on any other grid is refused.
     """
     gap = float(np.max(np.abs(path.points[0] - path.points[-1])))
-    if gap > closure_tol:
+    if gap > _CLOSURE_TOL:
         raise PreconditionError(f"path does not close up (gap {gap:.3e})")
     s = path.s_values
     n = len(s) - 1

@@ -16,14 +16,16 @@ import numpy as np
 from .errors import ConfigurationError, EvaluationError, PreconditionError
 from .geometry import TWO_PI, as_xy, radius
 
-DEFAULT_FD_STEP = 1e-5
+# centered-difference steps of the gradient and Hessian fallbacks
+_FD_STEP = 1e-5
+_FD_HESSIAN_STEP = 1e-4
 
 
 # ---------------------------------------------------------------------------
 # finite-difference fallbacks
 # ---------------------------------------------------------------------------
 
-def _fd_partial(value_fn, s, xy, axis, step, keep_in_disc):
+def _fd_partial(value_fn, s, xy, axis, step):
     """Second-order partial derivative along one cartesian axis.
 
     Uses centered differences with step scaled by max(1, |coordinate|).
@@ -39,12 +41,8 @@ def _fd_partial(value_fn, s, xy, axis, step, keep_in_disc):
         probe[..., axis] = probe[..., axis] + mult * h
         return probe
 
-    if keep_in_disc:
-        out_plus = radius(shifted(1.0)) > 1.0
-        out_minus = radius(shifted(-1.0)) > 1.0
-    else:
-        out_plus = np.zeros(xy.shape[:-1], dtype=bool)
-        out_minus = out_plus
+    out_plus = radius(shifted(1.0)) > 1.0
+    out_minus = radius(shifted(-1.0)) > 1.0
 
     sample = np.asarray(value_fn(s, xy))
     extra = sample.ndim - h.ndim
@@ -70,25 +68,17 @@ def _fd_partial(value_fn, s, xy, axis, step, keep_in_disc):
     return result
 
 
-def fd_gradient(value_fn, s, xy, step=DEFAULT_FD_STEP, keep_in_disc=True):
+def fd_gradient(value_fn, s, xy):
     """Centered-difference gradient (..., 2) of a value oracle."""
-    gx = _fd_partial(value_fn, s, xy, 0, step, keep_in_disc)
-    gy = _fd_partial(value_fn, s, xy, 1, step, keep_in_disc)
+    gx = _fd_partial(value_fn, s, xy, 0, _FD_STEP)
+    gy = _fd_partial(value_fn, s, xy, 1, _FD_STEP)
     return np.stack([gx, gy], axis=-1)
 
 
-def fd_s_derivative(value_fn, s, xy, step=DEFAULT_FD_STEP):
-    return (value_fn(s + step, xy) - value_fn(s - step, xy)) / (2.0 * step)
-
-
-def fd_hessian(grad_fn, s, xy, step=1e-4, keep_in_disc=True):
+def fd_hessian(grad_fn, s, xy):
     """Symmetrized finite-difference Jacobian of a gradient oracle."""
-    cols = []
-    for axis in range(2):
-        col = _fd_partial(
-            lambda ss, pts: grad_fn(ss, pts), s, xy, axis, step, keep_in_disc
-        )
-        cols.append(col)
+    cols = [_fd_partial(grad_fn, s, xy, axis, _FD_HESSIAN_STEP)
+            for axis in range(2)]
     hess = np.stack(cols, axis=-1)  # (..., 2 grad comps, 2 axes)
     return 0.5 * (hess + np.swapaxes(hess, -1, -2))
 
@@ -116,17 +106,9 @@ class Hamiltonian:
     ----------
     boundary_value : float
         The constant value h taken on the boundary circle.
-    autonomous_near_boundary, radial_near_boundary : bool
-        Metadata flags describing the collar behaviour.
-    collar_width : float
-        Width of the collar on which the flags are claimed to hold.
     """
 
     boundary_value: float = 0.0
-    autonomous_near_boundary: bool = False
-    radial_near_boundary: bool = False
-    collar_width: float = 0.0
-    fd_step: float = DEFAULT_FD_STEP
     #: set on families known to be independent of s; lets chart sweeps
     #: evaluate one parameter slice instead of looping
     time_dependent: bool = True
@@ -135,10 +117,7 @@ class Hamiltonian:
         raise NotImplementedError
 
     def grad(self, s, xy):
-        return fd_gradient(self.value, s, xy, self.fd_step)
-
-    def ds(self, s, xy):
-        return fd_s_derivative(self.value, s, xy, self.fd_step)
+        return fd_gradient(self.value, s, xy)
 
     def hessian(self, s, xy):
         return fd_hessian(self.grad, s, xy)
@@ -188,9 +167,6 @@ class QuadraticHamiltonian(Hamiltonian):
     and a0 > 0 is exactly the contact condition.
     """
 
-    autonomous_near_boundary = True
-    radial_near_boundary = True
-    collar_width = 1.0
     time_dependent = False
 
     def __init__(self, a0, a2):
@@ -206,10 +182,6 @@ class QuadraticHamiltonian(Hamiltonian):
     def grad(self, s, xy):
         xy = np.asarray(xy, dtype=float)
         return 2.0 * self.a2 * xy
-
-    def ds(self, s, xy):
-        xy = np.asarray(xy, dtype=float)
-        return np.zeros(xy.shape[:-1])
 
     def hessian(self, s, xy):
         xy = np.asarray(xy, dtype=float)
@@ -256,32 +228,16 @@ class RigidRotationHamiltonian(QuadraticHamiltonian):
 class CallableHamiltonian(Hamiltonian):
     """Wrap plain callables ``fn(s, xy)`` as a Hamiltonian.
 
-    ``grad_fn``/``ds_fn``/``hessian_fn`` are optional analytic oracles; when
-    omitted, finite differences are used.
+    ``grad_fn``/``hessian_fn`` are optional analytic oracles; when omitted,
+    finite differences are used.
     """
 
-    def __init__(
-        self,
-        value_fn,
-        boundary_value,
-        grad_fn=None,
-        ds_fn=None,
-        hessian_fn=None,
-        autonomous_near_boundary=False,
-        radial_near_boundary=False,
-        collar_width=0.0,
-        fd_step=DEFAULT_FD_STEP,
-        time_dependent=True,
-    ):
+    def __init__(self, value_fn, boundary_value, grad_fn=None, hessian_fn=None,
+                 time_dependent=True):
         self._value_fn = value_fn
         self._grad_fn = grad_fn
-        self._ds_fn = ds_fn
         self._hessian_fn = hessian_fn
         self.boundary_value = float(boundary_value)
-        self.autonomous_near_boundary = autonomous_near_boundary
-        self.radial_near_boundary = radial_near_boundary
-        self.collar_width = collar_width
-        self.fd_step = fd_step
         self.time_dependent = time_dependent
 
     def value(self, s, xy):
@@ -294,11 +250,6 @@ class CallableHamiltonian(Hamiltonian):
         if self._grad_fn is not None:
             return np.asarray(self._grad_fn(s, np.asarray(xy, dtype=float)))
         return super().grad(s, xy)
-
-    def ds(self, s, xy):
-        if self._ds_fn is not None:
-            return np.asarray(self._ds_fn(s, np.asarray(xy, dtype=float)))
-        return super().ds(s, xy)
 
     def hessian(self, s, xy):
         if self._hessian_fn is not None:
@@ -318,9 +269,6 @@ class PullbackHamiltonian(Hamiltonian):
         self.base = base
         self.map = disc_map
         self.boundary_value = base.boundary_value
-        self.autonomous_near_boundary = base.autonomous_near_boundary
-        self.radial_near_boundary = False
-        self.collar_width = 0.0
 
     def value(self, s, xy):
         return self.base.value(s, self.map(np.asarray(xy, dtype=float)))
@@ -331,9 +279,6 @@ class PullbackHamiltonian(Hamiltonian):
         g = self.base.grad(s, img)
         jac = self.map.jacobian(xy)
         return np.einsum("...ji,...j->...i", jac, g)
-
-    def ds(self, s, xy):
-        return self.base.ds(s, self.map(np.asarray(xy, dtype=float)))
 
 
 def cosine_defect_hamiltonian(h, c, d):
@@ -368,10 +313,6 @@ def cosine_defect_hamiltonian(h, c, d):
         value,
         boundary_value=h,
         grad_fn=grad,
-        ds_fn=lambda s, xy: np.zeros(np.asarray(xy).shape[:-1]),
-        autonomous_near_boundary=True,
-        radial_near_boundary=(d == 0),
-        collar_width=1.0,
         time_dependent=False,
     )
 

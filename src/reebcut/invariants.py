@@ -141,11 +141,14 @@ def resonance_check(h, a, theta1_override=None):
 # ---------------------------------------------------------------------------
 
 
+# the largest |X(0)| for which the center still counts as a fixed point
+_CENTER_TOL = 1e-8
+
+
 @dataclass
 class RotationSettings:
     covers: int = 32
     flow: FlowSettings = None
-    center_tol: float = 1e-8
 
     def __post_init__(self):
         if self.flow is None:
@@ -217,7 +220,7 @@ def rotation_number(H, orbit, frame=Frame.INTERIOR, settings=None,
     if orbit == "C":
         origin = np.zeros(2)
         speed = float(np.max(np.abs(H.velocity(0.0, origin))))
-        if speed > settings.center_tol:
+        if speed > _CENTER_TOL:
             raise PreconditionError(
                 f"center is not a fixed point (|X(0)| = {speed:.3e})"
             )

@@ -38,17 +38,6 @@ def spectral_partial(values, axis):
     return np.real(np.fft.ifft(hat, axis=axis))
 
 
-def _fd4_partial(values, axis):
-    """Fourth-order centered periodic finite-difference derivative."""
-    n = values.shape[axis]
-    h = 1.0 / n
-
-    def roll(k):
-        return np.roll(values, -k, axis=axis)
-
-    return (roll(-2) - 8 * roll(-1) + 8 * roll(1) - roll(2)) / (12 * h)
-
-
 def _fd6_partial(values, axis):
     """Sixth-order centered periodic finite-difference derivative."""
     n = values.shape[axis]
@@ -89,7 +78,6 @@ class BumpProfile:
     """A one-variable bump with unit integral, compactly supported in (0, 1)."""
 
     fn: callable
-    support: tuple = (0.3, 0.7)
 
     @classmethod
     def polynomial(cls, a=0.3, b=0.7, power=8):
@@ -111,7 +99,7 @@ class BumpProfile:
             t = np.clip(t, 0.0, 1.0)
             return np.where(inside, norm * (t * (1.0 - t)) ** power, 0.0)
 
-        return cls(fn=fn, support=(a, b))
+        return cls(fn=fn)
 
     def __call__(self, y):
         return self.fn(y)
@@ -127,8 +115,6 @@ class GridFunction2D:
 
     values: np.ndarray
     compact: bool = True
-    margin: int = 2
-    quadrature: str = "periodic-trapezoid"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -136,7 +122,7 @@ class GridFunction2D:
         if self.values.shape != (n, n):
             raise ConfigurationError("grid values must be square")
         if self.compact:
-            m = self.margin
+            m = 2
             band = np.concatenate(
                 [
                     self.values[:m].ravel(),
@@ -191,22 +177,15 @@ class OneForm2D:
     dx: GridFunction2D
     dy: GridFunction2D
 
-    def exterior_derivative(self, method="fd6"):
+    def exterior_derivative(self):
         """d beta = (dq/dx - dp/dy) dx ^ dy as a GridFunction2D.
 
-        The default finite-difference stencil is independent of the
+        The sixth-order finite-difference stencil is independent of the
         spectral machinery used to build primitives, so residual audits
         measure a genuine discrepancy rather than an algebraic identity.
         """
-        if method == "fd4":
-            d = _fd4_partial
-        elif method == "fd6":
-            d = _fd6_partial
-        elif method == "spectral":
-            d = spectral_partial
-        else:
-            raise ConfigurationError(f"unknown differentiation method {method!r}")
-        vals = d(self.dy.values, 0) - d(self.dx.values, 1)
+        vals = (_fd6_partial(self.dy.values, 0)
+                - _fd6_partial(self.dx.values, 1))
         return GridFunction2D(values=vals, compact=False)
 
 
@@ -570,6 +549,18 @@ def _lambda_pairing(points, vectors):
     return points[..., 0] * vectors[..., 1] - points[..., 1] * vectors[..., 0]
 
 
+# Small enough that probe truncation (cubic in the step for the
+# determinant) stays under the closedness gate, large enough that rounding
+# (eps / step) does not surface in the recovered values.
+_PROBE_STEP = 3e-6
+# the closedness gate on max |det D psi_s - 1|
+_AREA_TOL = 1e-5
+# points per axis of the cartesian grid each oracle slice is splined on
+_ORACLE_GRID = 160
+# probe step of the Jacobians along g_function_values' integration lines
+_LINE_PROBE_STEP = 1e-5
+
+
 @dataclass
 class CanonicalRecoverySettings:
     # G is recovered by integrating along rays: spectrally when the path
@@ -580,12 +571,6 @@ class CanonicalRecoverySettings:
     n_r: int = 256
     n_theta: int = 32
     n_s: int = 192
-    # small enough that probe truncation (cubic in the step for the
-    # determinant) stays under the closedness gate, large enough that
-    # rounding (eps / step) does not surface in the recovered values
-    probe_step: float = 3e-6
-    area_tol: float = 1e-5
-    oracle_grid: int = 160
 
 
 class CanonicalHamiltonian(Hamiltonian):
@@ -600,7 +585,7 @@ class CanonicalHamiltonian(Hamiltonian):
     """
 
     def __init__(self, s_nodes, r_nodes, theta_nodes, images, velocities,
-                 g_dot, support_radius, oracle_grid=200):
+                 g_dot, support_radius):
         self.s_nodes = s_nodes
         self.r_nodes = r_nodes
         self.theta_nodes = theta_nodes
@@ -609,10 +594,6 @@ class CanonicalHamiltonian(Hamiltonian):
         self.g_dot = g_dot            # (ns, nr, nt)
         self.support_radius = float(support_radius)
         self.boundary_value = 0.0
-        self.autonomous_near_boundary = True
-        self.radial_near_boundary = True
-        self.collar_width = max(0.0, 1.0 - self.support_radius)
-        self._ngrid = oracle_grid
         self._splines = {}
 
     # -- scattered samples (used by the round-trip diagnostics) ---------
@@ -654,7 +635,7 @@ class CanonicalHamiltonian(Hamiltonian):
         vy = psp(self.velocities[j, ..., 1])
         gd = psp(self.g_dot[j])
 
-        ax = np.linspace(-1.0, 1.0, self._ngrid)
+        ax = np.linspace(-1.0, 1.0, _ORACLE_GRID)
         xx, yy = np.meshgrid(ax, ax, indexing="ij")
         rr = np.sqrt(xx**2 + yy**2)
         inside = rr <= 1.0
@@ -746,7 +727,7 @@ def canonical_hamiltonian(path, settings: CanonicalRecoverySettings = None
     that fixes the compactly supported normalization.
 
     Raises PreconditionError when psi_s fails to be area-preserving within
-    the settings tolerance (the form psi_s* lambda - lambda is then not
+    ``_AREA_TOL`` (the form psi_s* lambda - lambda is then not
     closed and no G_s exists), or when psi_0 is not the identity.
     """
     st = settings or CanonicalRecoverySettings()
@@ -758,7 +739,7 @@ def canonical_hamiltonian(path, settings: CanonicalRecoverySettings = None
     flat = base.reshape(-1, 2)
     n_pts = len(flat)
 
-    h = st.probe_step
+    h = _PROBE_STEP
     probes = np.concatenate(
         [
             flat,
@@ -789,10 +770,10 @@ def canonical_hamiltonian(path, settings: CanonicalRecoverySettings = None
 
     det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
     area_defect = float(np.max(np.abs(det - 1.0)))
-    if area_defect > st.area_tol:
+    if area_defect > _AREA_TOL:
         raise PreconditionError(
             f"psi_s* lambda - lambda is not closed: area defect "
-            f"{area_defect:.3e} exceeds {st.area_tol}"
+            f"{area_defect:.3e} exceeds {_AREA_TOL}"
         )
 
     ds = s_nodes[1] - s_nodes[0]
@@ -824,7 +805,6 @@ def canonical_hamiltonian(path, settings: CanonicalRecoverySettings = None
         velocities.reshape(shape + (2,)),
         g_dot,
         support_radius,
-        st.oracle_grid,
     )
 
 
@@ -856,8 +836,7 @@ def _radial_antiderivative(gamma, r_nodes):
     return g_cum - g_cum[:, -1:, :]
 
 
-def g_function_values(path, s, targets, route="radial", n_quad=129,
-                      probe_step=1e-5):
+def g_function_values(path, s, targets, route="radial", n_quad=129):
     """G_s at target points by line integration of psi_s* lambda - lambda.
 
     route 'radial' integrates along rays from the boundary circle; 'axis'
@@ -868,7 +847,7 @@ def g_function_values(path, s, targets, route="radial", n_quad=129,
 
     targets = np.asarray(targets, dtype=float)
     out = np.empty(len(targets))
-    h = probe_step
+    h = _LINE_PROBE_STEP
     for i, q in enumerate(targets):
         if route == "radial":
             r0 = np.hypot(*q)

@@ -12,13 +12,11 @@ fully reproducible.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, IntegrationError, PreconditionError
+from .errors import IntegrationError, PreconditionError
 from .flows import (
     FlowSettings,
     _rk4_steps,
@@ -48,16 +46,23 @@ def rigid_rotation_hamiltonian(h, p, q):
 # ---------------------------------------------------------------------------
 
 
-def continued_fraction_convergents(x, count, reject_rational_tol=1e-9,
-                                   max_denominator=64):
+# targets this close to a fraction of small denominator count as rational
+_REJECT_RATIONAL_TOL = 1e-9
+_MAX_REJECT_DENOMINATOR = 64
+
+
+def continued_fraction_convergents(x, count):
     """The first ``count`` convergents p/q (with p >= 1) of x in (0, 1).
 
     Rational targets make the expansion terminate and the limit process
-    meaningless, so inputs within ``reject_rational_tol`` of a fraction
-    with denominator <= ``max_denominator`` are rejected.
+    meaningless, so inputs within ``_REJECT_RATIONAL_TOL`` of a fraction
+    with denominator <= ``_MAX_REJECT_DENOMINATOR`` are rejected, and so
+    is any x whose expansion ends before ``count`` convergents.  The float
+    x is a fraction itself and is expanded exactly: floating-point
+    division would invent partial quotients past the end of the expansion.
     """
-    for q in range(1, max_denominator + 1):
-        if abs(x * q - round(x * q)) < reject_rational_tol * q:
+    for q in range(1, _MAX_REJECT_DENOMINATOR + 1):
+        if abs(x * q - round(x * q)) < _REJECT_RATIONAL_TOL * q:
             raise PreconditionError(
                 f"target {x} is within tolerance of {round(x*q)}/{q}; "
                 "convergents would terminate"
@@ -65,18 +70,19 @@ def continued_fraction_convergents(x, count, reject_rational_tol=1e-9,
     convergents = []
     p_prev, p_cur = 0, 1   # numerators h_{-2}, h_{-1}
     q_prev, q_cur = 1, 0   # denominators k_{-2}, k_{-1}
-    val = x
-    while len(convergents) < count + 2:
-        a = int(np.floor(val))
+    num, den = float(x).as_integer_ratio()   # x = num / den exactly
+    while True:
+        a, rem = divmod(num, den)
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, a * q_cur + q_prev
         if p_cur >= 1 and q_cur >= 1:
             convergents.append((p_cur, q_cur))
-        frac = val - a
-        if frac < 1e-15:
-            break
-        val = 1.0 / frac
-    return convergents[:count]
+        if len(convergents) >= count:
+            return convergents[:count]
+        if rem == 0:
+            raise PreconditionError(f"target {x} = {p_cur}/{q_cur} has only "
+                                    f"{len(convergents)} convergents")
+        num, den = den, rem
 
 
 def golden_mean_inverse():
@@ -287,8 +293,7 @@ class DiscDiffeo:
         return self._flow(pts, -1.0, want_jacobian=True)[1]
 
 
-def build_conjugator(spec: ConjugatorSpec, steps=300, audit=False,
-                     audit_grid=(16, 24)):
+def build_conjugator(spec: ConjugatorSpec, steps=300, audit=False):
     """Time-1 flow of the spec's generator, optionally audited.
 
     The audit checks |det Dphi - 1| and the round trip phi^{-1}(phi(p))
@@ -297,7 +302,7 @@ def build_conjugator(spec: ConjugatorSpec, steps=300, audit=False,
     """
     phi = DiscDiffeo(spec.generator(), steps=steps)
     if audit:
-        pts = polar_grid(*audit_grid, r_max=0.97)
+        pts = polar_grid(16, 24, r_max=0.97)
         jac = phi.jacobian(pts)
         det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
         area_defect = float(np.max(np.abs(det - 1.0)))
@@ -409,18 +414,15 @@ class ConjugatedRotationHamiltonian(Hamiltonian):
     rigid-rotation Hamiltonian, so the tail identity holds bitwise.
     """
 
-    autonomous_near_boundary = True
-    radial_near_boundary = True
     time_dependent = False
 
-    def __init__(self, h, p, q, w_field: _InverseRadiusSquared, delta):
+    def __init__(self, h, p, q, w_field: _InverseRadiusSquared):
         self.h = int(h)
         self.p = int(p)
         self.q = int(q)
         self.pq = p / q
         self.w = w_field
         self.boundary_value = float(h)
-        self.collar_width = delta
 
     def value(self, s, xy):
         return _rigid_value(self.h, self.pq, self.w.value(np.asarray(xy, float)))
@@ -445,9 +447,6 @@ class ConjugatedRotationHamiltonian(Hamiltonian):
             return np.array(self.point_velocity(s, *xy.tolist()))
         gx, gy = self.w.grad_components(xy)
         return np.stack([0.5 * (-self.pq * gy), -0.5 * (-self.pq * gx)], axis=-1)
-
-    def ds(self, s, xy):
-        return np.zeros(np.asarray(xy).shape[:-1])
 
     def hessian(self, s, xy):
         return -self.pq * self.w.hessian(np.asarray(xy, float))
@@ -496,7 +495,7 @@ def _as_jsonable(obj):
 
 
 def conjugated_stage(h, p, q, spec: ConjugatorSpec = None, phi: DiscDiffeo = None,
-                     w_grid=512, flow_steps=300, check_support=True):
+                     w_grid=512):
     """Build the stage Hamiltonian H = R o phi^{-1} for one convergent.
 
     The time-2*pi flow of the result is phi o R_{2*pi p/q} o phi^{-1}
@@ -505,19 +504,18 @@ def conjugated_stage(h, p, q, spec: ConjugatorSpec = None, phi: DiscDiffeo = Non
     """
     spec = spec or ConjugatorSpec()
     if phi is None:
-        phi = build_conjugator(spec, steps=flow_steps)
-    if check_support:
-        theta = np.linspace(0, TWO_PI, 32, endpoint=False)
-        for r in (1.0 - spec.delta, 1.0 - 0.5 * spec.delta, 0.999):
-            ring = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
-            if float(np.max(np.abs(phi(ring) - ring))) > 1e-10:
-                raise PreconditionError(
-                    f"conjugator moves points at r = {r}; support margin "
-                    f"delta = {spec.delta} is violated"
-                )
+        phi = build_conjugator(spec)
+    theta = np.linspace(0, TWO_PI, 32, endpoint=False)
+    for r in (1.0 - spec.delta, 1.0 - 0.5 * spec.delta, 0.999):
+        ring = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+        if float(np.max(np.abs(phi(ring) - ring))) > 1e-10:
+            raise PreconditionError(
+                f"conjugator moves points at r = {r}; support margin "
+                f"delta = {spec.delta} is violated"
+            )
     rig = RigidRotationHamiltonian(h, p, q)  # validates h, p, q
     w_field = _InverseRadiusSquared(phi, spec.delta, grid_n=w_grid)
-    ham = ConjugatedRotationHamiltonian(h, p, q, w_field, spec.delta)
+    ham = ConjugatedRotationHamiltonian(h, p, q, w_field)
     return ApproximationStage(
         nu=0, p=p, q=q, delta=spec.delta, conjugator_spec=spec,
         conjugator=phi, hamiltonian=ham,
@@ -529,17 +527,20 @@ def conjugated_stage(h, p, q, spec: ConjugatorSpec = None, phi: DiscDiffeo = Non
 # ---------------------------------------------------------------------------
 
 
+# each stage's conjugator amplitude is this fraction of the previous one's
+_AMPLITUDE_FACTOR = 0.5
+
+
 @dataclass
 class ConjugatorSchedule:
     delta0: float = 0.4
     amplitude0: float = 0.2
-    amplitude_factor: float = 0.5
     mode: int = 2
     r_inner: float = 0.15
 
     def spec(self, nu):
         return ConjugatorSpec(
-            amplitude=self.amplitude0 * self.amplitude_factor**nu,
+            amplitude=self.amplitude0 * _AMPLITUDE_FACTOR**nu,
             delta=self.delta0 * 2.0**-nu,
             mode=self.mode,
             r_inner=self.r_inner,
@@ -567,7 +568,7 @@ class StageSequenceReport:
 
 
 def _stage_extension_settings(delta):
-    # Keep the widest stencil reach (1 + 3/eta_frac) * rho0 inside the
+    # Keep the widest stencil reach (1 + 3/_ETA_FRAC) * rho0 inside the
     # exact rigid tail r >= 1 - delta.  The order-4 jet stencil needs
     # rungs rho >~ 0.066 before its rho^{-6} rounding amplification clears
     # the verdict threshold, so thin tails are only certifiable through
@@ -578,39 +579,25 @@ def _stage_extension_settings(delta):
     return ExtensionSettings(rho0=rho0, k_max=k_max)
 
 
-def _thread_count():
-    """Worker cap from REEBCUT_THREADS; unset, empty, 0 and 1 mean serial."""
-    raw = os.environ.get("REEBCUT_THREADS", "").strip()
-    if not raw:
-        return 0
-    if not raw.isdecimal():
-        raise ConfigurationError(
-            f"REEBCUT_THREADS must be a non-negative integer, got {raw!r}"
-        )
-    return int(raw)
-
-
 def stage_sequence(target_a, count, h, schedule: ConjugatorSchedule = None,
                    settings: FlowSettings = None, scan_grid=(3, 8),
                    audit_grid=SamplingGrid(n_s=8, n_r=24, n_theta=24),
-                   k_max_norms=2, w_grid=512):
+                   w_grid=512):
     """Build ``count`` stages along the convergents of an irrational target.
 
     Per stage: contact audit, extension test (with the expected a set to
     the stage rotation number), area-preservation defect, and a periodic
     point scan at the stage denominator.  Consecutive stages are compared
-    in C^k norms on a fixed polar grid.  Stages are independent; when
-    REEBCUT_THREADS is set they are built in a pool and merged in order.
+    in C^0, C^1 and C^2 norms on a fixed polar grid.
     """
-    n_threads = _thread_count()
     schedule = schedule or ConjugatorSchedule()
     settings = settings or FlowSettings()
     convergents = continued_fraction_convergents(target_a, count)
     if (h + target_a) <= 0:
         raise PreconditionError("need h + target_a > 0")
 
-    def build(nu_pq):
-        nu, (p, q) = nu_pq
+    stages, f0_values = [], []
+    for nu, (p, q) in enumerate(convergents, start=1):
         spec = schedule.spec(nu)
         stage = conjugated_stage(h, p, q, spec, w_grid=w_grid)
         stage.nu = nu
@@ -635,17 +622,8 @@ def stage_sequence(target_a, count, h, schedule: ConjugatorSchedule = None,
             "periodic_periods": sorted({r.period for r in recs}),
             "periodic_found": len(recs),
         }
-        return stage, ext
-
-    tasks = list(enumerate(convergents, start=1))
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(build, tasks))
-    else:
-        results = [build(t) for t in tasks]
-
-    stages = [r[0] for r in results]
-    f0_values = [r[1].f0 for r in results]
+        stages.append(stage)
+        f0_values.append(ext.f0)
     f0_expected = [2.0 * (h + p / q) for p, q in convergents]
 
     # C^k difference norms on a fixed grid
@@ -656,14 +634,12 @@ def stage_sequence(target_a, count, h, schedule: ConjugatorSchedule = None,
         va = a.hamiltonian.value(0.0, pts)
         vb = b.hamiltonian.value(0.0, pts)
         entry[0] = float(np.max(np.abs(va - vb)))
-        if k_max_norms >= 1:
-            ga = a.hamiltonian.grad(0.0, pts)
-            gb = b.hamiltonian.grad(0.0, pts)
-            entry[1] = float(np.max(np.abs(ga - gb)))
-        if k_max_norms >= 2:
-            ha = a.hamiltonian.hessian(0.0, pts)
-            hb = b.hamiltonian.hessian(0.0, pts)
-            entry[2] = float(np.max(np.abs(ha - hb)))
+        ga = a.hamiltonian.grad(0.0, pts)
+        gb = b.hamiltonian.grad(0.0, pts)
+        entry[1] = float(np.max(np.abs(ga - gb)))
+        ha = a.hamiltonian.hessian(0.0, pts)
+        hb = b.hamiltonian.hessian(0.0, pts)
+        entry[2] = float(np.max(np.abs(ha - hb)))
         diffs.append(entry)
 
     return StageSequenceReport(

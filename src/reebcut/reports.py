@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,7 +27,7 @@ from .binding import (
     make_f_tilde,
     pullback_residual,
 )
-from .errors import EvaluationError, ValidationError
+from .errors import EvaluationError, PreconditionError, ValidationError
 from .flows import FlowSettings, integrate_isotopy, return_map_report
 from .geometry import TWO_PI
 from .hamiltonians import (
@@ -93,8 +94,14 @@ def _check_fields(block, schema, path=""):
             out[key] = default
             continue
         val = block[key]
-        if kind is float and isinstance(val, int) and not isinstance(val, bool):
-            val = float(val)
+        if isinstance(val, int) and not isinstance(val, bool):
+            # json.load's integers are unbounded, but every number here
+            # meets float arithmetic
+            if abs(val) > sys.float_info.max:
+                raise ValidationError(f"{path}{key} is beyond the float range",
+                                      field=path + key)
+            if kind is float:
+                val = float(val)
         if kind is int and isinstance(val, bool):
             raise ValidationError(f"{path}{key} must be an integer", field=path + key)
         if kind is not None and not isinstance(val, kind):
@@ -137,7 +144,12 @@ def parse_hamiltonian(block, path="hamiltonian."):
         if cfg["h"] is None or cfg["p"] is None or cfg["q"] is None:
             raise ValidationError(f"{path}h, {path}p, {path}q are required",
                                   field=path)
-        return RigidRotationHamiltonian(cfg["h"], cfg["p"], cfg["q"])
+        # the family's own precondition (the contact condition h + p/q > 0)
+        # is part of the configuration too
+        try:
+            return RigidRotationHamiltonian(cfg["h"], cfg["p"], cfg["q"])
+        except PreconditionError as exc:
+            raise ValidationError(f"{path[:-1]}: {exc}", field=path) from exc
     if cfg["h"] is None:
         raise ValidationError(f"{path}h is required", field=path)
     return cosine_defect_hamiltonian(cfg["h"], cfg["c"], cfg["d"])

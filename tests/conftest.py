@@ -56,8 +56,6 @@ def compact_disc_hamiltonian(amp=0.02, t0=0.04, t1=0.7744, angular=0.4,
 
     return CallableHamiltonian(
         value, 0.0, grad_fn=grad, time_dependent=time_factor is not None,
-        autonomous_near_boundary=True, radial_near_boundary=True,
-        collar_width=1.0 - np.sqrt(t1),
     )
 
 
@@ -85,10 +83,7 @@ def radial_collar_hamiltonian(h=3, amp=0.7):
         return out
 
     return CallableHamiltonian(
-        value, h, grad_fn=grad, hessian_fn=hess,
-        ds_fn=lambda s, xy: np.zeros(np.asarray(xy).shape[:-1]),
-        autonomous_near_boundary=True, radial_near_boundary=True,
-        collar_width=1.0, time_dependent=False,
+        value, h, grad_fn=grad, hessian_fn=hess, time_dependent=False,
     )
 
 
@@ -118,10 +113,7 @@ def polynomial_defect_hamiltonian(h, c, d):
         return out
 
     return CallableHamiltonian(
-        value, h, grad_fn=grad, hessian_fn=hess,
-        ds_fn=lambda s, xy: np.zeros(np.asarray(xy).shape[:-1]),
-        autonomous_near_boundary=True, radial_near_boundary=(d == 0),
-        collar_width=1.0, time_dependent=False,
+        value, h, grad_fn=grad, hessian_fn=hess, time_dependent=False,
     )
 
 

@@ -391,3 +391,131 @@ def test_slice_weights_match_the_old_loop_bitwise():
     for s in list(s_nodes) + list(mids) + [TWO_PI + 0.3, -0.2]:
         want = _old_slice_weights(s_nodes, float(s) % TWO_PI)
         assert same(CanonicalHamiltonian._s_weights(stub, s), want)
+
+
+# ---------------------------------------------------------------------------
+# options without a caller are gone
+# ---------------------------------------------------------------------------
+
+
+def _first_coordinate(s, xy):
+    return xy[..., 0]
+
+
+def _removed_options():
+    from reebcut import (BumpProfile, CanonicalRecoverySettings,
+                         ConjugatorSchedule, ConjugatorSpec, ExtensionSettings,
+                         GridFunction2D, OneForm2D, build_conjugator,
+                         conjugated_stage, continued_fraction_convergents,
+                         primitive_change_audit, reeb_period, stage_sequence)
+    from reebcut.binding import sample_lift_jets
+    from reebcut.hamiltonians import fd_gradient, fd_hessian
+    from reebcut.invariants import RotationSettings
+    from reebcut.moser import CanonicalHamiltonian, g_function_values
+    from reebcut.pseudorotations import ConjugatedRotationHamiltonian
+
+    f, origin = _first_coordinate, np.zeros(2)
+    return {
+        "CallableHamiltonian-ds_fn":
+            lambda: CallableHamiltonian(f, 0.0, ds_fn=f),
+        "CallableHamiltonian-fd_step":
+            lambda: CallableHamiltonian(f, 0.0, fd_step=1e-6),
+        "CallableHamiltonian-collar_width":
+            lambda: CallableHamiltonian(f, 0.0, collar_width=0.5),
+        "CallableHamiltonian-autonomous_near_boundary":
+            lambda: CallableHamiltonian(f, 0.0, autonomous_near_boundary=True),
+        "CallableHamiltonian-radial_near_boundary":
+            lambda: CallableHamiltonian(f, 0.0, radial_near_boundary=True),
+        "fd_gradient-keep_in_disc":
+            lambda: fd_gradient(f, 0.0, origin, keep_in_disc=False),
+        "fd_gradient-step": lambda: fd_gradient(f, 0.0, origin, step=1e-6),
+        "fd_hessian-keep_in_disc":
+            lambda: fd_hessian(f, 0.0, origin, keep_in_disc=False),
+        "ExtensionSettings-threshold_scale":
+            lambda: ExtensionSettings(threshold_scale=1.0),
+        "ExtensionSettings-eta_frac": lambda: ExtensionSettings(eta_frac=2.0),
+        "sample_lift_jets-eta_frac":
+            lambda: sample_lift_jets(None, [0.0], [0.1], 4, eta_frac=2.0),
+        "CanonicalRecoverySettings-area_tol":
+            lambda: CanonicalRecoverySettings(area_tol=1.0),
+        "CanonicalRecoverySettings-probe_step":
+            lambda: CanonicalRecoverySettings(probe_step=1e-3),
+        "CanonicalRecoverySettings-oracle_grid":
+            lambda: CanonicalRecoverySettings(oracle_grid=40),
+        "CanonicalHamiltonian-oracle_grid":
+            lambda: CanonicalHamiltonian(*[None] * 7, oracle_grid=200),
+        "RotationSettings-center_tol":
+            lambda: RotationSettings(center_tol=1.0),
+        "ConjugatorSchedule-amplitude_factor":
+            lambda: ConjugatorSchedule(amplitude_factor=1.0),
+        "ConjugatedRotationHamiltonian-delta":
+            lambda: ConjugatedRotationHamiltonian(2, 1, 3, None, 0.2),
+        "conjugated_stage-flow_steps":
+            lambda: conjugated_stage(2, 1, 3, flow_steps=10),
+        "conjugated_stage-check_support":
+            lambda: conjugated_stage(2, 1, 3, check_support=False),
+        "continued_fraction_convergents-reject_rational_tol":
+            lambda: continued_fraction_convergents(0.5, 3, reject_rational_tol=0),
+        "continued_fraction_convergents-max_denominator":
+            lambda: continued_fraction_convergents(0.5, 3, max_denominator=1),
+        "stage_sequence-k_max_norms":
+            lambda: stage_sequence(0.6, 1, 2, k_max_norms=0),
+        "reeb_period-closure_tol":
+            lambda: reeb_period(None, None, closure_tol=1.0),
+        "GridFunction2D-quadrature":
+            lambda: GridFunction2D(np.zeros((8, 8)), quadrature="simpson"),
+        "GridFunction2D-margin":
+            lambda: GridFunction2D(np.zeros((8, 8)), margin=3),
+        "build_conjugator-audit_grid":
+            lambda: build_conjugator(ConjugatorSpec(), audit_grid=(4, 4)),
+        "primitive_change_audit-collar":
+            lambda: primitive_change_audit(None, 2, collar=0.3),
+        "primitive_change_audit-boundary_tol":
+            lambda: primitive_change_audit(None, 2, boundary_tol=1.0),
+        "g_function_values-probe_step":
+            lambda: g_function_values(None, 0.0, [], probe_step=1e-6),
+        "BumpProfile-support": lambda: BumpProfile(np.sin, support=(0.3, 0.7)),
+        "OneForm2D.exterior_derivative-method":
+            lambda: OneForm2D(None, None).exterior_derivative("spectral"),
+    }
+
+
+@pytest.mark.parametrize("option", sorted(_removed_options()))
+def test_removed_option_is_rejected(option):
+    # every one of these was one-valued or never read; its value is now a
+    # module constant, so passing it is a TypeError, not a silent change.
+    # The message pins the cause: the call must fail on its signature.
+    name = option.rsplit("-", 1)[1]
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"
+                                        "|takes .* positional argument"):
+        _removed_options()[option]()
+
+
+def test_no_hamiltonian_carries_ds_or_collar_flags():
+    import reebcut  # noqa: F401  (loads every Hamiltonian subclass)
+    from reebcut.hamiltonians import Hamiltonian
+    from reebcut.moser import CanonicalHamiltonian
+    from reebcut.pseudorotations import ConjugatedRotationHamiltonian
+
+    classes, todo = {Hamiltonian}, [Hamiltonian]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__.startswith("reebcut.") and sub not in classes:
+                classes.add(sub)
+                todo.append(sub)
+    assert {CanonicalHamiltonian, ConjugatedRotationHamiltonian} <= classes
+    # these were set per instance, so check instances of each kind too
+    grid = np.zeros((1, 1, 1))
+    instances = [
+        QuadraticHamiltonian(1.0, 0.5),
+        RigidRotationHamiltonian(2, 1, 3),
+        cosine_defect_hamiltonian(3, 0.4, 0.5),
+        CallableHamiltonian(_first_coordinate, 0.0),
+        PullbackHamiltonian(QuadraticHamiltonian(1.0, 0.5), lambda xy: xy),
+        ConjugatedRotationHamiltonian(2, 1, 3, None),
+        CanonicalHamiltonian(None, None, None, grid, grid, grid, 0.5),
+    ]
+    gone = ("ds", "autonomous_near_boundary", "radial_near_boundary",
+            "collar_width", "fd_step")
+    for obj in list(classes) + instances:
+        assert not [name for name in gone if hasattr(obj, name)], obj

@@ -33,8 +33,7 @@ from conftest import SQRT2
 def as_plain_callable(H):
     """Strip the closed-form type so rotation_number takes the numeric path."""
     return CallableHamiltonian(H.value, H.boundary_value, grad_fn=H.grad,
-                               ds_fn=H.ds, hessian_fn=H.hessian,
-                               time_dependent=False)
+                               hessian_fn=H.hessian, time_dependent=False)
 
 
 # ---------------------------------------------------------------------------

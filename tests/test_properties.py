@@ -3,16 +3,21 @@
 Runs are derandomized, so every run draws the same examples.
 """
 
+from fractions import Fraction
+
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 from scipy.interpolate import RectBivariateSpline
 
 from reebcut.binding import BindingChart, phi_embed, phi_invert
+from reebcut.errors import PreconditionError, ValidationError
 from reebcut.geometry import TWO_PI
 from reebcut.moser import _tensor_splines_ev
-from reebcut.pseudorotations import fd_weights
+from reebcut.pseudorotations import continued_fraction_convergents, fd_weights
+from reebcut.reports import (_HAMILTONIAN_SCHEMA, _SCHEMAS, SCENARIOS,
+                             RunConfig)
 
 
 def _grid(draw, k):
@@ -85,3 +90,70 @@ def test_phi_chart_round_trip(h, eps, fraction, b, vartheta):
     assert abs(rho2 - rho) * rho <= 8 * np.finfo(float).eps
     assert abs(np.angle(np.exp(1j * (b2 - b)))) <= 1e-12
     assert vartheta2 == vartheta
+
+
+# JSON-like scalars, as json.load returns them: NaN, +-Infinity and integers
+# beyond the float range included
+_NUMBERS = st.one_of(
+    st.integers(-10, 10), st.sampled_from([10**400, -10**400]),
+    st.integers(), st.floats(-10.0, 10.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_SCALARS = st.one_of(_NUMBERS, st.none(), st.booleans(), st.text(max_size=6))
+
+
+def _blocks(draw, schema, values):
+    """Some of the schema's keys, sometimes one unknown key, any values."""
+    keys = draw(st.sets(st.sampled_from(sorted(schema))))
+    block = {key: draw(values) for key in keys}
+    if draw(st.booleans()):
+        block[draw(st.text(max_size=6))] = draw(values)
+    return block
+
+
+@st.composite
+def hamiltonian_blocks(draw):
+    block = _blocks(draw, _HAMILTONIAN_SCHEMA, _NUMBERS)
+    if draw(st.booleans()):
+        block["type"] = draw(st.sampled_from(["quadratic", "rigid",
+                                              "cosine-defect"]))
+    return block
+
+
+_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=4),
+                    hamiltonian_blocks())
+
+
+@st.composite
+def parameter_blocks(draw):
+    scenario = draw(st.sampled_from(SCENARIOS))
+    return scenario, _blocks(draw, _SCHEMAS[scenario], _VALUES)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(parameter_blocks())
+def test_config_parse_returns_or_raises_validation_error(case):
+    # strict parsing is total: any other exception would reach the CLI as
+    # a traceback instead of exit code 2
+    scenario, raw = case
+    try:
+        config = RunConfig.parse(scenario, raw)
+    except ValidationError:
+        return
+    assert config.scenario == scenario
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       st.integers(1, 8))
+def test_convergents_approximate_their_target(x, count):
+    try:
+        convergents = continued_fraction_convergents(x, count)
+    except PreconditionError:
+        reject()
+    denominators = [q for _, q in convergents]
+    assert len(convergents) == count
+    assert all(a < b for a, b in zip(denominators, denominators[1:]))
+    # exact rational arithmetic: the float x is itself a fraction
+    for p, q in convergents:
+        assert abs(Fraction(x) - Fraction(p, q)) < Fraction(1, q * q)

@@ -157,6 +157,26 @@ def test_cli_non_finite_float_exit_two(tmp_path, capsys, scenario, payload, fiel
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("block, field", [
+    ({"type": "rigid", "h": 1, "p": -5, "q": 1}, "contact condition"),
+    ({"type": "rigid", "h": 1, "p": 10**400, "q": 1}, "p is beyond the float"),
+    ({"type": "quadratic", "a0": 1.0, "a2": -10**400}, "a2 is beyond the float"),
+    ({"type": "cosine-defect", "h": 10**400}, "h is beyond the float"),
+], ids=["contact-condition", "huge-p", "huge-a2", "huge-h"])
+def test_cli_invalid_hamiltonian_exit_two(tmp_path, capsys, block, field):
+    # a family's own precondition and an integer beyond the float range are
+    # configuration errors, caught while parsing: exit 2 naming the block,
+    # not a traceback and exit 1
+    cfg = write_config(tmp_path, {"hamiltonian": block})
+    assert main(["return-map", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration: hamiltonian")
+    assert field in err and "Traceback" not in err
+    with pytest.raises(ValidationError) as exc:
+        RunConfig.parse("cut-check", {"hamiltonian": block})
+    assert exc.value.field.startswith("hamiltonian.")
+
+
 def test_cli_non_finite_result_exit_three(tmp_path, capsys, monkeypatch):
     from reebcut import reports
 
@@ -231,40 +251,6 @@ def test_emit_plots_empty_series_notice(tmp_path):
     assert len(notices) == 2
     assert not (tmp_path / "empty.svg").exists()
     assert report.results["plots"]["notices"]
-
-
-def test_thread_cap_does_not_change_results(tmp_path, monkeypatch):
-    from reebcut.pseudorotations import ConjugatorSchedule, stage_sequence
-    from reebcut import FlowSettings, golden_mean_inverse
-
-    kwargs = dict(
-        schedule=ConjugatorSchedule(amplitude0=0.05),
-        settings=FlowSettings(step=2 * np.pi / 400),
-        w_grid=256,
-        scan_grid=(2, 4),
-    )
-    seq1 = stage_sequence(golden_mean_inverse(), 2, 2, **kwargs)
-    monkeypatch.setenv("REEBCUT_THREADS", "2")
-    seq2 = stage_sequence(golden_mean_inverse(), 2, 2, **kwargs)
-    assert seq1.f0_values == seq2.f0_values
-    assert [s.to_dict() for s in seq1.stages] == [s.to_dict() for s in seq2.stages]
-
-
-@pytest.mark.parametrize("value", ["two", "-1", "1.5"])
-def test_thread_cap_rejects_invalid_value(tmp_path, monkeypatch, capsys, value):
-    from reebcut import golden_mean_inverse, pseudorotations
-    from reebcut.errors import ConfigurationError
-
-    def no_stage(*args, **kwargs):
-        raise AssertionError("a stage was built before the cap was parsed")
-
-    monkeypatch.setattr(pseudorotations, "conjugated_stage", no_stage)
-    monkeypatch.setenv("REEBCUT_THREADS", value)
-    with pytest.raises(ConfigurationError, match="REEBCUT_THREADS"):
-        pseudorotations.stage_sequence(golden_mean_inverse(), 2, 2)
-    path = write_config(tmp_path, {"h": 2, "count": 1})
-    assert main(["pseudorotation", "--config", path]) == 3
-    assert "REEBCUT_THREADS" in capsys.readouterr().err
 
 
 def test_pseudorotation_scenario(tmp_path):
