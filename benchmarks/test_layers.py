@@ -120,6 +120,23 @@ def test_linearized_return(benchmark):
     assert np.max(np.abs(det - 1.0)) <= 1e-9
 
 
+@pytest.mark.parametrize("n_points", [2, 8, 24])
+def test_stage_linearized_return(benchmark, small_stage, n_points):
+    # one Newton iteration's variational flow in a stage's periodic scan:
+    # a small batch of seeded annulus points at the stage sequence's step
+    # 2pi/600, where per-call overhead weighs against the batched product
+    rng = np.random.default_rng(n_points)
+    r = rng.uniform(0.3, 0.75, n_points)
+    theta = rng.uniform(0.0, TWO_PI, n_points)
+    pts = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+    jac = benchmark.pedantic(
+        linearized_return, args=(small_stage.hamiltonian, pts),
+        kwargs={"settings": FlowSettings(step=TWO_PI / 600)},
+        rounds=5, iterations=1,
+    )
+    assert jac.shape == (n_points, 2, 2) and np.all(np.isfinite(jac))
+
+
 def test_composed_build(benchmark):
     # one ComposedHamiltonian build with the composition-law tests'
     # generators (compact K, rigid H2) on a coarse lattice: 32 slices of a

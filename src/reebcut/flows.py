@@ -80,27 +80,44 @@ def _rk4_steps(velocity, y, s0, h, n_steps, velocity_jacobian=None,
                record=False):
     """``n_steps`` fixed RK4 steps of size ``h`` from parameter ``s0``.
 
-    Returns ``(y, J)``: J solves dJ/ds = DX_s J from J = I as its own
-    (..., 2, 2) array when ``velocity_jacobian`` is given, else it is None.
-    With ``record`` both are stacked over the steps, the start first.
-    DX J takes two rounded products per entry: np.matmul may fuse the
-    multiply-add and so move the last bit.
+    Returns ``(y, J)``: J solves dJ/ds = DX_s J from J = I when
+    ``velocity_jacobian`` is given, else it is None.  With ``record`` both
+    are stacked over the steps, the start first.
+
+    ``velocity_jacobian`` returns DX as a (..., 2, 2) array over the batch
+    shape of ``y``.  J is carried components first, as a C-contiguous
+    (2, 2, ...) array, so that each product of DX J runs over the whole
+    batch in one contiguous loop; DX is turned the same way by a transpose,
+    which costs a copy only when the oracle's buffer is not components
+    first.  J comes back as a C-contiguous (..., 2, 2) array (stacked
+    (n_steps + 1, ..., 2, 2) with ``record``).  Entry (r, c) of DX J is
+    DX[r, 0] J[0, c] + DX[r, 1] J[1, c], two rounded products and one add:
+    np.matmul and np.einsum may fuse the multiply-add and so move the last
+    bit.
     """
+    nd = y.ndim - 1
+    # transposes by axes tuples: np.moveaxis costs microseconds per call,
+    # which one-point Newton batches would pay at every stage of every step
+    to_components = (nd, nd + 1) + tuple(range(nd))
+    to_points = tuple(range(2, nd + 2)) + (0, 1)
 
     def dxj(s, q, j):
-        a = velocity_jacobian(s, q)
-        return (a[..., :, 0, None] * j[..., None, 0, :]
-                + a[..., :, 1, None] * j[..., None, 1, :])
+        a = np.ascontiguousarray(velocity_jacobian(s, q).transpose(to_components))
+        return a[:, 0, None] * j[None, 0] + a[:, 1, None] * j[None, 1]
 
     jac = (None if velocity_jacobian is None
-           else np.broadcast_to(np.eye(2), y.shape[:-1] + (2, 2)))
+           else np.broadcast_to(np.eye(2).reshape((2, 2) + (1,) * nd),
+                                (2, 2) + y.shape[:-1]))
     jacs = None
     if record:
         ys = np.empty((n_steps + 1,) + y.shape)
         ys[0] = y
         if jac is not None:
-            jacs = np.empty((n_steps + 1,) + jac.shape)
-            jacs[0] = jac
+            jacs = np.empty((n_steps + 1,) + y.shape[:-1] + (2, 2))
+            # the steps are written components first through this view
+            jacs_components = jacs.transpose(
+                (0,) + tuple(i + 1 for i in to_components))
+            jacs_components[0] = jac
     s = s0
     for i in range(n_steps):
         k1 = velocity(s, y)
@@ -122,8 +139,11 @@ def _rk4_steps(velocity, y, s0, h, n_steps, velocity_jacobian=None,
         if record:
             ys[i + 1] = y
             if jac is not None:
-                jacs[i + 1] = jac
-    return (ys, jacs) if record else (y, jac)
+                jacs_components[i + 1] = jac
+    if record:
+        return ys, jacs
+    return y, (None if jac is None
+               else np.ascontiguousarray(jac.transpose(to_points)))
 
 
 def _rk4_point_steps(point_velocity, xy, s0, h, n_steps):

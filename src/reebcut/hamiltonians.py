@@ -127,17 +127,26 @@ class Hamiltonian:
     def velocity(self, s, xy):
         """Hamiltonian vector field X = (dH/dy, -dH/dx) / 2 at (s, xy)."""
         g = self.grad(s, xy)
-        return np.stack([0.5 * g[..., 1], -0.5 * g[..., 0]], axis=-1)
+        out = np.empty(g.shape)
+        np.multiply(0.5, g[..., 1], out=out[..., 0])
+        np.multiply(-0.5, g[..., 0], out=out[..., 1])
+        return out
 
     def velocity_jacobian(self, s, xy):
-        """DX as a (..., 2, 2) array, from the Hessian of H."""
+        """DX as a (..., 2, 2) array, from the Hessian of H.
+
+        The four entries are written into a C-contiguous components-first
+        (2, 2, ...) buffer and the (..., 2, 2) view of it is returned, so
+        the variational RK4 (``flows._rk4_steps``), which carries J
+        components first, turns it back by a transpose without a copy.
+        """
         hess = self.hessian(s, xy)
-        out = np.empty_like(hess)
-        out[..., 0, 0] = 0.5 * hess[..., 1, 0]
-        out[..., 0, 1] = 0.5 * hess[..., 1, 1]
-        out[..., 1, 0] = -0.5 * hess[..., 0, 0]
-        out[..., 1, 1] = -0.5 * hess[..., 0, 1]
-        return out
+        out = np.empty((2, 2) + hess.shape[:-2])
+        np.multiply(0.5, hess[..., 1, 0], out=out[0, 0, ...])
+        np.multiply(0.5, hess[..., 1, 1], out=out[0, 1, ...])
+        np.multiply(-0.5, hess[..., 0, 0], out=out[1, 0, ...])
+        np.multiply(-0.5, hess[..., 0, 1], out=out[1, 1, ...])
+        return out.transpose(tuple(range(2, out.ndim)) + (0, 1))
 
 
 def slice_weights(s_nodes, s):

@@ -165,6 +165,12 @@ class _ConjugatorGenerator(Hamiltonian):
         # _bump(t), _bump(t, 1), _angular(xy) and k * _angular(xy, 1) with
         # their shared subexpressions computed once; same expressions in the
         # same order, so the result is bitwise that of the composition
+        if xy.ndim == 1:
+            # one (2,) point runs as a one-point batch: on its 0-d arrays
+            # numpy returns complex scalars, whose arithmetic differs in the
+            # last bit from the array loops on about one point in six
+            gx, gy = self._grad_components(xy[None])
+            return gx[0], gy[0]
         x, y = xy[..., 0], xy[..., 1]
         k = self.spec.mode
         t = x * x + y * y

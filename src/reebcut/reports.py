@@ -182,8 +182,11 @@ _SCHEMAS = {
     "ellipsoid": {
         "a0": (float, True, None, lambda v: v > 0),
         "h": (int, True, None, lambda v: v >= 1),
+        # the pullback audit builds meshgrids of the product of the three
+        # counts: 64^3 points is the desk-scale ceiling
         "pullback_grid": (list, False, [32, 32, 32],
-                          lambda v: len(v) == 3 and all(isinstance(x, int) and x >= 4 for x in v)),
+                          lambda v: len(v) == 3 and all(
+                              isinstance(x, int) and 4 <= x <= 64 for x in v)),
         "self_linking": (bool, False, True, None),
         "push_eps": (float, False, 0.02, lambda v: 1e-3 <= v <= 1e-1),
         "n_samples": (int, False, 512, lambda v: 16 <= v <= 4096),
@@ -199,7 +202,8 @@ _SCHEMAS = {
         "n_points": (int, False, 50, lambda v: 1 <= v <= 2000),
         "radii": (list, False, [0.3, 0.6],
                   lambda v: all(isinstance(r, (int, float)) and 0 < r < 1 for r in v)),
-        "step": (float, False, TWO_PI / 2000.0, lambda v: v > 0),
+        # at most 20000 RK4 steps per period, ten times the default count
+        "step": (float, False, TWO_PI / 2000.0, lambda v: v >= TWO_PI / 20000.0),
         "area_tol": (float, False, 1e-6, lambda v: v > 0),
     },
     "poincare-lemma": {

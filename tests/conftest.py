@@ -27,11 +27,20 @@ def smooth_bump_t(t, t0, t1):
     return np.where(inside, core, 0.0)
 
 
-def smooth_bump_t_jet(t, t0, t1):
-    """The bump and its t-derivative, from one shared exp core."""
+def smooth_bump_t_jet(t, t0, t1, order=1):
+    """The bump and its first ``order`` (1 or 2) t-derivatives, from one
+    shared exp core."""
     inside, uc, core = _bump_core(t, t0, t1)
-    dcore = core * (1.0 - 2.0 * uc) / (uc * (1.0 - uc)) ** 2 / (t1 - t0)
-    return np.where(inside, core, 0.0), np.where(inside, dcore, 0.0)
+    # core = exp(g(u) + 4) with g = -1/p, p = u (1 - u), u = (t - t0) / L
+    p, dp = uc * (1.0 - uc), 1.0 - 2.0 * uc
+    dcore = core * dp / p ** 2 / (t1 - t0)
+    jet = (np.where(inside, core, 0.0), np.where(inside, dcore, 0.0))
+    if order == 1:
+        return jet
+    # g' = dp / p^2 and g'' = -2 (p + dp^2) / p^3, so core'' = core (g'^2 + g'')
+    dg = dp / p ** 2
+    ddcore = core * (dg * dg - 2.0 * (p + dp * dp) / p ** 3) / (t1 - t0) ** 2
+    return jet + (np.where(inside, ddcore, 0.0),)
 
 
 def compact_disc_hamiltonian(amp=0.02, t0=0.04, t1=0.7744, angular=0.4,
@@ -54,8 +63,24 @@ def compact_disc_hamiltonian(amp=0.02, t0=0.04, t1=0.7744, angular=0.4,
             g = g * time_factor(s)
         return g
 
+    def hess(s, xy):
+        x, y = xy[..., 0], xy[..., 1]
+        t = x * x + y * y
+        _, wp, wpp = smooth_bump_t_jet(t, t0, t1, order=2)
+        a = 1 + angular * x
+        out = np.empty(xy.shape[:-1] + (2, 2))
+        out[..., 0, 0] = amp * (2 * wp * a + 4 * x * x * wpp * a
+                                + 4 * angular * x * wp)
+        out[..., 0, 1] = amp * (4 * x * y * wpp * a + 2 * angular * y * wp)
+        out[..., 1, 0] = out[..., 0, 1]
+        out[..., 1, 1] = amp * (2 * wp * a + 4 * y * y * wpp * a)
+        if time_factor:
+            out = out * time_factor(s)
+        return out
+
     return CallableHamiltonian(
-        value, 0.0, grad_fn=grad, time_dependent=time_factor is not None,
+        value, 0.0, grad_fn=grad, hessian_fn=hess,
+        time_dependent=time_factor is not None,
     )
 
 

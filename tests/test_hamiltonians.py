@@ -190,6 +190,33 @@ def test_compact_fixture_grad_is_bitwise_unchanged(kw, rng):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+@pytest.mark.parametrize("kw", [
+    {}, {"amp": 0.05}, {"amp": 0.05, "angular": 0.0, "t0": 0.01, "t1": 0.81},
+    {"time_factor": np.cos},
+])
+def test_compact_fixture_hessian_matches_finite_differences(kw, rng):
+    # the analytic Hessian is the limit of the centered differences of the
+    # grad: at the fallback's step 1e-4 they agree to 5e-5 (the worst seen
+    # is 3.1e-5, on Hessian entries up to about 10), and halving the step
+    # quarters the largest gap, as it must for a second-order stencil
+    from reebcut.hamiltonians import _FD_HESSIAN_STEP, _fd_partial, fd_hessian
+
+    H = compact_disc_hamiltonian(**kw)
+    pts = random_disc_points(rng, 2000, r_max=0.99, r_min=0.0)
+
+    def fd_gap(step):
+        cols = np.stack([_fd_partial(H.grad, 1.3, pts, axis, step)
+                         for axis in range(2)], axis=-1)
+        sym = 0.5 * (cols + np.swapaxes(cols, -1, -2))
+        return np.max(np.abs(H.hessian(1.3, pts) - sym))
+
+    hess = H.hessian(1.3, pts)
+    assert np.array_equal(hess[..., 0, 1], hess[..., 1, 0])
+    assert np.max(np.abs(hess - fd_hessian(H.grad, 1.3, pts))) <= 5e-5
+    ratio = fd_gap(2 * _FD_HESSIAN_STEP) / fd_gap(_FD_HESSIAN_STEP)
+    assert 3.5 <= ratio <= 4.5
+
+
 # ---------------------------------------------------------------------------
 # liouville_pairing
 # ---------------------------------------------------------------------------

@@ -13,11 +13,14 @@ from scipy.interpolate import RectBivariateSpline
 
 from reebcut.binding import BindingChart, phi_embed, phi_invert
 from reebcut.errors import PreconditionError, ValidationError
+from reebcut.flows import _rk4_steps
 from reebcut.geometry import TWO_PI
 from reebcut.moser import _tensor_splines_ev
 from reebcut.pseudorotations import continued_fraction_convergents, fd_weights
 from reebcut.reports import (_HAMILTONIAN_SCHEMA, _SCHEMAS, SCENARIOS,
                              RunConfig)
+
+from conftest import compact_disc_hamiltonian, polynomial_defect_hamiltonian
 
 
 def _grid(draw, k):
@@ -157,3 +160,89 @@ def test_convergents_approximate_their_target(x, count):
     # exact rational arithmetic: the float x is itself a fraction
     for p, q in convergents:
         assert abs(Fraction(x) - Fraction(p, q)) < Fraction(1, q * q)
+
+
+def _points_last_rk4_steps(velocity, y, s0, h, n_steps, velocity_jacobian,
+                           record):
+    """The variational RK4 with J carried as a (..., 2, 2) array, each
+    entry of DX J formed as two products broadcast over the last axes."""
+
+    def dxj(s, q, j):
+        a = velocity_jacobian(s, q)
+        return (a[..., :, 0, None] * j[..., None, 0, :]
+                + a[..., :, 1, None] * j[..., None, 1, :])
+
+    jac = np.broadcast_to(np.eye(2), y.shape[:-1] + (2, 2))
+    ys, jacs = [y], [jac]
+    s = s0
+    for i in range(n_steps):
+        k1, l1 = velocity(s, y), dxj(s, y, jac)
+        q = y + 0.5 * h * k1
+        k2, l2 = velocity(s + 0.5 * h, q), dxj(s + 0.5 * h, q, jac + 0.5 * h * l1)
+        q = y + 0.5 * h * k2
+        k3, l3 = velocity(s + 0.5 * h, q), dxj(s + 0.5 * h, q, jac + 0.5 * h * l2)
+        q = y + h * k3
+        k4, l4 = velocity(s + h, q), dxj(s + h, q, jac + h * l3)
+        jac = jac + (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        s = s0 + (i + 1) * h
+        ys.append(y)
+        jacs.append(jac)
+    if record:
+        return np.stack(ys), np.stack(jacs)
+    return y, jac
+
+
+_FLOW_HAMILTONIANS = {
+    "defect": polynomial_defect_hamiltonian(3, 1.0, 0.3),
+    "time-dependent": compact_disc_hamiltonian(amp=0.05, time_factor=np.cos),
+}
+
+
+def _plain_jacobian(H):
+    # a test oracle returning DX as a fresh C-contiguous (..., 2, 2) array
+    def velocity_jacobian(s, xy):
+        hess = H.hessian(s, xy)
+        out = np.empty(hess.shape)
+        out[..., 0, 0] = 0.5 * hess[..., 1, 0]
+        out[..., 0, 1] = 0.5 * hess[..., 1, 1]
+        out[..., 1, 0] = -0.5 * hess[..., 0, 0]
+        out[..., 1, 1] = -0.5 * hess[..., 0, 1]
+        return out
+    return velocity_jacobian
+
+
+@st.composite
+def variational_flows(draw):
+    batch = draw(st.sampled_from([(), (st.integers(1, 6),),
+                                  (st.integers(1, 4), st.integers(1, 4))]))
+    shape = tuple(draw(n) for n in batch) + (2,)
+    size = int(np.prod(shape[:-1], dtype=int))
+    # polar draws inside r <= 0.85; exact zeros keep their signs in play
+    r = draw(st.lists(st.sampled_from([0.0, 0.3]) | st.floats(0.0, 0.85),
+                      min_size=size, max_size=size))
+    theta = draw(st.lists(st.sampled_from([0.0, np.pi / 2]) | st.floats(0.0, TWO_PI),
+                          min_size=size, max_size=size))
+    r, theta = np.array(r), np.array(theta)
+    y = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+    return (y.reshape(shape), draw(st.sampled_from(sorted(_FLOW_HAMILTONIANS))),
+            draw(st.sampled_from(["base", "plain"])),
+            draw(st.floats(-0.5, 0.5)), draw(st.sampled_from([0.05, -0.03, TWO_PI / 200])),
+            draw(st.integers(1, 5)), draw(st.booleans()))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(variational_flows())
+def test_components_first_jacobian_is_points_last_bit_for_bit(case):
+    y, name, oracle, s0, h, n_steps, record = case
+    H = _FLOW_HAMILTONIANS[name]
+    jacobian = H.velocity_jacobian if oracle == "base" else _plain_jacobian(H)
+    got_y, got_j = _rk4_steps(H.velocity, y, s0, h, n_steps, jacobian, record)
+    want_y, want_j = _points_last_rk4_steps(H.velocity, y, s0, h, n_steps,
+                                            jacobian, record)
+    lead = (n_steps + 1,) if record else ()
+    assert got_j.shape == lead + y.shape[:-1] + (2, 2)
+    assert got_j.flags.c_contiguous
+    for got, want in ((got_y, want_y), (got_j, want_j)):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))

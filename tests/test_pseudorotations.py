@@ -223,8 +223,11 @@ def test_conjugator_fused_velocity_is_exact(spec, rng):
     assert not strided.flags.c_contiguous
     assert bitwise_equal(gen.velocity(0.0, strided), velocity[::2])
     assert bitwise_equal(gen.grad(0.0, strided), grad[::2])
-    for i in (1, 10, 12, len(special), len(pts) - 1):
+    # every point: on 0-d arrays numpy's complex scalar arithmetic differed
+    # in the last bit from the array loops on about one point in six
+    for i in range(len(pts)):
         assert bitwise_equal(gen.velocity(0.0, pts[i]), velocity[i])
+        assert bitwise_equal(gen.grad(0.0, pts[i]), grad[i])
     # at the origin with negative zeros only the sign of the zero gradient
     # may differ from the composition (a zero base of z ** 1 comes back +0)
     origin = np.array([[-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0]])

@@ -5,6 +5,7 @@ import pytest
 
 from reebcut.cli import main
 from reebcut.errors import ValidationError
+from reebcut.geometry import TWO_PI
 from reebcut.reports import RunConfig, run
 from reebcut.svgplots import histogram_svg, polyline_svg
 
@@ -175,6 +176,38 @@ def test_cli_invalid_hamiltonian_exit_two(tmp_path, capsys, block, field):
     with pytest.raises(ValidationError) as exc:
         RunConfig.parse("cut-check", {"hamiltonian": block})
     assert exc.value.field.startswith("hamiltonian.")
+
+
+@pytest.mark.parametrize("scenario, payload, field", [
+    ("ellipsoid", {"a0": SQRT2, "h": 2, "pullback_grid": [65, 32, 32]},
+     "pullback_grid"),
+    ("ellipsoid", {"a0": SQRT2, "h": 2, "pullback_grid": [4096, 4096, 4096]},
+     "pullback_grid"),
+    ("return-map", {"hamiltonian": {"type": "rigid", "h": 2, "p": 1, "q": 3},
+                    "step": float(np.nextafter(TWO_PI / 20000.0, 0.0))},
+     "step"),
+    ("return-map", {"hamiltonian": {"type": "rigid", "h": 2, "p": 1, "q": 3},
+                    "step": 1e-9},
+     "step"),
+], ids=["grid-65", "grid-4096", "step-below-bound", "step-1e-9"])
+def test_cli_work_bound_exit_two(tmp_path, capsys, scenario, payload, field):
+    # a config asking for more work than desk scale fails at parse: exit 2
+    # naming the field, with no output directory made; the configs at the
+    # bounds only parse here, they are never run
+    cfg = write_config(tmp_path, payload)
+    assert main([scenario, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration") and field in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("scenario, payload", [
+    ("ellipsoid", {"a0": SQRT2, "h": 2, "pullback_grid": [64, 64, 64]}),
+    ("return-map", {"hamiltonian": {"type": "rigid", "h": 2, "p": 1, "q": 3},
+                    "step": TWO_PI / 20000.0}),
+], ids=["grid-64", "step-at-bound"])
+def test_work_bounds_admit_their_limits(scenario, payload):
+    RunConfig.parse(scenario, json.loads(json.dumps(payload)))
 
 
 def test_cli_non_finite_result_exit_three(tmp_path, capsys, monkeypatch):
