@@ -26,6 +26,22 @@ import numpy as np
 from .errors import ConfigurationError, PreconditionError
 from .geometry import TWO_PI, spectral_derivative, wrap_angle
 
+# extended_contact_audit's b values, directions and rho ladder
+_AUDIT_B = np.linspace(0.0, TWO_PI, 16, endpoint=False)
+_AUDIT_DIRS = np.linspace(0.0, TWO_PI, 32, endpoint=False)
+_AUDIT_RHO = 0.05 * 0.5 ** np.arange(6)
+# adapted_collar_g solves on [1 - _COLLAR_WIDTH, 1] to _COLLAR_TOL in tau
+_COLLAR_WIDTH = 0.5
+_COLLAR_TOL = 1e-12
+# pullback_residual's radial range, and grid spacing / difference step
+_PULLBACK_R_RANGE = (0.05, 0.8)
+_PULLBACK_STEP_FRACTION = 10.0
+# the angular step of PolarFunction.dtheta's fallback; primitive_change_audit's
+# boundary angles and the radial step of its one-sided stencils at r = 1
+_DTHETA_STEP = 1e-5
+_PRIMITIVE_N_THETA = 64
+_BOUNDARY_HR = 1e-3
+
 # ---------------------------------------------------------------------------
 # chart and binding function
 # ---------------------------------------------------------------------------
@@ -557,8 +573,7 @@ class ExtendedContactReport:
         return out
 
 
-def extended_contact_audit(f_lift, chart: BindingChart, n_b=16, n_dirs=32,
-                           rho_samples=None):
+def extended_contact_audit(f_lift, chart: BindingChart):
     """Check that the extended form is contact along the binding.
 
     The volume density per db ^ rho drho ^ dvartheta is
@@ -571,30 +586,25 @@ def extended_contact_audit(f_lift, chart: BindingChart, n_b=16, n_dirs=32,
     when f is C^1.  A nonpositive f is reported as a failed audit with a
     zero-volume certificate, not raised.
     """
-    if rho_samples is None:
-        rho_samples = 0.05 * 0.5 ** np.arange(6)
-    rho_samples = np.asarray(rho_samples, dtype=float)
-    b_values = np.linspace(0.0, TWO_PI, n_b, endpoint=False)
-    dirs = np.linspace(0.0, TWO_PI, n_dirs, endpoint=False)
-    bb, rr, tt = np.meshgrid(b_values, rho_samples, dirs, indexing="ij")
+    bb, rr, tt = np.meshgrid(_AUDIT_B, _AUDIT_RHO, _AUDIT_DIRS, indexing="ij")
     f = f_lift(bb, rr, tt)
-    eta = rho_samples[None, :, None] / 4.0
+    eta = _AUDIT_RHO[None, :, None] / 4.0
     f_rho = (f_lift(bb, rr + eta, tt) - f_lift(bb, rr - eta, tt)) / (2 * eta)
     f_b = spectral_derivative(f, axis=0)
 
     shell = (1.0 - rr**2)
     density = 2 * f * shell**2 + shell**2 * f_rho * rr + 4 * f * shell * rr**2
 
-    w = _extrapolation_weights(rho_samples[2:])
-    f_binding = np.einsum("m,bmd->bd", w, f[:, 2:, :])
-    density_binding = np.einsum("m,bmd->bd", w, density[:, 2:, :])
+    def limit(samples):
+        return _limit_to_zero(samples, _AUDIT_RHO, use=slice(2, None))
+
+    f_binding = limit(f)
+    density_binding = limit(density)
 
     pairing = np.abs((1.0 - rr**2) ** 2 - 1.0)
     contraction = rr * np.sqrt(16.0 * (1.0 - rr**2) ** 2 + f_b**2)
-    pairing_defect = abs(float(np.einsum("m,bmd->bd", w, pairing[:, 2:, :]).max()))
-    contraction_defect = abs(float(
-        np.einsum("m,bmd->bd", w, contraction[:, 2:, :]).max()
-    ))
+    pairing_defect = abs(float(limit(pairing).max()))
+    contraction_defect = abs(float(limit(contraction).max()))
 
     fmin = float(f_binding.min())
     vmin = float(min(density.min(), density_binding.min()))
@@ -603,7 +613,8 @@ def extended_contact_audit(f_lift, chart: BindingChart, n_b=16, n_dirs=32,
     if not passed:
         idx = np.unravel_index(np.argmin(f_binding), f_binding.shape)
         cert = {
-            "where": {"b": float(b_values[idx[0]]), "vartheta": float(dirs[idx[1]])},
+            "where": {"b": float(_AUDIT_B[idx[0]]),
+                      "vartheta": float(_AUDIT_DIRS[idx[1]])},
             "f_limit": fmin,
             "volume_density": vmin,
         }
@@ -622,12 +633,12 @@ def extended_contact_audit(f_lift, chart: BindingChart, n_b=16, n_dirs=32,
 # ---------------------------------------------------------------------------
 
 
-def adapted_collar_g(H, h, s, theta, tau, collar_width=0.5, tol=1e-12):
+def adapted_collar_g(H, h, s, theta, tau):
     """Solve tau = h r^2 - H_s(r, theta) for r near the boundary.
 
     The boundary-slope form of the contact condition makes tau strictly
     increasing in r on a collar, so a bracketed bisection + Newton polish
-    converges; residuals are driven below ``tol`` (in tau units).
+    converges; residuals are driven below ``_COLLAR_TOL`` (in tau units).
     """
 
     def tau_of(r):
@@ -640,8 +651,9 @@ def adapted_collar_g(H, h, s, theta, tau, collar_width=0.5, tol=1e-12):
         radial = np.cos(theta) * g[0] + np.sin(theta) * g[1]
         return 2.0 * h * r - float(radial)
 
-    r_lo = 1.0 - collar_width
+    r_lo = 1.0 - _COLLAR_WIDTH
     t_lo, t_hi = tau_of(r_lo), tau_of(1.0)
+    tol = _COLLAR_TOL
     if not (min(t_lo, t_hi) - tol <= tau <= max(t_lo, t_hi) + tol):
         raise PreconditionError(
             f"tau = {tau} not bracketed on the collar "
@@ -725,25 +737,25 @@ def quotient_map(spec: QuotientMapSpec, s, r, theta):
     )
 
 
-def pullback_residual(spec: QuotientMapSpec, H, n_s=32, n_r=32, n_theta=32,
-                      r_range=(0.05, 0.8), step_fraction=10.0):
+def pullback_residual(spec: QuotientMapSpec, H, n_s=32, n_r=32, n_theta=32):
     """sup |Psi^*(r1^2 dth1 + r2^2 dth2) - (H ds + r^2 dtheta)| over a grid.
 
     The pullback is computed through fourth-order finite differences of the
     four components of the quotient map, with step = grid spacing divided
-    by ``step_fraction``; on coarse grids the residual is discretization
-    dominated.  The exact identity makes the true value zero.
+    by ``_PULLBACK_STEP_FRACTION``; on coarse grids the residual is
+    discretization dominated.  The exact identity makes the true value zero.
     """
+    r_lo, r_hi = _PULLBACK_R_RANGE
     s_vals = np.linspace(0.0, TWO_PI, n_s, endpoint=False)
-    r_vals = np.linspace(r_range[0], r_range[1], n_r)
+    r_vals = np.linspace(r_lo, r_hi, n_r)
     t_vals = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
     ss, rr, tt = np.meshgrid(s_vals, r_vals, t_vals, indexing="ij")
 
     steps = (
-        (s_vals[1] - s_vals[0]) / step_fraction,
-        min((r_vals[1] - r_vals[0]) / step_fraction,
-            r_range[0] / 2.2, (1.0 - r_range[1]) / 2.2),
-        (t_vals[1] - t_vals[0]) / step_fraction,
+        (s_vals[1] - s_vals[0]) / _PULLBACK_STEP_FRACTION,
+        min((r_vals[1] - r_vals[0]) / _PULLBACK_STEP_FRACTION,
+            r_lo / 2.2, (1.0 - r_hi) / 2.2),
+        (t_vals[1] - t_vals[0]) / _PULLBACK_STEP_FRACTION,
     )
 
     def liouville_pair(coords, d_coords):
@@ -764,7 +776,6 @@ def pullback_residual(spec: QuotientMapSpec, H, n_s=32, n_r=32, n_theta=32,
     coords = [ss, rr, tt]
     for axis in range(3):
         h = steps[axis]
-        args = [c.copy() for c in coords]
 
         def shift(mult):
             a = [c.copy() for c in coords]
@@ -816,17 +827,17 @@ class PolarFunction:
     def value(self, r, theta):
         return np.asarray(self._value(np.asarray(r, float), np.asarray(theta, float)))
 
-    def dtheta(self, r, theta, step=1e-5):
+    def dtheta(self, r, theta):
         if self._dtheta is not None:
             return np.asarray(self._dtheta(np.asarray(r, float), np.asarray(theta, float)))
+        step = _DTHETA_STEP
         return (self.value(r, theta + step) - self.value(r, theta - step)) / (2 * step)
 
 
 _BOUNDARY_TOL = 1e-6
 
 
-def primitive_change_audit(F: PolarFunction, h, n_theta=64,
-                           settings: ExtensionSettings = None):
+def primitive_change_audit(F: PolarFunction, h):
     """Audit whether lambda + dF still yields an extendable contact form.
 
     Invariance of the new form under the boundary circle action forces the
@@ -837,24 +848,23 @@ def primitive_change_audit(F: PolarFunction, h, n_theta=64,
     rho^2 G(1-rho^2, b - h*vartheta) lifts a C^2 function; that reuses the
     extension machinery at order 2.
     """
-    theta = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
+    theta = np.linspace(0.0, TWO_PI, _PRIMITIVE_N_THETA, endpoint=False)
 
     ft = F.dtheta(np.ones_like(theta), theta)
     ftt = spectral_derivative(ft, order=2)
     theta2_defect = float(np.max(np.abs(ftt)))
 
     # one-sided r-derivative of dF/dtheta at the boundary
-    hr = 1e-3
-    nodes = 1.0 - hr * np.arange(5)
+    nodes = 1.0 - _BOUNDARY_HR * np.arange(5)
     vals = np.stack([F.dtheta(np.full_like(theta, rn), theta) for rn in nodes])
     c = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-    mixed = -(c @ vals) / hr
+    mixed = -(c @ vals) / _BOUNDARY_HR
     mixed_defect = float(np.max(np.abs(mixed)))
 
     ok_boundary = theta2_defect <= _BOUNDARY_TOL and mixed_defect <= _BOUNDARY_TOL
 
-    settings = settings or ExtensionSettings(
-        k_max=2, rho0=0.25, n_rungs=8, n_deriv_rungs=4, n_b=6, n_dirs=n_theta
+    settings = ExtensionSettings(
+        k_max=2, rho0=0.25, n_rungs=8, n_deriv_rungs=4, n_b=6, n_dirs=theta.size
     )
 
     def g_of(r, th):
@@ -888,9 +898,9 @@ def primitive_change_audit(F: PolarFunction, h, n_theta=64,
     ), g_of
 
 
-def _g_boundary_limit(F, theta, hr=1e-3):
-    nodes = 1.0 - hr * np.arange(6)
+def _g_boundary_limit(F, theta):
+    nodes = 1.0 - _BOUNDARY_HR * np.arange(6)
     vals = np.stack([F.dtheta(np.full_like(theta, rn), theta) for rn in nodes])
     # second one-sided derivative of dF/dtheta at r = 1, then halve
     c = np.array([45.0, -154.0, 214.0, -156.0, 61.0, -10.0]) / 12.0
-    return (c @ vals) / hr**2 / 2.0
+    return (c @ vals) / _BOUNDARY_HR**2 / 2.0

@@ -17,6 +17,7 @@ from .errors import ConfigurationError, IntegrationError, PreconditionError
 from .geometry import TWO_PI, as_xy
 
 DISC_DRIFT_TOL = 1e-6
+_NEWTON_STEPS = 10
 
 
 @dataclass
@@ -315,7 +316,7 @@ class PeriodicPointRecord:
 
 
 def periodic_point_scan(H, max_period, grid_points, tol=1e-6, settings=None,
-                        newton_steps=10, newton_tol=1e-10):
+                        newton_tol=1e-10):
     """Scan grid points for |psi^k(p) - p| < tol, k <= max_period.
 
     Candidates are refined by Newton on psi^k - id using the variational
@@ -342,21 +343,21 @@ def periodic_point_scan(H, max_period, grid_points, tol=1e-6, settings=None,
         res = np.sqrt(np.sum((current - pts[remaining]) ** 2, axis=-1))
         hits = res < tol
         found.extend(_refine_periodic_points(
-            H, pts[remaining[hits]], k, settings, newton_steps, newton_tol
+            H, pts[remaining[hits]], k, settings, newton_tol
         ))
         remaining = remaining[~hits]
         current = current[~hits]
     return found
 
 
-def _refine_periodic_points(H, p0, k, settings, newton_steps, newton_tol):
+def _refine_periodic_points(H, p0, k, settings, newton_tol):
     """Newton on psi^k - id for a batch (n, 2) of period-k candidates."""
     p = np.array(p0, dtype=float)
     residual = [None] * len(p)
     converged = np.zeros(len(p), dtype=bool)
     active = np.arange(len(p))
     eye = np.eye(2)
-    for _ in range(newton_steps):
+    for _ in range(_NEWTON_STEPS):
         if not len(active):
             break
         start = p[active]

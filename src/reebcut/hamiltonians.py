@@ -19,6 +19,9 @@ from .geometry import TWO_PI, as_xy, radius
 # centered-difference steps of the gradient and Hessian fallbacks
 _FD_STEP = 1e-5
 _FD_HESSIAN_STEP = 1e-4
+_PERIODICITY_N_S = 16
+_PERIODICITY_N_POINTS = 64
+_PERIODICITY_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -326,17 +329,18 @@ def cosine_defect_hamiltonian(h, c, d):
     )
 
 
-def check_s_periodicity(H, n_s=16, n_points=64, tol=1e-10, rng=None):
-    """Max |H(s + 2*pi) - H(s)| over random samples; must stay below tol."""
-    rng = rng or np.random.default_rng(0)
-    r = np.sqrt(rng.uniform(0.0, 1.0, n_points))
-    t = rng.uniform(0.0, TWO_PI, n_points)
+def check_s_periodicity(H):
+    """Max |H(s + 2*pi) - H(s)| over random samples, at most _PERIODICITY_TOL."""
+    # a fresh generator per call: a shared one would move the draws
+    rng = np.random.default_rng(0)
+    r = np.sqrt(rng.uniform(0.0, 1.0, _PERIODICITY_N_POINTS))
+    t = rng.uniform(0.0, TWO_PI, _PERIODICITY_N_POINTS)
     xy = np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
     worst = 0.0
-    for s in np.linspace(0.0, TWO_PI, n_s, endpoint=False):
+    for s in np.linspace(0.0, TWO_PI, _PERIODICITY_N_S, endpoint=False):
         defect = np.max(np.abs(H.value(s + TWO_PI, xy) - H.value(s, xy)))
         worst = max(worst, float(defect))
-    if worst > tol:
+    if worst > _PERIODICITY_TOL:
         raise PreconditionError(f"H is not 2*pi-periodic in s (defect {worst:.3e})")
     return worst
 

@@ -26,6 +26,12 @@ from .geometry import TWO_PI, spectral_derivative
 from .hamiltonians import QuadraticHamiltonian
 
 DEGENERACY_TOL = 1e-9
+# the second Hopf fiber's phase; count and seed of the random candidate
+# poles of the stereographic chart; the push-off of the visualized binding
+_HOPF_PHASE = 0.3
+_N_POLES = 64
+_POLE_SEED = 7
+_VIEW_PUSH_EPS = 0.02
 
 
 class Frame(Enum):
@@ -180,12 +186,12 @@ def _winding_of_transported_vector(H, p, period, covers, flow_settings):
 
 
 def rotation_number(H, orbit, frame=Frame.INTERIOR, settings=None,
-                    h=None, f0=None, period=1, point=None):
+                    h=None, period=1, point=None):
     """Rotation number of a closed Reeb orbit in a chosen framing.
 
     orbit 'C' is the central orbit (the Hamiltonian vector field must
     vanish at the origin); orbit 'B' the binding circle, whose rotation is
-    read off the extension limit f(0) (pass ``f0``, or it is measured);
+    read off the extension limit f(0), measured by ``extension_test``;
     any other closed orbit is specified by ``point`` and ``period`` and
     handled numerically.  Closed-form quadratic Hamiltonians short-circuit
     to their analytic values; numeric orbits transport a frame vector
@@ -196,16 +202,15 @@ def rotation_number(H, orbit, frame=Frame.INTERIOR, settings=None,
         h = int(round(H.boundary_value))
 
     if orbit == "B":
-        if f0 is None:
-            if isinstance(H, QuadraticHamiltonian):
-                f0 = 2.0 * H.a0
-            else:
-                report = extension_test(H, BindingChart(h=h))
-                if not report.order_passed(1):
-                    raise PreconditionError(
-                        "binding rotation number needs a C^1 extension"
-                    )
-                f0 = report.f0
+        if isinstance(H, QuadraticHamiltonian):
+            f0 = 2.0 * H.a0
+        else:
+            report = extension_test(H, BindingChart(h=h))
+            if not report.order_passed(1):
+                raise PreconditionError(
+                    "binding rotation number needs a C^1 extension"
+                )
+            f0 = report.f0
         rho_binding = 2.0 / f0
         offsets = {
             Frame.BINDING: 0.0,
@@ -218,31 +223,22 @@ def rotation_number(H, orbit, frame=Frame.INTERIOR, settings=None,
         return rho_binding + offsets[frame]
 
     if orbit == "C":
-        origin = np.zeros(2)
-        speed = float(np.max(np.abs(H.velocity(0.0, origin))))
+        # the central orbit: the closed orbit of period 1 at the origin
+        point, period = np.zeros(2), 1
+        speed = float(np.max(np.abs(H.velocity(0.0, point))))
         if speed > _CENTER_TOL:
             raise PreconditionError(
                 f"center is not a fixed point (|X(0)| = {speed:.3e})"
             )
-        if isinstance(H, QuadraticHamiltonian):
-            rho_int = -H.a2
-        else:
-            rho_int = _winding_of_transported_vector(
-                H, origin, TWO_PI, settings.covers, settings.flow
-            )
-        offsets = {
-            Frame.INTERIOR: 0.0,
-            Frame.SURFACE: float(h),
-            Frame.BINDING: float(h) + 1.0,
-        }
-        return rho_int + offsets[frame]
-
-    if point is None:
+    elif point is None:
         raise PreconditionError("periodic orbits need an explicit point")
-    rho_int = _winding_of_transported_vector(
-        H, np.asarray(point, dtype=float), TWO_PI * period,
-        settings.covers, settings.flow,
-    )
+    if orbit == "C" and isinstance(H, QuadraticHamiltonian):
+        rho_int = -H.a2
+    else:
+        rho_int = _winding_of_transported_vector(
+            H, np.asarray(point, dtype=float), TWO_PI * period,
+            settings.covers, settings.flow,
+        )
     offsets = {
         Frame.INTERIOR: 0.0,
         Frame.SURFACE: float(h * period),
@@ -312,12 +308,12 @@ def _orthonormal_complement(pole):
     return frame
 
 
-def hopf_circles(n=256, phase=0.3):
+def hopf_circles(n=256):
     """Two fibers of the positive Hopf fibration, as R^4 samples."""
     t = np.linspace(0.0, TWO_PI, n, endpoint=False)
     c1 = np.stack([np.cos(t), np.sin(t), np.zeros(n), np.zeros(n)], axis=-1)
-    c2 = np.stack([np.zeros(n), np.zeros(n), np.cos(t + phase),
-                   np.sin(t + phase)], axis=-1)
+    c2 = np.stack([np.zeros(n), np.zeros(n), np.cos(t + _HOPF_PHASE),
+                   np.sin(t + _HOPF_PHASE)], axis=-1)
     return c1, c2
 
 
@@ -389,30 +385,32 @@ def binding_pushoff_curves(spec: QuotientMapSpec, H, push_eps, n_samples):
     return curve_b, curve_push
 
 
-def _to_unit_sphere(points4):
-    norms = np.linalg.norm(points4, axis=-1, keepdims=True)
-    return points4 / norms
-
-
-def _candidate_poles(n=64, seed=7):
-    rng = np.random.default_rng(seed)
-    pts = rng.normal(size=(n, 4))
+def _candidate_poles():
+    rng = np.random.default_rng(_POLE_SEED)
+    pts = rng.normal(size=(_N_POLES, 4))
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
-def linking_curves_r3(spec: QuotientMapSpec, H, push_eps=0.02, n_samples=512,
-                      pole=None):
+def _project_from_farthest_pole(curve_b, curve_push):
+    """Both R^4 curves on the unit sphere, projected from the candidate
+    pole farthest from either; returns the two R^3 curves and the pole."""
+    sb, sp = (c / np.linalg.norm(c, axis=-1, keepdims=True)
+              for c in (curve_b, curve_push))
+    poles = _candidate_poles()
+    dists = np.minimum(
+        np.linalg.norm(sb[None] - poles[:, None], axis=-1).min(axis=1),
+        np.linalg.norm(sp[None] - poles[:, None], axis=-1).min(axis=1),
+    )
+    pole = poles[int(np.argmax(dists))]
+    return stereographic_project(sb, pole), stereographic_project(sp, pole), pole
+
+
+def linking_curves_r3(spec: QuotientMapSpec, H, n_samples=512):
     """The binding and its push-off as R^3 polylines (for visualization)."""
-    curve_b, curve_push = binding_pushoff_curves(spec, H, push_eps, n_samples)
-    sb, sp = _to_unit_sphere(curve_b), _to_unit_sphere(curve_push)
-    if pole is None:
-        poles = _candidate_poles()
-        dists = np.minimum(
-            np.linalg.norm(sb[None] - poles[:, None], axis=-1).min(axis=1),
-            np.linalg.norm(sp[None] - poles[:, None], axis=-1).min(axis=1),
-        )
-        pole = poles[int(np.argmax(dists))]
-    return stereographic_project(sb, pole), stereographic_project(sp, pole)
+    curve_b, curve_push = binding_pushoff_curves(spec, H, _VIEW_PUSH_EPS,
+                                                 n_samples)
+    p1, p2, _ = _project_from_farthest_pole(curve_b, curve_push)
+    return p1, p2
 
 
 def polylines_to_csv(curves, names=None):
@@ -437,18 +435,7 @@ def self_linking(spec: QuotientMapSpec, H, push_eps=0.02, n_samples=512):
     if not 1e-3 <= push_eps <= 1e-1:
         raise PreconditionError("push_eps must lie in [1e-3, 1e-1]")
     curve_b, curve_push = binding_pushoff_curves(spec, H, push_eps, n_samples)
-    sb = _to_unit_sphere(curve_b)
-    sp = _to_unit_sphere(curve_push)
-
-    poles = _candidate_poles()
-    dists = np.minimum(
-        np.linalg.norm(sb[None, :, :] - poles[:, None, :], axis=-1).min(axis=1),
-        np.linalg.norm(sp[None, :, :] - poles[:, None, :], axis=-1).min(axis=1),
-    )
-    pole = poles[int(np.argmax(dists))]
-
-    p1 = stereographic_project(sb, pole)
-    p2 = stereographic_project(sp, pole)
+    p1, p2, pole = _project_from_farthest_pole(curve_b, curve_push)
 
     min_dist = min_curve_distance(p1, p2)
     if min_dist < 10.0 * push_eps / n_samples:

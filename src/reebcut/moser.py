@@ -73,6 +73,11 @@ def spectral_cumulative(values, axis):
 # ---------------------------------------------------------------------------
 
 
+# support and power of the polynomial bump profile
+_CHI_SUPPORT = (0.3, 0.7)
+_CHI_POWER = 8
+
+
 @dataclass
 class BumpProfile:
     """A one-variable bump with unit integral, compactly supported in (0, 1)."""
@@ -80,15 +85,17 @@ class BumpProfile:
     fn: callable
 
     @classmethod
-    def polynomial(cls, a=0.3, b=0.7, power=8):
+    def polynomial(cls):
         """Normalized bump ((y-a)(b-y))^power on [a, b]; integral exactly 1.
 
-        The default power keeps the periodic extension C^7, so spectral
-        antiderivatives built from it leave only ~1e-12 dust outside the
-        mathematical support.
+        [a, b] is ``_CHI_SUPPORT``, and the power ``_CHI_POWER`` keeps the
+        periodic extension C^7, so spectral antiderivatives built from it
+        leave only ~1e-12 dust outside the mathematical support.
         """
         from math import comb
 
+        a, b = _CHI_SUPPORT
+        power = _CHI_POWER
         # int_0^1 t^p (1-t)^p dt = 1 / ((2p+1) C(2p, p))
         norm = (2 * power + 1) * comb(2 * power, power) / (b - a)
 
@@ -445,7 +452,7 @@ class MoserMap:
 
 
 def moser_flow(omega0: GridFunction2D, omega1: GridFunction2D,
-               chi: BumpProfile = None, settings: MoserSettings = None) -> MoserMap:
+               settings: MoserSettings = None) -> MoserMap:
     """Diffeomorphism psi of the square with psi* omega_1 = omega_0.
 
     Both densities must be positive (the linear path between them then stays
@@ -477,7 +484,7 @@ def moser_flow(omega0: GridFunction2D, omega1: GridFunction2D,
         raise PreconditionError("densities must agree near the boundary")
 
     eta = GridFunction2D(values=g1.values - g0.values, compact=True)
-    sigma = poincare_primitive(eta, chi)
+    sigma = poincare_primitive(eta)
     return MoserMap(sigma, g0, g1, settings)
 
 
@@ -526,9 +533,6 @@ class HamiltonianIsotopyPath:
             out[idx] = cur
         return out
 
-    def __call__(self, s, points):
-        return self.evaluate_on_grid([s], points)[0]
-
 
 def _stencil_derivative(samples, ds, axis=0):
     """Fourth-order d/ds of equally spaced snapshots, one-sided at the ends."""
@@ -559,6 +563,8 @@ _AREA_TOL = 1e-5
 _ORACLE_GRID = 160
 # probe step of the Jacobians along g_function_values' integration lines
 _LINE_PROBE_STEP = 1e-5
+# angle nodes wrapped onto each end of a slice before splining in theta
+_THETA_PAD = 6
 
 
 @dataclass
@@ -610,8 +616,9 @@ class CanonicalHamiltonian(Hamiltonian):
 
     # -- re-gridding one time slice --------------------------------------
 
-    def _theta_padded(self, arr, pad=6):
+    def _theta_padded(self, arr):
         # arr indexed (..., nr, nt); wrap the angle axis for splining
+        pad = _THETA_PAD
         return np.concatenate([arr[..., -pad:], arr, arr[..., :pad]], axis=-1)
 
     def _slice_spline(self, j):
@@ -620,9 +627,9 @@ class CanonicalHamiltonian(Hamiltonian):
         from scipy.interpolate import RectBivariateSpline
         from scipy.spatial import cKDTree
 
-        pad = 6
         th = self.theta_nodes
-        th_pad = np.concatenate([th[-pad:] - TWO_PI, th, th[:pad] + TWO_PI])
+        th_pad = np.concatenate([th[-_THETA_PAD:] - TWO_PI, th,
+                                 th[:_THETA_PAD] + TWO_PI])
         r = self.r_nodes
 
         def psp(values):
@@ -713,9 +720,9 @@ def canonical_hamiltonian(path, settings: CanonicalRecoverySettings = None
     """Recover the generating Hamiltonian of a compactly supported isotopy.
 
     For the path psi_s (psi_0 = id, each psi_s area-preserving and the
-    identity near the boundary), let X_s be the velocity field read off the
-    path and G_s the unique compactly supported function with
-    psi_s* lambda - lambda = dG_s.  Then
+    identity near the boundary), read through its ``evaluate_on_grid``,
+    let X_s be the velocity field read off the path and G_s the unique
+    compactly supported function with psi_s* lambda - lambda = dG_s.  Then
 
         H_s = -lambda(X_s) + (dG_s/ds) o psi_s^{-1}
 
@@ -752,10 +759,7 @@ def canonical_hamiltonian(path, settings: CanonicalRecoverySettings = None
     )
 
     s_nodes = np.linspace(0.0, TWO_PI, st.n_s + 1)
-    if hasattr(path, "evaluate_on_grid"):
-        snaps = path.evaluate_on_grid(s_nodes, probes)
-    else:
-        snaps = np.stack([path(s, probes) for s in s_nodes], axis=0)
+    snaps = path.evaluate_on_grid(s_nodes, probes)
 
     images = snaps[:, :n_pts]
     id_defect = float(np.max(np.abs(images[0] - flat)))
@@ -841,7 +845,8 @@ def g_function_values(path, s, targets, route="radial", n_quad=129):
 
     route 'radial' integrates along rays from the boundary circle; 'axis'
     walks parallel to the x-axis from the right or left boundary point at
-    the same height.  Exactness of the form makes both agree.
+    the same height.  Exactness of the form makes both agree.  ``path``
+    is read through its ``evaluate_on_grid``.
     """
     from scipy.integrate import cumulative_simpson
 
@@ -872,10 +877,7 @@ def g_function_values(path, s, targets, route="radial", n_quad=129):
         probes = np.concatenate(
             [line, line + [h, 0], line - [h, 0], line + [0, h], line - [0, h]]
         )
-        if hasattr(path, "evaluate_on_grid"):
-            img = path.evaluate_on_grid([s], probes)[0]
-        else:
-            img = path(s, probes)
+        img = path.evaluate_on_grid([s], probes)[0]
         n = n_quad
         jac = np.empty((n, 2, 2))
         jac[..., 0] = (img[n:2 * n] - img[2 * n:3 * n]) / (2 * h)

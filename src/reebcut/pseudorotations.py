@@ -138,56 +138,47 @@ class _ConjugatorGenerator(Hamiltonian):
         # normalize the quartic bump to peak amplitude 1
         self._norm = (width / 2.0) ** -8
 
-    def _bump(self, t, order=0):
-        t0, t1 = self.t0, self.t1
-        inside = (t > t0) & (t < t1)
-        a = np.where(inside, t - t0, 0.0)
-        b = np.where(inside, t1 - t, 0.0)
-        if order == 0:
-            return self._norm * (a * b) ** 4
-        if order == 1:
-            return self._norm * 4.0 * (a * b) ** 3 * (b - a)
-        return self._norm * (12.0 * (a * b) ** 2 * (b - a) ** 2
-                             - 8.0 * (a * b) ** 3)
-
-    def _angular(self, xy, d=0):
-        k = self.spec.mode
-        z = xy[..., 0] + 1j * xy[..., 1]
-        rot = np.exp(-1j * self.spec.phase)
-        return z ** (k - d) * rot
-
-    def value(self, s, xy):
-        xy = np.asarray(xy, dtype=float)
-        t = xy[..., 0] ** 2 + xy[..., 1] ** 2
-        return self.spec.amplitude * self._bump(t) * np.real(self._angular(xy))
-
-    def _grad_components(self, xy):
-        # _bump(t), _bump(t, 1), _angular(xy) and k * _angular(xy, 1) with
-        # their shared subexpressions computed once; same expressions in the
-        # same order, so the result is bitwise that of the composition
+    def _jet(self, xy, order):
+        """Bump jet [w, w', w''] at t = r^2 and angular jet [P, k z^(k-1),
+        k(k-1) z^(k-2)], each power of z = x + iy times e^{-i phase} and P
+        the real part of the first, both cut at ``order``.  The last term is
+        0 for k < 2, where it would be 0 * inf at the origin."""
         if xy.ndim == 1:
-            # one (2,) point runs as a one-point batch: on its 0-d arrays
-            # numpy returns complex scalars, whose arithmetic differs in the
-            # last bit from the array loops on about one point in six
-            gx, gy = self._grad_components(xy[None])
-            return gx[0], gy[0]
-        x, y = xy[..., 0], xy[..., 1]
+            # one (2,) point runs as a one-point batch: on 0-d arrays numpy's
+            # complex scalar arithmetic differs in the last bit from its loops
+            bump, ang = self._jet(xy[None], order)
+            return [v[0] for v in bump], [v[0] for v in ang]
         k = self.spec.mode
+        x, y = xy[..., 0], xy[..., 1]
         t = x * x + y * y
         inside = (t > self.t0) & (t < self.t1)
         a = np.where(inside, t - self.t0, 0.0)
         b = np.where(inside, self.t1 - t, 0.0)
         ab = a * b
-        w = self._norm * ab ** 4
-        wp = self._norm * 4.0 * ab ** 3 * (b - a)
         # x + iy as a zero-copy view of the (..., 2) pairs
         z = np.ascontiguousarray(xy).view(np.complex128)[..., 0]
         rot = np.exp(-1j * self.spec.phase)
-        p = np.real(z ** k * rot)
-        # z ** 1 costs a complex pow and returns z, except that a zero base
-        # comes back as +0: only the origin, outside the support, can then
-        # see its zero gradient change sign, and only from -0.0 inputs
-        zk1 = k * ((z if k == 2 else z ** (k - 1)) * rot)
+        bump, ang = [self._norm * ab ** 4], [np.real(z ** k * rot)]
+        if order >= 1:
+            bump.append(self._norm * 4.0 * ab ** 3 * (b - a))
+            # z ** 1 costs a complex pow and returns z, except that a zero
+            # base comes back as +0: only the origin, outside the support,
+            # can then see a zero change sign, and only from -0.0 inputs
+            ang.append(k * ((z if k == 2 else z ** (k - 1)) * rot))
+        if order >= 2:
+            bump.append(self._norm * (12.0 * ab ** 2 * (b - a) ** 2
+                                      - 8.0 * ab ** 3))
+            ang.append(k * (k - 1) * (z ** (k - 2) * rot) if k >= 2
+                       else np.zeros_like(z))
+        return bump, ang
+
+    def value(self, s, xy):
+        (w,), (p,) = self._jet(np.asarray(xy, dtype=float), 0)
+        return self.spec.amplitude * w * p
+
+    def _grad_components(self, xy):
+        x, y = xy[..., 0], xy[..., 1]
+        (w, wp), (p, zk1) = self._jet(xy, 1)
         px, py = np.real(zk1), -np.imag(zk1)
         gx = self.spec.amplitude * (2.0 * x * wp * p + w * px)
         gy = self.spec.amplitude * (2.0 * y * wp * p + w * py)
@@ -208,13 +199,7 @@ class _ConjugatorGenerator(Hamiltonian):
     def hessian(self, s, xy):
         xy = np.asarray(xy, dtype=float)
         x, y = xy[..., 0], xy[..., 1]
-        k = self.spec.mode
-        t = x * x + y * y
-        w, wp, wpp = self._bump(t), self._bump(t, 1), self._bump(t, 2)
-        zk = self._angular(xy)
-        zk1 = k * self._angular(xy, 1)
-        zk2 = k * (k - 1) * self._angular(xy, 2)
-        p = np.real(zk)
+        (w, wp, wpp), (p, zk1, zk2) = self._jet(xy, 2)
         px, py = np.real(zk1), -np.imag(zk1)
         pxx, pxy = np.real(zk2), -np.imag(zk2)
         pyy = -np.real(zk2)
@@ -313,7 +298,8 @@ def build_conjugator(spec: ConjugatorSpec, steps=300, audit=False):
         det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
         area_defect = float(np.max(np.abs(det - 1.0)))
         round_trip = float(np.max(np.abs(phi.inverse(phi(pts)) - pts)))
-        if area_defect > 1e-8 or round_trip > 1e-8:
+        # written so that NaN fails: NaN comparisons are false
+        if not (area_defect <= 1e-8 and round_trip <= 1e-8):
             raise IntegrationError(
                 f"conjugator audit failed: area defect {area_defect:.2e}, "
                 f"round trip {round_trip:.2e}"
@@ -535,6 +521,9 @@ def conjugated_stage(h, p, q, spec: ConjugatorSpec = None, phi: DiscDiffeo = Non
 
 # each stage's conjugator amplitude is this fraction of the previous one's
 _AMPLITUDE_FACTOR = 0.5
+# per stage: the periodic scan's polar grid (rings, rays) and the audit grid
+_SCAN_GRID = (3, 8)
+_AUDIT_GRID = SamplingGrid(n_s=8, n_r=24, n_theta=24)
 
 
 @dataclass
@@ -542,14 +531,12 @@ class ConjugatorSchedule:
     delta0: float = 0.4
     amplitude0: float = 0.2
     mode: int = 2
-    r_inner: float = 0.15
 
     def spec(self, nu):
         return ConjugatorSpec(
             amplitude=self.amplitude0 * _AMPLITUDE_FACTOR**nu,
             delta=self.delta0 * 2.0**-nu,
             mode=self.mode,
-            r_inner=self.r_inner,
         )
 
 
@@ -586,9 +573,7 @@ def _stage_extension_settings(delta):
 
 
 def stage_sequence(target_a, count, h, schedule: ConjugatorSchedule = None,
-                   settings: FlowSettings = None, scan_grid=(3, 8),
-                   audit_grid=SamplingGrid(n_s=8, n_r=24, n_theta=24),
-                   w_grid=512):
+                   settings: FlowSettings = None, w_grid=512):
     """Build ``count`` stages along the convergents of an irrational target.
 
     Per stage: contact audit, extension test (with the expected a set to
@@ -608,7 +593,7 @@ def stage_sequence(target_a, count, h, schedule: ConjugatorSchedule = None,
         stage = conjugated_stage(h, p, q, spec, w_grid=w_grid)
         stage.nu = nu
         ham = stage.hamiltonian
-        audit = contact_audit(ham, audit_grid)
+        audit = contact_audit(ham, _AUDIT_GRID)
         ext = extension_test(
             ham, BindingChart(h=h),
             _stage_extension_settings(spec.delta),
@@ -616,7 +601,7 @@ def stage_sequence(target_a, count, h, schedule: ConjugatorSchedule = None,
         area = area_preservation_audit(ham, polar_grid(3, 6, r_max=0.8),
                                        settings)
         recs = periodic_point_scan(ham, max_period=q,
-                                   grid_points=polar_grid(*scan_grid, r_max=0.8,
+                                   grid_points=polar_grid(*_SCAN_GRID, r_max=0.8,
                                                           include_center=False),
                                    tol=1e-5, settings=settings)
         stage.diagnostics = {
@@ -691,22 +676,26 @@ def fd_weights(nodes, x0, order):
     return w[order]
 
 
-def boundary_jet_check(H, a, order=2, n_s=8, n_theta=16, step=None):
+_JET_N_S = 8
+_JET_N_THETA = 16
+
+
+def boundary_jet_check(H, a, order=2):
     """Radial jets of H - (h + a - a r^2) at the boundary circle.
 
     One-sided stencils reach inward from r = 1; per-order max defects are
     returned.  Rounding grows like step^{-k}, so high orders need wide
-    steps; with the default the defects of an exact quadratic tail sit
-    near 1e-11 (k <= 2) to 1e-8 (k = 4).
+    steps: order k steps by max(0.02, 0.01 (k + 1)), and the defects of an
+    exact quadratic tail sit near 1e-11 (k <= 2) to 1e-8 (k = 4).
     """
     if order > 6:
         raise PreconditionError("boundary jets are limited to order 6")
     h_val = H.boundary_value
-    s_vals = np.linspace(0.0, TWO_PI, n_s, endpoint=False)
-    t_vals = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
+    s_vals = np.linspace(0.0, TWO_PI, _JET_N_S, endpoint=False)
+    t_vals = np.linspace(0.0, TWO_PI, _JET_N_THETA, endpoint=False)
     defects = []
     for k in range(order + 1):
-        eta = step if step is not None else max(0.02, 0.01 * (k + 1))
+        eta = max(0.02, 0.01 * (k + 1))
         nodes = 1.0 - eta * np.arange(k + 3)
         wts = fd_weights(nodes, 1.0, k)
         worst = 0.0

@@ -132,7 +132,8 @@ _HAMILTONIAN_SCHEMA = {
 }
 
 
-def parse_hamiltonian(block, path="hamiltonian."):
+def parse_hamiltonian(block):
+    path = "hamiltonian."
     cfg = _check_fields(block, _HAMILTONIAN_SCHEMA, path)
     kind = cfg["type"]
     if kind == "quadratic":
@@ -200,8 +201,10 @@ _SCHEMAS = {
     "return-map": {
         "hamiltonian": (dict, True, None, None),
         "n_points": (int, False, 50, lambda v: 1 <= v <= 2000),
+        # one rotation estimate per radius, at most one per sampled point
         "radii": (list, False, [0.3, 0.6],
-                  lambda v: all(isinstance(r, (int, float)) and 0 < r < 1 for r in v)),
+                  lambda v: len(v) <= 2000 and all(
+                      isinstance(r, (int, float)) and 0 < r < 1 for r in v)),
         # at most 20000 RK4 steps per period, ten times the default count
         "step": (float, False, TWO_PI / 2000.0, lambda v: v >= TWO_PI / 20000.0),
         "area_tol": (float, False, 1e-6, lambda v: v > 0),
@@ -224,7 +227,8 @@ _SCHEMAS = {
         "amplitude0": (float, False, 0.1, lambda v: 0 <= v < 0.5),
         "delta0": (float, False, 0.4, lambda v: 0 < v < 0.8),
         "mode": (int, False, 2, lambda v: 1 <= v <= 6),
-        "orbit_iterations": (int, False, 128, lambda v: 0 <= v <= 100_000),
+        # a stage's return map takes about 26 ms: at most about 4.3 minutes
+        "orbit_iterations": (int, False, 128, lambda v: 0 <= v <= 10_000),
     },
     "self-linking": {
         "a0": (float, True, None, lambda v: v > 0),
@@ -254,7 +258,6 @@ class RunReport:
     config: dict
     results: dict
     checks: list
-    version: str = __version__
     wall_times: dict = field(default_factory=dict)
 
     @property
@@ -265,7 +268,7 @@ class RunReport:
         # wall times are deliberately excluded: the report bytes must be a
         # pure function of (config, seed)
         return {
-            "version": self.version,
+            "version": __version__,
             "config": self.config,
             "results": self.results,
             "checks": self.checks,

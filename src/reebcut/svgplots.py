@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 _W, _H, _PAD = 640, 480, 48
+_COLORS = ("steelblue", "firebrick", "darkgreen", "goldenrod", "purple", "gray")
 
 
 def _fmt(x):
@@ -41,8 +42,7 @@ def _frame(title, xlim, ylim):
     return parts
 
 
-def polyline_svg(series, title="", colors=("steelblue", "firebrick", "darkgreen",
-                                           "goldenrod", "purple", "gray")):
+def polyline_svg(series, title=""):
     """SVG with one polyline per (x, y) series pair."""
     xs = np.concatenate([np.asarray(s[0], dtype=float) for s in series])
     ys = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
@@ -56,7 +56,7 @@ def polyline_svg(series, title="", colors=("steelblue", "firebrick", "darkgreen"
         pts = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(px, py))
         parts.append(
             f'<polyline points="{pts}" fill="none" '
-            f'stroke="{colors[i % len(colors)]}" stroke-width="1.2"/>'
+            f'stroke="{_COLORS[i % len(_COLORS)]}" stroke-width="1.2"/>'
         )
     parts.append("</svg>")
     return "\n".join(parts).encode()

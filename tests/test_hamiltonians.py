@@ -435,11 +435,20 @@ def _removed_options():
                          GridFunction2D, OneForm2D, build_conjugator,
                          conjugated_stage, continued_fraction_convergents,
                          primitive_change_audit, reeb_period, stage_sequence)
-    from reebcut.binding import sample_lift_jets
+    from reebcut.binding import (PolarFunction, _g_boundary_limit,
+                                 adapted_collar_g, extended_contact_audit,
+                                 pullback_residual, sample_lift_jets)
+    from reebcut.flows import periodic_point_scan
     from reebcut.hamiltonians import fd_gradient, fd_hessian
-    from reebcut.invariants import RotationSettings
-    from reebcut.moser import CanonicalHamiltonian, g_function_values
-    from reebcut.pseudorotations import ConjugatedRotationHamiltonian
+    from reebcut.invariants import (RotationSettings, _candidate_poles,
+                                    hopf_circles, linking_curves_r3,
+                                    rotation_number)
+    from reebcut.moser import (CanonicalHamiltonian, g_function_values,
+                               moser_flow)
+    from reebcut.pseudorotations import (ConjugatedRotationHamiltonian,
+                                         boundary_jet_check)
+    from reebcut.reports import RunReport, parse_hamiltonian
+    from reebcut.svgplots import polyline_svg
 
     f, origin = _first_coordinate, np.zeros(2)
     return {
@@ -504,6 +513,65 @@ def _removed_options():
         "BumpProfile-support": lambda: BumpProfile(np.sin, support=(0.3, 0.7)),
         "OneForm2D.exterior_derivative-method":
             lambda: OneForm2D(None, None).exterior_derivative("spectral"),
+        "extended_contact_audit-n_b":
+            lambda: extended_contact_audit(None, None, n_b=16),
+        "extended_contact_audit-n_dirs":
+            lambda: extended_contact_audit(None, None, n_dirs=32),
+        "extended_contact_audit-rho_samples":
+            lambda: extended_contact_audit(None, None, rho_samples=[0.1]),
+        "adapted_collar_g-collar_width":
+            lambda: adapted_collar_g(None, 2, 0.0, 0.0, 0.0, collar_width=0.5),
+        "adapted_collar_g-tol":
+            lambda: adapted_collar_g(None, 2, 0.0, 0.0, 0.0, tol=1e-12),
+        "pullback_residual-r_range":
+            lambda: pullback_residual(None, None, r_range=(0.05, 0.8)),
+        "pullback_residual-step_fraction":
+            lambda: pullback_residual(None, None, step_fraction=10.0),
+        "primitive_change_audit-n_theta":
+            lambda: primitive_change_audit(None, 2, n_theta=64),
+        "primitive_change_audit-settings":
+            lambda: primitive_change_audit(None, 2, settings=None),
+        "_g_boundary_limit-hr": lambda: _g_boundary_limit(None, None, hr=1e-3),
+        "PolarFunction.dtheta-step":
+            lambda: PolarFunction(f).dtheta(1.0, 0.0, step=1e-5),
+        "periodic_point_scan-newton_steps":
+            lambda: periodic_point_scan(None, 1, origin, newton_steps=10),
+        "check_s_periodicity-n_s": lambda: check_s_periodicity(None, n_s=16),
+        "check_s_periodicity-n_points":
+            lambda: check_s_periodicity(None, n_points=64),
+        "check_s_periodicity-tol": lambda: check_s_periodicity(None, tol=1e-10),
+        "check_s_periodicity-rng": lambda: check_s_periodicity(None, rng=None),
+        "rotation_number-f0": lambda: rotation_number(None, "B", f0=2.0),
+        "hopf_circles-phase": lambda: hopf_circles(8, phase=0.3),
+        "_candidate_poles-n": lambda: _candidate_poles(n=64),
+        "_candidate_poles-seed": lambda: _candidate_poles(seed=7),
+        "linking_curves_r3-push_eps":
+            lambda: linking_curves_r3(None, None, push_eps=0.02),
+        "linking_curves_r3-pole":
+            lambda: linking_curves_r3(None, None, pole=np.eye(4)[0]),
+        "moser_flow-chi": lambda: moser_flow(None, None, chi=None),
+        "BumpProfile.polynomial-a": lambda: BumpProfile.polynomial(a=0.3),
+        "BumpProfile.polynomial-b": lambda: BumpProfile.polynomial(b=0.7),
+        "BumpProfile.polynomial-power":
+            lambda: BumpProfile.polynomial(power=8),
+        "CanonicalHamiltonian._theta_padded-pad":
+            lambda: CanonicalHamiltonian(*[None] * 6, 0.5)._theta_padded(
+                origin, pad=6),
+        "ConjugatorSchedule-r_inner": lambda: ConjugatorSchedule(r_inner=0.15),
+        "stage_sequence-scan_grid":
+            lambda: stage_sequence(0.6, 1, 2, scan_grid=(3, 8)),
+        "stage_sequence-audit_grid":
+            lambda: stage_sequence(0.6, 1, 2, audit_grid=None),
+        "boundary_jet_check-n_s": lambda: boundary_jet_check(None, 0.5, n_s=8),
+        "boundary_jet_check-n_theta":
+            lambda: boundary_jet_check(None, 0.5, n_theta=16),
+        "boundary_jet_check-step":
+            lambda: boundary_jet_check(None, 0.5, step=0.02),
+        "parse_hamiltonian-path":
+            lambda: parse_hamiltonian({}, path="hamiltonian."),
+        "RunReport-version": lambda: RunReport({}, {}, [], version="0"),
+        "polyline_svg-colors":
+            lambda: polyline_svg([([0.0], [0.0])], colors=("black",)),
     }
 
 

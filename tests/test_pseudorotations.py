@@ -8,6 +8,7 @@ from reebcut import (
     ConjugatorSchedule,
     ConjugatorSpec,
     FlowSettings,
+    IntegrationError,
     PreconditionError,
     QuadraticHamiltonian,
     RigidRotationHamiltonian,
@@ -118,6 +119,24 @@ def test_conjugator_audit_runs():
     assert phi.audit["round_trip"] <= 1e-8
 
 
+def test_mode_one_conjugator_audit_is_finite():
+    # k (k - 1) z^(k - 2) of the generator's Hessian was 0 * inf at the
+    # origin for mode 1, and the audit passed on the NaN area defect
+    phi = build_conjugator(ConjugatorSpec(mode=1), audit=True)
+    assert np.isfinite(phi.generator.hessian(0.0, np.zeros(2))).all()
+    assert 0.0 <= phi.audit["area_defect"] <= 1e-8
+    assert 0.0 <= phi.audit["round_trip"] <= 1e-8
+
+
+def test_conjugator_audit_fails_on_nan_jacobian(monkeypatch):
+    def nan_jacobian(self, pts):
+        return np.full(np.shape(pts)[:-1] + (2, 2), np.nan)
+
+    monkeypatch.setattr(pseudorotations.DiscDiffeo, "jacobian", nan_jacobian)
+    with pytest.raises(IntegrationError, match="area defect nan"):
+        build_conjugator(ConjugatorSpec(), audit=True)
+
+
 def bitwise_equal(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
@@ -188,13 +207,16 @@ def _old_angular(gen, xy, d):
     return z ** (gen.spec.mode - d) * np.exp(-1j * gen.spec.phase)
 
 
-@pytest.mark.parametrize("spec", [
+FUSED_SPECS = [
     ConjugatorSpec(),
     ConjugatorSpec(amplitude=0.12, delta=0.2, mode=2, r_inner=0.2),
     ConjugatorSpec(amplitude=0.3, delta=0.35, mode=1, r_inner=0.1, phase=1.1),
     ConjugatorSpec(amplitude=0.05, delta=0.4, mode=5, phase=-0.7),
     ConjugatorSpec(mode=2, phase=0.3),
-])
+]
+
+
+@pytest.mark.parametrize("spec", FUSED_SPECS)
 def test_conjugator_fused_velocity_is_exact(spec, rng):
     gen = spec.generator()
     r0, r1 = spec.r_inner, 1.0 - spec.delta
@@ -232,6 +254,24 @@ def test_conjugator_fused_velocity_is_exact(spec, rng):
     # may differ from the composition (a zero base of z ** 1 comes back +0)
     origin = np.array([[-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0]])
     assert np.all(gen.velocity(0.0, origin) == 0.0)
+
+
+@pytest.mark.parametrize("spec", FUSED_SPECS)
+def test_conjugator_single_point_is_one_point_batch(spec):
+    # every oracle reads one jet, and a (2,) point runs it as a one-point
+    # batch: numpy's complex scalar arithmetic on 0-d arrays used to move
+    # the last bit of value and hessian
+    gen = spec.generator()
+    r0, r1 = spec.r_inner, 1.0 - spec.delta
+    special = np.array([[0.0, 0.0], [-0.0, -0.0], [r0, 0.0], [0.0, -r1],
+                        [-0.0, 0.5], [0.5, -0.0], [-0.45, -0.0]])
+    pts = np.concatenate(
+        [special, np.random.default_rng(5).uniform(-1.0, 1.0, (300, 2))])
+    for name in ("value", "grad", "velocity", "hessian"):
+        oracle = getattr(gen, name)
+        for p in pts:
+            assert bitwise_equal(np.asarray(oracle(0.0, p)),
+                                 oracle(0.0, p[None])[0]), (name, p)
 
 
 def test_w_field_support_mask_is_exact():

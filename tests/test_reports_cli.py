@@ -189,11 +189,25 @@ def test_cli_invalid_hamiltonian_exit_two(tmp_path, capsys, block, field):
     ("return-map", {"hamiltonian": {"type": "rigid", "h": 2, "p": 1, "q": 3},
                     "step": 1e-9},
      "step"),
-], ids=["grid-65", "grid-4096", "step-below-bound", "step-1e-9"])
-def test_cli_work_bound_exit_two(tmp_path, capsys, scenario, payload, field):
+    ("return-map", {"hamiltonian": {"type": "rigid", "h": 2, "p": 1, "q": 3},
+                    "radii": [0.5] * 2001},
+     "radii"),
+    ("pseudorotation", {"h": 2, "orbit_iterations": 10_001},
+     "orbit_iterations"),
+], ids=["grid-65", "grid-4096", "step-below-bound", "step-1e-9", "radii-2001",
+        "orbit-iterations-10001"])
+def test_cli_work_bound_exit_two(tmp_path, capsys, monkeypatch, scenario,
+                                 payload, field):
     # a config asking for more work than desk scale fails at parse: exit 2
     # naming the field, with no output directory made; the configs at the
-    # bounds only parse here, they are never run
+    # bounds only parse here, they are never run, and neither is a config
+    # past a bound that parsing let through
+    from reebcut import cli
+
+    def never_run(config):
+        raise AssertionError("the config passed parsing")
+
+    monkeypatch.setattr(cli, "run", never_run)
     cfg = write_config(tmp_path, payload)
     assert main([scenario, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
@@ -205,9 +219,51 @@ def test_cli_work_bound_exit_two(tmp_path, capsys, scenario, payload, field):
     ("ellipsoid", {"a0": SQRT2, "h": 2, "pullback_grid": [64, 64, 64]}),
     ("return-map", {"hamiltonian": {"type": "rigid", "h": 2, "p": 1, "q": 3},
                     "step": TWO_PI / 20000.0}),
-], ids=["grid-64", "step-at-bound"])
+    ("return-map", {"hamiltonian": {"type": "rigid", "h": 2, "p": 1, "q": 3},
+                    "radii": [0.5] * 2000}),
+    ("pseudorotation", {"h": 2, "orbit_iterations": 10_000}),
+], ids=["grid-64", "step-at-bound", "radii-2000", "orbit-iterations-10000"])
 def test_work_bounds_admit_their_limits(scenario, payload):
     RunConfig.parse(scenario, json.loads(json.dumps(payload)))
+
+
+# Every schema key that scales the work of a run, with a value one past its
+# bound; every other key is listed as not scaling it.  A new key must join
+# one of the two.
+_PAST_WORK_BOUND = {
+    ("ellipsoid", "pullback_grid"): [65, 32, 32],
+    ("ellipsoid", "n_samples"): 4097,
+    ("cut-check", "k_max"): 5,
+    ("return-map", "n_points"): 2001,
+    ("return-map", "radii"): [0.5] * 2001,
+    ("return-map", "step"): float(np.nextafter(TWO_PI / 20000.0, 0.0)),
+    ("poincare-lemma", "n"): 2049,
+    ("moser", "n"): 513,
+    ("moser", "steps"): 513,
+    ("pseudorotation", "count"): 9,
+    ("pseudorotation", "mode"): 7,
+    ("pseudorotation", "orbit_iterations"): 10_001,
+    ("self-linking", "n_samples"): 4097,
+}
+_NOT_WORK_SCALING = {"a0", "h", "hamiltonian", "self_linking", "push_eps",
+                     "eps", "expected_a", "area_tol", "fixture", "threshold",
+                     "amplitude", "target_a", "amplitude0", "delta0"}
+
+
+def test_every_work_scaling_key_has_an_upper_bound():
+    from reebcut.reports import _SCHEMAS
+
+    seen = set()
+    for scenario, schema in _SCHEMAS.items():
+        for key, (_, _, _, check) in schema.items():
+            if (scenario, key) not in _PAST_WORK_BOUND:
+                assert key in _NOT_WORK_SCALING, (
+                    f"{scenario}.{key}: say whether it scales the work")
+                continue
+            seen.add((scenario, key))
+            assert check is not None and not check(
+                _PAST_WORK_BOUND[scenario, key]), f"{scenario}.{key} is unbounded"
+    assert seen == set(_PAST_WORK_BOUND)
 
 
 def test_cli_non_finite_result_exit_three(tmp_path, capsys, monkeypatch):
