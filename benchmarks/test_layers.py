@@ -31,7 +31,7 @@ from reebcut import (
     zero_integral_fixture,
 )
 from reebcut.geometry import TWO_PI, polar_grid
-from reebcut.pseudorotations import DiscDiffeo, _InverseRadiusSquared
+from reebcut.pseudorotations import ConjugatedRotationHamiltonian, DiscDiffeo
 
 # the tier-1 fixtures: the composite build is timed on their generator K
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -72,11 +72,11 @@ def test_orbit_statistics(benchmark, small_stage):
 
 
 def test_wfield_build(benchmark, small_stage):
-    field = benchmark.pedantic(
-        _InverseRadiusSquared, args=(small_stage.conjugator, small_stage.delta),
+    H = benchmark.pedantic(
+        ConjugatedRotationHamiltonian, args=(2, 1, 3, small_stage.conjugator),
         kwargs={"grid_n": 128}, rounds=3, iterations=1,
     )
-    assert np.isfinite(field.value(np.array([0.5, 0.0])))
+    assert np.isfinite(H.value(0.0, np.array([0.5, 0.0])))
 
 
 def test_conjugator_inverse_annulus(benchmark, small_stage):

@@ -102,6 +102,5 @@ from .pseudorotations import (  # noqa: E402
     continued_fraction_convergents,
     golden_mean_inverse,
     orbit_statistics,
-    rigid_rotation_hamiltonian,
     stage_sequence,
 )

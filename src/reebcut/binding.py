@@ -186,7 +186,7 @@ class LiftJetData:
 _ETA_FRAC = 3.5
 
 
-def sample_lift_jets(lift, b_values, rungs, n_dirs, n_deriv_rungs=None):
+def sample_lift_jets(lift, b_values, rungs, n_dirs, n_deriv_rungs):
     """Evaluate a lift u(b, rho, vartheta) and rho-derivative stencils.
 
     Derivatives use centered 5-point stencils with step rho/_ETA_FRAC; they
@@ -196,9 +196,6 @@ def sample_lift_jets(lift, b_values, rungs, n_dirs, n_deriv_rungs=None):
     b_values = np.asarray(b_values, dtype=float)
     rungs = np.asarray(rungs, dtype=float)
     dirs = np.linspace(0.0, TWO_PI, n_dirs, endpoint=False)
-    nb, nm, nd = len(b_values), len(rungs), len(dirs)
-    if n_deriv_rungs is None:
-        n_deriv_rungs = 6
     # derivative estimates live on a slower (ratio sqrt 2) sub-ladder: deep
     # rungs amplify the 1/rho^2 rounding of the lift as rho^{-k}, while the
     # extrapolations only need a modest range to cancel their truncation
@@ -802,15 +799,6 @@ class PrimitiveChangeReport:
     factorization_ok: bool
     lift_verdicts: list
     passed: bool
-
-    def to_dict(self):
-        return {
-            "theta2_defect": self.theta2_defect,
-            "mixed_defect": self.mixed_defect,
-            "factorization_ok": self.factorization_ok,
-            "lift_verdicts": [v.to_dict() for v in self.lift_verdicts],
-            "pass": self.passed,
-        }
 
 
 class PolarFunction:

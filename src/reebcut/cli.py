@@ -51,9 +51,6 @@ def main(argv=None):
 
     try:
         report = run(config)
-    except ValidationError as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
     except ReebcutError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3

@@ -306,14 +306,6 @@ class PeriodicPointRecord:
     residual: float
     converged: bool = True
 
-    def to_dict(self):
-        return {
-            "period": self.period,
-            "point": [float(self.point[0]), float(self.point[1])],
-            "residual": self.residual,
-            "converged": self.converged,
-        }
-
 
 def periodic_point_scan(H, max_period, grid_points, tol=1e-6, settings=None,
                         newton_tol=1e-10):

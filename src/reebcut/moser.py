@@ -201,7 +201,7 @@ class OneForm2D:
 # ---------------------------------------------------------------------------
 
 
-def poincare_primitive(eta: GridFunction2D, chi: BumpProfile = None) -> OneForm2D:
+def poincare_primitive(eta: GridFunction2D) -> OneForm2D:
     """Primitive beta with d beta = eta, compactly supported in the square.
 
     For eta = g dx ^ dy with zero total integral, set
@@ -209,13 +209,14 @@ def poincare_primitive(eta: GridFunction2D, chi: BumpProfile = None) -> OneForm2
         a(x) = int_0^1 g(x, y) dy          b(x) = int_0^x a
         u    = -g + a(x) chi(y)            v(x, y) = int_0^y u(x, t) dt
 
-    and beta = v dx + b chi dy.  All four pieces are linear in g and vanish
-    near the boundary of the square, so beta does.
+    and beta = v dx + b chi dy, with chi the polynomial ``BumpProfile``.
+    All four pieces are linear in g and vanish near the boundary of the
+    square, so beta does.
 
     Raises PreconditionError when the total integral exceeds 1e-8; the
     primitive cannot exist then.
     """
-    chi = chi or BumpProfile.polynomial()
+    chi = BumpProfile.polynomial()
     total = eta.integral()
     if abs(total) > 1e-8:
         raise PreconditionError(

@@ -36,11 +36,6 @@ from .hamiltonians import (
 from .binding import BindingChart, ExtensionSettings, extension_test
 
 
-def rigid_rotation_hamiltonian(h, p, q):
-    """H = h + p/q - (p/q) r^2; its time-2*pi map rotates by 2*pi p/q."""
-    return RigidRotationHamiltonian(h, p, q)
-
-
 # ---------------------------------------------------------------------------
 # continued fractions
 # ---------------------------------------------------------------------------
@@ -313,38 +308,47 @@ def build_conjugator(spec: ConjugatorSpec, steps=300, audit=False):
 # ---------------------------------------------------------------------------
 
 
-class _InverseRadiusSquared:
-    """W(p) = |phi^{-1}(p)|^2, splined inside the support annulus.
+# the W-field lattice's margin around the unit square, and the RK4 steps of
+# the inverse flow that fills it
+_W_PAD = 0.05
+_W_FLOW_STEPS = 150
 
-    Outside r >= 1 - delta the inverse is the identity and W is computed
-    as the literal |p|^2, which keeps the stage Hamiltonian bitwise equal
-    to the rigid-rotation tail there.
 
-    Only grid points inside the open support t0 < r^2 < t1 of the
-    conjugator's generator are flowed.  Elsewhere the generator's velocity
-    is exactly +-0 at the start of every RK4 stage, so such a point never
-    moves and its flowed W would be r^2 bitwise, which it already holds.
+class ConjugatedRotationHamiltonian(Hamiltonian):
+    """H = R o phi^{-1} = h + (p/q)(1 - W), W(p) = |phi^{-1}(p)|^2, autonomous.
+
+    W is splined on a ``grid_n``-squared lattice.  Outside r >= 1 - delta,
+    where delta is the support margin of phi's generator, the inverse is the
+    identity and W is computed as the literal |p|^2: H then evaluates
+    through the same expression as the rigid-rotation Hamiltonian, so the
+    tail identity holds bitwise.
+
+    Only lattice points inside the open support t0 < r^2 < t1 of the
+    generator are flowed.  Elsewhere the generator's velocity is exactly
+    +-0 at the start of every RK4 stage, so such a point never moves and
+    its flowed W would be r^2 bitwise, which it already holds.
     """
 
-    def __init__(self, phi: DiscDiffeo, delta, grid_n=512, pad=0.05,
-                 flow_steps=150):
+    time_dependent = False
+
+    def __init__(self, h, p, q, phi: DiscDiffeo, *, grid_n=512):
         from scipy.interpolate import RectBivariateSpline
 
-        self.delta = delta
-        lim = 1.0 + pad
+        self.h = int(h)
+        self.p = int(p)
+        self.q = int(q)
+        self.pq = p / q
+        self.boundary_value = float(h)
+        gen = phi.generator
+        lim = 1.0 + _W_PAD
         ax = np.linspace(-lim, lim, grid_n)
         xx, yy = np.meshgrid(ax, ax, indexing="ij")
         pts = np.stack([xx, yy], axis=-1).reshape(-1, 2)
         r2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
         w = r2.copy()
-        inner = r2 < (1.0 - delta + 2.0 * (ax[1] - ax[0])) ** 2
-        gen = phi.generator
-        if isinstance(gen, _ConjugatorGenerator):
-            inner &= (gen.t0 < r2) & (r2 < gen.t1)
-        if np.any(inner):
-            coarse = DiscDiffeo(gen, steps=flow_steps)
-            inv = coarse.inverse(pts[inner])
-            w[inner] = inv[:, 0] ** 2 + inv[:, 1] ** 2
+        inner = (gen.t0 < r2) & (r2 < gen.t1)
+        inv = DiscDiffeo(gen, steps=_W_FLOW_STEPS).inverse(pts[inner])
+        w[inner] = inv[:, 0] ** 2 + inv[:, 1] ** 2
         base = RectBivariateSpline(ax, ax, w.reshape(grid_n, grid_n), kx=5, ky=5)
         # cache derivative splines: scipy rebuilds them on every ev(dx=...)
         self._sp = base
@@ -353,15 +357,18 @@ class _InverseRadiusSquared:
         self._spxx = base.partial_derivative(2, 0)
         self._spxy = base.partial_derivative(1, 1)
         self._spyy = base.partial_derivative(0, 2)
-        self._switch2 = (1.0 - delta) ** 2
+        # t1 = (1 - delta)^2: the rigid tail starts where the support ends
+        self._switch2 = gen.t1
 
-    def value(self, xy):
+    def value(self, s, xy):
+        xy = np.asarray(xy, float)
         x, y = xy[..., 0], xy[..., 1]
         r2 = x * x + y * y
         tail = r2 >= self._switch2
-        return np.where(tail, r2, self._sp(x, y, grid=False))
+        return _rigid_value(self.h, self.pq,
+                            np.where(tail, r2, self._sp(x, y, grid=False)))
 
-    def grad_components(self, xy):
+    def _grad_components(self, xy):
         """The two partials (dW/dx, dW/dy) as separate arrays."""
         x, y = xy[..., 0], xy[..., 1]
         r2 = x * x + y * y
@@ -370,21 +377,35 @@ class _InverseRadiusSquared:
         gy = np.where(tail, 2.0 * y, self._spy(x, y, grid=False))
         return gx, gy
 
-    def point_grad(self, x, y):
-        """(dW/dx, dW/dy) at one point given as two floats, as floats.
+    def grad(self, s, xy):
+        xy = np.asarray(xy, float)
+        return -self.pq * np.stack(self._grad_components(xy), axis=-1)
 
-        The same tail test and the same splines as ``grad_components``, so
-        the result is bitwise equal to that of a one-point batch.
+    def point_velocity(self, s, x, y):
+        """The velocity at one point given as two floats, as a float pair.
+
+        One-point return maps (orbit_statistics) are bound by numpy
+        dispatch on 2-element arrays, so the flow integrates them through
+        this.  The same tail test and splines as ``_grad_components`` keep
+        it bitwise equal to the batched ``velocity``.
         """
         if x * x + y * y >= self._switch2:
-            return 2.0 * x, 2.0 * y
-        return (float(self._spx(x, y, grid=False)),
-                float(self._spy(x, y, grid=False)))
+            gx, gy = 2.0 * x, 2.0 * y
+        else:
+            gx = float(self._spx(x, y, grid=False))
+            gy = float(self._spy(x, y, grid=False))
+        return 0.5 * (-self.pq * gy), -0.5 * (-self.pq * gx)
 
-    def grad(self, xy):
-        return np.stack(self.grad_components(xy), axis=-1)
+    def velocity(self, s, xy):
+        # same products, in the same order, as the generic velocity of grad
+        xy = np.asarray(xy, float)
+        if xy.shape == (2,):
+            return np.array(self.point_velocity(s, *xy.tolist()))
+        gx, gy = self._grad_components(xy)
+        return np.stack([0.5 * (-self.pq * gy), -0.5 * (-self.pq * gx)], axis=-1)
 
-    def hessian(self, xy):
+    def hessian(self, s, xy):
+        xy = np.asarray(xy, float)
         x, y = xy[..., 0], xy[..., 1]
         r2 = x * x + y * y
         tail = r2 >= self._switch2
@@ -396,52 +417,7 @@ class _InverseRadiusSquared:
         hess[..., 0, 1] = hxy
         hess[..., 1, 0] = hxy
         hess[..., 1, 1] = hyy
-        return hess
-
-
-class ConjugatedRotationHamiltonian(Hamiltonian):
-    """H = R o phi^{-1} = h + (p/q)(1 - |phi^{-1}(p)|^2), autonomous.
-
-    On r >= 1 - delta this evaluates through the same expression as the
-    rigid-rotation Hamiltonian, so the tail identity holds bitwise.
-    """
-
-    time_dependent = False
-
-    def __init__(self, h, p, q, w_field: _InverseRadiusSquared):
-        self.h = int(h)
-        self.p = int(p)
-        self.q = int(q)
-        self.pq = p / q
-        self.w = w_field
-        self.boundary_value = float(h)
-
-    def value(self, s, xy):
-        return _rigid_value(self.h, self.pq, self.w.value(np.asarray(xy, float)))
-
-    def grad(self, s, xy):
-        return -self.pq * self.w.grad(np.asarray(xy, float))
-
-    def point_velocity(self, s, x, y):
-        """The velocity at one point given as two floats, as a float pair.
-
-        One-point return maps (orbit_statistics) are bound by numpy
-        dispatch on 2-element arrays, so the flow integrates them through
-        this.  It must stay bitwise equal to the batched ``velocity``.
-        """
-        gx, gy = self.w.point_grad(x, y)
-        return 0.5 * (-self.pq * gy), -0.5 * (-self.pq * gx)
-
-    def velocity(self, s, xy):
-        # same products, in the same order, as the generic velocity of grad
-        xy = np.asarray(xy, float)
-        if xy.shape == (2,):
-            return np.array(self.point_velocity(s, *xy.tolist()))
-        gx, gy = self.w.grad_components(xy)
-        return np.stack([0.5 * (-self.pq * gy), -0.5 * (-self.pq * gx)], axis=-1)
-
-    def hessian(self, s, xy):
-        return -self.pq * self.w.hessian(np.asarray(xy, float))
+        return -self.pq * hess
 
 
 @dataclass
@@ -457,10 +433,6 @@ class ApproximationStage:
     hamiltonian: ConjugatedRotationHamiltonian
     diagnostics: dict = field(default_factory=dict)
 
-    @property
-    def rotation(self):
-        return self.p / self.q
-
     def to_dict(self):
         return {
             "nu": self.nu,
@@ -468,22 +440,8 @@ class ApproximationStage:
             "q": self.q,
             "delta": self.delta,
             "amplitude": self.conjugator_spec.amplitude,
-            "diagnostics": _as_jsonable(self.diagnostics),
+            "diagnostics": self.diagnostics,
         }
-
-
-def _as_jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _as_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_as_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if hasattr(obj, "to_dict"):
-        return obj.to_dict()
-    return obj
 
 
 def conjugated_stage(h, p, q, spec: ConjugatorSpec = None, phi: DiscDiffeo = None,
@@ -505,9 +463,8 @@ def conjugated_stage(h, p, q, spec: ConjugatorSpec = None, phi: DiscDiffeo = Non
                 f"conjugator moves points at r = {r}; support margin "
                 f"delta = {spec.delta} is violated"
             )
-    rig = RigidRotationHamiltonian(h, p, q)  # validates h, p, q
-    w_field = _InverseRadiusSquared(phi, spec.delta, grid_n=w_grid)
-    ham = ConjugatedRotationHamiltonian(h, p, q, w_field)
+    RigidRotationHamiltonian(h, p, q)  # validates h, p, q
+    ham = ConjugatedRotationHamiltonian(h, p, q, phi, grid_n=w_grid)
     return ApproximationStage(
         nu=0, p=p, q=q, delta=spec.delta, conjugator_spec=spec,
         conjugator=phi, hamiltonian=ham,
@@ -554,7 +511,7 @@ class StageSequenceReport:
             "target_a": self.target_a,
             "h": self.h,
             "stages": [st.to_dict() for st in self.stages],
-            "difference_norms": _as_jsonable(self.difference_norms),
+            "difference_norms": self.difference_norms,
             "f0_values": list(map(float, self.f0_values)),
             "f0_expected": list(map(float, self.f0_expected)),
         }

@@ -39,7 +39,6 @@ from .hamiltonians import (
 )
 from .invariants import cz_ellipsoid, resonance_check, self_linking
 from .moser import (
-    BumpProfile,
     GridFunction2D,
     MoserSettings,
     moser_flow,
@@ -479,10 +478,10 @@ def _run_return_map(params, rng):
 def _run_poincare(params, rng):
     n = params["n"]
     eta = zero_integral_fixture(params["fixture"], n)
-    beta = poincare_primitive(eta, BumpProfile.polynomial())
+    beta = poincare_primitive(eta)
     res = primitive_residual(eta, beta)
     eta2 = zero_integral_fixture(params["fixture"], 2 * n)
-    res2 = primitive_residual(eta2, poincare_primitive(eta2, BumpProfile.polynomial()))
+    res2 = primitive_residual(eta2, poincare_primitive(eta2))
     order = float(np.log2(res / res2)) if res2 > 0 else float("inf")
     results = {"residual": res, "residual_doubled": res2, "observed_order": order}
     checks = [

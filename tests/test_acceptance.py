@@ -9,7 +9,6 @@ import numpy as np
 
 from reebcut import (
     BindingChart,
-    BumpProfile,
     ComposedHamiltonian,
     ConjugatorSchedule,
     ConjugatorSpec,
@@ -141,13 +140,12 @@ def test_04_dynamical_convexity_sweep():
 
 
 def test_05_poincare_lemma():
-    chi = BumpProfile.polynomial()
     residuals, orders = [], []
     for idx in (1, 2, 3):
         eta = zero_integral_fixture(idx, 256)
-        res = primitive_residual(eta, poincare_primitive(eta, chi))
+        res = primitive_residual(eta, poincare_primitive(eta))
         eta_half = zero_integral_fixture(idx, 128)
-        res_half = primitive_residual(eta_half, poincare_primitive(eta_half, chi))
+        res_half = primitive_residual(eta_half, poincare_primitive(eta_half))
         residuals.append(res)
         orders.append(np.log2(res_half / res))
     passed = all(r <= 1e-6 for r in residuals) and all(o >= 2 for o in orders)

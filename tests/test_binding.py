@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,43 @@ def test_extended_contact_zero_f_fails():
     assert not rep.passed
     assert rep.certificate is not None
     assert rep.certificate["f_limit"] == 0.0
+
+
+def test_extended_contact_failure_serializes_its_certificate():
+    # f < 0 on part of the binding: the serialized report carries the
+    # certificate, which names the worst binding angle b = pi (a node of
+    # the audit's 16-point b grid) and its limit f = -0.5
+    chart = BindingChart(h=1)
+
+    def f_lift(b, rho, vartheta):
+        return np.cos(b) + 0.5 + 0.0 * rho * vartheta
+
+    out = extended_contact_audit(f_lift, chart).to_dict()
+    assert not out["pass"]
+    cert = out["certificate"]
+    assert cert["where"] == {"b": np.pi, "vartheta": 0.0}
+    assert abs(cert["f_limit"] + 0.5) <= 1e-12
+    assert json.loads(json.dumps(out, allow_nan=False)) == out
+
+
+def test_eval_h_array_s_matches_a_per_point_loop():
+    # a time-dependent H at an array of s values, broadcast over the points
+    # and repeated: one call per distinct s equals one call per point
+    from reebcut.binding import _eval_h
+    from reebcut.hamiltonians import CallableHamiltonian
+
+    def value(s, xy):
+        x, y = xy[..., 0], xy[..., 1]
+        return 2.0 + s * x * y - 0.25 * s * s * (x * x + y * y)
+
+    H = CallableHamiltonian(value, 2.0)
+    xy = np.random.default_rng(21).uniform(-0.7, 0.7, (5, 6, 2))
+    s = np.array([[0.3], [1.1], [0.3], [2.5], [1.1]])
+    got = _eval_h(H, s, xy)
+    want = np.empty(xy.shape[:-1])
+    for i, j in np.ndindex(want.shape):
+        want[i, j] = H.value(float(s[i, 0]), xy[i, j][None])[0]
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_extended_contact_stage_value():

@@ -504,8 +504,8 @@ def test_return_map_rejects_non_finite_state(fast_flow):
 
 
 def _stage_starts(H):
-    edge = np.sqrt(H.w._switch2)
-    assert edge * edge == H.w._switch2
+    edge = np.sqrt(H._switch2)
+    assert edge * edge == H._switch2
     return np.array([
         [0.3, 0.2], [-0.45, 0.1], [0.12, -0.61], [0.5, -0.0], [-0.0, 0.35],
         [0.0, 0.0],                                  # the fixed center

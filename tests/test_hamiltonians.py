@@ -217,6 +217,37 @@ def test_compact_fixture_hessian_matches_finite_differences(kw, rng):
     assert 3.5 <= ratio <= 4.5
 
 
+def test_fd_gradient_fallback_on_the_boundary_circle():
+    # no grad_fn: grad is the centered-difference fallback, shifted to a
+    # one-sided stencil where a probe leaves the disc.  Both second-order
+    # stencils are exact on a quadratic up to rounding (1.2e-10 worst seen),
+    # and at (1, 0) and (-1, 0) the x-partial is the backward and the
+    # forward three-point stencil, bitwise
+    from reebcut.hamiltonians import _FD_STEP
+
+    def value(s, xy):
+        x, y = xy[..., 0], xy[..., 1]
+        return 0.3 + 0.7 * x - 0.4 * y + 1.1 * x * x - 0.6 * x * y + 0.9 * y * y
+
+    H = CallableHamiltonian(value, 0.3)
+    theta = np.linspace(0.0, TWO_PI, 24, endpoint=False)
+    pts = np.concatenate([[[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                          np.stack([np.cos(theta), np.sin(theta)], axis=-1)])
+    x, y = pts[:, 0], pts[:, 1]
+    exact = np.stack([0.7 + 2.2 * x - 0.6 * y, -0.4 - 0.6 * x + 1.8 * y], axis=-1)
+    grad = H.grad(0.0, pts)
+    assert np.max(np.abs(grad - exact)) <= 1e-9
+
+    def at(px):
+        return float(value(0.0, np.array([px, 0.0])))
+
+    h = _FD_STEP
+    back = (3.0 * at(1.0) - 4.0 * at(1.0 + -1.0 * h) + at(1.0 + -2.0 * h)) / (2.0 * h)
+    fwd = (-3.0 * at(-1.0) + 4.0 * at(-1.0 + 1.0 * h)
+           - at(-1.0 + 2.0 * h)) / (2.0 * h)
+    assert grad[0, 0] == back and grad[1, 0] == fwd
+
+
 # ---------------------------------------------------------------------------
 # liouville_pairing
 # ---------------------------------------------------------------------------
@@ -444,7 +475,7 @@ def _removed_options():
                                     hopf_circles, linking_curves_r3,
                                     rotation_number)
     from reebcut.moser import (CanonicalHamiltonian, g_function_values,
-                               moser_flow)
+                               moser_flow, poincare_primitive)
     from reebcut.pseudorotations import (ConjugatedRotationHamiltonian,
                                          boundary_jet_check)
     from reebcut.reports import RunReport, parse_hamiltonian
@@ -550,6 +581,7 @@ def _removed_options():
         "linking_curves_r3-pole":
             lambda: linking_curves_r3(None, None, pole=np.eye(4)[0]),
         "moser_flow-chi": lambda: moser_flow(None, None, chi=None),
+        "poincare_primitive-chi": lambda: poincare_primitive(None, chi=None),
         "BumpProfile.polynomial-a": lambda: BumpProfile.polynomial(a=0.3),
         "BumpProfile.polynomial-b": lambda: BumpProfile.polynomial(b=0.7),
         "BumpProfile.polynomial-power":
@@ -590,7 +622,8 @@ def test_no_hamiltonian_carries_ds_or_collar_flags():
     import reebcut  # noqa: F401  (loads every Hamiltonian subclass)
     from reebcut.hamiltonians import Hamiltonian
     from reebcut.moser import CanonicalHamiltonian
-    from reebcut.pseudorotations import ConjugatedRotationHamiltonian
+    from reebcut.pseudorotations import (ConjugatedRotationHamiltonian,
+                                         ConjugatorSpec, build_conjugator)
 
     classes, todo = {Hamiltonian}, [Hamiltonian]
     while todo:
@@ -607,7 +640,8 @@ def test_no_hamiltonian_carries_ds_or_collar_flags():
         cosine_defect_hamiltonian(3, 0.4, 0.5),
         CallableHamiltonian(_first_coordinate, 0.0),
         PullbackHamiltonian(QuadraticHamiltonian(1.0, 0.5), lambda xy: xy),
-        ConjugatedRotationHamiltonian(2, 1, 3, None),
+        ConjugatedRotationHamiltonian(
+            2, 1, 3, build_conjugator(ConjugatorSpec(amplitude=0.0)), grid_n=16),
         CanonicalHamiltonian(None, None, None, grid, grid, grid, 0.5),
     ]
     gone = ("ds", "autonomous_near_boundary", "radial_near_boundary",

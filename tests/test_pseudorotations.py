@@ -21,7 +21,6 @@ from reebcut import (
     golden_mean_inverse,
     orbit_statistics,
     return_map,
-    rigid_rotation_hamiltonian,
     stage_sequence,
 )
 from reebcut import pseudorotations
@@ -57,20 +56,20 @@ def test_convergents_reject_rational():
 
 
 def test_rigid_rotation_values():
-    H = rigid_rotation_hamiltonian(2, 1, 3)
+    H = RigidRotationHamiltonian(2, 1, 3)
     assert abs(H.value(0.0, np.array([1.0, 0.0])) - 2.0) <= 1e-15
     assert abs(H.value(0.0, np.array([0.0, 0.0])) - (2 + 1 / 3)) <= 1e-15
 
 
 def test_rigid_rotation_return_map():
-    H = rigid_rotation_hamiltonian(2, 1, 3)
+    H = RigidRotationHamiltonian(2, 1, 3)
     img = return_map(H, np.array([0.4, 0.0]))
     expected = 0.4 * np.array([np.cos(TWO_PI / 3), np.sin(TWO_PI / 3)])
     assert np.max(np.abs(img - expected)) <= 1e-10
 
 
 def test_rigid_rotation_margin(rng):
-    H = rigid_rotation_hamiltonian(2, 1, 3)
+    H = RigidRotationHamiltonian(2, 1, 3)
     pts = random_disc_points(rng, 200, r_max=1.0, r_min=0.0)
     margins = contact_margin(H, 0.0, pts)
     # H - r dH/dr / 2 = h + p/q identically
@@ -80,7 +79,7 @@ def test_rigid_rotation_margin(rng):
 
 def test_rigid_rotation_rejects_bad_slope():
     with pytest.raises(PreconditionError):
-        rigid_rotation_hamiltonian(1, -7, 5)
+        RigidRotationHamiltonian(1, -7, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +277,8 @@ def test_w_field_support_mask_is_exact():
     spec = ConjugatorSpec(amplitude=0.12, delta=0.2, mode=2, r_inner=0.2)
     phi = build_conjugator(spec)
     grid_n, pad, steps = 128, 0.05, 150
-    field = pseudorotations._InverseRadiusSquared(phi, spec.delta, grid_n,
-                                                  pad, steps)
+    H = pseudorotations.ConjugatedRotationHamiltonian(2, 1, 3, phi,
+                                                      grid_n=grid_n)
     # the old build: flow every grid point of the inner disc
     ax = np.linspace(-1.0 - pad, 1.0 + pad, grid_n)
     xx, yy = np.meshgrid(ax, ax, indexing="ij")
@@ -290,7 +289,7 @@ def test_w_field_support_mask_is_exact():
     inv = pseudorotations.DiscDiffeo(phi.generator, steps=steps).inverse(pts[inner])
     w[inner] = inv[:, 0] ** 2 + inv[:, 1] ** 2
     old = RectBivariateSpline(ax, ax, w.reshape(grid_n, grid_n), kx=5, ky=5)
-    assert bitwise_equal(field._sp.get_coeffs(), old.get_coeffs())
+    assert bitwise_equal(H._sp.get_coeffs(), old.get_coeffs())
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +316,7 @@ def test_stage_tail_identity_bitwise(stage_2_1_3):
 
 def test_stage_single_point_velocity_is_exact(stage_2_1_3, fast_flow):
     H = stage_2_1_3.hamiltonian
-    switch2 = H.w._switch2
+    switch2 = H._switch2
     edge = np.sqrt(switch2)
     assert edge * edge == switch2
     points = [
@@ -534,6 +533,28 @@ def test_composed_slice_cache_survives_backward_step():
     assert spline(ax[7], ax[12], grid=False) == pytest.approx(
         composite._w2[2][7, 12], abs=1e-12)
     assert 2 in composite._splines and len(composite._splines) == 16
+
+
+def test_composed_value_blends_the_slice_splines():
+    # value is K plus the cubic-in-s blend of the quintic slice splines,
+    # bitwise; at s = 0, where Psi_0 is the identity, that is K + H2, and a
+    # quintic spline reproduces the quadratic H2 (2.2e-15 worst seen)
+    from reebcut.hamiltonians import slice_weights
+
+    K = compact_disc_hamiltonian(amp=0.05)
+    H2 = RigidRotationHamiltonian(2, 1, 2)
+    composite = ComposedHamiltonian(K, H2, n_slices=32, grid_n=21)
+    pts = np.random.default_rng(12).uniform(-0.7, 0.7, (50, 2))
+    ax = composite._ax
+    for s in (0.0, 1.3, TWO_PI):
+        js, w = slice_weights(composite.s_nodes, s)
+        want = K.value(s, pts)
+        for a, wa in zip(js, w):
+            spline = RectBivariateSpline(ax, ax, composite._w2[a], kx=5, ky=5)
+            want = want + wa * spline(pts[..., 0], pts[..., 1], grid=False)
+        assert bitwise_equal(composite.value(s, pts), want)
+    exact = K.value(0.0, pts) + H2.value(0.0, pts)
+    assert np.max(np.abs(composite.value(0.0, pts) - exact)) <= 1e-13
 
 
 def test_composed_rejects_s_outside_domain():

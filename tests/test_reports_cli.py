@@ -158,6 +158,21 @@ def test_cli_non_finite_float_exit_two(tmp_path, capsys, scenario, payload, fiel
     assert not (tmp_path / "o").exists()
 
 
+def test_quadratic_hamiltonian_block_parses():
+    from reebcut import QuadraticHamiltonian
+
+    config = RunConfig.parse(
+        "cut-check", {"hamiltonian": {"type": "quadratic", "a0": 1.2, "a2": 0.8}})
+    H = config.params["hamiltonian_obj"]
+    assert type(H) is QuadraticHamiltonian
+    pts = np.array([[0.0, 0.0], [0.3, -0.4], [1.0, 0.0]])
+    assert np.array_equal(H.value(0.0, pts),
+                          QuadraticHamiltonian(1.2, 0.8).value(0.0, pts))
+    with pytest.raises(ValidationError, match="a0 and hamiltonian.a2"):
+        RunConfig.parse("cut-check",
+                        {"hamiltonian": {"type": "quadratic", "a0": 1.2}})
+
+
 @pytest.mark.parametrize("block, field", [
     ({"type": "rigid", "h": 1, "p": -5, "q": 1}, "contact condition"),
     ({"type": "rigid", "h": 1, "p": 10**400, "q": 1}, "p is beyond the float"),
