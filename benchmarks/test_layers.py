@@ -71,10 +71,13 @@ def test_orbit_statistics(benchmark, small_stage):
     assert stats.completed == 16 and not stats.aborted
 
 
-def test_wfield_build(benchmark, small_stage):
+# at 128 the support holds one flow block and flows in-process; at 512, the
+# CLI default, it holds seven and splits over the CPUs of the affinity set
+@pytest.mark.parametrize("grid_n", [128, 512])
+def test_wfield_build(benchmark, small_stage, grid_n):
     H = benchmark.pedantic(
         ConjugatedRotationHamiltonian, args=(2, 1, 3, small_stage.conjugator),
-        kwargs={"grid_n": 128}, rounds=3, iterations=1,
+        kwargs={"grid_n": grid_n}, rounds=3, iterations=1,
     )
     assert np.isfinite(H.value(0.0, np.array([0.5, 0.0])))
 

@@ -31,10 +31,15 @@ _PERIODICITY_TOL = 1e-10
 def _fd_partial(value_fn, s, xy, axis, step):
     """Second-order partial derivative along one cartesian axis.
 
-    Uses centered differences with step scaled by max(1, |coordinate|).
-    When a probe point would leave the closed disc, the stencil is shifted
-    inward (one-sided, still second order): H is only defined on the disc.
-    Works for scalar- and vector-valued oracles alike.
+    Uses centered differences with step h = step * max(1, |coordinate|).
+    Where the +h probe lies outside the closed disc, the backward
+    three-point stencil (0, -h, -2h) replaces it; where the -h probe does,
+    the forward one (0, +h, +2h), which wins where both do.  So a point
+    whose two probes leave the disc, such as (1, 0) along y, takes a
+    stencil whose probes lie outside too.  Each stencil in use is evaluated
+    over the whole batch: ``value_fn`` is called at probes up to 2h outside
+    the disc (radius up to 1 + 2h at (-1, 0) along x) and must accept
+    them.  Works for scalar- and vector-valued oracles alike.
     """
     xy = np.asarray(xy, dtype=float)
     h = step * np.maximum(1.0, np.abs(xy[..., axis]))
@@ -96,7 +101,7 @@ class Hamiltonian:
 
     Subclasses supply ``value`` and may override the derivative oracles with
     analytic expressions; the base class falls back to centered finite
-    differences (inward-shifted at the boundary).
+    differences (one-sided where a probe leaves the disc).
 
     A subclass may also define ``point_velocity(s, x, y)``: the velocity at
     one point given as two floats, returned as a ``(vx, vy)`` float pair

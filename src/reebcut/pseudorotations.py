@@ -12,6 +12,12 @@ fully reproducible.
 
 from __future__ import annotations
 
+import gc
+import math
+import mmap
+import os
+import signal
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -218,6 +224,29 @@ class _ConjugatorGenerator(Hamiltonian):
 _FLOW_BLOCK = 16384
 
 
+def _share_count(n):
+    """Processes that flow a batch of n points: one per CPU of this process's
+    affinity set, at most one per block, and one below two blocks or where
+    the platform has no ``fork`` or ``sched_getaffinity``."""
+    blocks = -(-n // _FLOW_BLOCK)
+    if blocks < 2 or not (hasattr(os, "fork")
+                          and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(len(os.sched_getaffinity(0)), blocks)
+
+
+def _share_bounds(n, count):
+    """``count`` contiguous (lo, hi) shares of range(n), sizes within one."""
+    return [(n * k // count, n * (k + 1) // count) for k in range(count)]
+
+
+def _shared_empty(shape):
+    """An uninitialized float array in an anonymous shared mapping, so that
+    what a forked worker writes into it is what its parent reads."""
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)),
+                         dtype=float).reshape(shape)
+
+
 class DiscDiffeo:
     """A disc diffeomorphism realized as the time-1 flow of a generator.
 
@@ -233,19 +262,27 @@ class DiscDiffeo:
     every operation of the RK4 update, of the generator's oracles and of
     the 2x2 Jacobian product acts on each point alone, so each point sees
     the same arithmetic whatever block it falls in.
+
+    For the same reason a batch of two or more blocks is split into equal
+    contiguous shares, one per CPU of the process's affinity set (at most
+    one per block): the caller flows the first share and forked workers
+    flow the others into a shared mapping, so the result is bitwise the
+    one-process result.  ``taskset -c 0`` gives one share and no fork.  A
+    worker that raises or warns exits non-zero and its share is flowed
+    again in the caller, where the exception or warning surfaces as it
+    would serially; every worker is reaped, and killed first if the caller
+    raises, before the flow returns.
     """
 
     def __init__(self, generator: Hamiltonian, steps=300):
         self.generator = generator
         self.steps = steps
 
-    def _flow(self, pts, sign, want_jacobian=False):
-        pts = np.asarray(pts, dtype=float)
+    def _flow_share(self, flat, sign, out, jac_out, lo, hi):
+        """Flow the points flat[lo:hi] into out[lo:hi] (and, unless
+        ``jac_out`` is None, their Jacobians into jac_out[lo:hi]) in blocks
+        of ``_FLOW_BLOCK`` points from lo."""
         h = sign * 1.0 / self.steps
-        flat = pts.reshape(-1, 2)
-        out = np.empty_like(flat)
-        if want_jacobian:
-            jac_out = np.empty((len(flat), 2, 2))
         gen = self.generator
 
         def field(s, q):
@@ -254,13 +291,56 @@ class DiscDiffeo:
         def field_jacobian(s, q):
             return gen.velocity_jacobian(0.0, q)
 
-        for lo in range(0, len(flat), _FLOW_BLOCK):
-            y, jac = _rk4_steps(field, flat[lo:lo + _FLOW_BLOCK], 0.0, h,
-                                self.steps,
-                                field_jacobian if want_jacobian else None)
-            out[lo:lo + _FLOW_BLOCK] = y
-            if want_jacobian:
-                jac_out[lo:lo + _FLOW_BLOCK] = jac
+        for start in range(lo, hi, _FLOW_BLOCK):
+            end = min(start + _FLOW_BLOCK, hi)
+            y, jac = _rk4_steps(field, flat[start:end], 0.0, h, self.steps,
+                                None if jac_out is None else field_jacobian)
+            out[start:end] = y
+            if jac_out is not None:
+                jac_out[start:end] = jac
+
+    def _flow_shares(self, flat, sign, out, jac_out, shares):
+        """Flow shares[0] here and each other share in a forked worker."""
+        workers = {}
+        try:
+            for k in range(1, len(shares)):
+                pid = os.fork()
+                if pid == 0:
+                    # the worker: never returns into the caller's frames
+                    status = 1
+                    try:
+                        # no cycle collection: parent garbage with finalizers
+                        # (temporary files, say) must not be finalized here
+                        gc.disable()
+                        with warnings.catch_warnings(record=True) as caught:
+                            self._flow_share(flat, sign, out, jac_out,
+                                             *shares[k])
+                        status = 1 if caught else 0
+                    finally:
+                        os._exit(status)
+                workers[pid] = k
+            self._flow_share(flat, sign, out, jac_out, *shares[0])
+            failed = []
+            while workers:
+                pid = next(iter(workers))
+                if os.waitpid(pid, 0)[1] != 0:
+                    failed.append(workers[pid])
+                del workers[pid]
+            for k in failed:
+                self._flow_share(flat, sign, out, jac_out, *shares[k])
+        finally:
+            for pid in workers:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+    def _flow(self, pts, sign, want_jacobian=False):
+        pts = np.asarray(pts, dtype=float)
+        flat = pts.reshape(-1, 2)
+        shares = _share_bounds(len(flat), _share_count(len(flat)))
+        empty = np.empty if len(shares) == 1 else _shared_empty
+        out = empty(flat.shape)
+        jac_out = empty((len(flat), 2, 2)) if want_jacobian else None
+        self._flow_shares(flat, sign, out, jac_out, shares)
         out = out.reshape(pts.shape)
         if want_jacobian:
             return out, jac_out.reshape(pts.shape[:-1] + (2, 2))

@@ -13,10 +13,13 @@ from scipy.interpolate import RectBivariateSpline
 
 from reebcut.binding import BindingChart, phi_embed, phi_invert
 from reebcut.errors import PreconditionError, ValidationError
-from reebcut.flows import _rk4_steps
+from reebcut.flows import _rk4_steps, return_map
 from reebcut.geometry import TWO_PI
+from reebcut.hamiltonians import RigidRotationHamiltonian
 from reebcut.moser import _tensor_splines_ev
-from reebcut.pseudorotations import continued_fraction_convergents, fd_weights
+from reebcut.pseudorotations import (_FLOW_BLOCK, ConjugatorSpec, DiscDiffeo,
+                                     _share_bounds,
+                                     continued_fraction_convergents, fd_weights)
 from reebcut.reports import (_HAMILTONIAN_SCHEMA, _SCHEMAS, SCENARIOS,
                              RunConfig)
 
@@ -246,3 +249,69 @@ def test_components_first_jacobian_is_points_last_bit_for_bit(case):
     for got, want in ((got_y, want_y), (got_j, want_j)):
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# one RK4 step keeps each example cheap; the arithmetic per point, and so
+# the bitwise claim, does not depend on the step count
+_SHARE_FLOWS = {mode: DiscDiffeo(ConjugatorSpec(amplitude=0.2, mode=mode,
+                                                phase=0.4).generator(), steps=1)
+                for mode in (1, 2, 3)}
+
+
+@st.composite
+def share_flows(draw):
+    k = draw(st.integers(1, 3))
+    n = draw(st.sampled_from([0, 1, k * _FLOW_BLOCK - 1, k * _FLOW_BLOCK + 1]))
+    return (n, draw(st.integers(1, 4)), draw(st.sampled_from(sorted(_SHARE_FLOWS))),
+            draw(st.sampled_from([1.0, -1.0])), draw(st.booleans()),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(share_flows())
+def test_share_wise_flow_is_the_whole_batch_flow(case):
+    # in-process, through the share function the forked workers run
+    n, count, mode, sign, want_jacobian, seed = case
+    phi = _SHARE_FLOWS[mode]
+    flat = np.random.default_rng(seed).uniform(-0.95, 0.95, (n, 2))
+    shares = _share_bounds(n, count)
+    assert [lo for lo, _ in shares[1:]] == [hi for _, hi in shares[:-1]]
+    assert shares[0][0] == 0 and shares[-1][1] == n
+    sizes = [hi - lo for lo, hi in shares]
+    assert max(sizes) - min(sizes) <= 1
+
+    def flow(bounds):
+        out = np.empty((n, 2))
+        jac = np.empty((n, 2, 2)) if want_jacobian else None
+        for lo, hi in bounds:
+            phi._flow_share(flat, sign, out, jac, lo, hi)
+        return [out] if jac is None else [out, jac]
+
+    for got, want in zip(flow(shares), flow([(0, n)])):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@st.composite
+def rigid_cases(draw):
+    q = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from([(), (1,), (5,), (2, 3)])) + (2,)
+    return (draw(st.integers(1, 4)), draw(st.integers(1, q)), q, shape,
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(rigid_cases())
+def test_rigid_return_map_is_the_rotation(case):
+    # the time-2pi map of h + p/q - (p/q) r^2 turns every point by 2 pi p/q;
+    # RK4 at the default 2000 steps per period lags the angle by about
+    # (2 pi p / 2000 q)^5 / 120 a step, at most 5e-12 over the period
+    h, p, q, shape, seed = case
+    rng = np.random.default_rng(seed)
+    r = np.sqrt(rng.uniform(0.0, 0.98, shape[:-1]))
+    t = rng.uniform(0.0, TWO_PI, shape[:-1])
+    pts = np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
+    img = return_map(RigidRotationHamiltonian(h, p, q), pts)
+    turn = t + TWO_PI * p / q
+    want = np.stack([r * np.cos(turn), r * np.sin(turn)], axis=-1)
+    assert img.shape == pts.shape
+    assert np.max(np.abs(img - want)) <= 1e-10

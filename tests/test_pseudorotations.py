@@ -1,3 +1,6 @@
+import os
+import warnings
+
 import numpy as np
 import pytest
 from scipy.interpolate import RectBivariateSpline
@@ -290,6 +293,102 @@ def test_w_field_support_mask_is_exact():
     w[inner] = inv[:, 0] ** 2 + inv[:, 1] ** 2
     old = RectBivariateSpline(ax, ax, w.reshape(grid_n, grid_n), kx=5, ky=5)
     assert bitwise_equal(H._sp.get_coeffs(), old.get_coeffs())
+
+
+def _count_forks(monkeypatch):
+    """Count the os.fork calls of this process; the children run on."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_flow_is_bitwise_the_one_process_flow(monkeypatch):
+    # the affinity set decides the share count: one CPU flows in-process,
+    # two fork one worker, and every result agrees bit for bit
+    phi = build_conjugator(ConjugatorSpec(amplitude=0.2, mode=3, phase=0.4),
+                           steps=20)
+    pts = np.random.default_rng(14).uniform(
+        -0.9, 0.9, (3 * pseudorotations._FLOW_BLOCK - 5, 2))
+    w_phi = build_conjugator(ConjugatorSpec())
+    forks = _count_forks(monkeypatch)
+    results = {}
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: c)
+        H = pseudorotations.ConjugatedRotationHamiltonian(2, 1, 3, w_phi,
+                                                          grid_n=256)
+        results[len(cpus)] = (phi.inverse(pts), phi.jacobian(pts),
+                              H._sp.get_coeffs())
+        _assert_no_child_left()
+        # one fork for each multi-block flow: the inverse, the Jacobian and
+        # the W-field's 28,616 support points (two blocks)
+        assert len(forks) == (0 if len(cpus) == 1 else 3)
+    for one, two in zip(results[1], results[2]):
+        assert bitwise_equal(one, two)
+
+
+class _FailingGenerator(pseudorotations._ConjugatorGenerator):
+    """The conjugator field, raising (or warning) on any batch that holds a
+    point with x >= 0.9: outside its support, where no point moves."""
+
+    def __init__(self, warn):
+        super().__init__(ConjugatorSpec())
+        self.warn = warn
+
+    def velocity(self, s, xy):
+        if np.any(xy[..., 0] >= 0.9):
+            if not self.warn:
+                raise PreconditionError("velocity refused x >= 0.9")
+            warnings.warn("velocity saw x >= 0.9", RuntimeWarning)
+        return super().velocity(s, xy)
+
+
+def _two_share_batch(monkeypatch, bad_share):
+    """64 points in two shares of four 8-point blocks, those of share
+    ``bad_share`` at x >= 0.9 and the others, which stay at x < 0.9, inside
+    r < 0.6; two CPUs in the affinity set."""
+    monkeypatch.setattr(pseudorotations, "_FLOW_BLOCK", 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pts = np.random.default_rng(14).uniform(-0.42, 0.42, (64, 2))
+    pts[32 * bad_share:32 * bad_share + 32] = [0.95, 0.0]
+    return pts
+
+
+@pytest.mark.parametrize("bad_share", [1, 0], ids=["worker", "caller"])
+def test_forked_flow_raises_the_serial_exception(monkeypatch, bad_share):
+    # a worker that raises hands its share back, and the caller's flow of
+    # it raises; a caller that raises kills its worker first
+    pts = _two_share_batch(monkeypatch, bad_share)
+    phi = pseudorotations.DiscDiffeo(_FailingGenerator(warn=False), steps=2)
+    forks = _count_forks(monkeypatch)
+    with pytest.raises(PreconditionError, match="x >= 0.9"):
+        phi.inverse(pts)
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def test_forked_flow_warns_as_the_serial_flow(monkeypatch):
+    # a worker that warns hands its share back: the caller flows it again
+    # and the warning surfaces here, with the one-process result
+    pts = _two_share_batch(monkeypatch, 1)
+    phi = pseudorotations.DiscDiffeo(_FailingGenerator(warn=True), steps=2)
+    with pytest.warns(RuntimeWarning, match="x >= 0.9"):
+        forked = phi.inverse(pts)
+    _assert_no_child_left()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    with pytest.warns(RuntimeWarning, match="x >= 0.9"):
+        serial = phi.inverse(pts)
+    assert bitwise_equal(forked, serial)
 
 
 # ---------------------------------------------------------------------------

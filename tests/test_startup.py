@@ -1,8 +1,10 @@
-"""Start-up cost: the numpy-only scenarios never load scipy.
+"""Start-up cost: the numpy-only scenarios never load scipy or a pool.
 
 scipy.interpolate takes most of a second to import, so the library imports
-scipy only where it builds splines.  Each check runs in a fresh interpreter,
-because this test process has long since loaded scipy.
+scipy only where it builds splines.  The W-field flow forks its workers
+with ``os.fork`` alone, so neither ``multiprocessing`` nor
+``concurrent.futures`` is imported either.  Each check runs in a fresh
+interpreter, because this test process has long since loaded scipy.
 """
 
 import json
@@ -27,13 +29,23 @@ NUMPY_ONLY = {
     "poincare-lemma": {"n": 32, "threshold": 1.0},
 }
 
+# modules that cost import time and that no numpy-only run needs
+HEAVY = ("scipy", "multiprocessing", "concurrent.futures")
+
 PROBE = """
 import json, sys, tempfile
 from pathlib import Path
 
 import reebcut.cli
 
-loaded = {"import reebcut.cli": "scipy" in sys.modules}
+heavy = json.loads(sys.argv[2])
+
+
+def loaded_heavy():
+    return [name for name in heavy if name in sys.modules]
+
+
+loaded = {"import reebcut.cli": loaded_heavy()}
 import reebcut
 from reebcut import moser, pseudorotations
 from reebcut.reports import RunConfig, run
@@ -48,7 +60,7 @@ with tempfile.TemporaryDirectory() as out:
     for scenario, params in json.loads(sys.argv[1]).items():
         run(RunConfig.parse(scenario, params, out_dir=Path(out) / scenario,
                             plots=True))
-        loaded[scenario] = "scipy" in sys.modules
+        loaded[scenario] = loaded_heavy()
 print(json.dumps({"loaded": loaded, "same": same}))
 """
 
@@ -57,12 +69,12 @@ def test_numpy_only_scenarios_do_not_load_scipy():
     assert set(NUMPY_ONLY) == set(SCENARIOS) - set(SPLINE_SCENARIOS)
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(NUMPY_ONLY)],
+        [sys.executable, "-c", PROBE, json.dumps(NUMPY_ONLY), json.dumps(HEAVY)],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["loaded"] == {
-        name: False for name in ["import reebcut.cli", *NUMPY_ONLY]
+        name: [] for name in ["import reebcut.cli", *NUMPY_ONLY]
     }
     assert all(result["same"].values()), result["same"]
