@@ -634,19 +634,15 @@ def adapted_collar_g(H, h, s, theta, tau):
     """Solve tau = h r^2 - H_s(r, theta) for r near the boundary.
 
     The boundary-slope form of the contact condition makes tau strictly
-    increasing in r on a collar, so a bracketed bisection + Newton polish
-    converges; residuals are driven below ``_COLLAR_TOL`` (in tau units).
+    increasing in r on a collar, so a bracketed bisection converges: 60
+    halvings, or fewer once the bracket is below 1e-14, drive the residual
+    below ``_COLLAR_TOL`` (in tau units).  An unbracketed tau, or a
+    residual left above the tolerance (tau not continuous in r), raises.
     """
 
     def tau_of(r):
         xy = np.array([r * np.cos(theta), r * np.sin(theta)])
         return h * r * r - float(H.value(s, xy))
-
-    def dtau(r):
-        xy = np.array([r * np.cos(theta), r * np.sin(theta)])
-        g = H.grad(s, xy)
-        radial = np.cos(theta) * g[0] + np.sin(theta) * g[1]
-        return 2.0 * h * r - float(radial)
 
     r_lo = 1.0 - _COLLAR_WIDTH
     t_lo, t_hi = tau_of(r_lo), tau_of(1.0)
@@ -669,11 +665,6 @@ def adapted_collar_g(H, h, s, theta, tau):
         if abs(hi - lo) < 1e-14:
             break
     r = 0.5 * (lo + hi)
-    for _ in range(6):
-        fr = tau_of(r) - tau
-        if abs(fr) < tol:
-            break
-        r = r - fr / dtau(r)
     if abs(tau_of(r) - tau) > tol:
         raise PreconditionError(f"collar solve stalled at residual "
                                 f"{abs(tau_of(r) - tau):.3e}")

@@ -177,6 +177,62 @@ def slice_weights(s_nodes, s):
     return js, w
 
 
+class QuinticField:
+    """A quintic interpolating spline on the grid ``ax_x`` x ``ax_y``.
+
+    ``spline`` is the one FITPACK fit (scipy's ``RectBivariateSpline``,
+    kx = ky = 5).  ``ev(dx, dy, x, y)`` evaluates its (dx, dy) partial at
+    the points (x, y), each partial spline built on first use and kept:
+    scipy would rebuild the derivative coefficients on every
+    ``__call__(dx=...)``, and the kept spline gives the same bits.
+    """
+
+    degree = 5
+
+    def __init__(self, ax_x, ax_y, values):
+        from scipy.interpolate import RectBivariateSpline
+
+        self.spline = RectBivariateSpline(ax_x, ax_y, values,
+                                          kx=self.degree, ky=self.degree)
+        self._partials = {(0, 0): self.spline}
+
+    def ev(self, dx, dy, x, y):
+        sp = self._partials.get((dx, dy))
+        if sp is None:
+            sp = self._partials[dx, dy] = self.spline.partial_derivative(dx, dy)
+        return sp(x, y, grid=False)
+
+
+# slices a SliceFields keeps at a time
+_SLICE_CACHE = 16
+
+
+class SliceFields(dict):
+    """Time slice j -> its ``QuinticField``, built by ``build(j)`` on first use.
+
+    At most ``_SLICE_CACHE`` slices are kept.  A new slice evicts the one
+    farthest from it: outer integrations march forward in s, but a caller
+    may also step back.
+    """
+
+    def __init__(self, build):
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, j):
+        field = self[j] = self._build(j)
+        if len(self) > _SLICE_CACHE:
+            self.pop(max(self, key=lambda a: abs(a - j)))
+        return field
+
+    def blend(self, js, w, dx, dy, xy, out):
+        """``out`` plus the ``slice_weights`` blend of the slices' (dx, dy)
+        partials at the points ``xy``, summed slice by slice."""
+        for a, wa in zip(js, w):
+            out = out + wa * self[a].ev(dx, dy, xy[..., 0], xy[..., 1])
+        return out
+
+
 class QuadraticHamiltonian(Hamiltonian):
     """H = a2 r^2 + a0, the intrinsic model of an ellipsoid Reeb flow.
 

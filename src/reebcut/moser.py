@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigurationError, PreconditionError
 from .flows import _rk4_steps
 from .geometry import TWO_PI
-from .hamiltonians import Hamiltonian, slice_weights
+from .hamiltonians import Hamiltonian, QuinticField, SliceFields, slice_weights
 
 # ---------------------------------------------------------------------------
 # spectral helpers on periodic grids
@@ -301,14 +301,10 @@ def zero_integral_fixture(idx, n=256):
 @dataclass
 class MoserSettings:
     steps: int = 80
-    spline_degree: int = 5
 
     def __post_init__(self):
         if not (isinstance(self.steps, numbers.Integral) and self.steps >= 1):
             raise ConfigurationError("steps must be an integer of at least 1")
-        if not (isinstance(self.spline_degree, numbers.Integral)
-                and 1 <= self.spline_degree <= 5):
-            raise ConfigurationError("spline_degree must be an integer in 1..5")
 
 
 _BLOCK = 4096
@@ -382,25 +378,17 @@ class MoserMap:
     """The time-1 Moser flow pulling omega_1 back to omega_0 on the square."""
 
     def __init__(self, sigma: OneForm2D, g0, g1, settings: MoserSettings):
-        from scipy.interpolate import RectBivariateSpline
-
         self.settings = settings
         n = g0.n
         x = np.arange(n) / n
-        deg = settings.spline_degree
-
-        def fit(values):
-            return RectBivariateSpline(x, x, values, kx=deg, ky=deg)
-
-        self._g1 = fit(g1.values)
-        # one grid and degree, so the four fits share their knots; the
-        # first three splines are dropped as soon as their coefficients
-        # are read
-        self._knots = self._g1.get_knots()
+        self._g1 = QuinticField(x, x, g1.values)
+        # one grid, so the four fits share their knots; the first three
+        # fields are dropped as soon as their coefficients are read
+        self._knots = self._g1.spline.get_knots()
         self._coefs = np.stack(
-            [fit(v).get_coeffs() for v in (sigma.dx.values, sigma.dy.values,
-                                           g0.values)]
-            + [self._g1.get_coeffs()])
+            [QuinticField(x, x, v).spline.get_coeffs()
+             for v in (sigma.dx.values, sigma.dy.values, g0.values)]
+            + [self._g1.spline.get_coeffs()])
         self._hi = x[-1]
         self.n = n
         # sigma vanishes outside this box in exact arithmetic; the field is
@@ -418,7 +406,7 @@ class MoserMap:
         # sigma + i_X omega_t = 0  =>  X = (-sigma_y, sigma_x) / g_t
         px = np.clip(pts[..., 0], 0.0, self._hi)
         py = np.clip(pts[..., 1], 0.0, self._hi)
-        deg = self.settings.spline_degree
+        deg = QuinticField.degree
         sx, sy, g0, g1 = _tensor_splines_ev(
             *self._knots, deg, deg, self._coefs, px.ravel(), py.ravel()
         ).reshape((4,) + px.shape)
@@ -496,7 +484,8 @@ def moser_pullback_residual(psi: MoserMap, omega0: GridFunction2D,
     det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
     img = psi.grid_images
     hi = (omega1.n - 1) / omega1.n
-    g1_at = psi._g1.ev(np.clip(img[..., 0], 0.0, hi), np.clip(img[..., 1], 0.0, hi))
+    g1_at = psi._g1.ev(0, 0, np.clip(img[..., 0], 0.0, hi),
+                       np.clip(img[..., 1], 0.0, hi))
     return float(np.max(np.abs(g1_at * det - omega0.values)))
 
 
@@ -588,7 +577,8 @@ class CanonicalHamiltonian(Hamiltonian):
     each time slice by splining the mesh map over its parameters,
     inverting it with a vectorized Newton iteration, and splining the
     resulting values on a regular cartesian grid; it vanishes identically
-    outside the recorded support radius.  Slices are built lazily.
+    outside the recorded support radius.  Slices are built lazily and
+    kept in a bounded ``SliceFields``.
     """
 
     def __init__(self, s_nodes, r_nodes, theta_nodes, images, velocities,
@@ -601,7 +591,7 @@ class CanonicalHamiltonian(Hamiltonian):
         self.g_dot = g_dot            # (ns, nr, nt)
         self.support_radius = float(support_radius)
         self.boundary_value = 0.0
-        self._splines = {}
+        self.slices = SliceFields(self._slice_field)
 
     # -- scattered samples (used by the round-trip diagnostics) ---------
 
@@ -622,10 +612,7 @@ class CanonicalHamiltonian(Hamiltonian):
         pad = _THETA_PAD
         return np.concatenate([arr[..., -pad:], arr, arr[..., :pad]], axis=-1)
 
-    def _slice_spline(self, j):
-        if j in self._splines:
-            return self._splines[j]
-        from scipy.interpolate import RectBivariateSpline
+    def _slice_field(self, j):
         from scipy.spatial import cKDTree
 
         th = self.theta_nodes
@@ -634,8 +621,7 @@ class CanonicalHamiltonian(Hamiltonian):
         r = self.r_nodes
 
         def psp(values):
-            return RectBivariateSpline(r, th_pad, self._theta_padded(values),
-                                       kx=5, ky=5)
+            return QuinticField(r, th_pad, self._theta_padded(values))
 
         mx = psp(self.images[j, ..., 0])
         my = psp(self.images[j, ..., 1])
@@ -659,14 +645,14 @@ class CanonicalHamiltonian(Hamiltonian):
         pr = rr_mesh.reshape(-1)[idx].copy()
         pt = tt_mesh.reshape(-1)[idx].copy()
         for _ in range(12):
-            ex = mx(pr, pt, grid=False) - qx
-            ey = my(pr, pt, grid=False) - qy
+            ex = mx.ev(0, 0, pr, pt) - qx
+            ey = my.ev(0, 0, pr, pt) - qy
             if float(max(np.max(np.abs(ex)), np.max(np.abs(ey)))) < 1e-12:
                 break
-            j11 = mx(pr, pt, dx=1, grid=False)
-            j12 = mx(pr, pt, dy=1, grid=False)
-            j21 = my(pr, pt, dx=1, grid=False)
-            j22 = my(pr, pt, dy=1, grid=False)
+            j11 = mx.ev(1, 0, pr, pt)
+            j12 = mx.ev(0, 1, pr, pt)
+            j21 = my.ev(1, 0, pr, pt)
+            j22 = my.ev(0, 1, pr, pt)
             det = j11 * j22 - j12 * j21
             ok = (np.abs(det) > 1e-9) & (pr > 1e-6)
             safe = np.where(ok, det, 1.0)
@@ -677,17 +663,13 @@ class CanonicalHamiltonian(Hamiltonian):
             pr = np.clip(pr - damp * dr, 0.0, 1.0)
             pt = np.mod(pt - damp * dt, TWO_PI)
 
-        x_v = vx(pr, pt, grid=False)
-        y_v = vy(pr, pt, grid=False)
-        h_in = -(qx * y_v - qy * x_v) + gd(pr, pt, grid=False)
+        x_v = vx.ev(0, 0, pr, pt)
+        y_v = vy.ev(0, 0, pr, pt)
+        h_in = -(qx * y_v - qy * x_v) + gd.ev(0, 0, pr, pt)
         vals = np.zeros_like(xx)
         vals[inside] = h_in
         vals[rr >= self.support_radius] = 0.0
-        sp = RectBivariateSpline(ax, ax, vals, kx=5, ky=5)
-        self._splines[j] = (
-            sp, sp.partial_derivative(1, 0), sp.partial_derivative(0, 1)
-        )
-        return self._splines[j]
+        return QuinticField(ax, ax, vals)
 
     def _s_weights(self, s):
         # the canonical Hamiltonian is 2pi-periodic in s
@@ -696,21 +678,15 @@ class CanonicalHamiltonian(Hamiltonian):
     def value(self, s, xy):
         xy = np.asarray(xy, dtype=float)
         js, w = self._s_weights(s)
-        out = np.zeros(xy.shape[:-1])
-        for a, wa in zip(js, w):
-            out = out + wa * self._slice_spline(a)[0](xy[..., 0], xy[..., 1], grid=False)
+        out = self.slices.blend(js, w, 0, 0, xy, np.zeros(xy.shape[:-1]))
         r2 = xy[..., 0] ** 2 + xy[..., 1] ** 2
         return np.where(r2 >= self.support_radius**2, 0.0, out)
 
     def grad(self, s, xy):
         xy = np.asarray(xy, dtype=float)
         js, w = self._s_weights(s)
-        gx = np.zeros(xy.shape[:-1])
-        gy = np.zeros(xy.shape[:-1])
-        for a, wa in zip(js, w):
-            _, spx, spy = self._slice_spline(a)
-            gx = gx + wa * spx(xy[..., 0], xy[..., 1], grid=False)
-            gy = gy + wa * spy(xy[..., 0], xy[..., 1], grid=False)
+        gx = self.slices.blend(js, w, 1, 0, xy, np.zeros(xy.shape[:-1]))
+        gy = self.slices.blend(js, w, 0, 1, xy, np.zeros(xy.shape[:-1]))
         r2 = xy[..., 0] ** 2 + xy[..., 1] ** 2
         inside = r2 < self.support_radius**2
         return np.stack([np.where(inside, gx, 0.0), np.where(inside, gy, 0.0)], axis=-1)

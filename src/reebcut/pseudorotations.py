@@ -33,8 +33,10 @@ from .flows import (
 from .geometry import TWO_PI, polar_grid
 from .hamiltonians import (
     Hamiltonian,
+    QuinticField,
     RigidRotationHamiltonian,
     SamplingGrid,
+    SliceFields,
     _rigid_value,
     contact_audit,
     slice_weights,
@@ -412,8 +414,6 @@ class ConjugatedRotationHamiltonian(Hamiltonian):
     time_dependent = False
 
     def __init__(self, h, p, q, phi: DiscDiffeo, *, grid_n=512):
-        from scipy.interpolate import RectBivariateSpline
-
         self.h = int(h)
         self.p = int(p)
         self.q = int(q)
@@ -429,14 +429,7 @@ class ConjugatedRotationHamiltonian(Hamiltonian):
         inner = (gen.t0 < r2) & (r2 < gen.t1)
         inv = DiscDiffeo(gen, steps=_W_FLOW_STEPS).inverse(pts[inner])
         w[inner] = inv[:, 0] ** 2 + inv[:, 1] ** 2
-        base = RectBivariateSpline(ax, ax, w.reshape(grid_n, grid_n), kx=5, ky=5)
-        # cache derivative splines: scipy rebuilds them on every ev(dx=...)
-        self._sp = base
-        self._spx = base.partial_derivative(1, 0)
-        self._spy = base.partial_derivative(0, 1)
-        self._spxx = base.partial_derivative(2, 0)
-        self._spxy = base.partial_derivative(1, 1)
-        self._spyy = base.partial_derivative(0, 2)
+        self.w_field = QuinticField(ax, ax, w.reshape(grid_n, grid_n))
         # t1 = (1 - delta)^2: the rigid tail starts where the support ends
         self._switch2 = gen.t1
 
@@ -446,15 +439,15 @@ class ConjugatedRotationHamiltonian(Hamiltonian):
         r2 = x * x + y * y
         tail = r2 >= self._switch2
         return _rigid_value(self.h, self.pq,
-                            np.where(tail, r2, self._sp(x, y, grid=False)))
+                            np.where(tail, r2, self.w_field.ev(0, 0, x, y)))
 
     def _grad_components(self, xy):
         """The two partials (dW/dx, dW/dy) as separate arrays."""
         x, y = xy[..., 0], xy[..., 1]
         r2 = x * x + y * y
         tail = r2 >= self._switch2
-        gx = np.where(tail, 2.0 * x, self._spx(x, y, grid=False))
-        gy = np.where(tail, 2.0 * y, self._spy(x, y, grid=False))
+        gx = np.where(tail, 2.0 * x, self.w_field.ev(1, 0, x, y))
+        gy = np.where(tail, 2.0 * y, self.w_field.ev(0, 1, x, y))
         return gx, gy
 
     def grad(self, s, xy):
@@ -472,8 +465,8 @@ class ConjugatedRotationHamiltonian(Hamiltonian):
         if x * x + y * y >= self._switch2:
             gx, gy = 2.0 * x, 2.0 * y
         else:
-            gx = float(self._spx(x, y, grid=False))
-            gy = float(self._spy(x, y, grid=False))
+            gx = float(self.w_field.ev(1, 0, x, y))
+            gy = float(self.w_field.ev(0, 1, x, y))
         return 0.5 * (-self.pq * gy), -0.5 * (-self.pq * gx)
 
     def velocity(self, s, xy):
@@ -489,9 +482,9 @@ class ConjugatedRotationHamiltonian(Hamiltonian):
         x, y = xy[..., 0], xy[..., 1]
         r2 = x * x + y * y
         tail = r2 >= self._switch2
-        hxx = np.where(tail, 2.0, self._spxx(x, y, grid=False))
-        hyy = np.where(tail, 2.0, self._spyy(x, y, grid=False))
-        hxy = np.where(tail, 0.0, self._spxy(x, y, grid=False))
+        hxx = np.where(tail, 2.0, self.w_field.ev(2, 0, x, y))
+        hyy = np.where(tail, 2.0, self.w_field.ev(0, 2, x, y))
+        hxy = np.where(tail, 0.0, self.w_field.ev(1, 1, x, y))
         hess = np.empty(xy.shape[:-1] + (2, 2))
         hess[..., 0, 0] = hxx
         hess[..., 0, 1] = hxy
@@ -845,11 +838,9 @@ class ComposedHamiltonian(Hamiltonian):
         self.H2 = H2
         self.boundary_value = K.boundary_value + H2.boundary_value
         self._build(n_slices, grid_n)
-        self._splines = {}
+        self.slices = SliceFields(self._slice_field)
 
     def _build(self, n_slices, grid_n):
-        from scipy.interpolate import RectBivariateSpline
-
         ax = np.linspace(-1.0 - _GRID_PAD, 1.0 + _GRID_PAD, grid_n)
         self._ax = ax
         self.s_nodes = np.linspace(0.0, TWO_PI, n_slices + 1)
@@ -869,33 +860,18 @@ class ComposedHamiltonian(Hamiltonian):
             px = np.clip(pts[:, 0], ax[0], ax[-1])
             py = np.clip(pts[:, 1], ax[0], ax[-1])
             if scalar_march:
-                spw = RectBivariateSpline(ax, ax, self._w2[j], kx=5, ky=5)
-                self._w2[j + 1] = spw.ev(px, py).reshape(grid_n, grid_n)
+                w2 = QuinticField(ax, ax, self._w2[j]).ev(0, 0, px, py)
+                self._w2[j + 1] = w2.reshape(grid_n, grid_n)
             else:
-                spx = RectBivariateSpline(ax, ax,
-                                          inverse[:, 0].reshape(grid_n, grid_n),
-                                          kx=5, ky=5)
-                spy = RectBivariateSpline(ax, ax,
-                                          inverse[:, 1].reshape(grid_n, grid_n),
-                                          kx=5, ky=5)
-                inverse = np.stack([spx.ev(px, py), spy.ev(px, py)], axis=-1)
+                inverse = np.stack(
+                    [QuinticField(ax, ax, c.reshape(grid_n, grid_n)).ev(0, 0, px, py)
+                     for c in inverse.T], axis=-1)
                 self._w2[j + 1] = self.H2.value(
                     self.s_nodes[j + 1], inverse
                 ).reshape(grid_n, grid_n)
 
-    def _slice(self, j):
-        cached = self._splines.get(j)
-        if cached is None:
-            from scipy.interpolate import RectBivariateSpline
-
-            sp = RectBivariateSpline(self._ax, self._ax, self._w2[j], kx=5, ky=5)
-            cached = (sp, sp.partial_derivative(1, 0), sp.partial_derivative(0, 1))
-            self._splines[j] = cached
-            # evict the slice farthest from j: outer integrations march
-            # forward in s, but a caller may also step back
-            if len(self._splines) > 16:
-                self._splines.pop(max(self._splines, key=lambda a: abs(a - j)))
-        return cached
+    def _slice_field(self, j):
+        return QuinticField(self._ax, self._ax, self._w2[j])
 
     def _s_weights(self, s):
         s = float(s)
@@ -910,19 +886,12 @@ class ComposedHamiltonian(Hamiltonian):
     def value(self, s, xy):
         xy = np.asarray(xy, dtype=float)
         js, w = self._s_weights(s)
-        out = self.K.value(s, xy)
-        for a, wa in zip(js, w):
-            out = out + wa * self._slice(a)[0](xy[..., 0], xy[..., 1], grid=False)
-        return out
+        return self.slices.blend(js, w, 0, 0, xy, self.K.value(s, xy))
 
     def grad(self, s, xy):
         xy = np.asarray(xy, dtype=float)
         js, w = self._s_weights(s)
         g = self.K.grad(s, xy)
-        gx = np.zeros(xy.shape[:-1])
-        gy = np.zeros(xy.shape[:-1])
-        for a, wa in zip(js, w):
-            _, spx, spy = self._slice(a)
-            gx = gx + wa * spx(xy[..., 0], xy[..., 1], grid=False)
-            gy = gy + wa * spy(xy[..., 0], xy[..., 1], grid=False)
+        gx = self.slices.blend(js, w, 1, 0, xy, np.zeros(xy.shape[:-1]))
+        gy = self.slices.blend(js, w, 0, 1, xy, np.zeros(xy.shape[:-1]))
         return g + np.stack([gx, gy], axis=-1)

@@ -23,6 +23,7 @@ from reebcut import (
 )
 from reebcut.binding import PolarFunction, make_f_tilde, primitive_change_audit
 from reebcut.geometry import TWO_PI, wrap_angle
+from reebcut.hamiltonians import CallableHamiltonian
 
 from conftest import SQRT2, radial_collar_hamiltonian
 
@@ -286,6 +287,19 @@ def test_collar_solver_rejects_unbracketed():
     H = QuadraticHamiltonian(1.0, 1.0)
     with pytest.raises(PreconditionError):
         adapted_collar_g(H, 2, 0.0, 0.0, 0.5)
+
+
+def test_collar_solver_rejects_a_jump_across_tau():
+    # H drops by 0.1 at r = 0.9, so tau = 2 r^2 - H jumps from 0.62 to 0.72
+    # there: tau = 0.67 is bracketed on the collar but never attained, and
+    # the bisection closes in on the jump with the residual left at 0.05
+    def value(s, xy):
+        r2 = xy[..., 0] ** 2 + xy[..., 1] ** 2
+        return np.where(r2 < 0.81, 1.0, 0.9)
+
+    H = CallableHamiltonian(value, 0.9, time_dependent=False)
+    with pytest.raises(PreconditionError, match="stalled at residual 5.0"):
+        adapted_collar_g(H, 2, 0.0, 0.3, 0.67)
 
 
 # ---------------------------------------------------------------------------

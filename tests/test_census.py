@@ -8,6 +8,9 @@ its ``__init__`` and its dataclass fields).  Calls are matched by name
 only, so the census can miss a dead value whose name another call sets,
 never the other way round.  A value no call sets has one value: it belongs
 in a module constant.
+
+The same AST walk checks one structural rule: only ``QuinticField`` names
+scipy's tensor-spline fit and its partial derivatives.
 """
 
 from __future__ import annotations
@@ -115,3 +118,38 @@ def test_every_default_has_a_caller():
     assert not missing, f"no call sets these; make each a constant: {missing}"
     # an allowlisted value that some call now sets needs no entry
     assert set(ALLOWED) <= unset
+
+
+# the scipy names that fit or differentiate a tensor spline
+SPLINE_NAMES = {"RectBivariateSpline", "partial_derivative"}
+
+
+def _names(node):
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.alias):
+        return {node.name, node.asname}
+    return set()
+
+
+def test_only_quintic_field_builds_splines():
+    # one class fits every tensor spline and derives its partials, so the
+    # evaluation path is chosen in one place
+    inside, outside = set(), []
+    for path in sorted((ROOT / "src" / "reebcut").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owned = set()
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ClassDef) and node.name == "QuinticField"
+                    and path.stem == "hamiltonians"):
+                owned = {id(sub) for sub in ast.walk(node)}
+        for node in ast.walk(tree):
+            for name in _names(node) & SPLINE_NAMES:
+                if id(node) in owned:
+                    inside.add(name)
+                else:
+                    outside.append((path.name, node.lineno, name))
+    assert not outside, f"splines fitted outside QuinticField: {outside}"
+    assert inside == SPLINE_NAMES

@@ -16,7 +16,8 @@ from reebcut import (
     liouville_pairing,
 )
 from reebcut.hamiltonians import (CallableHamiltonian, PullbackHamiltonian,
-                                  check_s_periodicity, slice_weights)
+                                  QuinticField, check_s_periodicity,
+                                  slice_weights)
 from reebcut.geometry import TWO_PI, spectral_derivative
 
 from conftest import SQRT2, compact_disc_hamiltonian, random_disc_points
@@ -449,6 +450,50 @@ def test_slice_weights_match_the_old_loop_bitwise():
     for s in list(s_nodes) + list(mids) + [TWO_PI + 0.3, -0.2]:
         want = _old_slice_weights(s_nodes, float(s) % TWO_PI)
         assert same(CanonicalHamiltonian._s_weights(stub, s), want)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("dx, dy", [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1),
+                                    (0, 2)])
+def test_quintic_field_ev_is_scipys_call_bitwise(dx, dy):
+    # every partial the oracles read, against scipy's public evaluations;
+    # the Newton loop of the canonical slices relied on __call__(dx=...)
+    from scipy.interpolate import RectBivariateSpline
+
+    rng = np.random.default_rng(16)
+    ax_x = np.linspace(-1.05, 1.05, 21)
+    ax_y = np.sort(rng.uniform(-1.0, 2.0, 17))
+    values = rng.standard_normal((21, 17))
+    field = QuinticField(ax_x, ax_y, values)
+    ref = RectBivariateSpline(ax_x, ax_y, values, kx=5, ky=5)
+    assert np.array_equal(_bits(field.spline.get_coeffs()),
+                          _bits(ref.get_coeffs()))
+    xs = np.concatenate([
+        rng.uniform(-1.5, 1.5, 400),              # inside and outside the box
+        [-0.0, 0.0, np.nan, np.inf, -np.inf, 3.0, -3.0, 0.3, ax_x[0]],
+    ])
+    ys = np.concatenate([
+        rng.uniform(-2.0, 3.0, 400),
+        [0.0, -0.0, 0.5, 0.5, 0.5, 0.1, 9.0, np.nan, ax_y[-1]],
+    ])
+    want = ref(xs, ys, dx=dx, dy=dy, grid=False)
+    assert np.array_equal(_bits(ref.ev(xs, ys, dx=dx, dy=dy)), _bits(want))
+    # the first call builds the partial, the second reads the kept one
+    for _ in range(2):
+        assert np.array_equal(_bits(field.ev(dx, dy, xs, ys)), _bits(want))
+    batch = field.ev(dx, dy, xs[:400].reshape(20, 20), ys[:400].reshape(20, 20))
+    assert batch.shape == (20, 20)
+    assert np.array_equal(_bits(batch), _bits(want[:400].reshape(20, 20)))
+    # 0-d arrays and the Python floats of the one-point velocity
+    for i in (0, 1, *range(400, xs.size)):
+        for x, y in ((np.asarray(xs[i]), np.asarray(ys[i])),
+                     (float(xs[i]), float(ys[i]))):
+            got = field.ev(dx, dy, x, y)
+            assert np.shape(got) == ()
+            assert _bits(float(got)) == _bits(want[i])
 
 
 # ---------------------------------------------------------------------------

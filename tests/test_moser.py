@@ -16,6 +16,7 @@ from reebcut import (
     primitive_residual,
     zero_integral_fixture,
 )
+from reebcut.hamiltonians import QuinticField
 from reebcut.moser import MoserMap, _tensor_splines_ev, g_function_values
 from reebcut.geometry import polar_grid
 
@@ -143,7 +144,7 @@ def test_moser_iterative_refinement_reduces_residual():
     det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
     img = rough.grid_images
     hi = (w1.n - 1) / w1.n
-    achieved = rough._g1.ev(np.clip(img[..., 0], 0, hi),
+    achieved = rough._g1.ev(0, 0, np.clip(img[..., 0], 0, hi),
                             np.clip(img[..., 1], 0, hi)) * det
     # mathematically the pullback is exactly 1 on the static margin; clear
     # the spectral dust so the precondition check sees that
@@ -171,16 +172,25 @@ def test_moser_rejects_unequal_integrals():
         moser_flow(w0, w1)
 
 
-@pytest.mark.parametrize("field, value", [
-    ("steps", 0),        # was a bare ZeroDivisionError
-    ("steps", -3),       # was silently the identity map
-    ("steps", 2.5),
-    ("spline_degree", 0),
-    ("spline_degree", 6),  # was FITPACK's own error from the fit
-])
-def test_moser_settings_rejects_bad_values(field, value):
-    with pytest.raises(ConfigurationError):
+@pytest.mark.parametrize("field, value, error", [
+    ("steps", 0, ConfigurationError),   # was a bare ZeroDivisionError
+    ("steps", -3, ConfigurationError),  # was silently the identity map
+    ("steps", 2.5, ConfigurationError),
+    # the degree is the constant QuinticField.degree, so no value is taken
+    ("spline_degree", 0, TypeError),
+    ("spline_degree", 6, TypeError),
+], ids=["steps-0", "steps--3", "steps-2.5", "spline_degree-0",
+        "spline_degree-6"])
+def test_moser_settings_rejects_bad_values(field, value, error):
+    with pytest.raises(error):
         MoserSettings(**{field: value})
+
+
+def test_moser_settings_has_one_spline_degree():
+    # every tensor spline is a QuinticField, so the degree is no option
+    with pytest.raises(TypeError):
+        MoserSettings(spline_degree=5)
+    assert QuinticField.degree == 5
 
 
 def _bits(a):

@@ -7,16 +7,19 @@ from scipy.interpolate import RectBivariateSpline
 
 from reebcut import (
     BindingChart,
+    CanonicalRecoverySettings,
     ComposedHamiltonian,
     ConjugatorSchedule,
     ConjugatorSpec,
     FlowSettings,
+    HamiltonianIsotopyPath,
     IntegrationError,
     PreconditionError,
     QuadraticHamiltonian,
     RigidRotationHamiltonian,
     boundary_jet_check,
     build_conjugator,
+    canonical_hamiltonian,
     conjugated_stage,
     continued_fraction_convergents,
     contact_margin,
@@ -26,7 +29,7 @@ from reebcut import (
     return_map,
     stage_sequence,
 )
-from reebcut import pseudorotations
+from reebcut import moser, pseudorotations
 from reebcut.binding import ExtensionSettings
 from reebcut.pseudorotations import fd_weights
 from reebcut.geometry import TWO_PI, polar_grid
@@ -292,7 +295,7 @@ def test_w_field_support_mask_is_exact():
     inv = pseudorotations.DiscDiffeo(phi.generator, steps=steps).inverse(pts[inner])
     w[inner] = inv[:, 0] ** 2 + inv[:, 1] ** 2
     old = RectBivariateSpline(ax, ax, w.reshape(grid_n, grid_n), kx=5, ky=5)
-    assert bitwise_equal(H._sp.get_coeffs(), old.get_coeffs())
+    assert bitwise_equal(H.w_field.spline.get_coeffs(), old.get_coeffs())
 
 
 def _count_forks(monkeypatch):
@@ -328,7 +331,7 @@ def test_forked_flow_is_bitwise_the_one_process_flow(monkeypatch):
         H = pseudorotations.ConjugatedRotationHamiltonian(2, 1, 3, w_phi,
                                                           grid_n=256)
         results[len(cpus)] = (phi.inverse(pts), phi.jacobian(pts),
-                              H._sp.get_coeffs())
+                              H.w_field.spline.get_coeffs())
         _assert_no_child_left()
         # one fork for each multi-block flow: the inverse, the Jacobian and
         # the W-field's 28,616 support points (two blocks)
@@ -620,18 +623,39 @@ def test_composition_law_time_dependent():
     assert np.max(np.abs(left - right)) <= 1e-5
 
 
-def test_composed_slice_cache_survives_backward_step():
+def _composed_slices(monkeypatch):
     K = compact_disc_hamiltonian(amp=0.05)
     composite = ComposedHamiltonian(K, RigidRotationHamiltonian(2, 1, 2),
                                     n_slices=32, grid_n=21)
-    for j in range(5, 30):
-        composite._slice(j)
-    # a backward step after a forward sweep used to evict its own slice
-    spline, _, _ = composite._slice(2)
     ax = composite._ax
-    assert spline(ax[7], ax[12], grid=False) == pytest.approx(
-        composite._w2[2][7, 12], abs=1e-12)
-    assert 2 in composite._splines and len(composite._splines) == 16
+    # slice 2's spline interpolates its slice table at the nodes
+    return composite, (ax[7], ax[12]), composite._w2[2][7, 12], 1e-12
+
+
+def _canonical_slices(monkeypatch):
+    # a coarse re-gridding keeps 26 slice builds cheap; the cache rule does
+    # not depend on the grid
+    monkeypatch.setattr(moser, "_ORACLE_GRID", 41)
+    K = compact_disc_hamiltonian(amp=0.02, time_factor=np.cos)
+    H = canonical_hamiltonian(
+        HamiltonianIsotopyPath(K, steps_per_period=200),
+        CanonicalRecoverySettings(n_r=64, n_theta=16, n_s=32))
+    # a slice is a deterministic function of its index: slice 2 built
+    # afresh is slice 2 bit for bit
+    xy = (0.3, -0.2)
+    return H, xy, float(H._slice_field(2).spline(*xy, grid=False)), 0.0
+
+
+@pytest.mark.parametrize("case", [_composed_slices, _canonical_slices],
+                         ids=["ComposedHamiltonian", "CanonicalHamiltonian"])
+def test_slice_cache_survives_backward_step(case, monkeypatch):
+    H, (x, y), want, tol = case(monkeypatch)
+    for j in range(5, 30):
+        H.slices[j]
+    # a backward step after a forward sweep used to evict its own slice
+    spline = H.slices[2].spline
+    assert spline(x, y, grid=False) == pytest.approx(want, abs=tol)
+    assert 2 in H.slices and len(H.slices) == 16
 
 
 def test_composed_value_blends_the_slice_splines():
