@@ -26,7 +26,6 @@ from .hamiltonians import (
     CallableHamiltonian,
     ContactAuditReport,
     Hamiltonian,
-    PullbackHamiltonian,
     QuadraticHamiltonian,
     RigidRotationHamiltonian,
     SamplingGrid,

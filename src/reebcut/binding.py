@@ -275,6 +275,12 @@ class ExtensionSettings:
     expected_a: float = None
     n_deriv_rungs: int = 6
 
+    def __post_init__(self):
+        # the rho-jets reach order 4, as the cut-check schema allows
+        if not 0 <= self.k_max <= 4:
+            raise ConfigurationError(
+                f"k_max = {self.k_max} outside the verdict orders 0..4")
+
     def rungs(self):
         return self.rho0 * 0.5 ** np.arange(self.n_rungs)
 
@@ -302,11 +308,11 @@ class ExtensionReport:
     uniformity_scores: np.ndarray          # per rung gap, max over dirs
     verdicts: list
     effective_a: float
-    expected_a: float = None
-    model_jet_defects: dict = None
-    lift_samples: np.ndarray = None        # (nb, nm, nd) raw ladder values
-    b_values: np.ndarray = None
-    directions: np.ndarray = None
+    expected_a: float
+    model_jet_defects: dict
+    lift_samples: np.ndarray               # (nb, nm, nd) raw ladder values
+    b_values: np.ndarray
+    directions: np.ndarray
 
     @property
     def passed(self):
@@ -332,14 +338,12 @@ class ExtensionReport:
                 else None
             ),
             "rungs": [float(r) for r in self.settings.rungs()],
-            "b_values": self.b_values.tolist() if self.b_values is not None else None,
-            "directions": (self.directions.tolist()
-                           if self.directions is not None else None),
+            "b_values": self.b_values.tolist(),
+            "directions": self.directions.tolist(),
             "f0_samples": self.f0_samples.tolist(),
             "f_rho_at_zero": self.f_rho_at_zero.tolist(),
             "f_rhorho_at_zero": self.f_rhorho_at_zero.tolist(),
-            "lift_samples": (self.lift_samples.tolist()
-                             if self.lift_samples is not None else None),
+            "lift_samples": self.lift_samples.tolist(),
         }
 
 
@@ -491,8 +495,6 @@ def _assemble_extension_report(chart, settings, data: LiftJetData):
     jets = {3: data.d_rho3, 4: data.d_rho4}
     factorials = {3: 6.0, 4: 24.0}
     for k in range(3, settings.k_max + 1):
-        if k not in jets:
-            break
         ck = _limit_to_zero(jets[k], dk, use=slice(0, min(4, nk))) / factorials[k]
         spectrum = np.abs(np.fft.rfft(ck, axis=1)) / settings.n_dirs * 2.0
         modes = np.arange(spectrum.shape[1])
@@ -826,6 +828,10 @@ def primitive_change_audit(F: PolarFunction, h):
     (r-1)^2 G with G smooth, and the remaining obstruction is whether
     rho^2 G(1-rho^2, b - h*vartheta) lifts a C^2 function; that reuses the
     extension machinery at order 2.
+
+    Returns the report and ``g_of(r, theta)``, the quotient
+    F_theta / (r-1)^2, defined on r < 1: the lift's deepest rung,
+    rho = 0.25 * 2^-7, keeps (r-1)^2 = rho^4 above 1e-11.
     """
     theta = np.linspace(0.0, TWO_PI, _PRIMITIVE_N_THETA, endpoint=False)
 
@@ -847,15 +853,7 @@ def primitive_change_audit(F: PolarFunction, h):
     )
 
     def g_of(r, th):
-        rr = np.asarray(r, dtype=float)
-        denom = (rr - 1.0) ** 2
-        # L'Hopital fallback right at the boundary
-        close = denom < 1e-12
-        denom = np.where(close, 1.0, denom)
-        out = F.dtheta(rr, th) / denom
-        if np.any(close):
-            out = np.where(close, _g_boundary_limit(F, th), out)
-        return out
+        return F.dtheta(r, th) / (np.asarray(r, dtype=float) - 1.0) ** 2
 
     def lift(b, rho, vt):
         r = 1.0 - np.asarray(rho, float) ** 2
@@ -876,10 +874,3 @@ def primitive_change_audit(F: PolarFunction, h):
         passed=passed,
     ), g_of
 
-
-def _g_boundary_limit(F, theta):
-    nodes = 1.0 - _BOUNDARY_HR * np.arange(6)
-    vals = np.stack([F.dtheta(np.full_like(theta, rn), theta) for rn in nodes])
-    # second one-sided derivative of dF/dtheta at r = 1, then halve
-    c = np.array([45.0, -154.0, 214.0, -156.0, 61.0, -10.0]) / 12.0
-    return (c @ vals) / _BOUNDARY_HR**2 / 2.0

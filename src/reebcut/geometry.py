@@ -63,9 +63,6 @@ class SolidTorusPoint:
     def __post_init__(self):
         object.__setattr__(self, "s", float(wrap_angle(self.s)))
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.s, self.p.x, self.p.y], dtype=float)
-
 
 def spectral_derivative(values, axis=-1, order=1):
     """d^order/dt^order of samples taken uniformly on t in [0, 2*pi).
@@ -89,11 +86,6 @@ def as_xy(points) -> np.ndarray:
     if arr.shape[-1] != 2:
         raise PreconditionError(f"expected (..., 2) coordinates, got shape {arr.shape}")
     return arr
-
-
-def radius(xy) -> np.ndarray:
-    xy = np.asarray(xy, dtype=float)
-    return np.sqrt(xy[..., 0] ** 2 + xy[..., 1] ** 2)
 
 
 def polar_grid(n_r, n_theta, r_max=1.0, include_center=True):

@@ -14,81 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError, PreconditionError
-from .geometry import TWO_PI, as_xy, radius
+from .geometry import TWO_PI, as_xy
 
-# centered-difference steps of the gradient and Hessian fallbacks
-_FD_STEP = 1e-5
-_FD_HESSIAN_STEP = 1e-4
 _PERIODICITY_N_S = 16
 _PERIODICITY_N_POINTS = 64
 _PERIODICITY_TOL = 1e-10
-
-
-# ---------------------------------------------------------------------------
-# finite-difference fallbacks
-# ---------------------------------------------------------------------------
-
-def _fd_partial(value_fn, s, xy, axis, step):
-    """Second-order partial derivative along one cartesian axis.
-
-    Uses centered differences with step h = step * max(1, |coordinate|).
-    Where the +h probe lies outside the closed disc, the backward
-    three-point stencil (0, -h, -2h) replaces it; where the -h probe does,
-    the forward one (0, +h, +2h), which wins where both do.  So a point
-    whose two probes leave the disc, such as (1, 0) along y, takes a
-    stencil whose probes lie outside too.  Each stencil in use is evaluated
-    over the whole batch: ``value_fn`` is called at probes up to 2h outside
-    the disc (radius up to 1 + 2h at (-1, 0) along x) and must accept
-    them.  Works for scalar- and vector-valued oracles alike.
-    """
-    xy = np.asarray(xy, dtype=float)
-    h = step * np.maximum(1.0, np.abs(xy[..., axis]))
-
-    def shifted(mult):
-        probe = xy.copy()
-        probe[..., axis] = probe[..., axis] + mult * h
-        return probe
-
-    out_plus = radius(shifted(1.0)) > 1.0
-    out_minus = radius(shifted(-1.0)) > 1.0
-
-    sample = np.asarray(value_fn(s, xy))
-    extra = sample.ndim - h.ndim
-    h_b = h.reshape(h.shape + (1,) * extra)
-    mask_plus = out_plus.reshape(out_plus.shape + (1,) * extra)
-    mask_minus = out_minus.reshape(out_minus.shape + (1,) * extra)
-
-    result = (np.asarray(value_fn(s, shifted(1.0)))
-              - np.asarray(value_fn(s, shifted(-1.0)))) / (2.0 * h_b)
-
-    if np.any(out_plus):
-        back = (
-            3.0 * sample - 4.0 * np.asarray(value_fn(s, shifted(-1.0)))
-            + np.asarray(value_fn(s, shifted(-2.0)))
-        ) / (2.0 * h_b)
-        result = np.where(mask_plus, back, result)
-    if np.any(out_minus):
-        fwd = (
-            -3.0 * sample + 4.0 * np.asarray(value_fn(s, shifted(1.0)))
-            - np.asarray(value_fn(s, shifted(2.0)))
-        ) / (2.0 * h_b)
-        result = np.where(mask_minus, fwd, result)
-    return result
-
-
-def fd_gradient(value_fn, s, xy):
-    """Centered-difference gradient (..., 2) of a value oracle."""
-    gx = _fd_partial(value_fn, s, xy, 0, _FD_STEP)
-    gy = _fd_partial(value_fn, s, xy, 1, _FD_STEP)
-    return np.stack([gx, gy], axis=-1)
-
-
-def fd_hessian(grad_fn, s, xy):
-    """Symmetrized finite-difference Jacobian of a gradient oracle."""
-    cols = [_fd_partial(grad_fn, s, xy, axis, _FD_HESSIAN_STEP)
-            for axis in range(2)]
-    hess = np.stack(cols, axis=-1)  # (..., 2 grad comps, 2 axes)
-    return 0.5 * (hess + np.swapaxes(hess, -1, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -99,9 +29,9 @@ def fd_hessian(grad_fn, s, xy):
 class Hamiltonian:
     """A 2*pi-periodic family of functions on the closed unit disc.
 
-    Subclasses supply ``value`` and may override the derivative oracles with
-    analytic expressions; the base class falls back to centered finite
-    differences (one-sided where a probe leaves the disc).
+    Subclasses supply ``value`` and the analytic derivative oracles
+    ``grad`` and ``hessian``; the base class raises ``NotImplementedError``
+    for all three, so no derivative is ever a finite difference.
 
     A subclass may also define ``point_velocity(s, x, y)``: the velocity at
     one point given as two floats, returned as a ``(vx, vy)`` float pair
@@ -125,10 +55,10 @@ class Hamiltonian:
         raise NotImplementedError
 
     def grad(self, s, xy):
-        return fd_gradient(self.value, s, xy)
+        raise NotImplementedError
 
     def hessian(self, s, xy):
-        return fd_hessian(self.grad, s, xy)
+        raise NotImplementedError
 
     # -- derived fields -----------------------------------------------------
 
@@ -263,9 +193,6 @@ class QuadraticHamiltonian(Hamiltonian):
         hess[..., 1, 1] = 2.0 * self.a2
         return hess
 
-    def __repr__(self):
-        return f"QuadraticHamiltonian(a0={self.a0}, a2={self.a2})"
-
 
 def _rigid_value(h, pq, r2):
     # shared expression so conjugated stages reproduce the tail bitwise
@@ -294,15 +221,13 @@ class RigidRotationHamiltonian(QuadraticHamiltonian):
         r2 = xy[..., 0] ** 2 + xy[..., 1] ** 2
         return _rigid_value(self.h, self.p / self.q, r2)
 
-    def __repr__(self):
-        return f"RigidRotationHamiltonian(h={self.h}, p={self.p}, q={self.q})"
-
 
 class CallableHamiltonian(Hamiltonian):
     """Wrap plain callables ``fn(s, xy)`` as a Hamiltonian.
 
-    ``grad_fn``/``hessian_fn`` are optional analytic oracles; when omitted,
-    finite differences are used.
+    ``grad_fn``/``hessian_fn`` are the analytic derivative oracles; without
+    one, ``grad`` or ``hessian`` (and the velocity fields built on them)
+    raise ``NotImplementedError``.
     """
 
     def __init__(self, value_fn, boundary_value, grad_fn=None, hessian_fn=None,
@@ -330,38 +255,15 @@ class CallableHamiltonian(Hamiltonian):
         return super().hessian(s, xy)
 
 
-class PullbackHamiltonian(Hamiltonian):
-    """H o phi for a disc map phi with value and Jacobian oracles.
-
-    grad(H o phi) = Dphi^T (grad H) o phi; the Hessian falls back to finite
-    differences of that gradient since second derivatives of phi are not
-    part of the map protocol.
-    """
-
-    def __init__(self, base, disc_map):
-        self.base = base
-        self.map = disc_map
-        self.boundary_value = base.boundary_value
-
-    def value(self, s, xy):
-        return self.base.value(s, self.map(np.asarray(xy, dtype=float)))
-
-    def grad(self, s, xy):
-        xy = np.asarray(xy, dtype=float)
-        img = self.map(xy)
-        g = self.base.grad(s, img)
-        jac = self.map.jacobian(xy)
-        return np.einsum("...ji,...j->...i", jac, g)
-
-
 def cosine_defect_hamiltonian(h, c, d):
     """H = h + (1 - r^2)(c + d cos(theta)).
 
     For d != 0 this violates the radial-collar assumption on every collar:
     the binding function acquires a direction-dependent limit and the
-    extension test must fail at order zero.  Gradients are analytic; the
-    field is Lipschitz but not differentiable at the origin, which the
-    collar-focused audits never sample.
+    extension test must fail at order zero.  Gradient and Hessian are
+    analytic; the field is Lipschitz but not differentiable at the origin,
+    which the collar-focused audits never sample, and both oracles read 0
+    there.
     """
 
     def value(s, xy):
@@ -382,10 +284,29 @@ def cosine_defect_hamiltonian(h, c, d):
         gy = np.where(r > 0, gy, 0.0)
         return np.stack([gx, gy], axis=-1)
 
+    def hessian(s, xy):
+        # H - h = g (c + d u) with g = 1 - r^2 and u = x / r
+        x, y = xy[..., 0], xy[..., 1]
+        r = np.sqrt(x * x + y * y)
+        safe = np.where(r > 0, r, 1.0)
+        r3, r5 = safe**3, safe**5
+        g, u = 1.0 - r * r, x / safe
+        ux, uy = y * y / r3, -x * y / r3
+        uxx = -3.0 * x * y * y / r5
+        uxy = y * (2.0 * x * x - y * y) / r5
+        uyy = x * (2.0 * y * y - x * x) / r5
+        out = np.empty(xy.shape[:-1] + (2, 2))
+        out[..., 0, 0] = -2.0 * (c + d * u) - 4.0 * d * x * ux + d * g * uxx
+        out[..., 0, 1] = -2.0 * d * (x * uy + y * ux) + d * g * uxy
+        out[..., 1, 0] = out[..., 0, 1]
+        out[..., 1, 1] = -2.0 * (c + d * u) - 4.0 * d * y * uy + d * g * uyy
+        return np.where((r > 0)[..., None, None], out, 0.0)
+
     return CallableHamiltonian(
         value,
         boundary_value=h,
         grad_fn=grad,
+        hessian_fn=hessian,
         time_dependent=False,
     )
 

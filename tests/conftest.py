@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -142,9 +144,13 @@ def polynomial_defect_hamiltonian(h, c, d):
     )
 
 
-@pytest.fixture(scope="session")
-def rng():
-    return np.random.default_rng(20260808)
+@pytest.fixture
+def rng(request):
+    """A generator seeded from the test's node id alone, so the points a
+    test draws do not depend on which tests ran before it (``zlib.crc32``,
+    not ``hash``, which is salted per process)."""
+    nodeid = zlib.crc32(request.node.nodeid.encode())
+    return np.random.default_rng([20260808, nodeid])
 
 
 @pytest.fixture(scope="session")

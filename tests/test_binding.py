@@ -180,6 +180,29 @@ def test_extension_ladder_must_fit_chart():
         extension_test(H, BindingChart(h=2, eps=0.01))
 
 
+@pytest.mark.parametrize("k_max", [5, 7, -1])
+def test_extension_settings_reject_orders_without_verdicts(k_max):
+    # the rho-jets reach order 4: a k_max past it would pass on orders no
+    # verdict checks
+    with pytest.raises(ConfigurationError, match="k_max"):
+        ExtensionSettings(k_max=k_max)
+
+
+@pytest.mark.parametrize("H", [QuadraticHamiltonian(SQRT2, 2 - SQRT2),
+                               cosine_defect_hamiltonian(2, 0.4, 0.5)])
+def test_extension_verdict_orders_follow_k_max(H):
+    # C^0 and C^1 always, then one verdict per order up to k_max; each is
+    # the same as in the k_max = 4 run
+    full = extension_test(H, BindingChart(h=2), ExtensionSettings(k_max=4))
+    for k_max in range(5):
+        rep = extension_test(H, BindingChart(h=2),
+                             ExtensionSettings(k_max=k_max))
+        orders = list(range(max(2, k_max + 1)))
+        assert [v.order for v in rep.verdicts] == orders
+        assert ([v.to_dict() for v in rep.verdicts]
+                == [v.to_dict() for v in full.verdicts[:len(orders)]])
+
+
 def test_extension_order_pass_is_cumulative():
     h, d = 3, 0.5
     rep = extension_test(cosine_defect_hamiltonian(h, 0.4, d), BindingChart(h=h))
@@ -281,6 +304,15 @@ def test_collar_solver_rigid_rotation():
     for tau in (-0.5, -0.05):
         r = adapted_collar_g(H, 2, 1.0, 0.3, tau)
         assert abs(r - np.sqrt((tau + ha) / ha)) <= 1e-12
+
+
+def test_collar_solver_decreasing_tau():
+    # a2 > h: tau = r^2 - (0.5 + 3 r^2) = -2 r^2 - 0.5 decreases in r, so the
+    # bisection bracket is swapped; closed-form root r = sqrt(-(tau + 0.5) / 2)
+    H = QuadraticHamiltonian(0.5, 3.0)
+    for tau in (-1.78, -1.3, -2.4):
+        r = adapted_collar_g(H, 1, 0.0, 0.7, tau)
+        assert abs(r - np.sqrt(-(tau + 0.5) / 2.0)) <= 1e-12
 
 
 def test_collar_solver_rejects_unbracketed():

@@ -15,9 +15,8 @@ from reebcut import (
     hamiltonian_vector_field,
     liouville_pairing,
 )
-from reebcut.hamiltonians import (CallableHamiltonian, PullbackHamiltonian,
-                                  QuinticField, check_s_periodicity,
-                                  slice_weights)
+from reebcut.hamiltonians import (CallableHamiltonian, QuinticField,
+                                  check_s_periodicity, slice_weights)
 from reebcut.geometry import TWO_PI, spectral_derivative
 
 from conftest import SQRT2, compact_disc_hamiltonian, random_disc_points
@@ -196,57 +195,49 @@ def test_compact_fixture_grad_is_bitwise_unchanged(kw, rng):
     {"time_factor": np.cos},
 ])
 def test_compact_fixture_hessian_matches_finite_differences(kw, rng):
-    # the analytic Hessian is the limit of the centered differences of the
-    # grad: at the fallback's step 1e-4 they agree to 5e-5 (the worst seen
-    # is 3.1e-5, on Hessian entries up to about 10), and halving the step
-    # quarters the largest gap, as it must for a second-order stencil
-    from reebcut.hamiltonians import _FD_HESSIAN_STEP, _fd_partial, fd_hessian
-
+    # the analytic Hessian is the limit of the symmetrized centered
+    # differences of the grad: at step 1e-4 they agree to 5e-5 (the worst
+    # seen is 3.1e-5, on Hessian entries up to about 10), and halving the
+    # step quarters the largest gap, as it must for a second-order stencil.
+    # Every probe stays inside r <= 0.9902, on the fixture's domain
     H = compact_disc_hamiltonian(**kw)
     pts = random_disc_points(rng, 2000, r_max=0.99, r_min=0.0)
+    hess = H.hessian(1.3, pts)
 
     def fd_gap(step):
-        cols = np.stack([_fd_partial(H.grad, 1.3, pts, axis, step)
-                         for axis in range(2)], axis=-1)
-        sym = 0.5 * (cols + np.swapaxes(cols, -1, -2))
-        return np.max(np.abs(H.hessian(1.3, pts) - sym))
+        cols = []
+        for axis in range(2):
+            e = np.zeros(2)
+            e[axis] = step
+            cols.append((H.grad(1.3, pts + e) - H.grad(1.3, pts - e))
+                        / (2.0 * step))
+        fd = np.stack(cols, axis=-1)
+        return np.max(np.abs(hess - 0.5 * (fd + np.swapaxes(fd, -1, -2))))
 
-    hess = H.hessian(1.3, pts)
     assert np.array_equal(hess[..., 0, 1], hess[..., 1, 0])
-    assert np.max(np.abs(hess - fd_hessian(H.grad, 1.3, pts))) <= 5e-5
-    ratio = fd_gap(2 * _FD_HESSIAN_STEP) / fd_gap(_FD_HESSIAN_STEP)
-    assert 3.5 <= ratio <= 4.5
+    assert fd_gap(1e-4) <= 5e-5
+    assert 3.5 <= fd_gap(2e-4) / fd_gap(1e-4) <= 4.5
 
 
-def test_fd_gradient_fallback_on_the_boundary_circle():
-    # no grad_fn: grad is the centered-difference fallback, shifted to a
-    # one-sided stencil where a probe leaves the disc.  Both second-order
-    # stencils are exact on a quadratic up to rounding (1.2e-10 worst seen),
-    # and at (1, 0) and (-1, 0) the x-partial is the backward and the
-    # forward three-point stencil, bitwise
-    from reebcut.hamiltonians import _FD_STEP
-
-    def value(s, xy):
-        x, y = xy[..., 0], xy[..., 1]
-        return 0.3 + 0.7 * x - 0.4 * y + 1.1 * x * x - 0.6 * x * y + 0.9 * y * y
-
-    H = CallableHamiltonian(value, 0.3)
-    theta = np.linspace(0.0, TWO_PI, 24, endpoint=False)
-    pts = np.concatenate([[[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
-                          np.stack([np.cos(theta), np.sin(theta)], axis=-1)])
-    x, y = pts[:, 0], pts[:, 1]
-    exact = np.stack([0.7 + 2.2 * x - 0.6 * y, -0.4 - 0.6 * x + 1.8 * y], axis=-1)
-    grad = H.grad(0.0, pts)
-    assert np.max(np.abs(grad - exact)) <= 1e-9
-
-    def at(px):
-        return float(value(0.0, np.array([px, 0.0])))
-
-    h = _FD_STEP
-    back = (3.0 * at(1.0) - 4.0 * at(1.0 + -1.0 * h) + at(1.0 + -2.0 * h)) / (2.0 * h)
-    fwd = (-3.0 * at(-1.0) + 4.0 * at(-1.0 + 1.0 * h)
-           - at(-1.0 + 2.0 * h)) / (2.0 * h)
-    assert grad[0, 0] == back and grad[1, 0] == fwd
+def test_cosine_defect_hessian_against_symbolic_oracle(rng):
+    # the analytic Hessian of H = h + (1 - r^2)(c + d x / r) against sympy's,
+    # symmetric bitwise, and 0 at the origin as the grad is
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y", real=True)
+    h_, c_, d_ = 3, 0.4, 0.7
+    r = sympy.sqrt(x**2 + y**2)
+    expr = h_ + (1 - r**2) * (c_ + d_ * x / r)
+    second = [[sympy.lambdify((x, y), sympy.diff(expr, a, b)) for b in (x, y)]
+              for a in (x, y)]
+    pts = random_disc_points(rng, 500, r_max=1.0, r_min=1e-3)
+    want = np.stack([np.stack([second[i][j](pts[:, 0], pts[:, 1])
+                               for j in range(2)], axis=-1)
+                     for i in range(2)], axis=-2)
+    H = cosine_defect_hamiltonian(h_, c_, d_)
+    hess = H.hessian(0.0, pts)
+    assert np.max(np.abs(hess - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.array_equal(hess[..., 0, 1], hess[..., 1, 0])
+    assert np.array_equal(H.hessian(0.0, np.zeros((1, 2))), np.zeros((1, 2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -378,21 +369,43 @@ def test_contact_audit_rejects_coarse_grid():
 
 
 # ---------------------------------------------------------------------------
-# pullbacks
+# oracles
 # ---------------------------------------------------------------------------
 
 
-def test_pullback_chain_rule(rng, stage_2_1_3):
-    # for area-preserving phi: X_{H o phi} = Dphi^{-1} (X o phi)
-    phi = stage_2_1_3.conjugator
-    H = QuadraticHamiltonian(1.1, 0.9)
-    HoPhi = PullbackHamiltonian(H, phi)
-    pts = random_disc_points(rng, 60, r_max=0.85)
-    X_pull = HoPhi.velocity(0.0, pts)
-    X_base = H.velocity(0.0, phi(pts))
-    inv_jac = phi.inverse_jacobian(phi(pts))
-    expected = np.einsum("...ij,...j->...i", inv_jac, X_base)
-    assert np.max(np.abs(X_pull - expected)) <= 1e-6
+def test_value_only_hamiltonian_has_no_derivatives():
+    # every derivative is an analytic oracle: without grad_fn or hessian_fn
+    # the derivative fields raise, there is no finite-difference fallback
+    H = CallableHamiltonian(_first_coordinate, 0.0)
+    pts = np.array([[0.1, 0.2], [0.5, -0.3]])
+    assert np.array_equal(H.value(0.0, pts), pts[:, 0])
+    for oracle in (H.grad, H.hessian, H.velocity, H.velocity_jacobian):
+        with pytest.raises(NotImplementedError):
+            oracle(0.0, pts)
+
+
+def test_every_cli_hamiltonian_has_a_velocity_jacobian():
+    # the Hamiltonians a config can build: the three parse_hamiltonian
+    # types and a pseudorotation stage; none reaches the raise above
+    from reebcut.pseudorotations import conjugated_stage
+    from reebcut.reports import parse_hamiltonian
+
+    blocks = [{"type": "quadratic", "a0": 1.2, "a2": 0.8},
+              {"type": "rigid", "h": 2, "p": 1, "q": 3},
+              {"type": "cosine-defect", "h": 3, "c": 0.4, "d": 0.5}]
+    hams = [parse_hamiltonian(b) for b in blocks]
+    hams.append(conjugated_stage(2, 1, 3, w_grid=64).hamiltonian)
+    theta = np.linspace(0.0, TWO_PI, 12, endpoint=False)
+    pts = np.concatenate([
+        [[0.0, 0.0]],
+        np.stack([0.5 * np.cos(theta), 0.5 * np.sin(theta)], axis=-1),
+        np.stack([np.cos(theta), np.sin(theta)], axis=-1),
+    ])
+    for H in hams:
+        for s in (0.0, 1.3):
+            jac = H.velocity_jacobian(s, pts)
+            assert jac.shape == (len(pts), 2, 2)
+            assert np.all(np.isfinite(jac)), H
 
 
 def test_oracle_failure_carries_location():
@@ -511,11 +524,10 @@ def _removed_options():
                          GridFunction2D, OneForm2D, build_conjugator,
                          conjugated_stage, continued_fraction_convergents,
                          primitive_change_audit, reeb_period, stage_sequence)
-    from reebcut.binding import (PolarFunction, _g_boundary_limit,
-                                 adapted_collar_g, extended_contact_audit,
-                                 pullback_residual, sample_lift_jets)
+    from reebcut.binding import (PolarFunction, adapted_collar_g,
+                                 extended_contact_audit, pullback_residual,
+                                 sample_lift_jets)
     from reebcut.flows import periodic_point_scan
-    from reebcut.hamiltonians import fd_gradient, fd_hessian
     from reebcut.invariants import (RotationSettings, _candidate_poles,
                                     hopf_circles, linking_curves_r3,
                                     rotation_number)
@@ -538,11 +550,6 @@ def _removed_options():
             lambda: CallableHamiltonian(f, 0.0, autonomous_near_boundary=True),
         "CallableHamiltonian-radial_near_boundary":
             lambda: CallableHamiltonian(f, 0.0, radial_near_boundary=True),
-        "fd_gradient-keep_in_disc":
-            lambda: fd_gradient(f, 0.0, origin, keep_in_disc=False),
-        "fd_gradient-step": lambda: fd_gradient(f, 0.0, origin, step=1e-6),
-        "fd_hessian-keep_in_disc":
-            lambda: fd_hessian(f, 0.0, origin, keep_in_disc=False),
         "ExtensionSettings-threshold_scale":
             lambda: ExtensionSettings(threshold_scale=1.0),
         "ExtensionSettings-eta_frac": lambda: ExtensionSettings(eta_frac=2.0),
@@ -607,7 +614,6 @@ def _removed_options():
             lambda: primitive_change_audit(None, 2, n_theta=64),
         "primitive_change_audit-settings":
             lambda: primitive_change_audit(None, 2, settings=None),
-        "_g_boundary_limit-hr": lambda: _g_boundary_limit(None, None, hr=1e-3),
         "PolarFunction.dtheta-step":
             lambda: PolarFunction(f).dtheta(1.0, 0.0, step=1e-5),
         "periodic_point_scan-newton_steps":
@@ -684,7 +690,6 @@ def test_no_hamiltonian_carries_ds_or_collar_flags():
         RigidRotationHamiltonian(2, 1, 3),
         cosine_defect_hamiltonian(3, 0.4, 0.5),
         CallableHamiltonian(_first_coordinate, 0.0),
-        PullbackHamiltonian(QuadraticHamiltonian(1.0, 0.5), lambda xy: xy),
         ConjugatedRotationHamiltonian(
             2, 1, 3, build_conjugator(ConjugatorSpec(amplitude=0.0)), grid_n=16),
         CanonicalHamiltonian(None, None, None, grid, grid, grid, 0.5),

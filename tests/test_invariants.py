@@ -19,6 +19,7 @@ from reebcut import (
 )
 from reebcut.invariants import (
     RotationSettings,
+    _orthonormal_complement,
     hopf_circles,
     hopf_circles_r3,
     split_circles,
@@ -119,6 +120,14 @@ def test_rotation_closed_form_quadratic():
     assert abs(rotation_number(H, "B", Frame.INTERIOR, h=2) - (1 + 1 / SQRT2)) <= 1e-14
 
 
+@pytest.mark.parametrize("a0, a2", [(SQRT2, 2 - SQRT2), (0.7, 1.6),
+                                    (1.2, -0.3)])
+def test_rotation_default_h_is_the_rounded_boundary_value(a0, a2):
+    # without h, the surface offset is h = round(a0 + a2): rho = -a2 + h
+    H = QuadraticHamiltonian(a0, a2)
+    assert rotation_number(H, "C", Frame.SURFACE) == -a2 + round(a0 + a2)
+
+
 def test_rotation_numeric_rigid():
     H = as_plain_callable(RigidRotationHamiltonian(2, 1, 3))
     rho = rotation_number(H, "C", Frame.INTERIOR, h=2,
@@ -215,6 +224,18 @@ def test_gauss_hopf_fibers_positive():
     val = gauss_linking_integral(stereographic_project(f1, pole),
                                  stereographic_project(f2, pole))
     assert abs(val - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("axis", range(4))
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_stereographic_frame_is_right_handed(axis, sign):
+    # the completed frame and the pole make a positive basis of R^4, also
+    # where the Gram-Schmidt completion has to flip its last vector
+    pole = sign * np.eye(4)[axis]
+    frame = _orthonormal_complement(pole)
+    basis = np.vstack([frame, pole[None, :]])
+    assert np.allclose(basis @ basis.T, np.eye(4), atol=1e-15)
+    assert abs(np.linalg.det(basis) - 1.0) <= 1e-15
 
 
 def test_gauss_orientation_reversal():

@@ -9,6 +9,7 @@ from reebcut import (
     HamiltonianIsotopyPath,
     MoserSettings,
     PreconditionError,
+    RigidRotationHamiltonian,
     canonical_hamiltonian,
     moser_flow,
     moser_pullback_residual,
@@ -375,6 +376,17 @@ def test_canonical_rejects_path_not_starting_at_identity():
         canonical_hamiltonian(ShiftedPath(),
                               CanonicalRecoverySettings(n_r=64, n_theta=16,
                                                         n_s=32))
+
+
+@pytest.mark.parametrize("route", ["radial", "axis"])
+def test_g_function_vanishes_for_a_rigid_rotation(route):
+    # a rigid rotation keeps lambda = r^2 dtheta, so G = 0 in closed form;
+    # the origin takes the radial route's zero-radius direction
+    path = HamiltonianIsotopyPath(RigidRotationHamiltonian(2, 1, 3))
+    targets = np.concatenate([[[0.0, 0.0]], polar_grid(2, 4, r_max=0.7,
+                                                       include_center=False)])
+    g = g_function_values(path, 1.3, targets, route=route)
+    assert np.max(np.abs(g)) <= 1e-10
 
 
 def test_g_function_path_independence(autonomous_recovery):
