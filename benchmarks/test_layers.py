@@ -61,6 +61,16 @@ def test_stage_velocity_single_point(benchmark, small_stage):
     assert v.shape == (2,) and np.all(np.isfinite(v))
 
 
+def test_quintic_field_point_ev(benchmark, small_stage):
+    # one x-partial of the stage's W-field at one point given as two
+    # floats, as the one-point velocity reads it: one FITPACK evaluation
+    # and its call overhead
+    field = small_stage.hamiltonian.w_field
+    field.ev(1, 0, 0.3, 0.2)  # derive the partial before timing
+    gx = benchmark(field.ev, 1, 0, 0.3, 0.2)
+    assert np.shape(gx) == () and np.isfinite(gx)
+
+
 def test_orbit_statistics(benchmark, small_stage):
     # single-point return maps: one-point velocity calls dominate
     settings = FlowSettings(step=TWO_PI / 400)

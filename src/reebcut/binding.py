@@ -366,9 +366,9 @@ def extension_test(H, chart: BindingChart, settings: ExtensionSettings = None):
 
     C^0   directional limits exist, are uniform, and agree across
           directions (and the direction spread is the reported score);
-    C^1   the polar-to-cartesian limit conditions: antipodal oddness of
-          f~_rho at rho = 0 and direction-independent limits of
-          cos(t) f~_rho - sin(t) f~_t / rho (and the sine counterpart);
+    C^1   (k_max >= 1) the polar-to-cartesian limit conditions: antipodal
+          oddness of f~_rho at rho = 0 and direction-independent limits
+          of cos(t) f~_rho - sin(t) f~_t / rho (and the sine counterpart);
     C^2   the five-term second-derivative decomposition: assembled f_xx,
           f_xy, f_yy have direction-independent limits;
     C^k   (3 <= k <= k_max) the order-k rho-jet is a trigonometric
@@ -431,38 +431,39 @@ def _assemble_extension_report(chart, settings, data: LiftJetData):
     cos_t, sin_t = np.cos(dirs), np.sin(dirs)
 
     # ---- C^1: Lemma-style limit conditions
-    # the limit comparisons need one more extrapolation order: cubic jet
-    # content would otherwise masquerade as a differentiability defect
-    nk = len(dk)
-    use1 = slice(0, min(4, nk))
-    f_rho0_chk = _limit_to_zero(d1, dk, use=use1)
-    f_theta = spectral_derivative(data.deriv_values)
-    g_cos = cos_t * d1 - sin_t * f_theta / dk[None, :, None]
-    g_sin = sin_t * d1 + cos_t * f_theta / dk[None, :, None]
-    lim_cos = _limit_to_zero(g_cos, dk, use=use1)
-    lim_sin = _limit_to_zero(g_sin, dk, use=use1)
-    half = settings.n_dirs // 2
-    antipodal = float(np.max(np.abs(f_rho0_chk + np.roll(f_rho0_chk, half, axis=1))))
-    cos_spread = float(np.max(lim_cos.max(axis=1) - lim_cos.min(axis=1)))
-    sin_spread = float(np.max(lim_sin.max(axis=1) - lim_sin.min(axis=1)))
-    # limits must also match the axis values of f~_rho at rho = 0
-    lx_defect = float(np.max(np.abs(lim_cos - f_rho0_chk[:, [0]])))
-    quarter = settings.n_dirs // 4
-    ly_defect = float(np.max(np.abs(lim_sin - f_rho0_chk[:, [quarter]])))
-    c1_score = max(antipodal, cos_spread, sin_spread, lx_defect, ly_defect)
-    verdicts.append(OrderVerdict(
-        order=1,
-        score=c1_score,
-        threshold=settings.threshold(1),
-        passed=c1_score <= settings.threshold(1),
-        detail={
-            "antipodal_defect": antipodal,
-            "cos_limit_spread": cos_spread,
-            "sin_limit_spread": sin_spread,
-            "axis_defect_x": lx_defect,
-            "axis_defect_y": ly_defect,
-        },
-    ))
+    if settings.k_max >= 1:
+        # the limit comparisons need one more extrapolation order: cubic jet
+        # content would otherwise masquerade as a differentiability defect
+        nk = len(dk)
+        use1 = slice(0, min(4, nk))
+        f_rho0_chk = _limit_to_zero(d1, dk, use=use1)
+        f_theta = spectral_derivative(data.deriv_values)
+        g_cos = cos_t * d1 - sin_t * f_theta / dk[None, :, None]
+        g_sin = sin_t * d1 + cos_t * f_theta / dk[None, :, None]
+        lim_cos = _limit_to_zero(g_cos, dk, use=use1)
+        lim_sin = _limit_to_zero(g_sin, dk, use=use1)
+        half = settings.n_dirs // 2
+        antipodal = float(np.max(np.abs(f_rho0_chk + np.roll(f_rho0_chk, half, 1))))
+        cos_spread = float(np.max(lim_cos.max(axis=1) - lim_cos.min(axis=1)))
+        sin_spread = float(np.max(lim_sin.max(axis=1) - lim_sin.min(axis=1)))
+        # limits must also match the axis values of f~_rho at rho = 0
+        lx_defect = float(np.max(np.abs(lim_cos - f_rho0_chk[:, [0]])))
+        quarter = settings.n_dirs // 4
+        ly_defect = float(np.max(np.abs(lim_sin - f_rho0_chk[:, [quarter]])))
+        c1_score = max(antipodal, cos_spread, sin_spread, lx_defect, ly_defect)
+        verdicts.append(OrderVerdict(
+            order=1,
+            score=c1_score,
+            threshold=settings.threshold(1),
+            passed=c1_score <= settings.threshold(1),
+            detail={
+                "antipodal_defect": antipodal,
+                "cos_limit_spread": cos_spread,
+                "sin_limit_spread": sin_spread,
+                "axis_defect_x": lx_defect,
+                "axis_defect_y": ly_defect,
+            },
+        ))
 
     # ---- C^2: assembled second derivatives via the 5-term decomposition
     if settings.k_max >= 2:

@@ -9,6 +9,9 @@ cartesian so the polar singularity at r = 0 never enters.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,30 +110,60 @@ def slice_weights(s_nodes, s):
     return js, w
 
 
+@functools.cache
+def _fitpack():
+    """scipy's FITPACK module ``interpolate._dfitpack``, loaded without scipy."""
+    scipy = importlib.util.find_spec("scipy")
+    where = [f"{d}/interpolate"
+             for d in (scipy.submodule_search_locations if scipy else [])]
+    spec = importlib.machinery.PathFinder.find_spec("_dfitpack", where)
+    if spec is None:
+        raise ConfigurationError(f"no scipy.interpolate._dfitpack in {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class QuinticField:
     """A quintic interpolating spline on the grid ``ax_x`` x ``ax_y``.
 
-    ``spline`` is the one FITPACK fit (scipy's ``RectBivariateSpline``,
-    kx = ky = 5).  ``ev(dx, dy, x, y)`` evaluates its (dx, dy) partial at
-    the points (x, y), each partial spline built on first use and kept:
-    scipy would rebuild the derivative coefficients on every
-    ``__call__(dx=...)``, and the kept spline gives the same bits.
+    ``tck`` = (tx, ty, c) is FITPACK's fit and ``ev(dx, dy, x, y)`` the
+    (dx, dy) partial at the points (x, y), derived on first use and kept;
+    both are scipy's public calls, bit for bit.  FITPACK runs without
+    scipy's ``FITPACK_LOCK``: reebcut evaluates splines from one thread
+    (the forked W-flow workers never touch a spline).
     """
 
     degree = 5
 
     def __init__(self, ax_x, ax_y, values):
-        from scipy.interpolate import RectBivariateSpline
-
-        self.spline = RectBivariateSpline(ax_x, ax_y, values,
-                                          kx=self.degree, ky=self.degree)
-        self._partials = {(0, 0): self.spline}
+        k = self.degree
+        nx, tx, ny, ty, c, _, ier = _fitpack().regrid_smth(
+            ax_x, ax_y, np.ravel(values), None, None, None, None, k, k, 0.0, 20)
+        if ier not in (0, -1, -2):
+            raise PreconditionError(f"spline fit failed, FITPACK ier={ier}")
+        self.tck = tx[:nx], ty[:ny], c[:(nx - k - 1) * (ny - k - 1)]
+        self._partials = {(0, 0): (*self.tck, k, k)}
 
     def ev(self, dx, dy, x, y):
-        sp = self._partials.get((dx, dy))
-        if sp is None:
-            sp = self._partials[dx, dy] = self.spline.partial_derivative(dx, dy)
-        return sp(x, y, grid=False)
+        part = self._partials.get((dx, dy))
+        if part is None:
+            tx, ty, c = self.tck
+            k, mx, my = self.degree, len(tx) - dx, len(ty) - dy
+            newc, ier = _fitpack().pardtc(tx, ty, c, k, k, dx, dy)
+            if ier != 0:
+                raise EvaluationError(f"spline partial failed, FITPACK ier={ier}")
+            part = self._partials[dx, dy] = (tx[dx:mx], ty[dy:my],
+                newc[:(mx - k - 1) * (my - k - 1)], k - dx, k - dy)
+        x, y = np.asarray(x), np.asarray(y)
+        if x.shape != y.shape:
+            x, y = np.broadcast_arrays(x, y)
+        if x.size == 0:
+            return np.zeros(x.shape)
+        z, ier = _fitpack().bispeu(*part, x.ravel(), y.ravel())
+        if ier != 0:
+            raise EvaluationError(f"spline evaluation failed, FITPACK ier={ier}")
+        return z.reshape(x.shape)
 
 
 # slices a SliceFields keeps at a time

@@ -352,7 +352,7 @@ def _tensor_splines_ev(tx, ty, kx, ky, coefs, x, y):
     ``coefs`` is (m, ncoef), one row of FITPACK coefficients per spline;
     the result is (m, npoints).  Each value is summed from 0.0 in
     ``fpbisp``'s order, ``sp += (c * wx[i1]) * wy[j1]`` with i1 outer, so it
-    equals ``RectBivariateSpline.ev`` bit for bit, while the basis is built
+    equals ``QuinticField.ev`` bit for bit, while the basis is built
     once for all m splines.  Points go in blocks to keep temporaries small.
     """
     nky1 = len(ty) - ky - 1
@@ -384,11 +384,9 @@ class MoserMap:
         self._g1 = QuinticField(x, x, g1.values)
         # one grid, so the four fits share their knots; the first three
         # fields are dropped as soon as their coefficients are read
-        self._knots = self._g1.spline.get_knots()
-        self._coefs = np.stack(
-            [QuinticField(x, x, v).spline.get_coeffs()
-             for v in (sigma.dx.values, sigma.dy.values, g0.values)]
-            + [self._g1.spline.get_coeffs()])
+        self._knots = self._g1.tck[:2]
+        self._coefs = np.stack([QuinticField(x, x, v).tck[2] for v in (
+            sigma.dx.values, sigma.dy.values, g0.values)] + [self._g1.tck[2]])
         self._hi = x[-1]
         self.n = n
         # sigma vanishes outside this box in exact arithmetic; the field is

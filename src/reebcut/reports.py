@@ -64,11 +64,6 @@ SCENARIOS = (
     "self-linking",
 )
 
-# The scenarios that build splines.  The library imports scipy at its call
-# sites, so the other scenarios never load it; ``run`` loads it for these
-# before starting the clock, so ``total_s`` does not time the load.
-SPLINE_SCENARIOS = ("moser", "pseudorotation")
-
 
 # ---------------------------------------------------------------------------
 # strict schema validation
@@ -297,8 +292,6 @@ def _strict_json(obj, **kwargs):
 
 def run(config: RunConfig) -> RunReport:
     """Execute one scenario and assemble its report (plus files)."""
-    if config.scenario in SPLINE_SCENARIOS:
-        import scipy.interpolate  # noqa: F401
     # numpy loads numpy.random on first use; keep that off the clock too
     rng = np.random.default_rng(config.seed)
     t0 = time.perf_counter()

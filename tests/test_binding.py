@@ -191,13 +191,13 @@ def test_extension_settings_reject_orders_without_verdicts(k_max):
 @pytest.mark.parametrize("H", [QuadraticHamiltonian(SQRT2, 2 - SQRT2),
                                cosine_defect_hamiltonian(2, 0.4, 0.5)])
 def test_extension_verdict_orders_follow_k_max(H):
-    # C^0 and C^1 always, then one verdict per order up to k_max; each is
-    # the same as in the k_max = 4 run
+    # one verdict per order up to k_max; each is the same as in the
+    # k_max = 4 run
     full = extension_test(H, BindingChart(h=2), ExtensionSettings(k_max=4))
     for k_max in range(5):
         rep = extension_test(H, BindingChart(h=2),
                              ExtensionSettings(k_max=k_max))
-        orders = list(range(max(2, k_max + 1)))
+        orders = list(range(k_max + 1))
         assert [v.order for v in rep.verdicts] == orders
         assert ([v.to_dict() for v in rep.verdicts]
                 == [v.to_dict() for v in full.verdicts[:len(orders)]])

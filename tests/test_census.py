@@ -9,13 +9,15 @@ only, so the census can miss a dead value whose name another call sets,
 never the other way round.  A value no call sets has one value: it belongs
 in a module constant.
 
-The same AST walk checks one structural rule: only ``QuinticField`` names
-scipy's tensor-spline fit and its partial derivatives.
+One structural rule rides along: only ``QuinticField`` and its loader
+name FITPACK's module and routines, and scipy's public spline class is
+named nowhere in ``src/reebcut``.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -120,36 +122,31 @@ def test_every_default_has_a_caller():
     assert set(ALLOWED) <= unset
 
 
-# the scipy names that fit or differentiate a tensor spline
-SPLINE_NAMES = {"RectBivariateSpline", "partial_derivative"}
-
-
-def _names(node):
-    if isinstance(node, ast.Name):
-        return {node.id}
-    if isinstance(node, ast.Attribute):
-        return {node.attr}
-    if isinstance(node, ast.alias):
-        return {node.name, node.asname}
-    return set()
+# the FITPACK module and the three routines the spline fields call
+FITPACK_NAMES = {"_dfitpack", "regrid_smth", "pardtc", "bispeu"}
+# scipy's public tensor-spline class and its derivative method
+SCIPY_SPLINE_NAMES = {"RectBivariateSpline", "partial_derivative"}
+NAME = re.compile(r"\w+")
 
 
 def test_only_quintic_field_builds_splines():
-    # one class fits every tensor spline and derives its partials, so the
-    # evaluation path is chosen in one place
+    # one class fits every tensor spline and derives its partials through
+    # FITPACK, so the evaluation path is chosen in one place; the names are
+    # matched in the source text, comments and strings included
     inside, outside = set(), []
     for path in sorted((ROOT / "src" / "reebcut").glob("*.py")):
-        tree = ast.parse(path.read_text())
+        source = path.read_text()
         owned = set()
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.ClassDef) and node.name == "QuinticField"
-                    and path.stem == "hamiltonians"):
-                owned = {id(sub) for sub in ast.walk(node)}
-        for node in ast.walk(tree):
-            for name in _names(node) & SPLINE_NAMES:
-                if id(node) in owned:
+        for node in ast.walk(ast.parse(source)):
+            if (path.stem == "hamiltonians"
+                    and isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                    and node.name in ("QuinticField", "_fitpack")):
+                owned.update(range(node.lineno, node.end_lineno + 1))
+        for lineno, line in enumerate(source.splitlines(), 1):
+            for name in set(NAME.findall(line)):
+                if name in FITPACK_NAMES and lineno in owned:
                     inside.add(name)
-                else:
-                    outside.append((path.name, node.lineno, name))
+                elif name in FITPACK_NAMES | SCIPY_SPLINE_NAMES:
+                    outside.append((path.name, lineno, name))
     assert not outside, f"splines fitted outside QuinticField: {outside}"
-    assert inside == SPLINE_NAMES
+    assert inside == FITPACK_NAMES

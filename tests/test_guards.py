@@ -6,6 +6,9 @@ each case names the subclass its guard raises and a fragment of its
 message, which pins the guard and not some earlier failure.
 """
 
+import importlib.util
+from importlib.machinery import ModuleSpec
+
 import numpy as np
 import pytest
 
@@ -34,6 +37,7 @@ from reebcut import (
     stage_sequence,
     zero_integral_fixture,
 )
+from reebcut import hamiltonians
 from reebcut.geometry import as_xy
 from reebcut.moser import g_function_values
 from reebcut.pseudorotations import boundary_jet_check
@@ -77,6 +81,10 @@ GUARDS = {
     # hamiltonians.py
     "RigidRotationHamiltonian-h": (PreconditionError, "integer h >= 1",
                                    lambda: RigidRotationHamiltonian(0, 1, 3)),
+    "QuinticField-axis": (
+        PreconditionError, "spline fit failed, FITPACK ier=10",
+        lambda: hamiltonians.QuinticField(
+            np.linspace(1.0, 0.0, 8), np.linspace(0.0, 1.0, 8), np.zeros((8, 8)))),
     # invariants.py
     "rotation_number-binding_extension": (
         PreconditionError, "needs a C\\^1 extension",
@@ -144,3 +152,15 @@ def test_guard_raises_its_error(guard):
         call()
     # the exact class, not a subclass standing in for it
     assert type(info.value) is error
+
+
+def test_missing_fitpack_module_is_a_configuration_error(monkeypatch, tmp_path):
+    # scipy found, but no _dfitpack in its interpolate directory; the
+    # uncached loader runs, so the module the other tests use stays loaded
+    spec = ModuleSpec("scipy", None, is_package=True)
+    spec.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+    with pytest.raises(ConfigurationError,
+                       match="no scipy.interpolate._dfitpack") as info:
+        hamiltonians._fitpack.__wrapped__()
+    assert type(info.value) is ConfigurationError

@@ -295,7 +295,7 @@ def test_w_field_support_mask_is_exact():
     inv = pseudorotations.DiscDiffeo(phi.generator, steps=steps).inverse(pts[inner])
     w[inner] = inv[:, 0] ** 2 + inv[:, 1] ** 2
     old = RectBivariateSpline(ax, ax, w.reshape(grid_n, grid_n), kx=5, ky=5)
-    assert bitwise_equal(H.w_field.spline.get_coeffs(), old.get_coeffs())
+    assert bitwise_equal(H.w_field.tck[2], old.get_coeffs())
 
 
 def _count_forks(monkeypatch):
@@ -331,7 +331,7 @@ def test_forked_flow_is_bitwise_the_one_process_flow(monkeypatch):
         H = pseudorotations.ConjugatedRotationHamiltonian(2, 1, 3, w_phi,
                                                           grid_n=256)
         results[len(cpus)] = (phi.inverse(pts), phi.jacobian(pts),
-                              H.w_field.spline.get_coeffs())
+                              H.w_field.tck[2])
         _assert_no_child_left()
         # one fork for each multi-block flow: the inverse, the Jacobian and
         # the W-field's 28,616 support points (two blocks)
@@ -643,7 +643,7 @@ def _canonical_slices(monkeypatch):
     # a slice is a deterministic function of its index: slice 2 built
     # afresh is slice 2 bit for bit
     xy = (0.3, -0.2)
-    return H, xy, float(H._slice_field(2).spline(*xy, grid=False)), 0.0
+    return H, xy, float(H._slice_field(2).ev(0, 0, *xy)), 0.0
 
 
 @pytest.mark.parametrize("case", [_composed_slices, _canonical_slices],
@@ -653,8 +653,8 @@ def test_slice_cache_survives_backward_step(case, monkeypatch):
     for j in range(5, 30):
         H.slices[j]
     # a backward step after a forward sweep used to evict its own slice
-    spline = H.slices[2].spline
-    assert spline(x, y, grid=False) == pytest.approx(want, abs=tol)
+    field = H.slices[2]
+    assert field.ev(0, 0, x, y) == pytest.approx(want, abs=tol)
     assert 2 in H.slices and len(H.slices) == 16
 
 

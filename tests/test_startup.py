@@ -1,8 +1,10 @@
-"""Start-up cost: the numpy-only scenarios never load scipy or a pool.
+"""Start-up cost: no scenario loads scipy or a pool.
 
-scipy.interpolate takes most of a second to import, so the library imports
-scipy only where it builds splines.  The W-field flow forks its workers
-with ``os.fork`` alone, so neither ``multiprocessing`` nor
+Importing ``scipy.interpolate`` loads some 600 modules and about 50 MiB.
+The spline fields load scipy's FITPACK module ``_dfitpack`` on its own, so
+no scenario imports ``scipy`` or ``scipy.interpolate``, the spline
+scenarios (``moser``, ``pseudorotation``) included.  The W-field flow forks
+its workers with ``os.fork`` alone, so neither ``multiprocessing`` nor
 ``concurrent.futures`` is imported either.  Each check runs in a fresh
 interpreter, because this test process has long since loaded scipy.
 """
@@ -13,12 +15,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-from reebcut.reports import SCENARIOS, SPLINE_SCENARIOS
+from reebcut.reports import SCENARIOS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# small configs of every scenario that builds no splines
-NUMPY_ONLY = {
+# a small config of every scenario; the pseudorotation one builds one
+# 512 x 512 W-field and flows no orbit
+CONFIGS = {
     "ellipsoid": {"a0": 1.4142, "h": 2, "pullback_grid": [8, 8, 8],
                   "self_linking": False},
     "cut-check": {"hamiltonian": {"type": "cosine-defect", "h": 3, "c": 0.4,
@@ -27,10 +30,12 @@ NUMPY_ONLY = {
     "return-map": {"hamiltonian": {"type": "rigid", "h": 2, "p": 1, "q": 3},
                    "n_points": 4, "step": 0.05},
     "poincare-lemma": {"n": 32, "threshold": 1.0},
+    "moser": {"n": 32},
+    "pseudorotation": {"h": 2, "count": 1, "orbit_iterations": 0},
 }
 
-# modules that cost import time and that no numpy-only run needs
-HEAVY = ("scipy", "multiprocessing", "concurrent.futures")
+# modules that cost import time and that no run needs
+HEAVY = ("scipy", "scipy.interpolate", "multiprocessing", "concurrent.futures")
 
 PROBE = """
 import json, sys, tempfile
@@ -66,15 +71,15 @@ print(json.dumps({"loaded": loaded, "same": same}))
 
 
 def test_numpy_only_scenarios_do_not_load_scipy():
-    assert set(NUMPY_ONLY) == set(SCENARIOS) - set(SPLINE_SCENARIOS)
+    assert set(CONFIGS) == set(SCENARIOS)
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(NUMPY_ONLY), json.dumps(HEAVY)],
+        [sys.executable, "-c", PROBE, json.dumps(CONFIGS), json.dumps(HEAVY)],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["loaded"] == {
-        name: [] for name in ["import reebcut.cli", *NUMPY_ONLY]
+        name: [] for name in ["import reebcut.cli", *CONFIGS]
     }
     assert all(result["same"].values()), result["same"]
