@@ -31,7 +31,8 @@ from reebcut import (
     zero_integral_fixture,
 )
 from reebcut.geometry import TWO_PI, polar_grid
-from reebcut.pseudorotations import ConjugatedRotationHamiltonian, DiscDiffeo
+from reebcut.pseudorotations import (_FLOW_BLOCK, ConjugatedRotationHamiltonian,
+                                     DiscDiffeo, _run_jobs)
 
 # the tier-1 fixtures: the composite build is timed on their generator K
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -90,6 +91,17 @@ def test_wfield_build(benchmark, small_stage, grid_n):
         kwargs={"grid_n": grid_n}, rounds=3, iterations=1,
     )
     assert np.isfinite(H.value(0.0, np.array([0.5, 0.0])))
+
+
+def test_forked_jobs(benchmark):
+    # the fork helper's own cost: two jobs that each return a seeded
+    # 16,384 x 2 array (one flow block); with two or more CPUs in the
+    # affinity set the caller runs one and a forked worker the other, and
+    # the worker's array comes back pickled through a pipe
+    block = np.random.default_rng(0).uniform(-1.0, 1.0, (_FLOW_BLOCK, 2))
+    out = benchmark.pedantic(_run_jobs, args=([block.copy, block.copy],),
+                             rounds=30, iterations=1)
+    assert all(np.array_equal(a, block) for a in out)
 
 
 def test_conjugator_inverse_annulus(benchmark, small_stage):

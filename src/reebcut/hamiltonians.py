@@ -128,10 +128,10 @@ class QuinticField:
     """A quintic interpolating spline on the grid ``ax_x`` x ``ax_y``.
 
     ``tck`` = (tx, ty, c) is FITPACK's fit and ``ev(dx, dy, x, y)`` the
-    (dx, dy) partial at the points (x, y), derived on first use and kept;
-    both are scipy's public calls, bit for bit.  FITPACK runs without
-    scipy's ``FITPACK_LOCK``: reebcut evaluates splines from one thread
-    (the forked W-flow workers never touch a spline).
+    (dx, dy) partial at the points (x, y), dx and dy in 0..4, derived on
+    first use and kept; both are scipy's public calls, bit for bit.
+    FITPACK runs without scipy's ``FITPACK_LOCK``: each reebcut process,
+    forked workers included, evaluates splines from one thread.
     """
 
     degree = 5
@@ -150,6 +150,8 @@ class QuinticField:
         if part is None:
             tx, ty, c = self.tck
             k, mx, my = self.degree, len(tx) - dx, len(ty) - dy
+            if not (0 <= dx < k and 0 <= dy < k):
+                raise PreconditionError(f"partial order ({dx}, {dy}) outside 0..4")
             newc, ier = _fitpack().pardtc(tx, ty, c, k, k, dx, dy)
             if ier != 0:
                 raise EvaluationError(f"spline partial failed, FITPACK ier={ier}")

@@ -32,6 +32,9 @@ _HOPF_PHASE = 0.3
 _N_POLES = 64
 _POLE_SEED = 7
 _VIEW_PUSH_EPS = 0.02
+# self_linking's least curve distance per longest polyline segment: on the
+# ellipsoid model 0.14 and 0.21 gave wrong integers, 1/3 to 0.42 no integer
+_MIN_SEGMENT_RATIO = 1.0 / 3.0
 
 
 class Frame(Enum):
@@ -430,19 +433,20 @@ def self_linking(spec: QuotientMapSpec, H, push_eps=0.02, n_samples=512):
     is normalized radially, a diffeomorphism), projects stereographically
     from the candidate pole farthest from both curves, and evaluates the
     Gauss linking integral over all sample pairs.  The rounded integer is
-    returned with its distance from the raw integral as confidence.
+    returned with its distance from the raw integral as confidence.  Curves
+    closer than a third of the longest polyline segment raise
+    ``ResolutionError``, and a confidence above 0.2 ``InconclusiveError``.
     """
     if not 1e-3 <= push_eps <= 1e-1:
         raise PreconditionError("push_eps must lie in [1e-3, 1e-1]")
     curve_b, curve_push = binding_pushoff_curves(spec, H, push_eps, n_samples)
     p1, p2, pole = _project_from_farthest_pole(curve_b, curve_push)
 
-    min_dist = min_curve_distance(p1, p2)
-    if min_dist < 10.0 * push_eps / n_samples:
-        raise ResolutionError(
-            f"curves are {min_dist:.3e} apart; quadrature unreliable below "
-            f"{10.0 * push_eps / n_samples:.3e}"
-        )
+    ratio = min_curve_distance(p1, p2) / max(
+        np.linalg.norm(np.roll(p, -1, axis=0) - p, axis=-1).max() for p in (p1, p2))
+    if ratio < _MIN_SEGMENT_RATIO:
+        raise ResolutionError(f"curves are {ratio:.3f} segments apart; quadrature "
+                              f"unreliable below {_MIN_SEGMENT_RATIO:.3f}")
     integral = gauss_linking_integral(p1, p2)
     value = int(round(integral))
     confidence = abs(integral - value)

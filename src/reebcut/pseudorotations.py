@@ -12,9 +12,8 @@ fully reproducible.
 
 from __future__ import annotations
 
+import functools
 import gc
-import math
-import mmap
 import os
 import signal
 import warnings
@@ -226,27 +225,74 @@ class _ConjugatorGenerator(Hamiltonian):
 _FLOW_BLOCK = 16384
 
 
-def _share_count(n):
-    """Processes that flow a batch of n points: one per CPU of this process's
-    affinity set, at most one per block, and one below two blocks or where
-    the platform has no ``fork`` or ``sched_getaffinity``."""
-    blocks = -(-n // _FLOW_BLOCK)
-    if blocks < 2 or not (hasattr(os, "fork")
-                          and hasattr(os, "sched_getaffinity")):
-        return 1
-    return min(len(os.sched_getaffinity(0)), blocks)
+def _cpu_count():
+    """CPUs in this process's affinity set; one without sched_getaffinity."""
+    return len(getattr(os, "sched_getaffinity", lambda pid: [0])(0))
+
+
+# set in a forked worker of _run_jobs, whose own job lists run in-process
+_IN_WORKER = False
+
+
+def _run_jobs(jobs):
+    """The results of the no-argument callables ``jobs``, in job order.
+
+    The caller runs jobs[0]; each other job runs in a forked worker, which
+    pickles its result back through a pipe.  Pickle round-trips floats and
+    arrays exactly and a job does the same arithmetic in any process, so
+    the results are bitwise the one-process results.  A worker that
+    raises, warns or dies has its job run again here, in job order, where
+    the error surfaces as in one process; a caller that raises kills and
+    reaps every worker first.  With one job, one CPU in the affinity set,
+    no ``fork``, or inside a worker, every job runs in-process.
+    """
+    global _IN_WORKER
+    if (len(jobs) < 2 or _IN_WORKER or not hasattr(os, "fork")
+            or _cpu_count() < 2):
+        return [job() for job in jobs]
+    import pickle
+    workers = {}                      # job index -> (pid, its pipe)
+    try:
+        for k in range(1, len(jobs)):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                # the worker: never returns into the caller's frames
+                try:
+                    # no cycle collection: parent garbage with finalizers
+                    # (temporary files, say) must not be finalized here
+                    gc.disable()
+                    _IN_WORKER = True
+                    with warnings.catch_warnings(record=True) as caught:
+                        result = jobs[k]()
+                    if not caught:
+                        with open(w, "wb") as pipe:
+                            pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+                        os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(w)
+            workers[k] = pid, open(r, "rb")
+        first, done = jobs[0](), {}
+        for k in range(1, len(jobs)):
+            pid, pipe = workers[k]
+            with pipe:
+                data = pipe.read()
+            if os.waitpid(pid, 0)[1] == 0:
+                done[k] = pickle.loads(data)
+            del workers[k]
+        return [first] + [done[k] if k in done else jobs[k]()
+                          for k in range(1, len(jobs))]
+    finally:
+        for pid, pipe in workers.values():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _share_bounds(n, count):
     """``count`` contiguous (lo, hi) shares of range(n), sizes within one."""
     return [(n * k // count, n * (k + 1) // count) for k in range(count)]
-
-
-def _shared_empty(shape):
-    """An uninitialized float array in an anonymous shared mapping, so that
-    what a forked worker writes into it is what its parent reads."""
-    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)),
-                         dtype=float).reshape(shape)
 
 
 class DiscDiffeo:
@@ -267,23 +313,18 @@ class DiscDiffeo:
 
     For the same reason a batch of two or more blocks is split into equal
     contiguous shares, one per CPU of the process's affinity set (at most
-    one per block): the caller flows the first share and forked workers
-    flow the others into a shared mapping, so the result is bitwise the
-    one-process result.  ``taskset -c 0`` gives one share and no fork.  A
-    worker that raises or warns exits non-zero and its share is flowed
-    again in the caller, where the exception or warning surfaces as it
-    would serially; every worker is reaped, and killed first if the caller
-    raises, before the flow returns.
+    one per block), flowed as the jobs of ``_run_jobs`` and concatenated,
+    so the result is bitwise the one-process result.  ``taskset -c 0``
+    gives one share and no fork.
     """
 
     def __init__(self, generator: Hamiltonian, steps=300):
         self.generator = generator
         self.steps = steps
 
-    def _flow_share(self, flat, sign, out, jac_out, lo, hi):
-        """Flow the points flat[lo:hi] into out[lo:hi] (and, unless
-        ``jac_out`` is None, their Jacobians into jac_out[lo:hi]) in blocks
-        of ``_FLOW_BLOCK`` points from lo."""
+    def _flow_share(self, pts, sign, want_jacobian):
+        """The flow of the points ``pts`` (n, 2) and, if ``want_jacobian``,
+        their Jacobians (else None), in blocks of ``_FLOW_BLOCK`` points."""
         h = sign * 1.0 / self.steps
         gen = self.generator
 
@@ -293,59 +334,29 @@ class DiscDiffeo:
         def field_jacobian(s, q):
             return gen.velocity_jacobian(0.0, q)
 
-        for start in range(lo, hi, _FLOW_BLOCK):
-            end = min(start + _FLOW_BLOCK, hi)
-            y, jac = _rk4_steps(field, flat[start:end], 0.0, h, self.steps,
-                                None if jac_out is None else field_jacobian)
-            out[start:end] = y
-            if jac_out is not None:
-                jac_out[start:end] = jac
-
-    def _flow_shares(self, flat, sign, out, jac_out, shares):
-        """Flow shares[0] here and each other share in a forked worker."""
-        workers = {}
-        try:
-            for k in range(1, len(shares)):
-                pid = os.fork()
-                if pid == 0:
-                    # the worker: never returns into the caller's frames
-                    status = 1
-                    try:
-                        # no cycle collection: parent garbage with finalizers
-                        # (temporary files, say) must not be finalized here
-                        gc.disable()
-                        with warnings.catch_warnings(record=True) as caught:
-                            self._flow_share(flat, sign, out, jac_out,
-                                             *shares[k])
-                        status = 1 if caught else 0
-                    finally:
-                        os._exit(status)
-                workers[pid] = k
-            self._flow_share(flat, sign, out, jac_out, *shares[0])
-            failed = []
-            while workers:
-                pid = next(iter(workers))
-                if os.waitpid(pid, 0)[1] != 0:
-                    failed.append(workers[pid])
-                del workers[pid]
-            for k in failed:
-                self._flow_share(flat, sign, out, jac_out, *shares[k])
-        finally:
-            for pid in workers:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        out = np.empty(pts.shape)
+        jac_out = np.empty(pts.shape + (2,)) if want_jacobian else None
+        for start in range(0, len(pts), _FLOW_BLOCK):
+            block = slice(start, start + _FLOW_BLOCK)
+            y, jac = _rk4_steps(field, pts[block], 0.0, h, self.steps,
+                                field_jacobian if want_jacobian else None)
+            out[block] = y
+            if want_jacobian:
+                jac_out[block] = jac
+        return out, jac_out
 
     def _flow(self, pts, sign, want_jacobian=False):
         pts = np.asarray(pts, dtype=float)
         flat = pts.reshape(-1, 2)
-        shares = _share_bounds(len(flat), _share_count(len(flat)))
-        empty = np.empty if len(shares) == 1 else _shared_empty
-        out = empty(flat.shape)
-        jac_out = empty((len(flat), 2, 2)) if want_jacobian else None
-        self._flow_shares(flat, sign, out, jac_out, shares)
-        out = out.reshape(pts.shape)
+        # one share per CPU, at most one per block and at least one
+        count = min(_cpu_count(), max(1, -(-len(flat) // _FLOW_BLOCK)))
+        parts = _run_jobs([
+            functools.partial(self._flow_share, flat[lo:hi], sign, want_jacobian)
+            for lo, hi in _share_bounds(len(flat), count)])
+        out = np.concatenate([y for y, _ in parts]).reshape(pts.shape)
         if want_jacobian:
-            return out, jac_out.reshape(pts.shape[:-1] + (2, 2))
+            jac = np.concatenate([j for _, j in parts])
+            return out, jac.reshape(pts.shape[:-1] + (2, 2))
         return out
 
     def __call__(self, pts):
@@ -554,6 +565,9 @@ _AMPLITUDE_FACTOR = 0.5
 # per stage: the periodic scan's polar grid (rings, rays) and the audit grid
 _SCAN_GRID = (3, 8)
 _AUDIT_GRID = SamplingGrid(n_s=8, n_r=24, n_theta=24)
+# the last stage's orbit: its start point and the RK4 step of its return maps
+_ORBIT_START = (0.5, 0.0)
+_ORBIT_STEP = TWO_PI / 400
 
 
 @dataclass
@@ -578,9 +592,10 @@ class StageSequenceReport:
     difference_norms: list        # per consecutive pair, dict k -> norm
     f0_values: list
     f0_expected: list
+    orbit: OrbitStatistics        # of the last stage, or None
 
     def to_dict(self):
-        return {
+        out = {
             "target_a": self.target_a,
             "h": self.h,
             "stages": [st.to_dict() for st in self.stages],
@@ -588,6 +603,9 @@ class StageSequenceReport:
             "f0_values": list(map(float, self.f0_values)),
             "f0_expected": list(map(float, self.f0_expected)),
         }
+        if self.orbit is not None:
+            out["orbit_statistics"] = self.orbit.to_dict()
+        return out
 
 
 def _stage_extension_settings(delta):
@@ -602,14 +620,39 @@ def _stage_extension_settings(delta):
     return ExtensionSettings(rho0=rho0, k_max=k_max)
 
 
+def _stage_diagnostics(stage, h, settings):
+    """A built stage's audits: contact audit, extension test (with the
+    expected a set to the stage rotation number), area-preservation defect
+    and a periodic point scan at the stage denominator."""
+    ham = stage.hamiltonian
+    audit = contact_audit(ham, _AUDIT_GRID)
+    ext = extension_test(ham, BindingChart(h=h),
+                         _stage_extension_settings(stage.delta))
+    area = area_preservation_audit(ham, polar_grid(3, 6, r_max=0.8), settings)
+    recs = periodic_point_scan(ham, max_period=stage.q,
+                               grid_points=polar_grid(*_SCAN_GRID, r_max=0.8,
+                                                      include_center=False),
+                               tol=1e-5, settings=settings)
+    return {
+        "contact": audit.to_dict(),
+        "extension_pass": ext.passed,
+        "f0": ext.f0,
+        "f0_expected": 2.0 * (h + stage.p / stage.q),
+        "area_defect": area,
+        "periodic_periods": sorted({r.period for r in recs}),
+        "periodic_found": len(recs),
+    }
+
+
 def stage_sequence(target_a, count, h, schedule: ConjugatorSchedule = None,
-                   settings: FlowSettings = None, w_grid=512):
+                   settings: FlowSettings = None, w_grid=512,
+                   orbit_iterations=0):
     """Build ``count`` stages along the convergents of an irrational target.
 
-    Per stage: contact audit, extension test (with the expected a set to
-    the stage rotation number), area-preservation defect, and a periodic
-    point scan at the stage denominator.  Consecutive stages are compared
-    in C^0, C^1 and C^2 norms on a fixed polar grid.
+    Once all are built, the ``_stage_diagnostics`` of each and, if
+    ``orbit_iterations`` > 0, the last stage's ``orbit_statistics`` run as
+    the jobs of ``_run_jobs``.  Consecutive stages are compared in C^0, C^1
+    and C^2 norms on a fixed polar grid.
     """
     schedule = schedule or ConjugatorSchedule()
     settings = settings or FlowSettings()
@@ -617,60 +660,34 @@ def stage_sequence(target_a, count, h, schedule: ConjugatorSchedule = None,
     if (h + target_a) <= 0:
         raise PreconditionError("need h + target_a > 0")
 
-    stages, f0_values = [], []
+    stages = []
     for nu, (p, q) in enumerate(convergents, start=1):
-        spec = schedule.spec(nu)
-        stage = conjugated_stage(h, p, q, spec, w_grid=w_grid)
+        stage = conjugated_stage(h, p, q, schedule.spec(nu), w_grid=w_grid)
         stage.nu = nu
-        ham = stage.hamiltonian
-        audit = contact_audit(ham, _AUDIT_GRID)
-        ext = extension_test(
-            ham, BindingChart(h=h),
-            _stage_extension_settings(spec.delta),
-        )
-        area = area_preservation_audit(ham, polar_grid(3, 6, r_max=0.8),
-                                       settings)
-        recs = periodic_point_scan(ham, max_period=q,
-                                   grid_points=polar_grid(*_SCAN_GRID, r_max=0.8,
-                                                          include_center=False),
-                                   tol=1e-5, settings=settings)
-        stage.diagnostics = {
-            "contact": audit.to_dict(),
-            "extension_pass": ext.passed,
-            "f0": ext.f0,
-            "f0_expected": 2.0 * (h + p / q),
-            "area_defect": area,
-            "periodic_periods": sorted({r.period for r in recs}),
-            "periodic_found": len(recs),
-        }
         stages.append(stage)
-        f0_values.append(ext.f0)
-    f0_expected = [2.0 * (h + p / q) for p, q in convergents]
+    jobs = [functools.partial(_stage_diagnostics, st, h, settings)
+            for st in stages]
+    if orbit_iterations:
+        jobs.append(functools.partial(
+            orbit_statistics, stages[-1].hamiltonian, _ORBIT_START,
+            iterations=orbit_iterations,
+            settings=FlowSettings(step=_ORBIT_STEP)))
+    results = _run_jobs(jobs)
+    for stage, diagnostics in zip(stages, results):
+        stage.diagnostics = diagnostics
 
-    # C^k difference norms on a fixed grid
+    # C^k difference norms on a fixed grid, k = 0, 1, 2
     pts = polar_grid(10, 16, r_max=0.95)
-    diffs = []
-    for a, b in zip(stages[:-1], stages[1:]):
-        entry = {}
-        va = a.hamiltonian.value(0.0, pts)
-        vb = b.hamiltonian.value(0.0, pts)
-        entry[0] = float(np.max(np.abs(va - vb)))
-        ga = a.hamiltonian.grad(0.0, pts)
-        gb = b.hamiltonian.grad(0.0, pts)
-        entry[1] = float(np.max(np.abs(ga - gb)))
-        ha = a.hamiltonian.hessian(0.0, pts)
-        hb = b.hamiltonian.hessian(0.0, pts)
-        entry[2] = float(np.max(np.abs(ha - hb)))
-        diffs.append(entry)
+    diffs = [{k: float(np.max(np.abs(getattr(a.hamiltonian, oracle)(0.0, pts)
+                                     - getattr(b.hamiltonian, oracle)(0.0, pts))))
+              for k, oracle in enumerate(("value", "grad", "hessian"))}
+             for a, b in zip(stages[:-1], stages[1:])]
 
     return StageSequenceReport(
-        target_a=target_a,
-        h=h,
-        stages=stages,
-        difference_norms=diffs,
-        f0_values=f0_values,
-        f0_expected=f0_expected,
-    )
+        target_a=target_a, h=h, stages=stages, difference_norms=diffs,
+        f0_values=[st.diagnostics["f0"] for st in stages],
+        f0_expected=[st.diagnostics["f0_expected"] for st in stages],
+        orbit=results[-1] if orbit_iterations else None)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,6 @@ from .moser import (
 from .pseudorotations import (
     ConjugatorSchedule,
     golden_mean_inverse,
-    orbit_statistics,
     stage_sequence,
 )
 
@@ -520,7 +519,8 @@ def _run_pseudorotation(params, rng):
     )
     report = stage_sequence(target, params["count"], params["h"],
                             schedule=schedule,
-                            settings=FlowSettings(step=TWO_PI / 600))
+                            settings=FlowSettings(step=TWO_PI / 600),
+                            orbit_iterations=params["orbit_iterations"])
     results = report.to_dict()
     checks = []
     for st, f0, f0x in zip(report.stages, report.f0_values, report.f0_expected):
@@ -537,12 +537,8 @@ def _run_pseudorotation(params, rng):
                     np.asarray(report.f0_values))],
         "title": "extension limit f(0) per stage",
     })]
-    if params["orbit_iterations"]:
-        st = report.stages[-1]
-        stats = orbit_statistics(st.hamiltonian, np.array([0.5, 0.0]),
-                                 iterations=params["orbit_iterations"],
-                                 settings=FlowSettings(step=TWO_PI / 400))
-        results["orbit_statistics"] = stats.to_dict()
+    stats = report.orbit
+    if stats is not None:
         plots.append(("theta_histogram", "histogram", {
             "edges": stats.theta_histogram[1],
             "counts": stats.theta_histogram[0],

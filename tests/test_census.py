@@ -9,9 +9,10 @@ only, so the census can miss a dead value whose name another call sets,
 never the other way round.  A value no call sets has one value: it belongs
 in a module constant.
 
-One structural rule rides along: only ``QuinticField`` and its loader
+Two structural rules ride along: only ``QuinticField`` and its loader
 name FITPACK's module and routines, and scipy's public spline class is
-named nowhere in ``src/reebcut``.
+named nowhere in ``src/reebcut``; only the fork helper
+``pseudorotations._run_jobs`` names ``os.fork``, ``os.pipe`` and ``pickle``.
 """
 
 from __future__ import annotations
@@ -150,3 +151,30 @@ def test_only_quintic_field_builds_splines():
                     outside.append((path.name, lineno, name))
     assert not outside, f"splines fitted outside QuinticField: {outside}"
     assert inside == FITPACK_NAMES
+
+
+# the fork path's system calls and its result transport
+FORK_NAMES = re.compile(r"\bos\.(?:fork|pipe)\b|\bpickle\b")
+
+
+def test_only_the_fork_helper_forks():
+    # one fork path: every process split and every pickled result goes
+    # through _run_jobs; the names are matched in the source text, comments
+    # and strings included
+    inside, outside = set(), []
+    for path in sorted((ROOT / "src" / "reebcut").glob("*.py")):
+        source = path.read_text()
+        owned = set()
+        for node in ast.walk(ast.parse(source)):
+            if (path.stem == "pseudorotations"
+                    and isinstance(node, ast.FunctionDef)
+                    and node.name == "_run_jobs"):
+                owned.update(range(node.lineno, node.end_lineno + 1))
+        for lineno, line in enumerate(source.splitlines(), 1):
+            for name in FORK_NAMES.findall(line):
+                if lineno in owned:
+                    inside.add(name)
+                else:
+                    outside.append((path.name, lineno, name))
+    assert not outside, f"forks or pickles outside _run_jobs: {outside}"
+    assert inside == {"os.fork", "os.pipe", "pickle"}

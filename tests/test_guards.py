@@ -81,6 +81,11 @@ GUARDS = {
     # hamiltonians.py
     "RigidRotationHamiltonian-h": (PreconditionError, "integer h >= 1",
                                    lambda: RigidRotationHamiltonian(0, 1, 3)),
+    "QuinticField-order": (
+        PreconditionError, "partial order \\(5, 0\\) outside 0..4",
+        lambda: hamiltonians.QuinticField(
+            np.linspace(0.0, 1.0, 8), np.linspace(0.0, 1.0, 8),
+            np.zeros((8, 8))).ev(5, 0, 0.5, 0.5)),
     "QuinticField-axis": (
         PreconditionError, "spline fit failed, FITPACK ier=10",
         lambda: hamiltonians.QuinticField(
@@ -99,10 +104,17 @@ GUARDS = {
         ResolutionError, "quadrature unreliable",
         lambda: self_linking(QuotientMapSpec("hemisphere", 2),
                              _ellipsoid_model(), push_eps=1e-3, n_samples=4)),
+    # 0.117 segments apart: the integral -3.495 was called inconclusive,
+    # but at 32 samples the same push-off gave a wrong -7
+    "self_linking-segment_ratio": (
+        ResolutionError, "0.117 segments apart",
+        lambda: self_linking(QuotientMapSpec("hemisphere", 2),
+                             _ellipsoid_model(), push_eps=0.01, n_samples=64)),
+    # 0.351 segments apart, resolved, and the integral -1.337 is inconclusive
     "self_linking-inconclusive": (
         InconclusiveError, "too far from any integer",
         lambda: self_linking(QuotientMapSpec("hemisphere", 2),
-                             _ellipsoid_model(), push_eps=0.01, n_samples=64)),
+                             _ellipsoid_model(), push_eps=0.01, n_samples=192)),
     # moser.py
     "GridFunction2D-square": (ConfigurationError, "must be square",
                               lambda: GridFunction2D(np.zeros((8, 9)))),

@@ -394,6 +394,106 @@ def test_forked_flow_warns_as_the_serial_flow(monkeypatch):
     assert bitwise_equal(forked, serial)
 
 
+def _small_sequence(orbit_iterations=0):
+    """Two coarse stages (convergents 1/1 and 1/2): their audit jobs, and
+    the orbit job if asked, are the jobs of one _run_jobs call."""
+    return stage_sequence(golden_mean_inverse(), 2, h=2,
+                          settings=FlowSettings(step=TWO_PI / 200),
+                          w_grid=128, orbit_iterations=orbit_iterations)
+
+
+def test_forked_stage_audits_are_bitwise_the_one_process_audits(monkeypatch):
+    # one CPU audits in-process; two fork a worker for stage 2's audits and
+    # one for the orbit, and diagnostics, f0 values, difference norms and
+    # orbit agree bit for bit (repr round-trips every float)
+    forks = _count_forks(monkeypatch)
+    results = {}
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: c)
+        seq = _small_sequence(orbit_iterations=6)
+        _assert_no_child_left()
+        assert len(forks) == (0 if len(cpus) == 1 else 2)
+        orbit = seq.orbit
+        assert orbit.completed == 6 and not orbit.aborted
+        results[len(cpus)] = (repr(seq.to_dict()), orbit.radii, orbit.angles,
+                              orbit.birkhoff_r2, orbit.birkhoff_cos)
+    one, two = results[1], results[2]
+    assert one[0] == two[0]
+    for a, b in zip(one[1:], two[1:]):
+        assert bitwise_equal(a, b)
+
+
+def _failing_contact_audit(monkeypatch, bad_q, warn):
+    """contact_audit raising (or warning) on the stage of denominator
+    ``bad_q``: stage 1 (q = 1) is the caller's job, stage 2 a worker's."""
+    real = pseudorotations.contact_audit
+
+    def contact_audit(ham, grid):
+        if ham.q == bad_q:
+            if not warn:
+                raise PreconditionError(f"contact audit refused q = {bad_q}")
+            warnings.warn(f"contact audit saw q = {bad_q}", RuntimeWarning)
+        return real(ham, grid)
+
+    monkeypatch.setattr(pseudorotations, "contact_audit", contact_audit)
+
+
+@pytest.mark.parametrize("bad_q", [2, 1], ids=["worker", "caller"])
+def test_forked_audit_raises_the_serial_exception(monkeypatch, bad_q):
+    # a worker that raises hands its job back, and the caller's run of it
+    # raises; a caller that raises kills its worker first
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    _failing_contact_audit(monkeypatch, bad_q, warn=False)
+    forks = _count_forks(monkeypatch)
+    with pytest.raises(PreconditionError, match=f"refused q = {bad_q}"):
+        _small_sequence()
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def test_forked_audit_warns_as_the_serial_audit(monkeypatch):
+    # a worker that warns hands its job back: the caller audits the stage
+    # again and the warning surfaces here, with the one-process result
+    _failing_contact_audit(monkeypatch, 2, warn=True)
+    diagnostics = {}
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: c)
+        with pytest.warns(RuntimeWarning, match="saw q = 2"):
+            seq = _small_sequence()
+        _assert_no_child_left()
+        diagnostics[len(cpus)] = repr([st.diagnostics for st in seq.stages])
+    assert diagnostics[1] == diagnostics[2]
+
+
+def test_worker_that_dies_hands_its_job_back(monkeypatch):
+    # a worker that exits without a result: the caller runs its job again
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    caller = os.getpid()
+
+    def dies_in_a_worker():
+        if os.getpid() != caller:
+            os._exit(3)
+        return "ran in the caller"
+
+    forks = _count_forks(monkeypatch)
+    assert pseudorotations._run_jobs([lambda: 1, dies_in_a_worker]) == [
+        1, "ran in the caller"]
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+def test_jobs_nested_in_a_worker_run_in_it(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def nested():
+        return os.getpid(), pseudorotations._run_jobs([os.getpid, os.getpid])
+
+    here, (worker, inner) = pseudorotations._run_jobs([os.getpid, nested])
+    assert here == os.getpid() != worker
+    assert inner == [worker, worker]
+    _assert_no_child_left()
+
+
 # ---------------------------------------------------------------------------
 # conjugated stages
 # ---------------------------------------------------------------------------
