@@ -19,6 +19,7 @@ declared tolerances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,13 +148,16 @@ def make_f_tilde(H, chart: BindingChart):
 # jet estimation engine for lifted functions on [0, delta) x S^1
 # ---------------------------------------------------------------------------
 
-# centered stencils on 7 nodes, all fourth-order accurate: the order-3/4
-# jets feed a parity test whose forbidden modes would otherwise collect
-# the second-order truncation of narrower stencils
-_D1 = np.array([0.0, 1.0, -8.0, 0.0, 8.0, -1.0, 0.0]) / 12.0
-_D2 = np.array([0.0, -1.0, 16.0, -30.0, 16.0, -1.0, 0.0]) / 12.0
-_D3 = np.array([1.0, -8.0, 13.0, 0.0, -13.0, 8.0, -1.0]) / 8.0
-_D4 = np.array([-1.0, 12.0, -39.0, 56.0, -39.0, 12.0, -1.0]) / 6.0
+# centered stencils on 7 nodes for the rho-derivatives of orders 1..4, all
+# fourth-order accurate: the order-3/4 jets feed a parity test whose
+# forbidden modes would otherwise collect the second-order truncation of
+# narrower stencils
+_STENCILS = (
+    np.array([0.0, 1.0, -8.0, 0.0, 8.0, -1.0, 0.0]) / 12.0,
+    np.array([0.0, -1.0, 16.0, -30.0, 16.0, -1.0, 0.0]) / 12.0,
+    np.array([1.0, -8.0, 13.0, 0.0, -13.0, 8.0, -1.0]) / 8.0,
+    np.array([-1.0, 12.0, -39.0, 56.0, -39.0, 12.0, -1.0]) / 6.0,
+)
 
 
 def _extrapolation_weights(nodes):
@@ -176,11 +180,8 @@ class LiftJetData:
     directions: np.ndarray        # (nd,)
     values: np.ndarray            # (nb, nm, nd)
     deriv_rungs: np.ndarray       # (nk,)
-    deriv_values: np.ndarray      # (nb, nk, nd) lift at the sub-ladder
-    d_rho: np.ndarray             # (nb, nk, nd)
-    d_rho2: np.ndarray
-    d_rho3: np.ndarray
-    d_rho4: np.ndarray
+    d_rho: tuple                  # d_rho[k] (nb, nk, nd): order-k rho-derivative
+                                  # at the sub-ladder, d_rho[0] the lift itself
 
 
 _ETA_FRAC = 3.5
@@ -189,9 +190,10 @@ _ETA_FRAC = 3.5
 def sample_lift_jets(lift, b_values, rungs, n_dirs, n_deriv_rungs):
     """Evaluate a lift u(b, rho, vartheta) and rho-derivative stencils.
 
-    Derivatives use centered 5-point stencils with step rho/_ETA_FRAC; they
-    are only taken on the shallow rungs, where the 1/rho^2 cancellation in
-    typical lifts has not yet amplified rounding noise.
+    Derivatives use the centered 7-node ``_STENCILS`` with step
+    rho/_ETA_FRAC; they are only taken on the shallow rungs, where the
+    1/rho^2 cancellation in typical lifts has not yet amplified rounding
+    noise.
     """
     b_values = np.asarray(b_values, dtype=float)
     rungs = np.asarray(rungs, dtype=float)
@@ -212,21 +214,16 @@ def sample_lift_jets(lift, b_values, rungs, n_dirs, n_deriv_rungs):
     rho_nodes = rk + offsets[None, None, :, None] * eta
     stack = lift(bb4, rho_nodes, tt4)  # (nb, nk, 7, nd) by broadcasting
     eta_k = eta[0, :, 0, 0][None, :, None]
-    d1 = np.einsum("j,bkjd->bkd", _D1, stack) / eta_k
-    d2 = np.einsum("j,bkjd->bkd", _D2, stack) / eta_k**2
-    d3 = np.einsum("j,bkjd->bkd", _D3, stack) / eta_k**3
-    d4 = np.einsum("j,bkjd->bkd", _D4, stack) / eta_k**4
+    d_rho = [stack[:, :, 3, :]]
+    for k, stencil in enumerate(_STENCILS, start=1):
+        d_rho.append(np.einsum("j,bkjd->bkd", stencil, stack) / eta_k**k)
     return LiftJetData(
         b_values=b_values,
         rungs=rungs,
         directions=dirs,
         values=values,
         deriv_rungs=deriv_rungs,
-        deriv_values=stack[:, :, 3, :],
-        d_rho=d1,
-        d_rho2=d2,
-        d_rho3=d3,
-        d_rho4=d4,
+        d_rho=tuple(d_rho),
     )
 
 
@@ -347,16 +344,6 @@ class ExtensionReport:
         }
 
 
-def _deriv_limit(deriv, deriv_rungs):
-    """rho -> 0 limit of a derivative ladder (Lagrange, shallow rungs).
-
-    Shallow rungs keep the 1/rho^2 rounding amplification of the lift out
-    of the stencil; three nodes make the extrapolation exact through
-    quadratic rho-dependence, which covers every model jet here.
-    """
-    return _limit_to_zero(deriv, deriv_rungs, use=slice(0, 3))
-
-
 def extension_test(H, chart: BindingChart, settings: ExtensionSettings = None):
     """Decide numerically whether the binding function extends smoothly.
 
@@ -397,10 +384,17 @@ def extension_test(H, chart: BindingChart, settings: ExtensionSettings = None):
 
 
 def _assemble_extension_report(chart, settings, data: LiftJetData):
-    rungs = data.rungs
     verdicts = []
 
+    def verdict(order, **parts):
+        # the score is the worst part, and np.max keeps a NaN part, so it fails
+        score = float(np.max(list(parts.values())))
+        threshold = settings.threshold(order)
+        passed = score <= threshold and all(v.passed for v in verdicts)
+        verdicts.append(OrderVerdict(order, score, threshold, passed, parts))
+
     # ---- C^0: limits, uniformity, direction independence
+    rungs = data.rungs
     f0_samples = _limit_to_zero(data.values, rungs,
                                 use=slice(3, min(7, len(rungs))))
     gaps = np.abs(np.diff(data.values, axis=1))
@@ -408,68 +402,54 @@ def _assemble_extension_report(chart, settings, data: LiftJetData):
     spread = float(np.max(
         0.5 * (f0_samples.max(axis=1) - f0_samples.min(axis=1))
     ))
-    tail_gap = float(uniformity[-1])
-    c0_score = max(spread, tail_gap)
-    verdicts.append(OrderVerdict(
-        order=0,
-        score=c0_score,
-        threshold=settings.threshold(0),
-        passed=c0_score <= settings.threshold(0),
-        detail={"direction_spread": spread, "last_rung_gap": tail_gap},
-    ))
+    verdict(0, direction_spread=spread, last_rung_gap=float(uniformity[-1]))
     f0 = float(np.mean(f0_samples))
 
     # ---- derivative ladders
-    d1, d2 = data.d_rho, data.d_rho2
+    f, d1, d2 = data.d_rho[:3]
     dk = data.deriv_rungs
-    # reported jets: three shallow nodes (noise-optimal, exact through
-    # quadratic rho-dependence, which covers the model jets)
-    f_rho0 = _deriv_limit(d1, dk)
-    f_rhorho0 = _deriv_limit(d2, dk)
+    # reported jets: three shallow nodes keep the 1/rho^2 rounding of the
+    # lift out of the stencil (noise-optimal, exact through quadratic
+    # rho-dependence, which covers the model jets)
+    f_rho0 = _limit_to_zero(d1, dk, use=slice(0, 3))
+    f_rhorho0 = _limit_to_zero(d2, dk, use=slice(0, 3))
+
+    def limit(samples):
+        # the limit comparisons need one more extrapolation order: cubic jet
+        # content would otherwise masquerade as a differentiability defect
+        return _limit_to_zero(samples, dk, use=slice(0, min(4, len(dk))))
+
+    def span(lim):
+        # the widest range of a (nb, nd) limit across the directions
+        return float(np.max(lim.max(axis=1) - lim.min(axis=1)))
 
     dirs = data.directions
     cos_t, sin_t = np.cos(dirs), np.sin(dirs)
 
     # ---- C^1: Lemma-style limit conditions
     if settings.k_max >= 1:
-        # the limit comparisons need one more extrapolation order: cubic jet
-        # content would otherwise masquerade as a differentiability defect
-        nk = len(dk)
-        use1 = slice(0, min(4, nk))
-        f_rho0_chk = _limit_to_zero(d1, dk, use=use1)
-        f_theta = spectral_derivative(data.deriv_values)
-        g_cos = cos_t * d1 - sin_t * f_theta / dk[None, :, None]
-        g_sin = sin_t * d1 + cos_t * f_theta / dk[None, :, None]
-        lim_cos = _limit_to_zero(g_cos, dk, use=use1)
-        lim_sin = _limit_to_zero(g_sin, dk, use=use1)
+        f_rho0_chk = limit(d1)
+        f_theta = spectral_derivative(f)
+        lim_cos = limit(cos_t * d1 - sin_t * f_theta / dk[None, :, None])
+        lim_sin = limit(sin_t * d1 + cos_t * f_theta / dk[None, :, None])
         half = settings.n_dirs // 2
-        antipodal = float(np.max(np.abs(f_rho0_chk + np.roll(f_rho0_chk, half, 1))))
-        cos_spread = float(np.max(lim_cos.max(axis=1) - lim_cos.min(axis=1)))
-        sin_spread = float(np.max(lim_sin.max(axis=1) - lim_sin.min(axis=1)))
-        # limits must also match the axis values of f~_rho at rho = 0
-        lx_defect = float(np.max(np.abs(lim_cos - f_rho0_chk[:, [0]])))
         quarter = settings.n_dirs // 4
-        ly_defect = float(np.max(np.abs(lim_sin - f_rho0_chk[:, [quarter]])))
-        c1_score = max(antipodal, cos_spread, sin_spread, lx_defect, ly_defect)
-        verdicts.append(OrderVerdict(
-            order=1,
-            score=c1_score,
-            threshold=settings.threshold(1),
-            passed=c1_score <= settings.threshold(1),
-            detail={
-                "antipodal_defect": antipodal,
-                "cos_limit_spread": cos_spread,
-                "sin_limit_spread": sin_spread,
-                "axis_defect_x": lx_defect,
-                "axis_defect_y": ly_defect,
-            },
-        ))
+        verdict(
+            1,
+            antipodal_defect=float(np.max(np.abs(
+                f_rho0_chk + np.roll(f_rho0_chk, half, 1)))),
+            cos_limit_spread=span(lim_cos),
+            sin_limit_spread=span(lim_sin),
+            # limits must also match the axis values of f~_rho at rho = 0
+            axis_defect_x=float(np.max(np.abs(lim_cos - f_rho0_chk[:, [0]]))),
+            axis_defect_y=float(np.max(np.abs(lim_sin - f_rho0_chk[:, [quarter]]))),
+        )
 
     # ---- C^2: assembled second derivatives via the 5-term decomposition
     if settings.k_max >= 2:
         rho_k = dk[None, :, None]
         f_rt = spectral_derivative(d1)
-        f_tt = spectral_derivative(data.deriv_values, order=2)
+        f_tt = spectral_derivative(f, order=2)
         s, c = sin_t, cos_t
         f_xx = (d2 * c**2 - f_rt * 2 * s * c / rho_k + d1 * s**2 / rho_k
                 + f_tt * s**2 / rho_k**2 + f_theta * 2 * s * c / rho_k**2)
@@ -477,43 +457,17 @@ def _assemble_extension_report(chart, settings, data: LiftJetData):
                 + f_tt * c**2 / rho_k**2 - f_theta * 2 * s * c / rho_k**2)
         f_xy = (d2 * s * c + f_rt * (c**2 - s**2) / rho_k - d1 * s * c / rho_k
                 - f_tt * s * c / rho_k**2 + f_theta * (s**2 - c**2) / rho_k**2)
-        details = {}
-        c2_score = 0.0
-        for name, arr in (("xx", f_xx), ("xy", f_xy), ("yy", f_yy)):
-            lim = _limit_to_zero(arr, dk, use=use1)
-            sp = float(np.max(lim.max(axis=1) - lim.min(axis=1)))
-            details[f"spread_{name}"] = sp
-            c2_score = max(c2_score, sp)
-        verdicts.append(OrderVerdict(
-            order=2,
-            score=c2_score,
-            threshold=settings.threshold(2),
-            passed=c2_score <= settings.threshold(2),
-            detail=details,
-        ))
+        verdict(2, spread_xx=span(limit(f_xx)), spread_xy=span(limit(f_xy)),
+                spread_yy=span(limit(f_yy)))
 
     # ---- orders 3..k_max: trig-polynomial parity of the rho-jets
-    jets = {3: data.d_rho3, 4: data.d_rho4}
-    factorials = {3: 6.0, 4: 24.0}
     for k in range(3, settings.k_max + 1):
-        ck = _limit_to_zero(jets[k], dk, use=slice(0, min(4, nk))) / factorials[k]
+        ck = limit(data.d_rho[k]) / math.factorial(k)
         spectrum = np.abs(np.fft.rfft(ck, axis=1)) / settings.n_dirs * 2.0
         modes = np.arange(spectrum.shape[1])
         forbidden = (modes > k) | ((modes % 2) != (k % 2))
-        score = float(np.max(spectrum[:, forbidden])) if forbidden.any() else 0.0
-        verdicts.append(OrderVerdict(
-            order=k,
-            score=score,
-            threshold=settings.threshold(k),
-            passed=score <= settings.threshold(k),
-            detail={"max_forbidden_mode": score},
-        ))
-
-    # cumulative pass rule
-    ok = True
-    for v in verdicts:
-        ok = ok and v.passed
-        v.passed = ok
+        verdict(k, max_forbidden_mode=(float(np.max(spectrum[:, forbidden]))
+                                       if forbidden.any() else 0.0))
 
     effective_a = f0 / 2.0 - chart.h
     model = None
@@ -757,14 +711,11 @@ def pullback_residual(spec: QuotientMapSpec, H, n_s=32, n_r=32, n_theta=32):
 
     base = quotient_map(spec, ss, rr, tt)
 
-    residual = 0.0
     xy = np.stack([rr * np.cos(tt), rr * np.sin(tt)], axis=-1)
-    expected = [None, None, None]
-    expected[0] = _eval_h(H, ss, xy)
-    expected[1] = np.zeros_like(rr)
-    expected[2] = rr**2
+    expected = [_eval_h(H, ss, xy), np.zeros_like(rr), rr**2]
 
     coords = [ss, rr, tt]
+    defects = []
     for axis in range(3):
         h = steps[axis]
 
@@ -777,8 +728,9 @@ def pullback_residual(spec: QuotientMapSpec, H, n_s=32, n_r=32, n_theta=32):
 
         d = (shift(-2.0) - 8.0 * shift(-1.0) + 8.0 * shift(1.0) - shift(2.0)) / (12 * h)
         coeff = liouville_pair(base, d)
-        residual = max(residual, float(np.max(np.abs(coeff - expected[axis]))))
-    return residual
+        defects.append(np.max(np.abs(coeff - expected[axis])))
+    # np.max keeps a NaN defect, which a running builtin max would drop
+    return float(np.max(defects))
 
 
 # ---------------------------------------------------------------------------

@@ -353,11 +353,11 @@ def check_s_periodicity(H):
     r = np.sqrt(rng.uniform(0.0, 1.0, _PERIODICITY_N_POINTS))
     t = rng.uniform(0.0, TWO_PI, _PERIODICITY_N_POINTS)
     xy = np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
-    worst = 0.0
-    for s in np.linspace(0.0, TWO_PI, _PERIODICITY_N_S, endpoint=False):
-        defect = np.max(np.abs(H.value(s + TWO_PI, xy) - H.value(s, xy)))
-        worst = max(worst, float(defect))
-    if worst > _PERIODICITY_TOL:
+    worst = float(np.max([
+        np.max(np.abs(H.value(s + TWO_PI, xy) - H.value(s, xy)))
+        for s in np.linspace(0.0, TWO_PI, _PERIODICITY_N_S, endpoint=False)]))
+    # written so that a NaN defect fails too
+    if not worst <= _PERIODICITY_TOL:
         raise PreconditionError(f"H is not 2*pi-periodic in s (defect {worst:.3e})")
     return worst
 

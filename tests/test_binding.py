@@ -23,7 +23,9 @@ from reebcut import (
 )
 from reebcut.binding import PolarFunction, make_f_tilde, primitive_change_audit
 from reebcut.geometry import TWO_PI, wrap_angle
-from reebcut.hamiltonians import CallableHamiltonian
+from reebcut.hamiltonians import CallableHamiltonian, check_s_periodicity
+from reebcut.pseudorotations import (_stage_extension_settings,
+                                     boundary_jet_check, conjugated_stage)
 
 from conftest import SQRT2, radial_collar_hamiltonian
 
@@ -207,6 +209,80 @@ def test_extension_order_pass_is_cumulative():
     h, d = 3, 0.5
     rep = extension_test(cosine_defect_hamiltonian(h, 0.4, d), BindingChart(h=h))
     assert all(not v.passed for v in rep.verdicts)
+
+
+def _cut_check_report():
+    # the README cut-check config: cosine defect h = 3, c = 0.4, d = 0.5
+    return extension_test(cosine_defect_hamiltonian(3, 0.4, 0.5),
+                          BindingChart(h=3, eps=0.25))
+
+
+def _stage_report():
+    stage = conjugated_stage(2, 1, 3, w_grid=64)
+    return extension_test(stage.hamiltonian, BindingChart(h=2),
+                          _stage_extension_settings(stage.delta))
+
+
+@pytest.mark.parametrize("report", [_cut_check_report, _stage_report],
+                         ids=["cut-check", "stage"])
+def test_each_score_is_the_worst_part_and_passes_cumulatively(report):
+    rep = report()
+    for i, v in enumerate(rep.verdicts):
+        assert v.score == max(v.detail.values())
+        assert v.threshold == rep.settings.threshold(v.order)
+        assert v.passed == (v.score <= v.threshold
+                            and all(u.passed for u in rep.verdicts[:i]))
+
+
+def _nan_at_s_pi(H):
+    # time-dependent copy of H whose value is NaN on the slice s = pi, a
+    # node of every s grid of 8 or 16 equal steps
+    def value(s, xy):
+        return np.where(s == np.pi, np.nan, H.value(s, xy))
+
+    return CallableHamiltonian(value, H.boundary_value)
+
+
+def _extension_c0_fails(model):
+    # NaN where 1 - r^2 < 1e-8: the deepest rung of the default ladder
+    # (1 - r^2 = 4.8e-9) and no other (1.9e-8 on the next)
+    def value(s, xy):
+        edge = 1.0 - np.sum(xy**2, axis=-1) < 1e-8
+        return np.where(edge, np.nan, model.value(s, xy))
+
+    H = CallableHamiltonian(value, model.boundary_value, time_dependent=False)
+    rep = extension_test(H, BindingChart(h=2))
+    n = ExtensionSettings().n_rungs
+    assert (np.isnan(rep.lift_samples).any(axis=(0, 2)).tolist()
+            == [False] * (n - 1) + [True])
+    return not rep.verdicts[0].passed and not rep.passed
+
+
+def _s_periodicity_fails(model):
+    with pytest.raises(PreconditionError, match="periodic"):
+        check_s_periodicity(_nan_at_s_pi(model))
+    return True
+
+
+def _boundary_jets_fail(model):
+    defects = boundary_jet_check(_nan_at_s_pi(model), SQRT2 - 2)
+    return bool(np.isnan(defects).all())
+
+
+def _pullback_residual_fails(model):
+    spec = QuotientMapSpec("ellipsoid", h=2, a0=SQRT2)
+    return not pullback_residual(spec, _nan_at_s_pi(model), n_s=8) <= 1e-6
+
+
+@pytest.mark.parametrize("fails", [
+    _extension_c0_fails, _s_periodicity_fails, _boundary_jets_fail,
+    _pullback_residual_fails,
+], ids=["extension-deepest-rung", "s-periodicity", "boundary-jets",
+        "pullback-residual"])
+def test_a_nan_part_fails_its_score(fails):
+    # a score reduced with a running builtin max keeps or drops a NaN part
+    # by its position; every score here is np.max of its parts
+    assert fails(QuadraticHamiltonian(SQRT2, 2 - SQRT2))
 
 
 # ---------------------------------------------------------------------------

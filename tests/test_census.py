@@ -9,10 +9,12 @@ only, so the census can miss a dead value whose name another call sets,
 never the other way round.  A value no call sets has one value: it belongs
 in a module constant.
 
-Two structural rules ride along: only ``QuinticField`` and its loader
+Three structural rules ride along: only ``QuinticField`` and its loader
 name FITPACK's module and routines, and scipy's public spline class is
 named nowhere in ``src/reebcut``; only the fork helper
-``pseudorotations._run_jobs`` names ``os.fork``, ``os.pipe`` and ``pickle``.
+``pseudorotations._run_jobs`` names ``os.fork``, ``os.pipe`` and ``pickle``;
+and no assignment reduces with a running builtin ``x = max(x, ...)`` or
+``x = min(x, ...)``, which drops a NaN.
 """
 
 from __future__ import annotations
@@ -178,3 +180,25 @@ def test_only_the_fork_helper_forks():
                     outside.append((path.name, lineno, name))
     assert not outside, f"forks or pickles outside _run_jobs: {outside}"
     assert inside == {"os.fork", "os.pipe", "pickle"}
+
+
+def running_builtin_reductions():
+    """(file, line) of each ``x = max(x, ...)`` or ``x = min(x, ...)``."""
+    found = []
+    for path in sorted((ROOT / "src" / "reebcut").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.value, ast.Call)
+                    and isinstance(node.value.func, ast.Name)
+                    and node.value.func.id in ("max", "min")
+                    and ast.unparse(node.targets[0]) in map(ast.unparse,
+                                                            node.value.args)):
+                found.append((path.name, node.lineno))
+    return found
+
+
+def test_no_running_builtin_reduction():
+    # builtin max and min compare with >, so a NaN argument is kept or
+    # dropped depending on its position; reduce with np.max or np.min
+    found = running_builtin_reductions()
+    assert not found, f"running builtin max/min drops NaN: {found}"
