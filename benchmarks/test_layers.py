@@ -32,7 +32,7 @@ from reebcut import (
 )
 from reebcut.geometry import TWO_PI, polar_grid
 from reebcut.pseudorotations import (_FLOW_BLOCK, ConjugatedRotationHamiltonian,
-                                     DiscDiffeo, _run_jobs)
+                                     DiscDiffeo, _run_jobs, _stage_diagnostics)
 
 # the tier-1 fixtures: the composite build is timed on their generator K
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -70,6 +70,26 @@ def test_quintic_field_point_ev(benchmark, small_stage):
     field.ev(1, 0, 0.3, 0.2)  # derive the partial before timing
     gx = benchmark(field.ev, 1, 0, 0.3, 0.2)
     assert np.shape(gx) == () and np.isfinite(gx)
+
+
+def test_quintic_field_point_grad(benchmark, small_stage):
+    # both first partials of the stage's W-field at one point given as two
+    # floats: the one-point velocity's spline work, two FITPACK evaluations
+    field = small_stage.hamiltonian.w_field
+    field.point_grad(0.3, 0.2)  # derive the partials before timing
+    gx, gy = benchmark(field.point_grad, 0.3, 0.2)
+    assert np.isfinite(gx) and np.isfinite(gy)
+
+
+def test_stage_diagnostics(benchmark, small_stage):
+    # one coarse stage's audits as stage_sequence runs them: contact audit,
+    # extension test, area audit and the periodic scan at q = 3, at step
+    # 2pi/600
+    diagnostics = benchmark.pedantic(
+        _stage_diagnostics, args=(small_stage, 2, FlowSettings(step=TWO_PI / 600)),
+        rounds=3, iterations=1,
+    )
+    assert diagnostics["periodic_periods"] == [3]
 
 
 def test_orbit_statistics(benchmark, small_stage):

@@ -561,7 +561,7 @@ def extended_contact_audit(f_lift, chart: BindingChart):
     contraction_defect = abs(float(limit(contraction).max()))
 
     fmin = float(f_binding.min())
-    vmin = float(min(density.min(), density_binding.min()))
+    vmin = float(np.min([density.min(), density_binding.min()]))
     passed = fmin > 0 and vmin > 0
     cert = None
     if not passed:

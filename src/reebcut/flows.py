@@ -308,7 +308,7 @@ class PeriodicPointRecord:
 
 
 def periodic_point_scan(H, max_period, grid_points, tol=1e-6, settings=None,
-                        newton_tol=1e-10):
+                        newton_tol=1e-10, refine=True):
     """Scan grid points for |psi^k(p) - p| < tol, k <= max_period.
 
     Candidates are refined by Newton on psi^k - id using the variational
@@ -320,6 +320,9 @@ def periodic_point_scan(H, max_period, grid_points, tol=1e-6, settings=None,
     points where the Newton system is singular (every point of a rational
     rotation, for instance) keep their scan residual and are reported
     rather than dropped.
+
+    Without ``refine`` each hit is recorded as scanned, at its grid point
+    with its scan residual and ``converged=False``, in the same order.
     """
     if max_period > 64:
         raise PreconditionError("periodic scans are desk scale: max_period <= 64")
@@ -334,9 +337,13 @@ def periodic_point_scan(H, max_period, grid_points, tol=1e-6, settings=None,
         current = return_map(H, current, settings)
         res = np.sqrt(np.sum((current - pts[remaining]) ** 2, axis=-1))
         hits = res < tol
-        found.extend(_refine_periodic_points(
-            H, pts[remaining[hits]], k, settings, newton_tol
-        ))
+        if refine:
+            found.extend(_refine_periodic_points(
+                H, pts[remaining[hits]], k, settings, newton_tol
+            ))
+        else:
+            found.extend(PeriodicPointRecord(k, p, r, converged=False)
+                         for p, r in zip(pts[remaining[hits]], res[hits].tolist()))
         remaining = remaining[~hits]
         current = current[~hits]
     return found

@@ -130,6 +130,7 @@ class QuinticField:
     ``tck`` = (tx, ty, c) is FITPACK's fit and ``ev(dx, dy, x, y)`` the
     (dx, dy) partial at the points (x, y), dx and dy in 0..4, derived on
     first use and kept; both are scipy's public calls, bit for bit.
+    ``point_grad(x, y)`` is the gradient at one point, for one-point flows.
     FITPACK runs without scipy's ``FITPACK_LOCK``: each reebcut process,
     forked workers included, evaluates splines from one thread.
     """
@@ -145,7 +146,8 @@ class QuinticField:
         self.tck = tx[:nx], ty[:ny], c[:(nx - k - 1) * (ny - k - 1)]
         self._partials = {(0, 0): (*self.tck, k, k)}
 
-    def ev(self, dx, dy, x, y):
+    def _partial(self, dx, dy):
+        """The (dx, dy) partial as ``bispeu``'s leading arguments."""
         part = self._partials.get((dx, dy))
         if part is None:
             tx, ty, c = self.tck
@@ -157,6 +159,10 @@ class QuinticField:
                 raise EvaluationError(f"spline partial failed, FITPACK ier={ier}")
             part = self._partials[dx, dy] = (tx[dx:mx], ty[dy:my],
                 newc[:(mx - k - 1) * (my - k - 1)], k - dx, k - dy)
+        return part
+
+    def ev(self, dx, dy, x, y):
+        part = self._partial(dx, dy)
         x, y = np.asarray(x), np.asarray(y)
         if x.shape != y.shape:
             x, y = np.broadcast_arrays(x, y)
@@ -166,6 +172,21 @@ class QuinticField:
         if ier != 0:
             raise EvaluationError(f"spline evaluation failed, FITPACK ier={ier}")
         return z.reshape(x.shape)
+
+    def point_grad(self, x, y):
+        """(d/dx, d/dy) at one point given as two floats, as two floats.
+
+        The same ``bispeu`` call as ``ev(1, 0, x, y)`` and
+        ``ev(0, 1, x, y)``, so bitwise equal to them, without the array
+        handling that costs a one-point call about a third of its time.
+        """
+        bispeu = _fitpack().bispeu
+        gx, ier_x = bispeu(*self._partial(1, 0), x, y)
+        gy, ier_y = bispeu(*self._partial(0, 1), x, y)
+        if ier_x != 0 or ier_y != 0:
+            raise EvaluationError(
+                f"spline evaluation failed, FITPACK ier={ier_x or ier_y}")
+        return gx.item(), gy.item()
 
 
 # slices a SliceFields keeps at a time

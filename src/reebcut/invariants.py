@@ -442,9 +442,9 @@ def self_linking(spec: QuotientMapSpec, H, push_eps=0.02, n_samples=512):
     curve_b, curve_push = binding_pushoff_curves(spec, H, push_eps, n_samples)
     p1, p2, pole = _project_from_farthest_pole(curve_b, curve_push)
 
-    ratio = min_curve_distance(p1, p2) / max(
-        np.linalg.norm(np.roll(p, -1, axis=0) - p, axis=-1).max() for p in (p1, p2))
-    if ratio < _MIN_SEGMENT_RATIO:
+    ratio = min_curve_distance(p1, p2) / np.max(
+        [np.linalg.norm(np.roll(p, -1, axis=0) - p, axis=-1).max() for p in (p1, p2)])
+    if not ratio >= _MIN_SEGMENT_RATIO:
         raise ResolutionError(f"curves are {ratio:.3f} segments apart; quadrature "
                               f"unreliable below {_MIN_SEGMENT_RATIO:.3f}")
     integral = gauss_linking_integral(p1, p2)

@@ -645,7 +645,7 @@ class CanonicalHamiltonian(Hamiltonian):
         for _ in range(12):
             ex = mx.ev(0, 0, pr, pt) - qx
             ey = my.ev(0, 0, pr, pt) - qy
-            if float(max(np.max(np.abs(ex)), np.max(np.abs(ey)))) < 1e-12:
+            if float(np.max(np.abs([ex, ey]))) < 1e-12:
                 break
             j11 = mx.ev(1, 0, pr, pt)
             j12 = mx.ev(0, 1, pr, pt)

@@ -476,8 +476,7 @@ class ConjugatedRotationHamiltonian(Hamiltonian):
         if x * x + y * y >= self._switch2:
             gx, gy = 2.0 * x, 2.0 * y
         else:
-            gx = float(self.w_field.ev(1, 0, x, y))
-            gy = float(self.w_field.ev(0, 1, x, y))
+            gx, gy = self.w_field.point_grad(x, y)
         return 0.5 * (-self.pq * gy), -0.5 * (-self.pq * gx)
 
     def velocity(self, s, xy):
@@ -627,7 +626,8 @@ def _stage_extension_settings(delta):
 def _stage_diagnostics(stage, h, settings):
     """A built stage's audits: contact audit, extension test (with the
     expected a set to the stage rotation number), area-preservation defect
-    and a periodic point scan at the stage denominator."""
+    and a periodic point scan at the stage denominator.  The scan's hits are
+    not refined: the diagnostics read only their periods and count."""
     ham = stage.hamiltonian
     audit = contact_audit(ham, _AUDIT_GRID)
     ext = extension_test(ham, BindingChart(h=h),
@@ -636,7 +636,7 @@ def _stage_diagnostics(stage, h, settings):
     recs = periodic_point_scan(ham, max_period=stage.q,
                                grid_points=polar_grid(*_SCAN_GRID, r_max=0.8,
                                                       include_center=False),
-                               tol=1e-5, settings=settings)
+                               tol=1e-5, settings=settings, refine=False)
     return {
         "contact": audit.to_dict(),
         "extension_pass": ext.passed,

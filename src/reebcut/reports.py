@@ -490,8 +490,8 @@ def _run_moser(params, rng):
     res = moser_pullback_residual(psi, w0, w1)
     d = psi.displacement()
     m = 2
-    edge = float(max(np.abs(d[:m]).max(), np.abs(d[-m:]).max(),
-                     np.abs(d[:, :m]).max(), np.abs(d[:, -m:]).max()))
+    edge = float(np.max([np.abs(d[:m]).max(), np.abs(d[-m:]).max(),
+                         np.abs(d[:, :m]).max(), np.abs(d[:, -m:]).max()]))
     results = {"pullback_residual": res, "boundary_displacement": edge,
                "max_displacement": float(np.abs(d).max())}
     checks = [

@@ -10,6 +10,7 @@ from reebcut import (
     PreconditionError,
     QuadraticHamiltonian,
     QuotientMapSpec,
+    ResolutionError,
     RigidRotationHamiltonian,
     adapted_collar_g,
     binding_function_f,
@@ -21,6 +22,7 @@ from reebcut import (
     pullback_residual,
     quotient_map,
 )
+from reebcut import invariants, reports
 from reebcut.binding import PolarFunction, make_f_tilde, primitive_change_audit
 from reebcut.geometry import TWO_PI, wrap_angle
 from reebcut.hamiltonians import CallableHamiltonian, check_s_periodicity
@@ -274,14 +276,52 @@ def _pullback_residual_fails(model):
     return not pullback_residual(spec, _nan_at_s_pi(model), n_s=8) <= 1e-6
 
 
+def _identity_margin_fails(model):
+    # the moser report's identity margin (the model is not used) over a
+    # displacement whose last row is NaN: every edge strip but the first
+    # holds a NaN, and a builtin max keeps the first, 0
+    real = reports.moser_flow
+
+    def nan_last_row(*args, **kwargs):
+        psi = real(*args, **kwargs)
+        d = psi.displacement()
+        d[-1] = np.nan
+        psi.displacement = lambda: d
+        return psi
+
+    params = reports.RunConfig.parse("moser", {"n": 32}).params
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reports, "moser_flow", nan_last_row)
+        _, checks, _ = reports._run_moser(params, None)
+    (margin,) = [c for c in checks if c["name"] == "identity_margin"]
+    return np.isnan(margin["score"]) and not margin["pass"]
+
+
+def _segment_ratio_fails(model):
+    # a NaN point on the projected push-off makes the self-linking segment
+    # ratio NaN, which must refuse the quadrature as unresolved
+    real = invariants._project_from_farthest_pole
+
+    def nan_point(curve_b, curve_push):
+        p1, p2, pole = real(curve_b, curve_push)
+        p2[0] = np.nan
+        return p1, p2, pole
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invariants, "_project_from_farthest_pole", nan_point)
+        with pytest.raises(ResolutionError, match="nan segments apart"):
+            invariants.self_linking(QuotientMapSpec("hemisphere", 2), model)
+    return True
+
+
 @pytest.mark.parametrize("fails", [
     _extension_c0_fails, _s_periodicity_fails, _boundary_jets_fail,
-    _pullback_residual_fails,
+    _pullback_residual_fails, _identity_margin_fails, _segment_ratio_fails,
 ], ids=["extension-deepest-rung", "s-periodicity", "boundary-jets",
-        "pullback-residual"])
+        "pullback-residual", "identity-margin", "segment-ratio"])
 def test_a_nan_part_fails_its_score(fails):
-    # a score reduced with a running builtin max keeps or drops a NaN part
-    # by its position; every score here is np.max of its parts
+    # a score reduced with a builtin max keeps or drops a NaN part by its
+    # position; every score here is np.max of its parts
     assert fails(QuadraticHamiltonian(SQRT2, 2 - SQRT2))
 
 

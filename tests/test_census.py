@@ -13,8 +13,8 @@ Three structural rules ride along: only ``QuinticField`` and its loader
 name FITPACK's module and routines, and scipy's public spline class is
 named nowhere in ``src/reebcut``; only the fork helper
 ``pseudorotations._run_jobs`` names ``os.fork``, ``os.pipe`` and ``pickle``;
-and no assignment reduces with a running builtin ``x = max(x, ...)`` or
-``x = min(x, ...)``, which drops a NaN.
+and no builtin ``max`` or ``min`` reduces numpy values, running
+(``x = max(x, ...)``) or over two or more of them, which drops a NaN.
 """
 
 from __future__ import annotations
@@ -182,9 +182,23 @@ def test_only_the_fork_helper_forks():
     assert inside == {"os.fork", "os.pipe", "pickle"}
 
 
-def running_builtin_reductions():
-    """(file, line) of each ``x = max(x, ...)`` or ``x = min(x, ...)``."""
-    found = []
+# array reductions whose results a builtin max or min would compare
+ARRAY_REDUCTIONS = {"max", "min"}
+
+
+def _numpy_valued(expr):
+    """Whether ``expr`` names numpy or calls an array reduction method."""
+    return any((isinstance(n, ast.Name) and n.id == "np")
+               or (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                   and n.func.attr in ARRAY_REDUCTIONS)
+               for n in ast.walk(expr))
+
+
+def nan_dropping_reductions():
+    """(file, line) of each builtin ``max`` or ``min`` that is running,
+    ``x = max(x, ...)``, or takes two or more numpy values, as arguments
+    or as the items of one comprehension or display."""
+    found = set()
     for path in sorted((ROOT / "src" / "reebcut").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if (isinstance(node, ast.Assign) and len(node.targets) == 1
@@ -193,12 +207,24 @@ def running_builtin_reductions():
                     and node.value.func.id in ("max", "min")
                     and ast.unparse(node.targets[0]) in map(ast.unparse,
                                                             node.value.args)):
-                found.append((path.name, node.lineno))
-    return found
+                found.add((path.name, node.lineno))
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("max", "min")):
+                continue
+            items = node.args
+            if len(items) == 1:
+                (arg,) = items
+                if isinstance(arg, (ast.GeneratorExp, ast.ListComp, ast.SetComp)):
+                    items = [arg.elt, arg.elt]
+                elif isinstance(arg, (ast.List, ast.Tuple, ast.Set)):
+                    items = arg.elts
+            if sum(map(_numpy_valued, items)) >= 2:
+                found.add((path.name, node.lineno))
+    return sorted(found)
 
 
 def test_no_running_builtin_reduction():
     # builtin max and min compare with >, so a NaN argument is kept or
     # dropped depending on its position; reduce with np.max or np.min
-    found = running_builtin_reductions()
-    assert not found, f"running builtin max/min drops NaN: {found}"
+    found = nan_dropping_reductions()
+    assert not found, f"builtin max/min drops NaN: {found}"

@@ -380,12 +380,11 @@ def _reference_refine(H, p0, k, settings, newton_steps, newton_tol):
     return PeriodicPointRecord(k, p, residual, converged=False)
 
 
-def _reference_scan(H, max_period, grid, tol, settings, sizes,
-                    newton_steps=10, newton_tol=1e-10):
-    """The scan with one refinement per hit.  Returns the records and, for
-    each hit, (k, linearized_return calls it made) as logged in ``sizes``."""
+def _reference_hits(H, max_period, grid, tol, settings):
+    """The scan without refinement: (k, grid point, scan residual) per hit,
+    in period order, then grid order."""
     pts = np.asarray(grid, dtype=float).reshape(-1, 2)
-    found, per_hit = [], []
+    hits_found = []
     remaining = np.arange(len(pts))
     current = pts.copy()
     for k in range(1, max_period + 1):
@@ -394,31 +393,42 @@ def _reference_scan(H, max_period, grid, tol, settings, sizes,
         current = return_map(H, current, settings)
         res = np.sqrt(np.sum((current - pts[remaining]) ** 2, axis=-1))
         hits = res < tol
-        for idx in np.nonzero(hits)[0]:
-            before = len(sizes)
-            found.append(_reference_refine(H, pts[remaining[idx]], k, settings,
-                                           newton_steps, newton_tol))
-            per_hit.append((k, len(sizes) - before))
+        hits_found.extend((k, pts[remaining[idx]], float(res[idx]))
+                          for idx in np.nonzero(hits)[0])
         remaining = remaining[~hits]
         current = current[~hits]
+    return hits_found
+
+
+def _reference_scan(H, max_period, grid, tol, settings, sizes,
+                    newton_steps=10, newton_tol=1e-10):
+    """The scan with one refinement per hit.  Returns the records and, for
+    each hit, (k, linearized_return calls it made) as logged in ``sizes``."""
+    found, per_hit = [], []
+    for k, point, _ in _reference_hits(H, max_period, grid, tol, settings):
+        before = len(sizes)
+        found.append(_reference_refine(H, point, k, settings, newton_steps,
+                                       newton_tol))
+        per_hit.append((k, len(sizes) - before))
     return found, per_hit
 
 
-@pytest.mark.parametrize("case", ["rigid", "identity", "defect", "stage"])
-def test_batched_refinement_matches_per_point_loop(case, monkeypatch, request,
-                                                   fast_flow):
+def _scan_case(case, request):
+    """(H, max_period, grid, tol) of a named scan case."""
     grid = polar_grid(2, 4, r_max=0.75)
     if case == "rigid":
-        H, max_period, tol = RigidRotationHamiltonian(2, 1, 3), 3, 1e-6
-    elif case == "identity":
-        H, max_period, tol = QuadraticHamiltonian(2.0, 0.0), 2, 1e-8
-    elif case == "defect":
+        return RigidRotationHamiltonian(2, 1, 3), 3, grid, 1e-6
+    if case == "identity":
+        return QuadraticHamiltonian(2.0, 0.0), 2, grid, 1e-8
+    if case == "defect":
         # a loose scan tolerance makes Newton take real steps here
-        H, max_period, tol = polynomial_defect_hamiltonian(2, 0.4, 0.3), 2, 0.3
-    else:
-        H, max_period, tol = request.getfixturevalue("stage_2_1_3").hamiltonian, 3, 1e-5
-        grid = polar_grid(2, 4, r_max=0.75, include_center=False)
+        return polynomial_defect_hamiltonian(2, 0.4, 0.3), 2, grid, 0.3
+    return (request.getfixturevalue("stage_2_1_3").hamiltonian, 3,
+            polar_grid(2, 4, r_max=0.75, include_center=False), 1e-5)
 
+
+def _count_linearized_returns(monkeypatch):
+    """Batch sizes of every ``flows.linearized_return`` call from now on."""
     sizes = []
     real = flows.linearized_return
 
@@ -427,6 +437,14 @@ def test_batched_refinement_matches_per_point_loop(case, monkeypatch, request,
         return real(H, p, *args, **kwargs)
 
     monkeypatch.setattr(flows, "linearized_return", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("case", ["rigid", "identity", "defect", "stage"])
+def test_batched_refinement_matches_per_point_loop(case, monkeypatch, request,
+                                                   fast_flow):
+    H, max_period, grid, tol = _scan_case(case, request)
+    sizes = _count_linearized_returns(monkeypatch)
     expected, per_hit = _reference_scan(H, max_period, grid, tol, fast_flow, sizes)
     reference_points = sum(sizes)
     sizes.clear()
@@ -442,6 +460,24 @@ def test_batched_refinement_matches_per_point_loop(case, monkeypatch, request,
     periods = {k for k, _ in per_hit}
     assert len(sizes) == sum(max(n for j, n in per_hit if j == k) for k in periods)
     assert sum(sizes) == reference_points
+
+
+@pytest.mark.parametrize("case", ["rigid", "identity", "defect", "stage"])
+def test_unrefined_scan_records_the_scan_hits(case, monkeypatch, request,
+                                              fast_flow):
+    # the refined scan's periods and hit grid points, with the scan
+    # residuals, and no Newton step: not one variational solve
+    H, max_period, grid, tol = _scan_case(case, request)
+    refined = periodic_point_scan(H, max_period, grid, tol=tol, settings=fast_flow)
+    hits = _reference_hits(H, max_period, grid, tol, fast_flow)
+    sizes = _count_linearized_returns(monkeypatch)
+    records = periodic_point_scan(H, max_period, grid, tol=tol,
+                                  settings=fast_flow, refine=False)
+    assert sizes == []
+    assert [r.period for r in records] == [r.period for r in refined]
+    assert [(r.period, r.point.tolist(), r.residual, r.converged)
+            for r in records] == [(k, p.tolist(), res, False)
+                                  for k, p, res in hits]
 
 
 def test_refinement_reports_singular_points_unconverged():

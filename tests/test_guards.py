@@ -8,6 +8,7 @@ message, which pins the guard and not some earlier failure.
 
 import importlib.util
 from importlib.machinery import ModuleSpec
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from reebcut import (
     BindingChart,
     ConfigurationError,
     ConjugatorSpec,
+    EvaluationError,
     ExtensionSettings,
     Frame,
     GridFunction2D,
@@ -164,6 +166,20 @@ def test_guard_raises_its_error(guard):
         call()
     # the exact class, not a subclass standing in for it
     assert type(info.value) is error
+
+
+def test_fitpack_error_in_point_grad_is_an_evaluation_error(monkeypatch):
+    # bispeu reports an error only for input a one-point call cannot make,
+    # so a stand-in module reports one; the partials are derived for real
+    field = hamiltonians.QuinticField(np.linspace(0.0, 1.0, 8),
+                                      np.linspace(0.0, 1.0, 8), np.zeros((8, 8)))
+    failing = SimpleNamespace(pardtc=hamiltonians._fitpack().pardtc,
+                              bispeu=lambda *args: (np.zeros(1), 10))
+    monkeypatch.setattr(hamiltonians, "_fitpack", lambda: failing)
+    with pytest.raises(EvaluationError,
+                       match="spline evaluation failed, FITPACK ier=10") as info:
+        field.point_grad(0.5, 0.5)
+    assert type(info.value) is EvaluationError
 
 
 def test_missing_fitpack_module_is_a_configuration_error(monkeypatch, tmp_path):

@@ -510,6 +510,24 @@ def test_quintic_field_ev_is_scipys_call_bitwise(dx, dy):
             assert _bits(float(got)) == _bits(want[i])
 
 
+def test_quintic_field_point_grad_is_ev_bitwise():
+    # the one-point gradient of the one-point velocity: both partials as
+    # Python floats, bit for bit ev's, inside and outside the knot span
+    # and at NaN; the first call derives the partials, later ones reuse them
+    rng = np.random.default_rng(21)
+    ax = np.linspace(-1.05, 1.05, 19)
+    field = QuinticField(ax, ax, rng.standard_normal((19, 19)))
+    xs = np.concatenate([rng.uniform(-1.05, 1.05, 200),
+                         [1.3, -2.0, 0.2, 5.0, np.nan, 0.1, np.nan, -0.0]])
+    ys = np.concatenate([rng.uniform(-1.05, 1.05, 200),
+                         [0.4, -1.7, -3.0, 5.0, 0.3, np.nan, np.nan, 0.0]])
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        got = field.point_grad(x, y)
+        assert all(type(g) is float for g in got)
+        want = (float(field.ev(1, 0, x, y)), float(field.ev(0, 1, x, y)))
+        assert np.array_equal(_bits(got), _bits(want))
+
+
 # ---------------------------------------------------------------------------
 # options without a caller are gone
 # ---------------------------------------------------------------------------
