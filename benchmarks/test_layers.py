@@ -28,11 +28,13 @@ from reebcut import (
     moser_flow,
     orbit_statistics,
     periodic_point_scan,
-    zero_integral_fixture,
 )
+from reebcut.flows import _run_jobs
 from reebcut.geometry import TWO_PI, polar_grid
+from reebcut.moser import MoserMap, poincare_primitive
 from reebcut.pseudorotations import (_FLOW_BLOCK, ConjugatedRotationHamiltonian,
-                                     DiscDiffeo, _run_jobs, _stage_diagnostics)
+                                     DiscDiffeo, _stage_diagnostics)
+from reebcut.reports import _moser_densities
 
 # the tier-1 fixtures: the composite build is timed on their generator K
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -199,16 +201,23 @@ def test_moser_field(benchmark):
     # one Moser field evaluation on the 16384 nodes of the moser scenario's
     # n=128 grid (four splines of degree 5 at every node)
     n = 128
-    base = zero_integral_fixture(2, n)
-    w0 = GridFunction2D(np.ones((n, n)), compact=False)
-    w1 = GridFunction2D(1.0 + 0.2 / np.abs(base.values).max() * base.values,
-                        compact=False)
-    psi = moser_flow(w0, w1, settings=MoserSettings(steps=1))
+    psi = moser_flow(*_moser_densities(n, 0.2), settings=MoserSettings(steps=1))
     x = np.arange(n) / n
     xx, yy = np.meshgrid(x, x, indexing="ij")
     nodes = np.stack([xx, yy], axis=-1).reshape(-1, 2)
     v = benchmark(psi._field, 0.5, nodes)
     assert v.shape == nodes.shape and np.all(np.isfinite(v))
+
+
+def test_moser_map(benchmark):
+    # the whole Moser map of the README moser config at 48 steps: its
+    # 16384 nodes flow in one share per CPU of the affinity set (at most
+    # one per 4096 nodes), each share in its own forked worker but the first
+    w0, w1 = _moser_densities(128, 0.2)
+    sigma = poincare_primitive(GridFunction2D(w1.values - w0.values))
+    psi = benchmark.pedantic(MoserMap, args=(sigma, w0, w1, MoserSettings(48)),
+                             rounds=3, iterations=1)
+    assert np.max(np.abs(psi.displacement())) > 1e-3
 
 
 def test_cli_import(benchmark):

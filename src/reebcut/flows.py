@@ -4,11 +4,20 @@ The section {0} x D^2 of the mapping torus is returned to at parameter time
 2*pi, so the return map is simply the time-2*pi map of the disc isotopy.
 True Reeb time is accounted separately through ``reeb_period``: rescaling
 the field to unit return time would blow up at the boundary.
+
+The module also holds the one fork helper, ``_run_jobs``, and the
+share-wise flow of point batches on top of it, ``_share_wise``, which
+``DiscDiffeo`` and ``MoserMap`` use.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 import math
+import os
+import signal
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,6 +178,104 @@ def _rk4_point_steps(point_velocity, xy, s0, h, n_steps):
         y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
         s = s0 + (i + 1) * h
     return np.array([x, y])
+
+
+def _cpu_count():
+    """CPUs in this process's affinity set; one without sched_getaffinity."""
+    return len(getattr(os, "sched_getaffinity", lambda pid: [0])(0))
+
+
+# set in a forked worker of _run_jobs, whose own job lists run in-process
+_IN_WORKER = False
+
+
+def _run_jobs(jobs):
+    """The results of the no-argument callables ``jobs``, in job order.
+
+    The caller runs jobs[0]; each other job runs in a forked worker, which
+    pickles its result back through a pipe.  Pickle round-trips floats and
+    arrays exactly and a job does the same arithmetic in any process, so
+    the results are bitwise the one-process results.  A worker that
+    raises, warns or dies has its job run again here, in job order, where
+    the error surfaces as in one process; a caller that raises kills and
+    reaps every worker first.  With one job, one CPU in the affinity set,
+    no ``fork``, or inside a worker, every job runs in-process.
+    """
+    global _IN_WORKER
+    if (len(jobs) < 2 or _IN_WORKER or not hasattr(os, "fork")
+            or _cpu_count() < 2):
+        return [job() for job in jobs]
+    import pickle
+    workers = {}                      # job index -> (pid, its pipe)
+    try:
+        for k in range(1, len(jobs)):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                # the worker: never returns into the caller's frames
+                try:
+                    # no cycle collection: parent garbage with finalizers
+                    # (temporary files, say) must not be finalized here
+                    gc.disable()
+                    _IN_WORKER = True
+                    with warnings.catch_warnings(record=True) as caught:
+                        result = jobs[k]()
+                    if not caught:
+                        with open(w, "wb") as pipe:
+                            pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+                        os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(w)
+            workers[k] = pid, open(r, "rb")
+        first, done = jobs[0](), {}
+        for k in range(1, len(jobs)):
+            pid, pipe = workers[k]
+            with pipe:
+                data = pipe.read()
+            if os.waitpid(pid, 0)[1] == 0:
+                done[k] = pickle.loads(data)
+            del workers[k]
+        return [first] + [done[k] if k in done else jobs[k]()
+                          for k in range(1, len(jobs))]
+    finally:
+        for pid, pipe in workers.values():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _share_bounds(n, count):
+    """``count`` contiguous (lo, hi) shares of range(n), sizes within one."""
+    return [(n * k // count, n * (k + 1) // count) for k in range(count)]
+
+
+# bytes of the one array that _share_wise frees before its shares start.
+# glibc's malloc (mallopt(3)) hands the free top of its heap back to the
+# kernel once it exceeds the trim threshold, which is twice the mmap
+# threshold; that starts at 128 KiB and rises only when the process frees
+# an mmapped chunk larger than it, to that chunk's size.  The RK4
+# temporaries of a flow block of some thousand points are 64-512 KiB, so
+# at the starting thresholds every stage trims the heap and faults it
+# back in.  Freeing a 4 MiB chunk lifts the mmap threshold to 4 MiB and
+# the trim threshold to 8 MiB, in this process and in the workers it forks.
+_HEAP_RAISE_BYTES = 4 << 20
+
+
+def _share_wise(flow_share, flat, block):
+    """``flow_share`` of contiguous shares of the (n, 2) points ``flat``,
+    in share order: one share per CPU of the affinity set, at most one per
+    ``block`` points and at least one, run as the jobs of ``_run_jobs``.
+
+    A flow whose every operation acts on each point alone gives each
+    point the same arithmetic in any share and any process, so the
+    concatenated results are bitwise the flow of the whole batch.
+    """
+    # allocated and freed at once: an mmapped chunk, untouched
+    np.empty(_HEAP_RAISE_BYTES, dtype=np.uint8)
+    count = min(_cpu_count(), max(1, -(-len(flat) // block)))
+    return _run_jobs([functools.partial(flow_share, flat[lo:hi])
+                      for lo, hi in _share_bounds(len(flat), count)])
 
 
 def _rk4(velocity, y0, s0, s1, step, record=False, point_velocity=None):

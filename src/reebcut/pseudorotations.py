@@ -13,10 +13,6 @@ fully reproducible.
 from __future__ import annotations
 
 import functools
-import gc
-import os
-import signal
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +21,8 @@ from .errors import IntegrationError, PreconditionError
 from .flows import (
     FlowSettings,
     _rk4_steps,
+    _run_jobs,
+    _share_wise,
     area_preservation_audit,
     periodic_point_scan,
     return_map,
@@ -225,76 +223,6 @@ class _ConjugatorGenerator(Hamiltonian):
 _FLOW_BLOCK = 16384
 
 
-def _cpu_count():
-    """CPUs in this process's affinity set; one without sched_getaffinity."""
-    return len(getattr(os, "sched_getaffinity", lambda pid: [0])(0))
-
-
-# set in a forked worker of _run_jobs, whose own job lists run in-process
-_IN_WORKER = False
-
-
-def _run_jobs(jobs):
-    """The results of the no-argument callables ``jobs``, in job order.
-
-    The caller runs jobs[0]; each other job runs in a forked worker, which
-    pickles its result back through a pipe.  Pickle round-trips floats and
-    arrays exactly and a job does the same arithmetic in any process, so
-    the results are bitwise the one-process results.  A worker that
-    raises, warns or dies has its job run again here, in job order, where
-    the error surfaces as in one process; a caller that raises kills and
-    reaps every worker first.  With one job, one CPU in the affinity set,
-    no ``fork``, or inside a worker, every job runs in-process.
-    """
-    global _IN_WORKER
-    if (len(jobs) < 2 or _IN_WORKER or not hasattr(os, "fork")
-            or _cpu_count() < 2):
-        return [job() for job in jobs]
-    import pickle
-    workers = {}                      # job index -> (pid, its pipe)
-    try:
-        for k in range(1, len(jobs)):
-            r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                # the worker: never returns into the caller's frames
-                try:
-                    # no cycle collection: parent garbage with finalizers
-                    # (temporary files, say) must not be finalized here
-                    gc.disable()
-                    _IN_WORKER = True
-                    with warnings.catch_warnings(record=True) as caught:
-                        result = jobs[k]()
-                    if not caught:
-                        with open(w, "wb") as pipe:
-                            pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
-                        os._exit(0)
-                finally:
-                    os._exit(1)
-            os.close(w)
-            workers[k] = pid, open(r, "rb")
-        first, done = jobs[0](), {}
-        for k in range(1, len(jobs)):
-            pid, pipe = workers[k]
-            with pipe:
-                data = pipe.read()
-            if os.waitpid(pid, 0)[1] == 0:
-                done[k] = pickle.loads(data)
-            del workers[k]
-        return [first] + [done[k] if k in done else jobs[k]()
-                          for k in range(1, len(jobs))]
-    finally:
-        for pid, pipe in workers.values():
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _share_bounds(n, count):
-    """``count`` contiguous (lo, hi) shares of range(n), sizes within one."""
-    return [(n * k // count, n * (k + 1) // count) for k in range(count)]
-
-
 class DiscDiffeo:
     """A disc diffeomorphism realized as the time-1 flow of a generator.
 
@@ -311,11 +239,11 @@ class DiscDiffeo:
     the 2x2 Jacobian product acts on each point alone, so each point sees
     the same arithmetic whatever block it falls in.
 
-    For the same reason a batch of two or more blocks is split into equal
-    contiguous shares, one per CPU of the process's affinity set (at most
-    one per block), flowed as the jobs of ``_run_jobs`` and concatenated,
-    so the result is bitwise the one-process result.  ``taskset -c 0``
-    gives one share and no fork.
+    For the same reason a batch of two or more blocks is flowed by
+    ``flows._share_wise``: equal contiguous shares, one per CPU of the
+    process's affinity set (at most one per block), run as the jobs of
+    ``_run_jobs`` and concatenated, so the result is bitwise the
+    one-process result.  ``taskset -c 0`` gives one share and no fork.
     """
 
     def __init__(self, generator: Hamiltonian, steps=300):
@@ -347,12 +275,10 @@ class DiscDiffeo:
 
     def _flow(self, pts, sign, want_jacobian=False):
         pts = np.asarray(pts, dtype=float)
-        flat = pts.reshape(-1, 2)
-        # one share per CPU, at most one per block and at least one
-        count = min(_cpu_count(), max(1, -(-len(flat) // _FLOW_BLOCK)))
-        parts = _run_jobs([
-            functools.partial(self._flow_share, flat[lo:hi], sign, want_jacobian)
-            for lo, hi in _share_bounds(len(flat), count)])
+        parts = _share_wise(
+            functools.partial(self._flow_share, sign=sign,
+                              want_jacobian=want_jacobian),
+            pts.reshape(-1, 2), _FLOW_BLOCK)
         out = np.concatenate([y for y, _ in parts]).reshape(pts.shape)
         if want_jacobian:
             jac = np.concatenate([j for _, j in parts])

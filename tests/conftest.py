@@ -1,3 +1,4 @@
+import os
 import zlib
 
 import numpy as np
@@ -179,3 +180,21 @@ def random_disc_points(rng, n, r_max=0.9, r_min=0.02):
     r = np.sqrt(rng.uniform(r_min**2, r_max**2, n))
     t = rng.uniform(0.0, TWO_PI, n)
     return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
+
+
+def count_forks(monkeypatch):
+    """Count the os.fork calls of this process; the children run on."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -12,7 +12,7 @@ in a module constant.
 Three structural rules ride along: only ``QuinticField`` and its loader
 name FITPACK's module and routines, and scipy's public spline class is
 named nowhere in ``src/reebcut``; only the fork helper
-``pseudorotations._run_jobs`` names ``os.fork``, ``os.pipe`` and ``pickle``;
+``flows._run_jobs`` names ``os.fork``, ``os.pipe`` and ``pickle``;
 and no builtin ``max`` or ``min`` reduces numpy values, running
 (``x = max(x, ...)``) or over two or more of them, which drops a NaN.
 """
@@ -168,7 +168,7 @@ def test_only_the_fork_helper_forks():
         source = path.read_text()
         owned = set()
         for node in ast.walk(ast.parse(source)):
-            if (path.stem == "pseudorotations"
+            if (path.stem == "flows"
                     and isinstance(node, ast.FunctionDef)
                     and node.name == "_run_jobs"):
                 owned.update(range(node.lineno, node.end_lineno + 1))

@@ -23,6 +23,7 @@ from reebcut import (
     GridFunction2D,
     HamiltonianIsotopyPath,
     InconclusiveError,
+    MoserSettings,
     PreconditionError,
     QuadraticHamiltonian,
     QuotientMapSpec,
@@ -58,6 +59,23 @@ def _edge_mismatch():
     g1[0, 0], g1[0, 1] = 1.5, 0.5
     return (GridFunction2D(np.ones((16, 16)), compact=False),
             GridFunction2D(g1, compact=False))
+
+
+def _densities_with(value, cell, both=False):
+    """Unit densities on a 16 x 16 grid, omega1 (and omega0 too if
+    ``both``) holding ``value`` at ``cell``."""
+    g0, g1 = np.ones((16, 16)), np.ones((16, 16))
+    g1[cell] = value
+    if both:
+        g0[cell] = value
+    return (GridFunction2D(g0, compact=False),
+            GridFunction2D(g1, compact=False))
+
+
+def _nan_on_the_margin():
+    values = np.zeros((16, 16))
+    values[0, 0] = np.nan
+    return values
 
 
 GUARDS = {
@@ -128,6 +146,21 @@ GUARDS = {
                            GridFunction2D(np.ones((32, 32)), compact=False))),
     "moser_flow-edge": (PreconditionError, "agree near the boundary",
                         lambda: moser_flow(*_edge_mismatch())),
+    # a NaN fails each comparison of these guards, so each refuses it
+    "GridFunction2D-nan_margin": (
+        PreconditionError, "do not vanish on the 2-cell boundary margin",
+        lambda: GridFunction2D(_nan_on_the_margin(), compact=True)),
+    "moser_flow-nan_interior": (
+        PreconditionError, "positive everywhere",
+        lambda: moser_flow(*_densities_with(np.nan, (8, 8)), MoserSettings(2))),
+    "moser_flow-nan_edge": (
+        PreconditionError, "positive everywhere",
+        lambda: moser_flow(*_densities_with(np.nan, (0, 5)), MoserSettings(2))),
+    # inf - inf: the totals differ by NaN
+    "moser_flow-inf_total": (
+        PreconditionError, "different total integrals",
+        lambda: moser_flow(*_densities_with(np.inf, (8, 8), both=True),
+                           MoserSettings(2))),
     "g_function_values-route": (
         ConfigurationError, "unknown route",
         lambda: g_function_values(

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -18,10 +20,11 @@ from reebcut import (
     zero_integral_fixture,
 )
 from reebcut.hamiltonians import QuinticField
+from reebcut import moser
 from reebcut.moser import MoserMap, _tensor_splines_ev, g_function_values
 from reebcut.geometry import polar_grid
 
-from conftest import compact_disc_hamiltonian
+from conftest import assert_no_child_left, compact_disc_hamiltonian, count_forks
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +264,23 @@ def test_moser_grid_images_match_fitpack_rk4_loop_bitwise():
         y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     assert np.max(np.abs(psi.displacement())) > 1e-3
     assert np.array_equal(_bits(psi.grid_images), _bits(y.reshape(32, 32, 2)))
+
+
+def test_forked_moser_flow_is_bitwise_the_one_process_flow(monkeypatch):
+    # 1024 nodes in blocks of 256: one CPU flows them in-process, two
+    # fork one worker for the second share, and the images agree bit for bit
+    monkeypatch.setattr(moser, "_BLOCK", 256)
+    w0, w1 = _density_pair(32, 0.3)
+    forks = count_forks(monkeypatch)
+    images = {}
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: c)
+        psi = moser_flow(w0, w1, settings=MoserSettings(steps=6))
+        assert_no_child_left()
+        assert len(forks) == len(cpus) - 1
+        images[len(cpus)] = psi.grid_images
+    assert np.max(np.abs(psi.displacement())) > 1e-3
+    assert np.array_equal(_bits(images[1]), _bits(images[2]))
 
 
 # ---------------------------------------------------------------------------

@@ -13,15 +13,14 @@ from scipy.interpolate import RectBivariateSpline
 
 from reebcut.binding import BindingChart, phi_embed, phi_invert
 from reebcut.errors import PreconditionError, ValidationError
-from reebcut.flows import _rk4_steps, return_map
+from reebcut.flows import _rk4_steps, _share_bounds, return_map
 from reebcut.geometry import TWO_PI
 from reebcut.hamiltonians import RigidRotationHamiltonian
-from reebcut.moser import _tensor_splines_ev
+from reebcut.moser import _BLOCK, MoserSettings, _tensor_splines_ev, moser_flow
 from reebcut.pseudorotations import (_FLOW_BLOCK, ConjugatorSpec, DiscDiffeo,
-                                     _share_bounds,
                                      continued_fraction_convergents, fd_weights)
 from reebcut.reports import (_HAMILTONIAN_SCHEMA, _SCHEMAS, SCENARIOS,
-                             RunConfig)
+                             RunConfig, _moser_densities)
 
 from conftest import compact_disc_hamiltonian, polynomial_defect_hamiltonian
 
@@ -287,6 +286,31 @@ def test_share_wise_flow_is_the_whole_batch_flow(case):
 
     for got, want in zip(flow(shares), flow([(0, n)])):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# the moser scenario's densities on a 32 x 32 grid, one RK4 step as above
+_MOSER_SHARE_FLOW = moser_flow(*_moser_densities(32, 0.2), MoserSettings(steps=1))
+
+
+@st.composite
+def moser_share_flows(draw):
+    k = draw(st.integers(1, 3))
+    n = draw(st.sampled_from([0, 1, k * _BLOCK - 1, k * _BLOCK + 1]))
+    return n, draw(st.integers(1, 4)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(moser_share_flows())
+def test_moser_share_flows_are_the_whole_batch_flow(case):
+    # in-process, through the share function the forked workers run; the
+    # points reach past the square, where the field is clamped and zero
+    n, count, seed = case
+    psi = _MOSER_SHARE_FLOW
+    flat = np.random.default_rng(seed).uniform(-0.05, 1.05, (n, 2))
+    got = np.concatenate([psi._flow_share(flat[lo:hi])
+                          for lo, hi in _share_bounds(n, count)])
+    want = psi._flow_share(flat)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @st.composite

@@ -29,12 +29,13 @@ from reebcut import (
     return_map,
     stage_sequence,
 )
-from reebcut import moser, pseudorotations
+from reebcut import flows, moser, pseudorotations
 from reebcut.binding import ExtensionSettings
 from reebcut.pseudorotations import fd_weights
 from reebcut.geometry import TWO_PI, polar_grid
 
-from conftest import compact_disc_hamiltonian, random_disc_points
+from conftest import (assert_no_child_left, compact_disc_hamiltonian,
+                      count_forks, random_disc_points)
 
 
 def rotation_matrix(angle):
@@ -298,24 +299,6 @@ def test_w_field_support_mask_is_exact():
     assert bitwise_equal(H.w_field.tck[2], old.get_coeffs())
 
 
-def _count_forks(monkeypatch):
-    """Count the os.fork calls of this process; the children run on."""
-    forks = []
-    real_fork = os.fork
-
-    def fork():
-        forks.append(1)
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", fork)
-    return forks
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def test_forked_flow_is_bitwise_the_one_process_flow(monkeypatch):
     # the affinity set decides the share count: one CPU flows in-process,
     # two fork one worker, and every result agrees bit for bit
@@ -324,7 +307,7 @@ def test_forked_flow_is_bitwise_the_one_process_flow(monkeypatch):
     pts = np.random.default_rng(14).uniform(
         -0.9, 0.9, (3 * pseudorotations._FLOW_BLOCK - 5, 2))
     w_phi = build_conjugator(ConjugatorSpec())
-    forks = _count_forks(monkeypatch)
+    forks = count_forks(monkeypatch)
     results = {}
     for cpus in ({0}, {0, 1}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: c)
@@ -332,7 +315,7 @@ def test_forked_flow_is_bitwise_the_one_process_flow(monkeypatch):
                                                           grid_n=256)
         results[len(cpus)] = (phi.inverse(pts), phi.jacobian(pts),
                               H.w_field.tck[2])
-        _assert_no_child_left()
+        assert_no_child_left()
         # one fork for each multi-block flow: the inverse, the Jacobian and
         # the W-field's 28,616 support points (two blocks)
         assert len(forks) == (0 if len(cpus) == 1 else 3)
@@ -373,11 +356,11 @@ def test_forked_flow_raises_the_serial_exception(monkeypatch, bad_share):
     # it raises; a caller that raises kills its worker first
     pts = _two_share_batch(monkeypatch, bad_share)
     phi = pseudorotations.DiscDiffeo(_FailingGenerator(warn=False), steps=2)
-    forks = _count_forks(monkeypatch)
+    forks = count_forks(monkeypatch)
     with pytest.raises(PreconditionError, match="x >= 0.9"):
         phi.inverse(pts)
     assert len(forks) == 1
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_forked_flow_warns_as_the_serial_flow(monkeypatch):
@@ -387,7 +370,7 @@ def test_forked_flow_warns_as_the_serial_flow(monkeypatch):
     phi = pseudorotations.DiscDiffeo(_FailingGenerator(warn=True), steps=2)
     with pytest.warns(RuntimeWarning, match="x >= 0.9"):
         forked = phi.inverse(pts)
-    _assert_no_child_left()
+    assert_no_child_left()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     with pytest.warns(RuntimeWarning, match="x >= 0.9"):
         serial = phi.inverse(pts)
@@ -406,12 +389,12 @@ def test_forked_stage_audits_are_bitwise_the_one_process_audits(monkeypatch):
     # one CPU audits in-process; two fork a worker for stage 2's audits and
     # one for the orbit, and diagnostics, f0 values, difference norms and
     # orbit agree bit for bit (repr round-trips every float)
-    forks = _count_forks(monkeypatch)
+    forks = count_forks(monkeypatch)
     results = {}
     for cpus in ({0}, {0, 1}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: c)
         seq = _small_sequence(orbit_iterations=6)
-        _assert_no_child_left()
+        assert_no_child_left()
         assert len(forks) == (0 if len(cpus) == 1 else 2)
         orbit = seq.orbit
         assert orbit.completed == 6 and not orbit.aborted
@@ -444,11 +427,11 @@ def test_forked_audit_raises_the_serial_exception(monkeypatch, bad_q):
     # raises; a caller that raises kills its worker first
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     _failing_contact_audit(monkeypatch, bad_q, warn=False)
-    forks = _count_forks(monkeypatch)
+    forks = count_forks(monkeypatch)
     with pytest.raises(PreconditionError, match=f"refused q = {bad_q}"):
         _small_sequence()
     assert len(forks) == 1
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_forked_audit_warns_as_the_serial_audit(monkeypatch):
@@ -460,7 +443,7 @@ def test_forked_audit_warns_as_the_serial_audit(monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: c)
         with pytest.warns(RuntimeWarning, match="saw q = 2"):
             seq = _small_sequence()
-        _assert_no_child_left()
+        assert_no_child_left()
         diagnostics[len(cpus)] = repr([st.diagnostics for st in seq.stages])
     assert diagnostics[1] == diagnostics[2]
 
@@ -475,23 +458,23 @@ def test_worker_that_dies_hands_its_job_back(monkeypatch):
             os._exit(3)
         return "ran in the caller"
 
-    forks = _count_forks(monkeypatch)
-    assert pseudorotations._run_jobs([lambda: 1, dies_in_a_worker]) == [
+    forks = count_forks(monkeypatch)
+    assert flows._run_jobs([lambda: 1, dies_in_a_worker]) == [
         1, "ran in the caller"]
     assert len(forks) == 1
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_jobs_nested_in_a_worker_run_in_it(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
     def nested():
-        return os.getpid(), pseudorotations._run_jobs([os.getpid, os.getpid])
+        return os.getpid(), flows._run_jobs([os.getpid, os.getpid])
 
-    here, (worker, inner) = pseudorotations._run_jobs([os.getpid, nested])
+    here, (worker, inner) = flows._run_jobs([os.getpid, nested])
     assert here == os.getpid() != worker
     assert inner == [worker, worker]
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------

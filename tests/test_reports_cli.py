@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from reebcut.geometry import TWO_PI
 from reebcut.reports import RunConfig, run
 from reebcut.svgplots import histogram_svg, polyline_svg
 
-from conftest import SQRT2
+from conftest import SQRT2, assert_no_child_left, count_forks
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -99,6 +101,26 @@ def test_report_determinism(tmp_path):
     run(RunConfig.parse("ellipsoid", params, seed=11, out_dir=out1))
     run(RunConfig.parse("ellipsoid", params, seed=11, out_dir=out2))
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+
+# sha256 of report.json for the README moser config at the default seed
+MOSER_REPORT_SHA256 = (
+    "012202889f7aad1620f11c078c06c92558147351bc08e76e756dcfc8b8b92215")
+
+
+def test_moser_report_bytes_do_not_depend_on_the_cpus(tmp_path, monkeypatch):
+    # one CPU flows the 128^2 nodes in-process, two flow them in two shares
+    # with one forked worker; both write the pinned bytes
+    cfg = write_config(tmp_path, {"n": 128, "amplitude": 0.2})
+    forks = count_forks(monkeypatch)
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: c)
+        out = tmp_path / f"cpus{len(cpus)}"
+        assert main(["moser", "--config", cfg, "--out", str(out)]) == 0
+        assert_no_child_left()
+        assert len(forks) == len(cpus) - 1
+        digest = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
+        assert digest == MOSER_REPORT_SHA256
 
 
 def test_seed_changes_sampling_not_physics(tmp_path):
