@@ -1,4 +1,5 @@
-"""Layer microbenchmarks for the flow, stage, composite and Moser hot paths.
+"""Layer microbenchmarks for the flow, stage, composite, Moser and audit hot
+paths.
 
 Run from the repository root with pytest-benchmark:
 
@@ -11,6 +12,7 @@ the end-to-end benchmark lives in ``bench/``.
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,15 +24,20 @@ from reebcut import (
     FlowSettings,
     GridFunction2D,
     MoserSettings,
+    QuadraticHamiltonian,
+    QuotientMapSpec,
     RigidRotationHamiltonian,
     conjugated_stage,
+    gauss_linking_integral,
     linearized_return,
     moser_flow,
     orbit_statistics,
     periodic_point_scan,
+    pullback_residual,
 )
 from reebcut.flows import _run_jobs
 from reebcut.geometry import TWO_PI, polar_grid
+from reebcut.invariants import linking_curves_r3
 from reebcut.moser import MoserMap, poincare_primitive
 from reebcut.pseudorotations import (_FLOW_BLOCK, ConjugatedRotationHamiltonian,
                                      DiscDiffeo, _stage_diagnostics)
@@ -218,6 +225,43 @@ def test_moser_map(benchmark):
     psi = benchmark.pedantic(MoserMap, args=(sigma, w0, w1, MoserSettings(48)),
                              rounds=3, iterations=1)
     assert np.max(np.abs(psi.displacement())) > 1e-3
+
+
+def _record_traced_peak(benchmark, call, *args):
+    # one more call under tracemalloc: its peak of traced allocations, MiB
+    tracemalloc.start()
+    try:
+        call(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    benchmark.extra_info["tracemalloc_peak_mib"] = round(peak / 2**20, 2)
+
+
+# the README ellipsoid: a0 = sqrt(2), h = 2
+_ELLIPSOID = (QuotientMapSpec("ellipsoid", h=2, a0=np.sqrt(2.0)),
+              QuadraticHamiltonian(np.sqrt(2.0), 2.0 - np.sqrt(2.0)))
+
+
+# the self-linking audit's all-pairs kernel on the binding and its push-off
+# in R^3: 512 samples is the README config, 2048 half the schema's ceiling
+@pytest.mark.parametrize("n", [512, 2048])
+def test_gauss_linking_integral(benchmark, n):
+    p1, p2 = linking_curves_r3(*_ELLIPSOID, n_samples=n)
+    value = benchmark.pedantic(gauss_linking_integral, args=(p1, p2),
+                               rounds=5, iterations=1)
+    _record_traced_peak(benchmark, gauss_linking_integral, p1, p2)
+    assert abs(value + 1.0) <= 0.05
+
+
+# the ellipsoid scenario's pullback audit: 32^3 is the README config's
+# lattice, 64^3 the schema's ceiling
+@pytest.mark.parametrize("n", [32, 64])
+def test_pullback_residual(benchmark, n):
+    value = benchmark.pedantic(pullback_residual, args=(*_ELLIPSOID, n, n, n),
+                               rounds=5, iterations=1)
+    _record_traced_peak(benchmark, pullback_residual, *_ELLIPSOID, n, n, n)
+    assert value <= 1e-6
 
 
 def test_cli_import(benchmark):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, PreconditionError
-from .geometry import TWO_PI, spectral_derivative, wrap_angle
+from .geometry import TWO_PI, spectral_derivative, tiles, wrap_angle
 
 # extended_contact_audit's b values, directions and rho ladder
 _AUDIT_B = np.linspace(0.0, TWO_PI, 16, endpoint=False)
@@ -694,7 +694,6 @@ def pullback_residual(spec: QuotientMapSpec, H, n_s=32, n_r=32, n_theta=32):
     s_vals = np.linspace(0.0, TWO_PI, n_s, endpoint=False)
     r_vals = np.linspace(r_lo, r_hi, n_r)
     t_vals = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
-    ss, rr, tt = np.meshgrid(s_vals, r_vals, t_vals, indexing="ij")
 
     steps = (
         (s_vals[1] - s_vals[0]) / _PULLBACK_STEP_FRACTION,
@@ -709,26 +708,27 @@ def pullback_residual(spec: QuotientMapSpec, H, n_s=32, n_r=32, n_theta=32):
         dx1, dy1, dx2, dy2 = np.moveaxis(d_coords, -1, 0)
         return x1 * dy1 - y1 * dx1 + x2 * dy2 - y2 * dx2
 
-    base = quotient_map(spec, ss, rr, tt)
+    def shift(coords, axis, mult):
+        a = [c.copy() for c in coords]
+        a[axis] = a[axis] + mult * steps[axis]
+        if axis == 1:
+            a[axis] = np.clip(a[axis], 0.0, 1.0)
+        return quotient_map(spec, *a)
 
-    xy = np.stack([rr * np.cos(tt), rr * np.sin(tt)], axis=-1)
-    expected = [_eval_h(H, ss, xy), np.zeros_like(rr), rr**2]
-
-    coords = [ss, rr, tt]
+    # the lattice in tiles of s-slices, so scratch does not grow with it
     defects = []
-    for axis in range(3):
-        h = steps[axis]
-
-        def shift(mult):
-            a = [c.copy() for c in coords]
-            a[axis] = a[axis] + mult * h
-            if axis == 1:
-                a[axis] = np.clip(a[axis], 0.0, 1.0)
-            return quotient_map(spec, *a)
-
-        d = (shift(-2.0) - 8.0 * shift(-1.0) + 8.0 * shift(1.0) - shift(2.0)) / (12 * h)
-        coeff = liouville_pair(base, d)
-        defects.append(np.max(np.abs(coeff - expected[axis])))
+    for tile in tiles(n_s, 4 * n_r * n_theta):
+        ss, rr, tt = np.meshgrid(s_vals[tile], r_vals, t_vals, indexing="ij")
+        base = quotient_map(spec, ss, rr, tt)
+        xy = np.stack([rr * np.cos(tt), rr * np.sin(tt)], axis=-1)
+        expected = [_eval_h(H, ss, xy), np.zeros_like(rr), rr**2]
+        coords = [ss, rr, tt]
+        for axis in range(3):
+            h = steps[axis]
+            d = (shift(coords, axis, -2.0) - 8.0 * shift(coords, axis, -1.0)
+                 + 8.0 * shift(coords, axis, 1.0) - shift(coords, axis, 2.0)) / (12 * h)
+            coeff = liouville_pair(base, d)
+            defects.append(np.max(np.abs(coeff - expected[axis])))
     # np.max keeps a NaN defect, which a running builtin max would drop
     return float(np.max(defects))
 

@@ -17,6 +17,16 @@ TWO_PI = 2.0 * np.pi
 #: slack allowed on the disc constraint r <= 1
 DISC_TOL = 1e-12
 
+# floats in the largest temporary of one tile of the all-pairs and lattice
+# audits, so their scratch is flat in the sample count and the grid
+TILE_ELEMENTS = 16384
+
+
+def tiles(n, row_elements):
+    """Slices of range(n), each of TILE_ELEMENTS // row_elements rows (>= 1)."""
+    step = max(1, TILE_ELEMENTS // row_elements)
+    return [slice(i, i + step) for i in range(0, n, step)]
+
 
 def wrap_angle(a):
     """Normalize an angle (scalar or array) to [0, 2*pi)."""

@@ -22,7 +22,7 @@ from .errors import (
     ResolutionError,
 )
 from .flows import FlowSettings, _check_finite, _rk4_steps, _step_grid
-from .geometry import TWO_PI, spectral_derivative
+from .geometry import TWO_PI, spectral_derivative, tiles
 from .hamiltonians import QuadraticHamiltonian
 
 DEGENERACY_TOL = 1e-9
@@ -266,16 +266,21 @@ def gauss_linking_integral(curve1, curve2):
     c2 = np.asarray(curve2, dtype=float)
     t1 = spectral_derivative(c1, axis=0) * (TWO_PI / len(c1))
     t2 = spectral_derivative(c2, axis=0) * (TWO_PI / len(c2))
-    diff = c1[:, None, :] - c2[None, :, :]
-    dist3 = np.sum(diff**2, axis=-1) ** 1.5
-    cross = np.cross(t1[:, None, :], t2[None, :, :])
-    integrand = np.sum(cross * diff, axis=-1) / dist3
+    # row tiles fill one integrand, so its single sum keeps its order
+    integrand = np.empty((len(c1), len(c2)))
+    for rows in tiles(len(c1), 3 * len(c2)):
+        diff = c1[rows, None, :] - c2[None, :, :]
+        dist3 = np.sum(diff**2, axis=-1) ** 1.5
+        cross = np.cross(t1[rows, None, :], t2[None, :, :])
+        integrand[rows] = np.sum(cross * diff, axis=-1) / dist3
     return float(integrand.sum() / (4.0 * np.pi))
 
 
 def min_curve_distance(curve1, curve2):
-    diff = np.asarray(curve1)[:, None, :] - np.asarray(curve2)[None, :, :]
-    return float(np.sqrt(np.sum(diff**2, axis=-1)).min())
+    c1, c2 = np.asarray(curve1), np.asarray(curve2)
+    return float(np.min([
+        np.sqrt(np.sum((c1[rows, None, :] - c2[None, :, :])**2, axis=-1)).min()
+        for rows in tiles(len(c1), 3 * len(c2))]))
 
 
 def stereographic_project(points4, pole):

@@ -754,7 +754,7 @@ def canonical_hamiltonian(path, settings: CanonicalRecoverySettings = None
 
     images = snaps[:, :n_pts]
     id_defect = float(np.max(np.abs(images[0] - flat)))
-    if id_defect > 1e-8:
+    if not id_defect <= 1e-8:
         raise PreconditionError(f"path does not start at the identity "
                                 f"(defect {id_defect:.3e})")
 
@@ -765,7 +765,7 @@ def canonical_hamiltonian(path, settings: CanonicalRecoverySettings = None
 
     det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
     area_defect = float(np.max(np.abs(det - 1.0)))
-    if area_defect > _AREA_TOL:
+    if not area_defect <= _AREA_TOL:
         raise PreconditionError(
             f"psi_s* lambda - lambda is not closed: area defect "
             f"{area_defect:.3e} exceeds {_AREA_TOL}"
@@ -786,11 +786,12 @@ def canonical_hamiltonian(path, settings: CanonicalRecoverySettings = None
 
     g_dot = _stencil_derivative(g_vals, ds, axis=0)
 
-    moved = np.sqrt(np.sum((images - flat[None]) ** 2, axis=-1)) > 1e-10
+    # a NaN image counts as moved
+    moved = ~(np.sqrt(np.sum((images - flat[None]) ** 2, axis=-1)) <= 1e-10)
     radii = np.sqrt(flat[:, 0] ** 2 + flat[:, 1] ** 2)
     if np.any(moved):
-        support_radius = min(1.0, float(np.max(radii[np.any(moved, axis=0)]))
-                             + 2.0 / st.n_r)
+        support_radius = float(np.min(
+            [1.0, np.max(radii[np.any(moved, axis=0)]) + 2.0 / st.n_r]))
     else:
         support_radius = 0.5
     shape = (len(s_nodes), st.n_r + 1, st.n_theta)

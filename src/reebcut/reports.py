@@ -176,8 +176,8 @@ _SCHEMAS = {
     "ellipsoid": {
         "a0": (float, True, None, lambda v: v > 0),
         "h": (int, True, None, lambda v: v >= 1),
-        # the pullback audit builds meshgrids of the product of the three
-        # counts: 64^3 points is the desk-scale ceiling
+        # the pullback audit walks the product of the three counts in fixed
+        # tiles, so its memory is flat: 64^3 points (~0.2 s) bounds its time
         "pullback_grid": (list, False, [32, 32, 32],
                           lambda v: len(v) == 3 and all(
                               isinstance(x, int) and 4 <= x <= 64 for x in v)),

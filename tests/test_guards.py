@@ -15,6 +15,7 @@ import pytest
 
 from reebcut import (
     BindingChart,
+    CanonicalRecoverySettings,
     ConfigurationError,
     ConjugatorSpec,
     EvaluationError,
@@ -30,6 +31,7 @@ from reebcut import (
     ResolutionError,
     RigidRotationHamiltonian,
     ValidationError,
+    canonical_hamiltonian,
     cosine_defect_hamiltonian,
     extension_test,
     golden_mean_inverse,
@@ -76,6 +78,24 @@ def _nan_on_the_margin():
     values = np.zeros((16, 16))
     values[0, 0] = np.nan
     return values
+
+
+_SMALL_RECOVERY = CanonicalRecoverySettings(n_r=64, n_theta=16, n_s=32)
+# the grid nodes of _SMALL_RECOVERY; canonical_hamiltonian evaluates them,
+# then their +x, -x, +y and -y probes, in blocks of this many points
+_SMALL_NODES = 65 * 16
+
+
+def _identity_path_with_nan(s_index, point_index):
+    """The identity path, with a NaN image of one point at one s node."""
+
+    class Path:
+        def evaluate_on_grid(self, s_values, pts):
+            out = np.broadcast_to(pts, (len(s_values),) + pts.shape).copy()
+            out[s_index, point_index] = np.nan
+            return out
+
+    return canonical_hamiltonian(Path(), _SMALL_RECOVERY)
 
 
 GUARDS = {
@@ -161,6 +181,14 @@ GUARDS = {
         PreconditionError, "different total integrals",
         lambda: moser_flow(*_densities_with(np.inf, (8, 8), both=True),
                            MoserSettings(2))),
+    # the x-probe of node 5 at the last s node: its Jacobian, so its
+    # area defect, is NaN
+    "canonical_hamiltonian-nan_later_slice": (
+        PreconditionError, "area defect nan",
+        lambda: _identity_path_with_nan(-1, _SMALL_NODES + 5)),
+    "canonical_hamiltonian-nan_first_slice": (
+        PreconditionError, "not start at the identity \\(defect nan\\)",
+        lambda: _identity_path_with_nan(0, 5)),
     "g_function_values-route": (
         ConfigurationError, "unknown route",
         lambda: g_function_values(
