@@ -28,6 +28,7 @@ from reebcut import (
     QuotientMapSpec,
     RigidRotationHamiltonian,
     conjugated_stage,
+    cosine_defect_hamiltonian,
     gauss_linking_integral,
     linearized_return,
     moser_flow,
@@ -158,20 +159,28 @@ def test_conjugator_velocity_block(benchmark, small_stage):
     assert v.shape == pts.shape and np.all(np.isfinite(v))
 
 
-def test_linearized_return(benchmark):
-    # the return-map scenario's variational flow: 2000 seeded points of the
-    # rigid H(2, 1, 3), drawn as that scenario draws them, at step 2pi/2000
+@pytest.mark.parametrize("field", ["rigid", "cosine-defect"])
+def test_linearized_return(benchmark, field):
+    # the return-map scenario's variational flow: 2000 seeded points, drawn
+    # as that scenario draws them, at step 2pi/2000.  The rigid H(2, 1, 3)
+    # is linear, so one J serves the batch; the cosine defect is not, and
+    # carries a J per point.  Its d is small: at the cut-check's d = 0.5
+    # the draw leaves the disc, the field growing like 1/r at the origin
     rng = np.random.default_rng(0)
     r = np.sqrt(rng.uniform(0.05, 0.9, 2000))
     theta = rng.uniform(0.0, TWO_PI, r.size)
     pts = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+    H = {"rigid": RigidRotationHamiltonian(2, 1, 3),
+         "cosine-defect": cosine_defect_hamiltonian(3, 0.4, 0.05)}[field]
     jac = benchmark.pedantic(
-        linearized_return, args=(RigidRotationHamiltonian(2, 1, 3), pts),
+        linearized_return, args=(H, pts),
         kwargs={"settings": FlowSettings(step=TWO_PI / 2000)},
         rounds=3, iterations=1,
     )
-    det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
-    assert np.max(np.abs(det - 1.0)) <= 1e-9
+    assert jac.shape == (2000, 2, 2) and np.all(np.isfinite(jac))
+    if field == "rigid":
+        det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
+        assert np.max(np.abs(det - 1.0)) <= 1e-9
 
 
 @pytest.mark.parametrize("n_points", [2, 8, 24])

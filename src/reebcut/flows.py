@@ -180,6 +180,27 @@ def _rk4_point_steps(point_velocity, xy, s0, h, n_steps):
     return np.array([x, y])
 
 
+def _rk4_point_jacobian(dx, h, n_steps):
+    """``_rk4_steps``' J for a constant (2, 2) DX, carried in Python floats
+    in that loop's order, so bitwise the J it carries for every point."""
+    (a, b), (c, d) = dx.tolist()
+    h = float(h)
+
+    def dxj(j):  # DX J, with j and the result flat: J00, J01, J10, J11
+        return [a * j[0] + b * j[2], a * j[1] + b * j[3],
+                c * j[0] + d * j[2], c * j[1] + d * j[3]]
+
+    jac = [1.0, 0.0, 0.0, 1.0]
+    for _ in range(n_steps):
+        l1 = dxj(jac)
+        l2 = dxj([j + 0.5 * h * l for j, l in zip(jac, l1)])
+        l3 = dxj([j + 0.5 * h * l for j, l in zip(jac, l2)])
+        l4 = dxj([j + h * l for j, l in zip(jac, l3)])
+        jac = [j + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+               for j, k1, k2, k3, k4 in zip(jac, l1, l2, l3, l4)]
+    return np.array(jac).reshape(2, 2)
+
+
 def _cpu_count():
     """CPUs in this process's affinity set; one without sched_getaffinity."""
     return len(getattr(os, "sched_getaffinity", lambda pid: [0])(0))
@@ -316,12 +337,22 @@ def linearized_return(H, p, settings=None, s1=TWO_PI, return_endpoint=False):
 
     Returns the 2x2 monodromy of the return map (batched when ``p`` is a
     batch); with ``return_endpoint`` also the flowed points.
+
+    For an H with ``linear_velocity`` the batch flows without J, and every
+    point gets one J moved from DX at the origin: the same bits.
     """
     settings = settings or FlowSettings()
     xy = as_xy(p)
     _check_finite(xy, 0.0)
     n_steps, h = _step_grid(0.0, s1, settings.step)
-    end, jac = _rk4_steps(H.velocity, xy, 0.0, h, n_steps, H.velocity_jacobian)
+    if H.linear_velocity:
+        end, _ = _rk4_steps(H.velocity, xy, 0.0, h, n_steps)
+        one = _rk4_point_jacobian(H.velocity_jacobian(0.0, np.zeros(2)),
+                                  h, n_steps)
+        jac = np.broadcast_to(one, xy.shape[:-1] + (2, 2)).copy()
+    else:
+        end, jac = _rk4_steps(H.velocity, xy, 0.0, h, n_steps,
+                              H.velocity_jacobian)
     _check_in_disc(end, s1)
     if return_endpoint:
         return jac, end

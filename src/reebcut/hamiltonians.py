@@ -47,12 +47,16 @@ class Hamiltonian:
     ----------
     boundary_value : float
         The constant value h taken on the boundary circle.
+    time_dependent : bool
+        False on families independent of s: chart sweeps take one slice.
+    linear_velocity : bool
+        True on families with X_s(p) = A p for one constant A, so DX = A
+        everywhere: ``flows.linearized_return`` moves one J for a batch.
     """
 
     boundary_value: float = 0.0
-    #: set on families known to be independent of s; lets chart sweeps
-    #: evaluate one parameter slice instead of looping
     time_dependent: bool = True
+    linear_velocity: bool = False
 
     def value(self, s, xy):
         raise NotImplementedError
@@ -227,6 +231,7 @@ class QuadraticHamiltonian(Hamiltonian):
     """
 
     time_dependent = False
+    linear_velocity = True
 
     def __init__(self, a0, a2):
         self.a0 = float(a0)

@@ -726,7 +726,8 @@ def canonical_hamiltonian(path, settings: CanonicalRecoverySettings = None
 
     Raises PreconditionError when psi_s fails to be area-preserving within
     ``_AREA_TOL`` (the form psi_s* lambda - lambda is then not
-    closed and no G_s exists), or when psi_0 is not the identity.
+    closed and no G_s exists), when psi_0 is not the identity, or when the
+    path is not finite at the grid nodes and probes.
     """
     st = settings or CanonicalRecoverySettings()
     # polar evaluation grid: radial lines, r = 0 .. 1 inclusive
@@ -770,6 +771,9 @@ def canonical_hamiltonian(path, settings: CanonicalRecoverySettings = None
             f"psi_s* lambda - lambda is not closed: area defect "
             f"{area_defect:.3e} exceeds {_AREA_TOL}"
         )
+    # a NaN image of a grid node, not of a probe, passes the area check
+    if not np.all(np.isfinite(snaps)):
+        raise PreconditionError("path is not finite on the recovery grid")
 
     ds = s_nodes[1] - s_nodes[0]
     velocities = _stencil_derivative(images, ds, axis=0)  # X_s at image points

@@ -15,13 +15,28 @@ named nowhere in ``src/reebcut``; only the fork helper
 ``flows._run_jobs`` names ``os.fork``, ``os.pipe`` and ``pickle``;
 and no builtin ``max`` or ``min`` reduces numpy values, running
 (``x = max(x, ...)``) or over two or more of them, which drops a NaN.
+
+One property census rides along too: every ``Hamiltonian`` class of
+``src/reebcut`` that declares ``linear_velocity`` gives one DX, bitwise,
+at every point and every s, since ``flows.linearized_return`` then moves
+one Jacobian for a whole batch.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 from pathlib import Path
+
+import numpy as np
+
+from reebcut import (QuadraticHamiltonian, RigidRotationHamiltonian,
+                     cosine_defect_hamiltonian)
+from reebcut.geometry import TWO_PI
+from reebcut.hamiltonians import Hamiltonian
+
+from conftest import random_disc_points
 
 ROOT = Path(__file__).resolve().parents[1]
 CALLER_DIRS = ("src", "tests", "demos", "benchmarks", "bench")
@@ -228,3 +243,49 @@ def test_no_running_builtin_reduction():
     # dropped depending on its position; reduce with np.max or np.min
     found = nan_dropping_reductions()
     assert not found, f"builtin max/min drops NaN: {found}"
+
+
+# instances by class name for the linear_velocity census; the stage and the
+# callable are not linear, and are here so that declaring the property on
+# them fails at their DX, not only at a missing example
+LINEAR_VELOCITY_EXAMPLES = {
+    "QuadraticHamiltonian": [lambda request: QuadraticHamiltonian(1.4142, 0.5858),
+                             lambda request: QuadraticHamiltonian(1.2, -0.7)],
+    "RigidRotationHamiltonian": [
+        lambda request: RigidRotationHamiltonian(2, 1, 3),
+        lambda request: RigidRotationHamiltonian(1, 2, 5)],
+    "ConjugatedRotationHamiltonian": [
+        lambda request: request.getfixturevalue("stage_2_1_3").hamiltonian],
+    "CallableHamiltonian": [
+        lambda request: cosine_defect_hamiltonian(3, 0.4, 0.5)],
+}
+
+
+def hamiltonian_classes():
+    """Every subclass of ``Hamiltonian`` defined in ``src/reebcut``."""
+    for path in sorted((ROOT / "src" / "reebcut").glob("*.py")):
+        if path.stem != "__init__":
+            importlib.import_module(f"reebcut.{path.stem}")
+    found, todo = [], [Hamiltonian]
+    while todo:
+        cls = todo.pop()
+        found.append(cls)
+        todo.extend(cls.__subclasses__())
+    return [c for c in found if c.__module__.startswith("reebcut.")]
+
+
+def test_linear_velocity_gives_one_jacobian(request, rng):
+    pts = random_disc_points(rng, 64, r_max=1.0, r_min=0.0)
+    linear = [c for c in hamiltonian_classes() if c.linear_velocity]
+    assert {c.__name__ for c in linear} >= {"QuadraticHamiltonian",
+                                            "RigidRotationHamiltonian"}
+    for cls in linear:
+        examples = LINEAR_VELOCITY_EXAMPLES.get(cls.__name__)
+        assert examples, f"{cls.__name__} declares linear_velocity: add an example"
+        for make in examples:
+            H = make(request)
+            assert type(H) is cls
+            one = H.velocity_jacobian(0.0, np.zeros(2)).view(np.int64)
+            for s in (0.0, 1.0, TWO_PI):
+                dx = H.velocity_jacobian(s, pts).view(np.int64)
+                assert np.all(dx == one), (cls.__name__, s)

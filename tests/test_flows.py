@@ -12,6 +12,7 @@ from reebcut import (
     RigidRotationHamiltonian,
     area_preservation_audit,
     conjugated_stage,
+    cosine_defect_hamiltonian,
     integrate_isotopy,
     linearized_return,
     periodic_point_scan,
@@ -227,6 +228,62 @@ def test_linearized_return_matches_packed_state_bitwise(case, request, rng):
         want_jac, want_end = _packed_linearized_return(H, p, settings)
         assert bitwise_equal(jac, want_jac)
         assert bitwise_equal(end, want_end)
+
+
+def _counting_jacobian(H):
+    """Record the batch shape of every ``velocity_jacobian`` call of H."""
+    shapes, real = [], H.velocity_jacobian
+
+    def counted(s, xy):
+        shapes.append(np.shape(xy)[:-1])
+        return real(s, xy)
+
+    H.velocity_jacobian = counted
+    return shapes
+
+
+_LINEAR_FIELDS = {
+    "rigid_2_1_3": lambda: RigidRotationHamiltonian(2, 1, 3),
+    "rigid_1_2_5": lambda: RigidRotationHamiltonian(1, 2, 5),
+    "quadratic_a2_positive": lambda: QuadraticHamiltonian(1.4142, 0.5858),
+    "quadratic_a2_negative": lambda: QuadraticHamiltonian(1.2, -0.7),
+}
+
+
+@pytest.mark.parametrize("shape", [(2,), (0, 2), (1, 2), (5, 2), (3, 4, 2),
+                                   (2000, 2)], ids=str)
+@pytest.mark.parametrize("step", [np.pi / 1000, TWO_PI / 600, 0.05],
+                         ids=["pi_1000", "2pi_600", "0.05"])
+@pytest.mark.parametrize("field", sorted(_LINEAR_FIELDS))
+def test_linear_field_shares_one_jacobian_bitwise(field, step, shape, rng):
+    # X(p) = A p: every point of the batch gets the one J moved from A,
+    # bitwise the J the variational RK4 carries for each point
+    H = _LINEAR_FIELDS[field]()
+    assert H.linear_velocity
+    p = random_disc_points(rng, int(np.prod(shape[:-1])),
+                           r_max=0.9).reshape(shape)
+    n_steps, h = flows._step_grid(0.0, TWO_PI, step)
+    want_end, want_jac = flows._rk4_steps(H.velocity, p, 0.0, h, n_steps,
+                                          H.velocity_jacobian)
+    shapes = _counting_jacobian(H)
+    jac, end = linearized_return(H, p, FlowSettings(step=step),
+                                 return_endpoint=True)
+    assert shapes == [()]
+    assert bitwise_equal(jac, want_jac)
+    assert bitwise_equal(end, want_end)
+    assert jac.flags.c_contiguous and jac.flags.writeable
+
+
+def test_nonlinear_field_keeps_the_jacobian_per_point(fast_flow, rng):
+    # a small d: at larger d the field's 1/r growth near the origin throws
+    # points out of the disc within one period
+    H = cosine_defect_hamiltonian(3, 0.4, 0.05)
+    assert not H.linear_velocity
+    p = random_disc_points(rng, 6, r_max=0.8, r_min=0.3).reshape(3, 2, 2)
+    shapes = _counting_jacobian(H)
+    linearized_return(H, p, fast_flow)
+    n_steps, _ = flows._step_grid(0.0, TWO_PI, fast_flow.step)
+    assert shapes == [(3, 2)] * (4 * n_steps)
 
 
 @pytest.mark.parametrize("audit", [

@@ -186,6 +186,10 @@ GUARDS = {
     "canonical_hamiltonian-nan_later_slice": (
         PreconditionError, "area defect nan",
         lambda: _identity_path_with_nan(-1, _SMALL_NODES + 5)),
+    # node 5 itself at the last s node: no probe, so no Jacobian, reads it
+    "canonical_hamiltonian-nan_node_later_slice": (
+        PreconditionError, "path is not finite",
+        lambda: _identity_path_with_nan(-1, 5)),
     "canonical_hamiltonian-nan_first_slice": (
         PreconditionError, "not start at the identity \\(defect nan\\)",
         lambda: _identity_path_with_nan(0, 5)),

@@ -123,6 +123,42 @@ def test_moser_report_bytes_do_not_depend_on_the_cpus(tmp_path, monkeypatch):
         assert digest == MOSER_REPORT_SHA256
 
 
+# sha256 of report.json for the README return-map config (rigid 2, 1, 3)
+# with --plots at seeds 0-3, and for a quadratic config at seed 2: the
+# bytes of a linear field's batch, whose points share one moved Jacobian
+RETURN_MAP_REPORT_SHA256 = {
+    ("rigid", 0):
+        "9b71127a2456c01850ad7be517c1d60bf559f39428199c4840d75d84073a01a1",
+    ("rigid", 1):
+        "edee31f05d36ef3f3482c4c07efa41375f41092ddd7a3dc8994bf3e07110a8dc",
+    ("rigid", 2):
+        "71fd3302e9fb4bada3ac5fb9c94fb05d35ca7d105689ffa8ecbd69b94c7cf525",
+    ("rigid", 3):
+        "b78ee3a25de4d3104ba8181de6e8b1f4d196c9d218be0d818f2e1df26a5382ca",
+    ("quadratic", 2):
+        "5dd53a74d361a4e31ca68c3731b3b4e8f11f706d0acefeef29d7e670da7058da",
+}
+RETURN_MAP_CONFIGS = {
+    "rigid": ({"hamiltonian": {"type": "rigid", "h": 2, "p": 1, "q": 3}},
+              ["--plots"]),
+    "quadratic": ({"hamiltonian": {"type": "quadratic", "a0": 1.4142,
+                                   "a2": 0.5858},
+                   "n_points": 40, "radii": [0.25, 0.5, 0.75],
+                   "step": 0.0125}, []),
+}
+
+
+@pytest.mark.parametrize("kind, seed", sorted(RETURN_MAP_REPORT_SHA256))
+def test_return_map_report_bytes_are_pinned(kind, seed, tmp_path):
+    payload, flags = RETURN_MAP_CONFIGS[kind]
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["return-map", "--config", cfg, "--out", str(out),
+                 "--seed", str(seed)] + flags) == 0
+    digest = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
+    assert digest == RETURN_MAP_REPORT_SHA256[kind, seed]
+
+
 def test_seed_changes_sampling_not_physics(tmp_path):
     params = {"a0": SQRT2, "h": 2, "self_linking": False}
     r1 = run(RunConfig.parse("ellipsoid", params, seed=1))
