@@ -185,9 +185,9 @@ def test_linearized_return(benchmark, field):
 
 @pytest.mark.parametrize("n_points", [2, 8, 24])
 def test_stage_linearized_return(benchmark, small_stage, n_points):
-    # one Newton iteration's variational flow in a stage's periodic scan:
-    # a small batch of seeded annulus points at the stage sequence's step
-    # 2pi/600, where per-call overhead weighs against the batched product
+    # the variational flow of a small batch, as a stage's area audit runs
+    # it: seeded annulus points at the stage sequence's step 2pi/600, where
+    # per-call overhead weighs against the batched product
     rng = np.random.default_rng(n_points)
     r = rng.uniform(0.3, 0.75, n_points)
     theta = rng.uniform(0.0, TWO_PI, n_points)

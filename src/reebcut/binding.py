@@ -697,8 +697,8 @@ def pullback_residual(spec: QuotientMapSpec, H, n_s=32, n_r=32, n_theta=32):
 
     steps = (
         (s_vals[1] - s_vals[0]) / _PULLBACK_STEP_FRACTION,
-        min((r_vals[1] - r_vals[0]) / _PULLBACK_STEP_FRACTION,
-            r_lo / 2.2, (1.0 - r_hi) / 2.2),
+        np.min([(r_vals[1] - r_vals[0]) / _PULLBACK_STEP_FRACTION,
+                r_lo / 2.2, (1.0 - r_hi) / 2.2]),
         (t_vals[1] - t_vals[0]) / _PULLBACK_STEP_FRACTION,
     )
 
@@ -815,7 +815,8 @@ def primitive_change_audit(F: PolarFunction, h):
     b_values = np.linspace(0.0, TWO_PI, settings.n_b, endpoint=False)
     data = sample_lift_jets(lift, b_values, settings.rungs(), settings.n_dirs,
                             n_deriv_rungs=settings.n_deriv_rungs)
-    chart = BindingChart(h=h, eps=min(0.99, (settings.rungs()[0] * 2.2) ** 2 + 0.2))
+    chart = BindingChart(
+        h=h, eps=np.minimum(0.99, (settings.rungs()[0] * 2.2) ** 2 + 0.2))
     report = _assemble_extension_report(chart, settings, data)
 
     passed = ok_boundary and report.order_passed(2)

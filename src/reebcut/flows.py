@@ -26,7 +26,6 @@ from .errors import ConfigurationError, IntegrationError, PreconditionError
 from .geometry import TWO_PI, as_xy
 
 DISC_DRIFT_TOL = 1e-6
-_NEWTON_STEPS = 10
 
 
 @dataclass
@@ -107,7 +106,7 @@ def _rk4_steps(velocity, y, s0, h, n_steps, velocity_jacobian=None,
     """
     nd = y.ndim - 1
     # transposes by axes tuples: np.moveaxis costs microseconds per call,
-    # which one-point Newton batches would pay at every stage of every step
+    # which small batches would pay at every stage of every step
     to_components = (nd, nd + 1) + tuple(range(nd))
     to_points = tuple(range(2, nd + 2)) + (0, 1)
 
@@ -435,6 +434,10 @@ def return_map_report(H, points, settings=None, rotation_radii=()):
     )
 
 
+# the longest period a scan follows; the pseudorotation schema bounds q by it
+MAX_SCAN_PERIOD = 64
+
+
 @dataclass
 class PeriodicPointRecord:
     """A grid point returning to itself after ``period`` iterations."""
@@ -442,28 +445,16 @@ class PeriodicPointRecord:
     period: int
     point: np.ndarray
     residual: float
-    converged: bool = True
+    converged = False  # not a field: bench/tracer.py reads it by name
 
 
-def periodic_point_scan(H, max_period, grid_points, tol=1e-6, settings=None,
-                        newton_tol=1e-10, refine=True):
-    """Scan grid points for |psi^k(p) - p| < tol, k <= max_period.
-
-    Candidates are refined by Newton on psi^k - id using the variational
-    Jacobian.  The refinement is batched per period: every hit of period k
-    is refined together, one batched ``linearized_return`` per iteration of
-    psi, and a point leaves the batch once it converges or its Newton
-    system turns singular.  The per-point semantics are those of refining
-    each hit on its own: records come in period order, then grid order;
-    points where the Newton system is singular (every point of a rational
-    rotation, for instance) keep their scan residual and are reported
-    rather than dropped.
-
-    Without ``refine`` each hit is recorded as scanned, at its grid point
-    with its scan residual and ``converged=False``, in the same order.
-    """
-    if max_period > 64:
-        raise PreconditionError("periodic scans are desk scale: max_period <= 64")
+def periodic_point_scan(H, max_period, grid_points, tol=1e-6, settings=None):
+    """Scan grid points for |psi^k(p) - p| < tol, k <= max_period: each point
+    is recorded at its first hit, with its scan residual, in period order,
+    then grid order."""
+    if max_period > MAX_SCAN_PERIOD:
+        raise PreconditionError(
+            f"periodic scans are desk scale: max_period <= {MAX_SCAN_PERIOD}")
     settings = settings or FlowSettings()
     pts = as_xy(grid_points).reshape(-1, 2)
     found: list[PeriodicPointRecord] = []
@@ -475,50 +466,8 @@ def periodic_point_scan(H, max_period, grid_points, tol=1e-6, settings=None,
         current = return_map(H, current, settings)
         res = np.sqrt(np.sum((current - pts[remaining]) ** 2, axis=-1))
         hits = res < tol
-        if refine:
-            found.extend(_refine_periodic_points(
-                H, pts[remaining[hits]], k, settings, newton_tol
-            ))
-        else:
-            found.extend(PeriodicPointRecord(k, p, r, converged=False)
-                         for p, r in zip(pts[remaining[hits]], res[hits].tolist()))
+        found.extend(PeriodicPointRecord(k, p, r)
+                     for p, r in zip(pts[remaining[hits]], res[hits].tolist()))
         remaining = remaining[~hits]
         current = current[~hits]
     return found
-
-
-def _refine_periodic_points(H, p0, k, settings, newton_tol):
-    """Newton on psi^k - id for a batch (n, 2) of period-k candidates."""
-    p = np.array(p0, dtype=float)
-    residual = [None] * len(p)
-    converged = np.zeros(len(p), dtype=bool)
-    active = np.arange(len(p))
-    eye = np.eye(2)
-    for _ in range(_NEWTON_STEPS):
-        if not len(active):
-            break
-        start = p[active]
-        jac = eye
-        cur = start
-        for _ in range(k):
-            jstep, cur = linearized_return(H, cur, settings, return_endpoint=True)
-            jac = jstep @ jac
-        delta = cur - start
-        res = np.hypot(delta[:, 0], delta[:, 1])
-        for i, r in zip(active, res):
-            residual[i] = float(r)
-        done = res < newton_tol
-        converged[active[done]] = True
-        system = jac - eye
-        # singular: rigid-rotation-like, psi^k = id, nothing to refine
-        singular = np.abs(np.linalg.det(system)) < 1e-12
-        move = ~done & ~singular
-        step = np.linalg.solve(system[move], delta[move][:, :, None])
-        moved = start[move] - step[:, :, 0]
-        norm = np.hypot(moved[:, 0], moved[:, 1])
-        outside = norm > 1.0
-        moved[outside] = moved[outside] / norm[outside, None]
-        p[active[move]] = moved
-        active = active[move]
-    return [PeriodicPointRecord(k, p[i], residual[i], converged=bool(converged[i]))
-            for i in range(len(p))]

@@ -862,7 +862,7 @@ def g_function_values(path, s, targets, route="radial", n_quad=129):
             tangent = direction
             sign = -1.0
         elif route == "axis":
-            xb = np.sqrt(max(0.0, 1.0 - q[1] ** 2)) * (1 if q[0] >= 0 else -1)
+            xb = np.sqrt(np.maximum(0.0, 1.0 - q[1] ** 2)) * (1 if q[0] >= 0 else -1)
             lo, hi = sorted((xb, float(q[0])))
             ts = np.linspace(lo, hi, n_quad)
             line = np.stack([ts, np.full(n_quad, q[1])], axis=-1)

@@ -544,7 +544,7 @@ def _stage_extension_settings(delta):
     # the verdict threshold, so thin tails are only certifiable through
     # order 2: one more order per factor ~4 of tail width, a hard
     # double-precision wall, not a tunable.
-    rho0 = min(0.1, 0.53 * np.sqrt(delta))
+    rho0 = np.minimum(0.1, 0.53 * np.sqrt(delta))
     k_max = 4 if rho0 >= 0.066 else 2
     return ExtensionSettings(rho0=rho0, k_max=k_max)
 
@@ -552,8 +552,8 @@ def _stage_extension_settings(delta):
 def _stage_diagnostics(stage, h, settings):
     """A built stage's audits: contact audit, extension test (with the
     expected a set to the stage rotation number), area-preservation defect
-    and a periodic point scan at the stage denominator.  The scan's hits are
-    not refined: the diagnostics read only their periods and count."""
+    and a periodic point scan at the stage denominator, of which the
+    diagnostics read the periods and the count of its hits."""
     ham = stage.hamiltonian
     audit = contact_audit(ham, _AUDIT_GRID)
     ext = extension_test(ham, BindingChart(h=h),
@@ -562,7 +562,7 @@ def _stage_diagnostics(stage, h, settings):
     recs = periodic_point_scan(ham, max_period=stage.q,
                                grid_points=polar_grid(*_SCAN_GRID, r_max=0.8,
                                                       include_center=False),
-                               tol=1e-5, settings=settings, refine=False)
+                               tol=1e-5, settings=settings)
     return {
         "contact": audit.to_dict(),
         "extension_pass": ext.passed,

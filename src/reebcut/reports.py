@@ -28,7 +28,7 @@ from .binding import (
     pullback_residual,
 )
 from .errors import EvaluationError, PreconditionError, ValidationError
-from .flows import FlowSettings, integrate_isotopy, return_map_report
+from .flows import MAX_SCAN_PERIOD, FlowSettings, integrate_isotopy, return_map_report
 from .geometry import TWO_PI
 from .hamiltonians import (
     QuadraticHamiltonian,
@@ -49,6 +49,7 @@ from .moser import (
 )
 from .pseudorotations import (
     ConjugatorSchedule,
+    continued_fraction_convergents,
     golden_mean_inverse,
     stage_sequence,
 )
@@ -236,6 +237,16 @@ def _validate_scenario(scenario, raw):
     params = _check_fields(raw, _SCHEMAS[scenario])
     if "hamiltonian" in params:
         params["hamiltonian_obj"] = parse_hamiltonian(params["hamiltonian"])
+    if scenario == "pseudorotation":
+        # each stage's periodic scan runs q return maps; the exact expansion is cheap
+        try:
+            q = max(den for _, den in continued_fraction_convergents(
+                params["target_a"] or golden_mean_inverse(), params["count"]))
+        except PreconditionError as exc:
+            raise ValidationError(f"target_a, count: {exc}", field="target_a") from exc
+        if q > MAX_SCAN_PERIOD:
+            raise ValidationError(f"target_a, count: a convergent's q = {q} is above "
+                                  f"the scan's {MAX_SCAN_PERIOD}", field="target_a")
     return params
 
 
@@ -503,16 +514,14 @@ def _run_moser(params, rng):
 
 def _moser_densities(n, amp):
     base = zero_integral_fixture(2, n)
-    scale = amp / max(1e-12, float(np.abs(base.values).max()))
+    scale = amp / np.maximum(1e-12, np.max(np.abs(base.values)))
     w0 = GridFunction2D(np.ones((n, n)), compact=False)
     w1 = GridFunction2D(1.0 + scale * base.values, compact=False)
     return w0, w1
 
 
 def _run_pseudorotation(params, rng):
-    target = params["target_a"]
-    if target is None:
-        target = golden_mean_inverse()
+    target = params["target_a"] or golden_mean_inverse()
     schedule = ConjugatorSchedule(
         delta0=params["delta0"], amplitude0=params["amplitude0"],
         mode=params["mode"],

@@ -14,7 +14,8 @@ name FITPACK's module and routines, and scipy's public spline class is
 named nowhere in ``src/reebcut``; only the fork helper
 ``flows._run_jobs`` names ``os.fork``, ``os.pipe`` and ``pickle``;
 and no builtin ``max`` or ``min`` reduces numpy values, running
-(``x = max(x, ...)``) or over two or more of them, which drops a NaN.
+(``x = max(x, ...)``) or over a numpy value and any other value, a
+constant included, which drops a NaN.
 
 One property census rides along too: every ``Hamiltonian`` class of
 ``src/reebcut`` that declares ``linear_velocity`` gives one DX, bitwise,
@@ -201,18 +202,28 @@ def test_only_the_fork_helper_forks():
 ARRAY_REDUCTIONS = {"max", "min"}
 
 
+# builtins whose result is a Python int, never NaN: int() raises on one
+INT_VALUED = {"int", "len"}
+
+
 def _numpy_valued(expr):
-    """Whether ``expr`` names numpy or calls an array reduction method."""
-    return any((isinstance(n, ast.Name) and n.id == "np")
-               or (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
-                   and n.func.attr in ARRAY_REDUCTIONS)
-               for n in ast.walk(expr))
+    """Whether ``expr`` names numpy, indexes a value (an array element) or
+    calls an array reduction method, outside an int-valued builtin."""
+    if (isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name)
+            and expr.func.id in INT_VALUED):
+        return False
+    if ((isinstance(expr, ast.Name) and expr.id == "np")
+            or isinstance(expr, ast.Subscript)
+            or (isinstance(expr, ast.Call) and isinstance(expr.func, ast.Attribute)
+                and expr.func.attr in ARRAY_REDUCTIONS)):
+        return True
+    return any(map(_numpy_valued, ast.iter_child_nodes(expr)))
 
 
 def nan_dropping_reductions():
     """(file, line) of each builtin ``max`` or ``min`` that is running,
-    ``x = max(x, ...)``, or takes two or more numpy values, as arguments
-    or as the items of one comprehension or display."""
+    ``x = max(x, ...)``, or takes a numpy value against another value, as
+    arguments or as the items of one comprehension or display."""
     found = set()
     for path in sorted((ROOT / "src" / "reebcut").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -233,7 +244,7 @@ def nan_dropping_reductions():
                     items = [arg.elt, arg.elt]
                 elif isinstance(arg, (ast.List, ast.Tuple, ast.Set)):
                     items = arg.elts
-            if sum(map(_numpy_valued, items)) >= 2:
+            if len(items) >= 2 and any(map(_numpy_valued, items)):
                 found.add((path.name, node.lineno))
     return sorted(found)
 
@@ -243,6 +254,13 @@ def test_no_running_builtin_reduction():
     # dropped depending on its position; reduce with np.max or np.min
     found = nan_dropping_reductions()
     assert not found, f"builtin max/min drops NaN: {found}"
+
+
+def test_numpy_reduction_keeps_a_nan_against_a_constant():
+    # min(0.1, nan) is 0.1: a stage with a NaN tail width would be judged
+    # at the widest ladder instead of carrying the NaN into its verdict
+    from reebcut.pseudorotations import _stage_extension_settings
+    assert np.isnan(_stage_extension_settings(float("nan")).rho0)
 
 
 # instances by class name for the linear_velocity census; the stage and the

@@ -21,7 +21,6 @@ from reebcut import (
     return_map_report,
 )
 from reebcut import flows
-from reebcut.flows import PeriodicPointRecord
 from reebcut.geometry import TWO_PI, polar_grid
 
 from conftest import (SQRT2, compact_disc_hamiltonian,
@@ -412,34 +411,9 @@ def test_periodic_scan_conjugated_stage(stage_2_1_3, fast_flow):
     assert np.max(np.abs(flows - oracle)) <= 1e-6
 
 
-def _reference_refine(H, p0, k, settings, newton_steps, newton_tol):
-    """Newton on psi^k - id for one point: the per-point reference."""
-    p = np.array(p0, dtype=float)
-    residual = None
-    for _ in range(newton_steps):
-        jac = np.eye(2)
-        cur = p
-        for _ in range(k):
-            jstep, cur = flows.linearized_return(H, cur, settings,
-                                                 return_endpoint=True)
-            jac = jstep @ jac
-        delta = cur - p
-        residual = float(np.hypot(*delta))
-        if residual < newton_tol:
-            return PeriodicPointRecord(k, p, residual, converged=True)
-        system = jac - np.eye(2)
-        if abs(np.linalg.det(system)) < 1e-12:
-            return PeriodicPointRecord(k, p, residual, converged=False)
-        step = np.linalg.solve(system, delta)
-        p = p - step
-        if np.hypot(*p) > 1.0:
-            p = p / np.hypot(*p)
-    return PeriodicPointRecord(k, p, residual, converged=False)
-
-
 def _reference_hits(H, max_period, grid, tol, settings):
-    """The scan without refinement: (k, grid point, scan residual) per hit,
-    in period order, then grid order."""
+    """The scan's hits: (k, grid point, scan residual) per hit, in period
+    order, then grid order."""
     pts = np.asarray(grid, dtype=float).reshape(-1, 2)
     hits_found = []
     remaining = np.arange(len(pts))
@@ -457,19 +431,6 @@ def _reference_hits(H, max_period, grid, tol, settings):
     return hits_found
 
 
-def _reference_scan(H, max_period, grid, tol, settings, sizes,
-                    newton_steps=10, newton_tol=1e-10):
-    """The scan with one refinement per hit.  Returns the records and, for
-    each hit, (k, linearized_return calls it made) as logged in ``sizes``."""
-    found, per_hit = [], []
-    for k, point, _ in _reference_hits(H, max_period, grid, tol, settings):
-        before = len(sizes)
-        found.append(_reference_refine(H, point, k, settings, newton_steps,
-                                       newton_tol))
-        per_hit.append((k, len(sizes) - before))
-    return found, per_hit
-
-
 def _scan_case(case, request):
     """(H, max_period, grid, tol) of a named scan case."""
     grid = polar_grid(2, 4, r_max=0.75)
@@ -478,7 +439,6 @@ def _scan_case(case, request):
     if case == "identity":
         return QuadraticHamiltonian(2.0, 0.0), 2, grid, 1e-8
     if case == "defect":
-        # a loose scan tolerance makes Newton take real steps here
         return polynomial_defect_hamiltonian(2, 0.4, 0.3), 2, grid, 0.3
     return (request.getfixturevalue("stage_2_1_3").hamiltonian, 3,
             polar_grid(2, 4, r_max=0.75, include_center=False), 1e-5)
@@ -498,55 +458,19 @@ def _count_linearized_returns(monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["rigid", "identity", "defect", "stage"])
-def test_batched_refinement_matches_per_point_loop(case, monkeypatch, request,
-                                                   fast_flow):
+def test_scan_records_the_scan_hits(case, monkeypatch, request, fast_flow):
+    # each hit at its grid point with its scan residual, in period order,
+    # then grid order, and not one variational solve
     H, max_period, grid, tol = _scan_case(case, request)
-    sizes = _count_linearized_returns(monkeypatch)
-    expected, per_hit = _reference_scan(H, max_period, grid, tol, fast_flow, sizes)
-    reference_points = sum(sizes)
-    sizes.clear()
-    records = periodic_point_scan(H, max_period, grid, tol=tol, settings=fast_flow)
-
-    assert records
-    assert [(r.period, r.converged) for r in records] == [
-        (r.period, r.converged) for r in expected]
-    for got, want in zip(records, expected):
-        assert np.max(np.abs(got.point - want.point)) <= 1e-12
-        assert abs(got.residual - want.residual) <= 1e-12
-    # every Newton step costs k calls for all hits of period k together
-    periods = {k for k, _ in per_hit}
-    assert len(sizes) == sum(max(n for j, n in per_hit if j == k) for k in periods)
-    assert sum(sizes) == reference_points
-
-
-@pytest.mark.parametrize("case", ["rigid", "identity", "defect", "stage"])
-def test_unrefined_scan_records_the_scan_hits(case, monkeypatch, request,
-                                              fast_flow):
-    # the refined scan's periods and hit grid points, with the scan
-    # residuals, and no Newton step: not one variational solve
-    H, max_period, grid, tol = _scan_case(case, request)
-    refined = periodic_point_scan(H, max_period, grid, tol=tol, settings=fast_flow)
     hits = _reference_hits(H, max_period, grid, tol, fast_flow)
     sizes = _count_linearized_returns(monkeypatch)
     records = periodic_point_scan(H, max_period, grid, tol=tol,
-                                  settings=fast_flow, refine=False)
+                                  settings=fast_flow)
+    assert records
     assert sizes == []
-    assert [r.period for r in records] == [r.period for r in refined]
     assert [(r.period, r.point.tolist(), r.residual, r.converged)
             for r in records] == [(k, p.tolist(), res, False)
                                   for k, p, res in hits]
-
-
-def test_refinement_reports_singular_points_unconverged():
-    # psi^2 = id for a half turn, so Newton on psi^2 - id is singular at
-    # every point; none converges before that shows with a 1e-20 target
-    H = RigidRotationHamiltonian(2, 1, 2)
-    grid = polar_grid(2, 4, r_max=0.7, include_center=False)
-    records = periodic_point_scan(H, 2, grid, tol=1e-6, newton_tol=1e-20,
-                                  settings=FlowSettings(step=TWO_PI / 200))
-    assert len(records) == len(grid)
-    assert all(r.period == 2 and not r.converged for r in records)
-    assert np.array_equal(np.array([r.point for r in records]), grid)
 
 
 def test_periodic_scan_rejects_large_period():

@@ -546,7 +546,7 @@ def _removed_options():
     from reebcut.binding import (PolarFunction, adapted_collar_g,
                                  extended_contact_audit, pullback_residual,
                                  sample_lift_jets)
-    from reebcut.flows import periodic_point_scan
+    from reebcut.flows import PeriodicPointRecord, periodic_point_scan
     from reebcut.invariants import (RotationSettings, _candidate_poles,
                                     hopf_circles, linking_curves_r3,
                                     rotation_number)
@@ -637,6 +637,12 @@ def _removed_options():
             lambda: PolarFunction(f).dtheta(1.0, 0.0, step=1e-5),
         "periodic_point_scan-newton_steps":
             lambda: periodic_point_scan(None, 1, origin, newton_steps=10),
+        "periodic_point_scan-refine":
+            lambda: periodic_point_scan(None, 1, origin, refine=True),
+        "periodic_point_scan-newton_tol":
+            lambda: periodic_point_scan(None, 1, origin, newton_tol=1e-10),
+        "PeriodicPointRecord-converged":
+            lambda: PeriodicPointRecord(1, origin, 0.0, converged=True),
         "check_s_periodicity-n_s": lambda: check_s_periodicity(None, n_s=16),
         "check_s_periodicity-n_points":
             lambda: check_s_periodicity(None, n_points=64),

@@ -267,14 +267,18 @@ def test_cli_invalid_hamiltonian_exit_two(tmp_path, capsys, block, field):
      "radii"),
     ("pseudorotation", {"h": 2, "orbit_iterations": 10_001},
      "orbit_iterations"),
+    # convergents 1/99, 1/100, then a denominator of the float's own ratio
+    ("pseudorotation", {"h": 2, "count": 4, "target_a": 0.01}, "target_a"),
+    # a rational target's expansion ends before its stages do
+    ("pseudorotation", {"h": 2, "target_a": 0.5}, "target_a"),
 ], ids=["grid-65", "grid-4096", "step-below-bound", "step-1e-9", "radii-2001",
-        "orbit-iterations-10001"])
+        "orbit-iterations-10001", "denominator-past-scan", "rational-target"])
 def test_cli_work_bound_exit_two(tmp_path, capsys, monkeypatch, scenario,
                                  payload, field):
-    # a config asking for more work than desk scale fails at parse: exit 2
-    # naming the field, with no output directory made; the configs at the
-    # bounds only parse here, they are never run, and neither is a config
-    # past a bound that parsing let through
+    # a config asking for more work than desk scale, or for convergents its
+    # target lacks, fails at parse: exit 2 naming the field, with no output
+    # directory made; the configs at the bounds only parse here, they are
+    # never run, and neither is a config past a bound that parsing let through
     from reebcut import cli
 
     def never_run(config):
@@ -295,7 +299,10 @@ def test_cli_work_bound_exit_two(tmp_path, capsys, monkeypatch, scenario,
     ("return-map", {"hamiltonian": {"type": "rigid", "h": 2, "p": 1, "q": 3},
                     "radii": [0.5] * 2000}),
     ("pseudorotation", {"h": 2, "orbit_iterations": 10_000}),
-], ids=["grid-64", "step-at-bound", "radii-2000", "orbit-iterations-10000"])
+    # the golden mean's eighth convergent is 21/34
+    ("pseudorotation", {"h": 2, "count": 8}),
+], ids=["grid-64", "step-at-bound", "radii-2000", "orbit-iterations-10000",
+        "count-8"])
 def test_work_bounds_admit_their_limits(scenario, payload):
     RunConfig.parse(scenario, json.loads(json.dumps(payload)))
 
