@@ -9,6 +9,7 @@ The tier-1 suite does not collect this file (``testpaths = ["tests"]``);
 the end-to-end benchmark lives in ``bench/``.
 """
 
+import functools
 import os
 import subprocess
 import sys
@@ -113,13 +114,15 @@ def test_orbit_statistics(benchmark, small_stage):
 
 
 # at 128 the support holds one flow block and flows in-process; at 512, the
-# CLI default, it holds seven and splits over the CPUs of the affinity set
+# CLI default, it holds seven and splits over the CPUs of the affinity set.
+# The traced peak is the calling process's alone.
 @pytest.mark.parametrize("grid_n", [128, 512])
 def test_wfield_build(benchmark, small_stage, grid_n):
-    H = benchmark.pedantic(
-        ConjugatedRotationHamiltonian, args=(2, 1, 3, small_stage.conjugator),
-        kwargs={"grid_n": grid_n}, rounds=3, iterations=1,
-    )
+    args = (2, 1, 3, small_stage.conjugator)
+    H = benchmark.pedantic(ConjugatedRotationHamiltonian, args=args,
+                           kwargs={"grid_n": grid_n}, rounds=3, iterations=1)
+    _record_traced_peak(benchmark, functools.partial(
+        ConjugatedRotationHamiltonian, grid_n=grid_n), *args)
     assert np.isfinite(H.value(0.0, np.array([0.5, 0.0])))
 
 

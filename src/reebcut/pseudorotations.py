@@ -359,14 +359,15 @@ class ConjugatedRotationHamiltonian(Hamiltonian):
         gen = phi.generator
         lim = 1.0 + _W_PAD
         ax = np.linspace(-lim, lim, grid_n)
-        xx, yy = np.meshgrid(ax, ax, indexing="ij")
-        pts = np.stack([xx, yy], axis=-1).reshape(-1, 2)
-        r2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
-        w = r2.copy()
-        inner = (gen.t0 < r2) & (r2 < gen.t1)
-        inv = DiscDiffeo(gen, steps=_W_FLOW_STEPS).inverse(pts[inner])
-        w[inner] = inv[:, 0] ** 2 + inv[:, 1] ** 2
-        self.w_field = QuinticField(ax, ax, w.reshape(grid_n, grid_n))
+        # r^2 of node (i, j) is ax[i]^2 + ax[j]^2; only the support nodes,
+        # in row-major order, are ever stacked into points
+        sq = ax ** 2
+        w = sq[:, None] + sq[None, :]
+        i, j = np.nonzero((gen.t0 < w) & (w < gen.t1))
+        inv = DiscDiffeo(gen, steps=_W_FLOW_STEPS).inverse(
+            np.stack([ax[i], ax[j]], axis=-1))
+        w[i, j] = inv[:, 0] ** 2 + inv[:, 1] ** 2
+        self.w_field = QuinticField(ax, ax, w)
         # t1 = (1 - delta)^2: the rigid tail starts where the support ends
         self._switch2 = gen.t1
 
@@ -574,15 +575,27 @@ def _stage_diagnostics(stage, h, settings):
     }
 
 
+def _stage_job(stage, h, settings):
+    """A stage's ``_stage_diagnostics`` and its value, gradient and Hessian
+    at s = 0 on the fixed grid of the C^k norms: the process that audits a
+    stage also derives the spline partials of its samples."""
+    ham = stage.hamiltonian
+    pts = polar_grid(10, 16, r_max=0.95)
+    return (_stage_diagnostics(stage, h, settings),
+            [ham.value(0.0, pts), ham.grad(0.0, pts), ham.hessian(0.0, pts)])
+
+
 def stage_sequence(target_a, count, h, schedule: ConjugatorSchedule = None,
                    settings: FlowSettings = None, w_grid=512,
                    orbit_iterations=0):
     """Build ``count`` stages along the convergents of an irrational target.
 
-    Once all are built, the ``_stage_diagnostics`` of each and, if
+    Once all are built, the ``_stage_job`` of each and, if
     ``orbit_iterations`` > 0, the last stage's ``orbit_statistics`` run as
     the jobs of ``_run_jobs``.  Consecutive stages are compared in C^0, C^1
-    and C^2 norms on a fixed polar grid.
+    and C^2 norms on a fixed polar grid, from the samples that each stage's
+    job returns: a stage audited in a worker has its partials derived
+    there, never in the caller.
     """
     schedule = schedule or ConjugatorSchedule()
     settings = settings or FlowSettings()
@@ -595,23 +608,22 @@ def stage_sequence(target_a, count, h, schedule: ConjugatorSchedule = None,
         stage = conjugated_stage(h, p, q, schedule.spec(nu), w_grid=w_grid)
         stage.nu = nu
         stages.append(stage)
-    jobs = [functools.partial(_stage_diagnostics, st, h, settings)
-            for st in stages]
+    jobs = [functools.partial(_stage_job, st, h, settings) for st in stages]
     if orbit_iterations:
         jobs.append(functools.partial(
             orbit_statistics, stages[-1].hamiltonian, _ORBIT_START,
             iterations=orbit_iterations,
             settings=FlowSettings(step=_ORBIT_STEP)))
     results = _run_jobs(jobs)
-    for stage, diagnostics in zip(stages, results):
+    samples = []
+    for stage, (diagnostics, sampled) in zip(stages, results):
         stage.diagnostics = diagnostics
+        samples.append(sampled)
 
     # C^k difference norms on a fixed grid, k = 0, 1, 2
-    pts = polar_grid(10, 16, r_max=0.95)
-    diffs = [{k: float(np.max(np.abs(getattr(a.hamiltonian, oracle)(0.0, pts)
-                                     - getattr(b.hamiltonian, oracle)(0.0, pts))))
-              for k, oracle in enumerate(("value", "grad", "hessian"))}
-             for a, b in zip(stages[:-1], stages[1:])]
+    diffs = [{k: float(np.max(np.abs(sa - sb)))
+              for k, (sa, sb) in enumerate(zip(a, b))}
+             for a, b in zip(samples[:-1], samples[1:])]
 
     return StageSequenceReport(
         target_a=target_a, h=h, stages=stages, difference_norms=diffs,

@@ -31,6 +31,7 @@ from reebcut import (
 )
 from reebcut import flows, moser, pseudorotations
 from reebcut.binding import ExtensionSettings
+from reebcut.hamiltonians import QuinticField
 from reebcut.pseudorotations import fd_weights
 from reebcut.geometry import TWO_PI, polar_grid
 
@@ -297,6 +298,41 @@ def test_w_field_support_mask_is_exact():
     w[inner] = inv[:, 0] ** 2 + inv[:, 1] ** 2
     old = RectBivariateSpline(ax, ax, w.reshape(grid_n, grid_n), kx=5, ky=5)
     assert bitwise_equal(H.w_field.tck[2], old.get_coeffs())
+
+
+@pytest.mark.parametrize("grid_n", [64, 65])
+def test_w_field_lattice_is_the_meshgrid_build(grid_n, monkeypatch):
+    # the (n, n) lattice flows the support nodes of the meshgrid build, in
+    # its order, and fits the same W bit for bit
+    spec = ConjugatorSpec(amplitude=0.12, delta=0.2, mode=2, r_inner=0.2)
+    phi = build_conjugator(spec)
+    flowed = []
+    real_inverse = pseudorotations.DiscDiffeo.inverse
+
+    def inverse(self, pts):
+        flowed.append(np.array(pts))
+        return real_inverse(self, pts)
+
+    monkeypatch.setattr(pseudorotations.DiscDiffeo, "inverse", inverse)
+    H = pseudorotations.ConjugatedRotationHamiltonian(2, 1, 3, phi,
+                                                      grid_n=grid_n)
+    monkeypatch.setattr(pseudorotations.DiscDiffeo, "inverse", real_inverse)
+    # the meshgrid build: every node stacked, the support nodes flowed
+    gen = phi.generator
+    ax = np.linspace(-1.0 - pseudorotations._W_PAD, 1.0 + pseudorotations._W_PAD,
+                     grid_n)
+    xx, yy = np.meshgrid(ax, ax, indexing="ij")
+    pts = np.stack([xx, yy], axis=-1).reshape(-1, 2)
+    r2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
+    w = r2.copy()
+    inner = (gen.t0 < r2) & (r2 < gen.t1)
+    inv = pseudorotations.DiscDiffeo(
+        gen, steps=pseudorotations._W_FLOW_STEPS).inverse(pts[inner])
+    w[inner] = inv[:, 0] ** 2 + inv[:, 1] ** 2
+    old = QuinticField(ax, ax, w.reshape(grid_n, grid_n))
+    assert len(flowed) == 1 and bitwise_equal(flowed[0], pts[inner])
+    for new_part, old_part in zip(H.w_field.tck, old.tck):
+        assert bitwise_equal(new_part, old_part)
 
 
 def test_forked_flow_is_bitwise_the_one_process_flow(monkeypatch):
@@ -592,6 +628,25 @@ def test_sequence_difference_norms_decay(golden_sequence):
     assert all(n >= 0 for n in c0)
     ratios = [b / a for a, b in zip(c0[:-1], c0[1:]) if a > 0]
     assert all(r <= 0.75 for r in ratios)
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+def test_difference_norms_come_from_the_stage_jobs(cpus, monkeypatch):
+    # the norms are those of the stage oracles bit for bit; with two CPUs a
+    # stage audited in a worker has no partial derived in the caller
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    seq = stage_sequence(golden_mean_inverse(), 3, h=2,
+                         settings=FlowSettings(step=TWO_PI / 200), w_grid=64)
+    assert_no_child_left()
+    if len(cpus) == 2:
+        for stage in seq.stages[1:]:
+            assert set(stage.hamiltonian.w_field._partials) == {(0, 0)}
+    pts = polar_grid(10, 16, r_max=0.95)
+    expected = [{k: float(np.max(np.abs(getattr(a.hamiltonian, oracle)(0.0, pts)
+                                        - getattr(b.hamiltonian, oracle)(0.0, pts))))
+                 for k, oracle in enumerate(("value", "grad", "hessian"))}
+                for a, b in zip(seq.stages[:-1], seq.stages[1:])]
+    assert repr(seq.difference_norms) == repr(expected)
 
 
 def test_stage_diagnostics_need_no_refined_scan(fast_flow):

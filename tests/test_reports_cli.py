@@ -271,8 +271,12 @@ def test_cli_invalid_hamiltonian_exit_two(tmp_path, capsys, block, field):
     ("pseudorotation", {"h": 2, "count": 4, "target_a": 0.01}, "target_a"),
     # a rational target's expansion ends before its stages do
     ("pseudorotation", {"h": 2, "target_a": 0.5}, "target_a"),
+    # at 2048 the doubled residual sits at the FD6 rounding floor, so the
+    # convergence order reads 0.53 (fixture 1) and -0.82 (fixture 3)
+    ("poincare-lemma", {"n": 2048}, "n"),
 ], ids=["grid-65", "grid-4096", "step-below-bound", "step-1e-9", "radii-2001",
-        "orbit-iterations-10001", "denominator-past-scan", "rational-target"])
+        "orbit-iterations-10001", "denominator-past-scan", "rational-target",
+        "n-2048"])
 def test_cli_work_bound_exit_two(tmp_path, capsys, monkeypatch, scenario,
                                  payload, field):
     # a config asking for more work than desk scale, or for convergents its
@@ -301,8 +305,9 @@ def test_cli_work_bound_exit_two(tmp_path, capsys, monkeypatch, scenario,
     ("pseudorotation", {"h": 2, "orbit_iterations": 10_000}),
     # the golden mean's eighth convergent is 21/34
     ("pseudorotation", {"h": 2, "count": 8}),
+    ("poincare-lemma", {"n": 1024}),
 ], ids=["grid-64", "step-at-bound", "radii-2000", "orbit-iterations-10000",
-        "count-8"])
+        "count-8", "n-1024"])
 def test_work_bounds_admit_their_limits(scenario, payload):
     RunConfig.parse(scenario, json.loads(json.dumps(payload)))
 
@@ -317,7 +322,7 @@ _PAST_WORK_BOUND = {
     ("return-map", "n_points"): 2001,
     ("return-map", "radii"): [0.5] * 2001,
     ("return-map", "step"): float(np.nextafter(TWO_PI / 20000.0, 0.0)),
-    ("poincare-lemma", "n"): 2049,
+    ("poincare-lemma", "n"): 1025,
     ("moser", "n"): 513,
     ("moser", "steps"): 513,
     ("pseudorotation", "count"): 9,

@@ -1,12 +1,16 @@
-"""Start-up cost: no scenario loads scipy or a pool.
+"""Start-up cost: no scenario loads scipy or a pool, and only a seeded one
+loads ``numpy.random``.
 
 Importing ``scipy.interpolate`` loads some 600 modules and about 50 MiB.
 The spline fields load scipy's FITPACK module ``_dfitpack`` on its own, so
 no scenario imports ``scipy`` or ``scipy.interpolate``, the spline
 scenarios (``moser``, ``pseudorotation``) included.  The W-field flow forks
 its workers with ``os.fork`` alone, so neither ``multiprocessing`` nor
-``concurrent.futures`` is imported either.  Each check runs in a fresh
-interpreter, because this test process has long since loaded scipy.
+``concurrent.futures`` is imported either.  ``numpy.random`` costs some
+6 MiB and 11 ms: ``ellipsoid`` and ``return-map`` read the run's seeded
+generator and ``self-linking`` draws its projection poles from one, but
+no other scenario loads it.  Each check runs in a fresh interpreter,
+because this test process has long since loaded scipy.
 """
 
 import json
@@ -15,27 +19,31 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from reebcut.reports import SCENARIOS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# a small config of every scenario; the pseudorotation one builds one
-# 512 x 512 W-field and flows no orbit
+# a small config of every scenario, the unseeded ones first; the
+# pseudorotation one builds one 512 x 512 W-field and flows no orbit
 CONFIGS = {
-    "ellipsoid": {"a0": 1.4142, "h": 2, "pullback_grid": [8, 8, 8],
-                  "self_linking": False},
     "cut-check": {"hamiltonian": {"type": "cosine-defect", "h": 3, "c": 0.4,
                                   "d": 0.5}, "k_max": 2},
-    "self-linking": {"a0": 1.4142, "h": 2, "n_samples": 256},
-    "return-map": {"hamiltonian": {"type": "rigid", "h": 2, "p": 1, "q": 3},
-                   "n_points": 4, "step": 0.05},
     "poincare-lemma": {"n": 32, "threshold": 1.0},
     "moser": {"n": 32},
     "pseudorotation": {"h": 2, "count": 1, "orbit_iterations": 0},
+    "ellipsoid": {"a0": 1.4142, "h": 2, "pullback_grid": [8, 8, 8],
+                  "self_linking": False},
+    "return-map": {"hamiltonian": {"type": "rigid", "h": 2, "p": 1, "q": 3},
+                   "n_points": 4, "step": 0.05},
+    "self-linking": {"a0": 1.4142, "h": 2, "n_samples": 256},
 }
+SEEDED = ("ellipsoid", "return-map", "self-linking")
 
 # modules that cost import time and that no run needs
 HEAVY = ("scipy", "scipy.interpolate", "multiprocessing", "concurrent.futures")
+RANDOM = "numpy.random"
 
 PROBE = """
 import json, sys, tempfile
@@ -70,16 +78,31 @@ print(json.dumps({"loaded": loaded, "same": same}))
 """
 
 
-def test_numpy_only_scenarios_do_not_load_scipy():
-    assert set(CONFIGS) == set(SCENARIOS)
+def _probe(configs, watched):
+    """The watched modules loaded after ``import reebcut.cli`` and after
+    each scenario of ``configs``, run in turn in one fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(CONFIGS), json.dumps(HEAVY)],
+        [sys.executable, "-c", PROBE, json.dumps(configs), json.dumps(watched)],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_numpy_only_scenarios_do_not_load_scipy():
+    assert set(CONFIGS) == set(SCENARIOS)
+    # the unseeded scenarios run first, so each is seen to load no
+    # numpy.random of its own
+    result = _probe(CONFIGS, [*HEAVY, RANDOM])
     assert result["loaded"] == {
-        name: [] for name in ["import reebcut.cli", *CONFIGS]
+        name: [RANDOM] if name in SEEDED else []
+        for name in ["import reebcut.cli", *CONFIGS]
     }
     assert all(result["same"].values()), result["same"]
+
+
+@pytest.mark.parametrize("scenario", SEEDED)
+def test_seeded_scenario_loads_numpy_random(scenario):
+    result = _probe({scenario: CONFIGS[scenario]}, [RANDOM])
+    assert result["loaded"] == {"import reebcut.cli": [], scenario: [RANDOM]}
