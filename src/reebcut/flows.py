@@ -5,8 +5,8 @@ The section {0} x D^2 of the mapping torus is returned to at parameter time
 True Reeb time is accounted separately through ``reeb_period``: rescaling
 the field to unit return time would blow up at the boundary.
 
-The module also holds the one fork helper, ``_run_jobs``, and the
-share-wise flow of point batches on top of it, ``_share_wise``, which
+The module also holds the one fork helper, ``_run_jobs``, and the one
+flow of large point batches on top of it, ``_flow_batch``, which
 ``DiscDiffeo`` and ``MoserMap`` use.
 """
 
@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ConfigurationError, IntegrationError, PreconditionError
 from .geometry import TWO_PI, as_xy
+from .hamiltonians import contact_margin
 
 DISC_DRIFT_TOL = 1e-6
 
@@ -270,7 +271,7 @@ def _share_bounds(n, count):
     return [(n * k // count, n * (k + 1) // count) for k in range(count)]
 
 
-# bytes of the one array that _share_wise frees before its shares start.
+# bytes of the one array that _flow_batch frees before its shares start.
 # glibc's malloc (mallopt(3)) hands the free top of its heap back to the
 # kernel once it exceeds the trim threshold, which is twice the mmap
 # threshold; that starts at 128 KiB and rises only when the process frees
@@ -282,20 +283,40 @@ def _share_bounds(n, count):
 _HEAP_RAISE_BYTES = 4 << 20
 
 
-def _share_wise(flow_share, flat, block):
-    """``flow_share`` of contiguous shares of the (n, 2) points ``flat``,
-    in share order: one share per CPU of the affinity set, at most one per
-    ``block`` points and at least one, run as the jobs of ``_run_jobs``.
+def _flow_batch(velocity, pts, h, n_steps, block, velocity_jacobian):
+    """``n_steps`` RK4 steps of size ``h`` from s = 0 of the points ``pts``
+    (..., 2): the flowed points and, when ``velocity_jacobian`` is given,
+    their Jacobians (..., 2, 2), else None.
 
-    A flow whose every operation acts on each point alone gives each
-    point the same arithmetic in any share and any process, so the
-    concatenated results are bitwise the flow of the whole batch.
+    The flattened batch is cut into contiguous shares, one per CPU of the
+    affinity set, at most one per ``block`` points and at least one, run
+    as the jobs of ``_run_jobs``.  Each share integrates ``block`` points
+    at a time through all steps, so that the RK4 temporaries stay
+    cache-sized instead of fresh page-faulted allocations of the whole
+    batch.  A flow whose every operation acts on each point alone gives
+    each point the same arithmetic in any block, share and process, so
+    the result is bitwise the flow of the whole batch at once.
     """
+    pts = np.asarray(pts, dtype=float)
+    flat = pts.reshape(-1, 2)
     # allocated and freed at once: an mmapped chunk, untouched
     np.empty(_HEAP_RAISE_BYTES, dtype=np.uint8)
+
+    def share(lo, hi):
+        return [_rk4_steps(velocity, flat[i:min(i + block, hi)], 0.0, h,
+                           n_steps, velocity_jacobian)
+                for i in range(lo, hi, block)]
+
     count = min(_cpu_count(), max(1, -(-len(flat) // block)))
-    return _run_jobs([functools.partial(flow_share, flat[lo:hi])
-                      for lo, hi in _share_bounds(len(flat), count)])
+    jobs = [functools.partial(share, lo, hi)
+            for lo, hi in _share_bounds(len(flat), count)]
+    blocks = [b for part in _run_jobs(jobs) for b in part]
+    # an empty batch has no blocks: the empty first pieces give it its shapes
+    out = np.concatenate([flat[:0]] + [y for y, _ in blocks]).reshape(pts.shape)
+    if velocity_jacobian is None:
+        return out, None
+    jac = np.concatenate([np.empty((0, 2, 2))] + [j for _, j in blocks])
+    return out, jac.reshape(pts.shape[:-1] + (2, 2))
 
 
 def _rk4(velocity, y0, s0, s1, step, record=False, point_velocity=None):
@@ -381,12 +402,8 @@ def reeb_period(H, path: IsotopyPath):
         raise PreconditionError(
             "reeb_period needs an even number of uniform steps"
         )
-    vals = np.empty(len(s))
-    for i, si in enumerate(s):
-        xy = path.points[i]
-        g = H.grad(si, xy)
-        lam = -0.5 * (xy[..., 0] * g[..., 0] + xy[..., 1] * g[..., 1])
-        vals[i] = H.value(si, xy) + lam
+    vals = np.array([contact_margin(H, si, xy)
+                     for si, xy in zip(s, path.points)])
     return float(h / 3.0 * (vals[0] + vals[-1] + 4 * vals[1:-1:2].sum()
                             + 2 * vals[2:-2:2].sum()))
 

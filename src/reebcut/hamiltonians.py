@@ -148,6 +148,11 @@ class QuinticField:
         if ier not in (0, -1, -2):
             raise PreconditionError(f"spline fit failed, FITPACK ier={ier}")
         self.tck = tx[:nx], ty[:ny], c[:(nx - k - 1) * (ny - k - 1)]
+        self.drop_partials()
+
+    def drop_partials(self):
+        """Forget the derived partials; each is derived again on next use."""
+        k = self.degree
         self._partials = {(0, 0): (*self.tck, k, k)}
 
     def _partial(self, dx, dy):

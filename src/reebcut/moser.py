@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, PreconditionError
-from .flows import _rk4_steps, _share_wise
+from .flows import _flow_batch, _rk4_steps
 from .geometry import TWO_PI
 from .hamiltonians import Hamiltonian, QuinticField, SliceFields, slice_weights
 
@@ -308,6 +308,7 @@ class MoserSettings:
             raise ConfigurationError("steps must be an integer of at least 1")
 
 
+# points per integration block of MoserMap
 _BLOCK = 4096
 
 
@@ -354,38 +355,32 @@ def _tensor_splines_ev(tx, ty, kx, ky, coefs, x, y):
     the result is (m, npoints).  Each value is summed from 0.0 in
     ``fpbisp``'s order, ``sp += (c * wx[i1]) * wy[j1]`` with i1 outer, so it
     equals ``QuinticField.ev`` bit for bit, while the basis is built
-    once for all m splines.  Points go in blocks to keep temporaries small.
+    once for all m splines.  ``MoserMap`` calls it on blocks of at most
+    ``_BLOCK`` points (``flows._flow_batch``), which keeps temporaries small.
     """
     nky1 = len(ty) - ky - 1
-    out = np.empty((len(coefs), x.size))
-    for start in range(0, x.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        lx, wx = _fpbspl_basis(tx, kx, x[block])
-        ly, wy = _fpbspl_basis(ty, ky, y[block])
-        base = lx * nky1 + ly
-        acc = np.zeros((len(coefs), base.size))
-        for i1 in range(kx + 1):
-            row = base + i1 * nky1
-            for j1 in range(ky + 1):
-                c = np.take(coefs, row + j1, axis=1)
-                c *= wx[i1]
-                c *= wy[j1]
-                acc += c
-        out[:, block] = acc
+    lx, wx = _fpbspl_basis(tx, kx, x)
+    ly, wy = _fpbspl_basis(ty, ky, y)
+    base = lx * nky1 + ly
+    out = np.zeros((len(coefs), base.size))
+    for i1 in range(kx + 1):
+        row = base + i1 * nky1
+        for j1 in range(ky + 1):
+            c = np.take(coefs, row + j1, axis=1)
+            c *= wx[i1]
+            c *= wy[j1]
+            out += c
     return out
 
 
 class MoserMap:
     """The time-1 Moser flow pulling omega_1 back to omega_0 on the square.
 
-    ``__call__`` flattens a batch and flows it by ``flows._share_wise``:
-    equal contiguous shares, one per CPU of the process's affinity set (at
-    most one per ``_BLOCK`` points), each through all steps, run as the
-    jobs of ``_run_jobs`` and concatenated.  Every operation of the RK4
-    update, of ``_field`` and of ``_tensor_splines_ev`` acts on each point
-    alone, so the result is bitwise the one-process flow of the whole
-    batch.  The README config's 128^2 nodes make two shares on two CPUs;
-    grids of at most 64^2 nodes, or ``taskset -c 0``, flow in-process.
+    ``__call__`` flows a batch through ``flows._flow_batch`` with blocks of
+    ``_BLOCK`` points: every operation of the RK4 update, of ``_field`` and
+    of ``_tensor_splines_ev`` acts on each point alone.  The README
+    config's 128^2 nodes make two shares on two CPUs; grids of at most
+    64^2 nodes, or ``taskset -c 0``, flow in-process.
     """
 
     def __init__(self, sigma: OneForm2D, g0, g1, settings: MoserSettings):
@@ -425,15 +420,10 @@ class MoserMap:
         return np.stack([np.where(inside, -sy / gt, 0.0),
                          np.where(inside, sx / gt, 0.0)], axis=-1)
 
-    def _flow_share(self, pts):
-        nsteps = self.settings.steps
-        y, _ = _rk4_steps(self._field, pts, 0.0, 1.0 / nsteps, nsteps)
-        return y
-
     def __call__(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        parts = _share_wise(self._flow_share, pts.reshape(-1, 2), _BLOCK)
-        return np.concatenate(parts).reshape(pts.shape)
+        nsteps = self.settings.steps
+        return _flow_batch(self._field, pts, 1.0 / nsteps, nsteps, _BLOCK,
+                           None)[0]
 
     def displacement(self):
         n = self.n

@@ -20,9 +20,9 @@ import numpy as np
 from .errors import IntegrationError, PreconditionError
 from .flows import (
     FlowSettings,
+    _flow_batch,
     _rk4_steps,
     _run_jobs,
-    _share_wise,
     area_preservation_audit,
     periodic_point_scan,
     return_map,
@@ -231,71 +231,33 @@ class DiscDiffeo:
     inverse is the flow of the negated generator, so it is area-preserving
     to the same accuracy as the forward map.
 
-    A batch is flattened and integrated in consecutive blocks of
-    ``_FLOW_BLOCK`` points, each through all steps, so that the RK4
-    temporaries of a block stay cache-sized instead of being fresh
-    page-faulted allocations of the whole batch.  The blocking is exact:
-    every operation of the RK4 update, of the generator's oracles and of
-    the 2x2 Jacobian product acts on each point alone, so each point sees
-    the same arithmetic whatever block it falls in.
-
-    For the same reason a batch of two or more blocks is flowed by
-    ``flows._share_wise``: equal contiguous shares, one per CPU of the
-    process's affinity set (at most one per block), run as the jobs of
-    ``_run_jobs`` and concatenated, so the result is bitwise the
-    one-process result.  ``taskset -c 0`` gives one share and no fork.
+    The generator is autonomous (every ``ConjugatorSpec`` generator is), so
+    its ``velocity`` and ``velocity_jacobian`` go to ``flows._flow_batch``
+    as they are, with blocks of ``_FLOW_BLOCK`` points.
     """
 
     def __init__(self, generator: Hamiltonian, steps=300):
         self.generator = generator
         self.steps = steps
 
-    def _flow_share(self, pts, sign, want_jacobian):
-        """The flow of the points ``pts`` (n, 2) and, if ``want_jacobian``,
-        their Jacobians (else None), in blocks of ``_FLOW_BLOCK`` points."""
-        h = sign * 1.0 / self.steps
+    def _flow(self, pts, sign, want_jacobian):
         gen = self.generator
-
-        def field(s, q):
-            return gen.velocity(0.0, q)
-
-        def field_jacobian(s, q):
-            return gen.velocity_jacobian(0.0, q)
-
-        out = np.empty(pts.shape)
-        jac_out = np.empty(pts.shape + (2,)) if want_jacobian else None
-        for start in range(0, len(pts), _FLOW_BLOCK):
-            block = slice(start, start + _FLOW_BLOCK)
-            y, jac = _rk4_steps(field, pts[block], 0.0, h, self.steps,
-                                field_jacobian if want_jacobian else None)
-            out[block] = y
-            if want_jacobian:
-                jac_out[block] = jac
-        return out, jac_out
-
-    def _flow(self, pts, sign, want_jacobian=False):
-        pts = np.asarray(pts, dtype=float)
-        parts = _share_wise(
-            functools.partial(self._flow_share, sign=sign,
-                              want_jacobian=want_jacobian),
-            pts.reshape(-1, 2), _FLOW_BLOCK)
-        out = np.concatenate([y for y, _ in parts]).reshape(pts.shape)
-        if want_jacobian:
-            jac = np.concatenate([j for _, j in parts])
-            return out, jac.reshape(pts.shape[:-1] + (2, 2))
-        return out
+        out, jac = _flow_batch(gen.velocity, pts, sign * 1.0 / self.steps,
+                               self.steps, _FLOW_BLOCK,
+                               gen.velocity_jacobian if want_jacobian else None)
+        return (out, jac) if want_jacobian else out
 
     def __call__(self, pts):
-        return self._flow(pts, +1.0)
+        return self._flow(pts, +1.0, False)
 
     def inverse(self, pts):
-        return self._flow(pts, -1.0)
+        return self._flow(pts, -1.0, False)
 
     def jacobian(self, pts):
-        return self._flow(pts, +1.0, want_jacobian=True)[1]
+        return self._flow(pts, +1.0, True)[1]
 
     def inverse_jacobian(self, pts):
-        return self._flow(pts, -1.0, want_jacobian=True)[1]
+        return self._flow(pts, -1.0, True)[1]
 
 
 def build_conjugator(spec: ConjugatorSpec, steps=300, audit=False):
@@ -578,11 +540,14 @@ def _stage_diagnostics(stage, h, settings):
 def _stage_job(stage, h, settings):
     """A stage's ``_stage_diagnostics`` and its value, gradient and Hessian
     at s = 0 on the fixed grid of the C^k norms: the process that audits a
-    stage also derives the spline partials of its samples."""
+    stage also derives the spline partials of its samples, and drops them
+    once they are taken, so that a job run in the caller keeps none."""
     ham = stage.hamiltonian
     pts = polar_grid(10, 16, r_max=0.95)
-    return (_stage_diagnostics(stage, h, settings),
-            [ham.value(0.0, pts), ham.grad(0.0, pts), ham.hessian(0.0, pts)])
+    result = (_stage_diagnostics(stage, h, settings),
+              [ham.value(0.0, pts), ham.grad(0.0, pts), ham.hessian(0.0, pts)])
+    ham.w_field.drop_partials()
+    return result
 
 
 def stage_sequence(target_a, count, h, schedule: ConjugatorSchedule = None,

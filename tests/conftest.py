@@ -6,6 +6,7 @@ import pytest
 
 from reebcut import (
     CallableHamiltonian,
+    ComposedHamiltonian,
     ConjugatorSpec,
     FlowSettings,
     QuadraticHamiltonian,
@@ -169,6 +170,16 @@ def stage_2_1_3():
     """A conjugated rotation stage shared by the heavier tests."""
     spec = ConjugatorSpec(amplitude=0.12, delta=0.2, mode=2, r_inner=0.2)
     return conjugated_stage(2, 1, 3, spec, w_grid=704)
+
+
+@pytest.fixture(scope="session")
+def composed_k_2_1_2():
+    """K + H2 o Psi_K^{-1} for K = compact_disc_hamiltonian(amp=0.05) and
+    H2 = RigidRotationHamiltonian(2, 1, 2) at the default slices and grid,
+    shared by the composition-law tests (its build takes most of their
+    time); ``.K`` and ``.H2`` are the two parts."""
+    return ComposedHamiltonian(compact_disc_hamiltonian(amp=0.05),
+                               RigidRotationHamiltonian(2, 1, 2))
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,6 @@ import numpy as np
 
 from reebcut import (
     BindingChart,
-    ComposedHamiltonian,
     ConjugatorSchedule,
     ConjugatorSpec,
     FlowSettings,
@@ -295,14 +294,13 @@ def test_11_conjugation_invariance():
     )
 
 
-def test_12_composition_law():
+def test_12_composition_law(composed_k_2_1_2):
     rng = np.random.default_rng(SEED)
     r = np.sqrt(rng.uniform(0.01, 0.7, 100))
     t = rng.uniform(0, TWO_PI, 100)
     pts = np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
-    K = compact_disc_hamiltonian(amp=0.05)
-    H2 = RigidRotationHamiltonian(2, 1, 2)
-    composite = ComposedHamiltonian(K, H2)
+    composite = composed_k_2_1_2
+    K, H2 = composite.K, composite.H2
     flow_settings = FlowSettings(step=TWO_PI / 500)
     left = return_map(composite, pts, flow_settings)
     right = return_map(K, return_map(H2, pts, flow_settings), flow_settings)

@@ -9,13 +9,15 @@ only, so the census can miss a dead value whose name another call sets,
 never the other way round.  A value no call sets has one value: it belongs
 in a module constant.
 
-Three structural rules ride along: only ``QuinticField`` and its loader
+Four structural rules ride along: only ``QuinticField`` and its loader
 name FITPACK's module and routines, and scipy's public spline class is
 named nowhere in ``src/reebcut``; only the fork helper
 ``flows._run_jobs`` names ``os.fork``, ``os.pipe`` and ``pickle``;
-and no builtin ``max`` or ``min`` reduces numpy values, running
-(``x = max(x, ...)``) or over a numpy value and any other value, a
-constant included, which drops a NaN.
+only ``flows._flow_batch`` cuts point batches into shares, and it and
+``pseudorotations.stage_sequence`` alone call ``_run_jobs``; and no
+builtin ``max`` or ``min`` reduces numpy values, running (``x = max(x,
+...)``) or over a numpy value and any other value, a constant included,
+which drops a NaN.
 
 One property census rides along too: every ``Hamiltonian`` class of
 ``src/reebcut`` that declares ``linear_velocity`` gives one DX, bitwise,
@@ -196,6 +198,55 @@ def test_only_the_fork_helper_forks():
                     outside.append((path.name, lineno, name))
     assert not outside, f"forks or pickles outside _run_jobs: {outside}"
     assert inside == {"os.fork", "os.pipe", "pickle"}
+
+
+# the share split of point batches, named only by flows._flow_batch and at
+# their own definitions
+SHARE_NAMES = re.compile(r"\b(?:_share_bounds|_HEAP_RAISE_BYTES)\b")
+# (module, function) of every caller of the fork helper
+JOB_CALLERS = {("flows", "_flow_batch"), ("pseudorotations", "stage_sequence")}
+
+
+def _top_functions(tree):
+    """(name, node) of each module-level function and method of ``tree``."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{fn.name}", fn) for fn in node.body
+                        if isinstance(fn, ast.FunctionDef))
+
+
+def test_one_batch_flow_splits_batches():
+    # one share policy: every point batch is cut into shares by
+    # _flow_batch, and every other job list is the stage sequence's; the
+    # share names are matched in the source text, comments and strings
+    # included
+    inside, outside, callers = set(), [], set()
+    for path in sorted((ROOT / "src" / "reebcut").glob("*.py")):
+        source = path.read_text()
+        tree = ast.parse(source)
+        owned = set()
+        for name, fn in _top_functions(tree):
+            if (path.stem, name) in {("flows", "_flow_batch"),
+                                     ("flows", "_share_bounds")}:
+                owned.update(range(fn.lineno, fn.end_lineno + 1))
+            callers.update((path.stem, name) for node in ast.walk(fn)
+                           if isinstance(node, ast.Call)
+                           and "_run_jobs" in (getattr(node.func, "id", None),
+                                               getattr(node.func, "attr", None)))
+        owned.update(node.lineno for node in tree.body
+                     if path.stem == "flows" and isinstance(node, ast.Assign)
+                     and ast.unparse(node.targets[0]) == "_HEAP_RAISE_BYTES")
+        for lineno, line in enumerate(source.splitlines(), 1):
+            for name in SHARE_NAMES.findall(line):
+                if lineno in owned:
+                    inside.add(name)
+                else:
+                    outside.append((path.name, lineno, name))
+    assert not outside, f"share names outside _flow_batch: {outside}"
+    assert inside == {"_share_bounds", "_HEAP_RAISE_BYTES"}
+    assert callers == JOB_CALLERS, f"_run_jobs callers: {sorted(callers)}"
 
 
 # array reductions whose results a builtin max or min would compare

@@ -4,6 +4,7 @@ Runs are derandomized, so every run draws the same examples.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, reject, settings
@@ -13,11 +14,12 @@ from scipy.interpolate import RectBivariateSpline
 
 from reebcut.binding import BindingChart, phi_embed, phi_invert
 from reebcut.errors import PreconditionError, ValidationError
+from reebcut import flows
 from reebcut.flows import _rk4_steps, _share_bounds, return_map
 from reebcut.geometry import TWO_PI
 from reebcut.hamiltonians import RigidRotationHamiltonian
 from reebcut.moser import _BLOCK, MoserSettings, _tensor_splines_ev, moser_flow
-from reebcut.pseudorotations import (_FLOW_BLOCK, ConjugatorSpec, DiscDiffeo,
+from reebcut.pseudorotations import (_FLOW_BLOCK, ConjugatorSpec,
                                      continued_fraction_convergents, fd_weights)
 from reebcut.reports import (_HAMILTONIAN_SCHEMA, _SCHEMAS, SCENARIOS,
                              RunConfig, _moser_densities)
@@ -251,66 +253,67 @@ def test_components_first_jacobian_is_points_last_bit_for_bit(case):
 
 
 # one RK4 step keeps each example cheap; the arithmetic per point, and so
-# the bitwise claim, does not depend on the step count
-_SHARE_FLOWS = {mode: DiscDiffeo(ConjugatorSpec(amplitude=0.2, mode=mode,
-                                                phase=0.4).generator(), steps=1)
-                for mode in (1, 2, 3)}
+# the bitwise claim, does not depend on the step count.  The Moser field is
+# the moser scenario's on a 32 x 32 grid.
+_BATCH_FIELDS = {mode: ConjugatorSpec(amplitude=0.2, mode=mode,
+                                      phase=0.4).generator()
+                 for mode in (1, 2, 3)}
+_BATCH_FIELDS["moser"] = moser_flow(*_moser_densities(32, 0.2),
+                                    MoserSettings(steps=1))
 
 
-@st.composite
-def share_flows(draw):
-    k = draw(st.integers(1, 3))
-    n = draw(st.sampled_from([0, 1, k * _FLOW_BLOCK - 1, k * _FLOW_BLOCK + 1]))
-    return (n, draw(st.integers(1, 4)), draw(st.sampled_from(sorted(_SHARE_FLOWS))),
-            draw(st.sampled_from([1.0, -1.0])), draw(st.booleans()),
-            draw(st.integers(0, 2**32 - 1)))
-
-
-@settings(derandomize=True, database=None, max_examples=25, deadline=None)
-@given(share_flows())
-def test_share_wise_flow_is_the_whole_batch_flow(case):
-    # in-process, through the share function the forked workers run
-    n, count, mode, sign, want_jacobian, seed = case
-    phi = _SHARE_FLOWS[mode]
-    flat = np.random.default_rng(seed).uniform(-0.95, 0.95, (n, 2))
-    shares = _share_bounds(n, count)
+def _assert_batch_flow_is_whole(velocity, jacobian, pts, h, block, cpus):
+    # in-process: the patched _run_jobs runs every share here, in order
+    n = len(pts)
+    shares = _share_bounds(n, cpus)
     assert [lo for lo, _ in shares[1:]] == [hi for _, hi in shares[:-1]]
     assert shares[0][0] == 0 and shares[-1][1] == n
     sizes = [hi - lo for lo, hi in shares]
     assert max(sizes) - min(sizes) <= 1
+    job_counts = []
 
-    def flow(bounds):
-        parts = [phi._flow_share(flat[lo:hi], sign, want_jacobian)
-                 for lo, hi in bounds]
-        return [np.concatenate(p) for p in zip(*parts) if p[0] is not None]
+    def run_in_order(share_jobs):
+        job_counts.append(len(share_jobs))
+        return [job() for job in share_jobs]
 
-    for got, want in zip(flow(shares), flow([(0, n)])):
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    with mock.patch.object(flows, "_cpu_count", lambda: cpus), \
+            mock.patch.object(flows, "_run_jobs", run_in_order):
+        got = flows._flow_batch(velocity, pts, h, 1, block, jacobian)
+    assert job_counts == [min(cpus, max(1, -(-n // block)))]
+    want = _rk4_steps(velocity, pts, 0.0, h, 1, jacobian)
+    assert (got[1] is None) == (jacobian is None)
+    for g, w in zip(got, want):
+        if w is not None:
+            assert g.shape == w.shape
+            assert np.array_equal(g.view(np.int64), w.view(np.int64))
 
 
-# the moser scenario's densities on a 32 x 32 grid, one RK4 step as above
-_MOSER_SHARE_FLOW = moser_flow(*_moser_densities(32, 0.2), MoserSettings(steps=1))
-
-
-@st.composite
-def moser_share_flows(draw):
-    k = draw(st.integers(1, 3))
-    n = draw(st.sampled_from([0, 1, k * _BLOCK - 1, k * _BLOCK + 1]))
-    return n, draw(st.integers(1, 4)), draw(st.integers(0, 2**32 - 1))
+def _edge_sizes(block):
+    # 0, 1 and one point either side of a block edge
+    return st.integers(1, 3).flatmap(
+        lambda k: st.sampled_from([0, 1, k * block - 1, k * block + 1]))
 
 
 @settings(derandomize=True, database=None, max_examples=25, deadline=None)
-@given(moser_share_flows())
-def test_moser_share_flows_are_the_whole_batch_flow(case):
-    # in-process, through the share function the forked workers run; the
-    # points reach past the square, where the field is clamped and zero
-    n, count, seed = case
-    psi = _MOSER_SHARE_FLOW
-    flat = np.random.default_rng(seed).uniform(-0.05, 1.05, (n, 2))
-    got = np.concatenate([psi._flow_share(flat[lo:hi])
-                          for lo, hi in _share_bounds(n, count)])
-    want = psi._flow_share(flat)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+@given(_edge_sizes(_FLOW_BLOCK), st.integers(1, 4), st.sampled_from([1, 2, 3]),
+       st.sampled_from([1.0, -1.0]), st.booleans(), st.integers(0, 2**32 - 1))
+def test_share_wise_flow_is_the_whole_batch_flow(n, cpus, mode, sign,
+                                                 want_jacobian, seed):
+    # the conjugator field of a DiscDiffeo, flowed forward or backward
+    gen = _BATCH_FIELDS[mode]
+    jacobian = gen.velocity_jacobian if want_jacobian else None
+    pts = np.random.default_rng(seed).uniform(-0.95, 0.95, (n, 2))
+    _assert_batch_flow_is_whole(gen.velocity, jacobian, pts, sign,
+                                _FLOW_BLOCK, cpus)
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(_edge_sizes(_BLOCK), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_moser_share_flows_are_the_whole_batch_flow(n, cpus, seed):
+    # the points reach past the square, where the field is clamped and zero
+    pts = np.random.default_rng(seed).uniform(-0.05, 1.05, (n, 2))
+    _assert_batch_flow_is_whole(_BATCH_FIELDS["moser"]._field, None, pts, 1.0,
+                                _BLOCK, cpus)
 
 
 @st.composite
