@@ -40,7 +40,8 @@ from reebcut import (
 from reebcut.flows import _run_jobs
 from reebcut.geometry import TWO_PI, polar_grid
 from reebcut.invariants import linking_curves_r3
-from reebcut.moser import MoserMap, poincare_primitive
+from reebcut.moser import (MoserMap, poincare_primitive, primitive_residual,
+                           zero_integral_fixture)
 from reebcut.pseudorotations import (_FLOW_BLOCK, ConjugatedRotationHamiltonian,
                                      DiscDiffeo, _stage_diagnostics)
 from reebcut.reports import _moser_densities
@@ -237,6 +238,21 @@ def test_moser_map(benchmark):
     psi = benchmark.pedantic(MoserMap, args=(sigma, w0, w1, MoserSettings(48)),
                              rounds=3, iterations=1)
     assert np.max(np.abs(psi.displacement())) > 1e-3
+
+
+def _poincare_lemma(n):
+    eta = zero_integral_fixture(1, n)
+    return primitive_residual(eta, poincare_primitive(eta))
+
+
+# one solve of the poincare-lemma scenario (fixture 1, its primitive and the
+# FD6 residual): 256 is the README config's grid, 512 its doubled grid
+@pytest.mark.parametrize("n", [256, 512])
+def test_poincare_lemma(benchmark, n):
+    res = benchmark.pedantic(_poincare_lemma, args=(n,), rounds=5,
+                             iterations=1)
+    _record_traced_peak(benchmark, _poincare_lemma, n)
+    assert res <= 1e-6
 
 
 def _record_traced_peak(benchmark, call, *args):

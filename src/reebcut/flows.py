@@ -303,19 +303,26 @@ def _flow_batch(velocity, pts, h, n_steps, block, velocity_jacobian):
     np.empty(_HEAP_RAISE_BYTES, dtype=np.uint8)
 
     def share(lo, hi):
-        return [_rk4_steps(velocity, flat[i:min(i + block, hi)], 0.0, h,
-                           n_steps, velocity_jacobian)
-                for i in range(lo, hi, block)]
+        # each block is written into the share's arrays as soon as it is done
+        out = np.empty((hi - lo, 2))
+        jac = None if velocity_jacobian is None else np.empty((hi - lo, 2, 2))
+        for i in range(lo, hi, block):
+            j = min(i + block, hi)
+            y, dy = _rk4_steps(velocity, flat[i:j], 0.0, h, n_steps,
+                               velocity_jacobian)
+            out[i - lo:j - lo] = y
+            if jac is not None:
+                jac[i - lo:j - lo] = dy
+        return out, jac
 
     count = min(_cpu_count(), max(1, -(-len(flat) // block)))
     jobs = [functools.partial(share, lo, hi)
             for lo, hi in _share_bounds(len(flat), count)]
-    blocks = [b for part in _run_jobs(jobs) for b in part]
-    # an empty batch has no blocks: the empty first pieces give it its shapes
-    out = np.concatenate([flat[:0]] + [y for y, _ in blocks]).reshape(pts.shape)
+    shares = _run_jobs(jobs)
+    out = np.concatenate([y for y, _ in shares]).reshape(pts.shape)
     if velocity_jacobian is None:
         return out, None
-    jac = np.concatenate([np.empty((0, 2, 2))] + [j for _, j in blocks])
+    jac = np.concatenate([j for _, j in shares])
     return out, jac.reshape(pts.shape[:-1] + (2, 2))
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError, PreconditionError
 from .flows import _flow_batch, _rk4_steps
-from .geometry import TWO_PI
+from .geometry import TWO_PI, tiles
 from .hamiltonians import Hamiltonian, QuinticField, SliceFields, slice_weights
 
 # ---------------------------------------------------------------------------
@@ -38,34 +38,57 @@ def spectral_partial(values, axis):
     return np.real(np.fft.ifft(hat, axis=axis))
 
 
-def _fd6_partial(values, axis):
-    """Sixth-order centered periodic finite-difference derivative."""
+def _fd6_partial(values, axis, rows):
+    """Sixth-order centered periodic finite-difference derivative of a 2-D
+    array along ``axis``, at the slice ``rows`` of its axis-0 indices.
+
+    It is accumulated in place in the order of the stencil, -f(-3) + 9 f(-2)
+    - 45 f(-1) + 45 f(1) - 9 f(2) + f(3), then divided by 60 h, so a caller
+    that takes the rows tile by tile gets every value of the whole-array
+    expression bitwise, with temporaries of one tile.
+    """
     n = values.shape[axis]
     h = 1.0 / n
+    if axis == 0:
+        idx = np.arange(values.shape[0])[rows]
 
-    def roll(k):
-        return np.roll(values, -k, axis=axis)
+        def shifted(k):  # f(i + k) on the tile's rows
+            return values[(idx + k) % n]
+    else:
+        tile = values[rows]
 
-    return (-roll(-3) + 9 * roll(-2) - 45 * roll(-1)
-            + 45 * roll(1) - 9 * roll(2) + roll(3)) / (60 * h)
+        def shifted(k):
+            return np.roll(tile, -k, axis=1)
+
+    acc = np.negative(shifted(-3))
+    acc += 9 * shifted(-2)
+    acc -= 45 * shifted(-1)
+    acc += 45 * shifted(1)
+    acc -= 9 * shifted(2)
+    acc += shifted(3)
+    acc /= 60 * h
+    return acc
 
 
 def spectral_cumulative(values, axis):
     """Antiderivative F with F' = values and F = 0 at index 0 along ``axis``.
 
     Requires zero mean along the axis (true for all the compactly supported
-    zero-integral data handled here); the mean mode is dropped.
+    zero-integral data handled here); the mean mode is dropped.  The
+    transforms run in place on one complex copy of ``values``, which is
+    left unchanged.
     """
-    k = _wavenumbers(values.shape[axis])
-    shape = [1] * values.ndim
+    buf = np.array(values, dtype=complex)
+    k = _wavenumbers(buf.shape[axis])
+    shape = [1] * buf.ndim
     shape[axis] = -1
-    k = k.reshape(shape)
-    hat = np.fft.fft(values, axis=axis)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hat = np.where(k == 0, 0.0, hat / np.where(k == 0, 1.0, k))
-    prim = np.real(np.fft.ifft(hat, axis=axis))
-    first = np.take(prim, [0], axis=axis)
-    return prim - first
+    np.fft.fft(buf, axis=axis, out=buf)
+    # the mean mode is divided by one, then zeroed
+    buf /= np.where(k == 0, 1.0, k).reshape(shape)
+    buf.swapaxes(0, axis)[0] = 0.0
+    np.fft.ifft(buf, axis=axis, out=buf)
+    prim = buf.real
+    return prim - np.take(prim, [0], axis=axis)
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +161,10 @@ class GridFunction2D:
                     self.values[:, -m:].ravel(),
                 ]
             )
-            # written so that a NaN anywhere fails: NaN comparisons are false
-            scale = np.max(np.abs(self.values), initial=1.0)
+            # written so that a NaN anywhere fails: NaN comparisons are false.
+            # max |f| is max(max f, -min f), read without an |f| grid
+            v = self.values
+            scale = np.max([np.max(v), -np.min(v), 1.0])
             if not np.max(np.abs(band)) <= 1e-12 * scale:
                 raise PreconditionError(
                     "values flagged compactly supported do not vanish on the "
@@ -185,6 +210,13 @@ class OneForm2D:
     dx: GridFunction2D
     dy: GridFunction2D
 
+    def _d_rows(self, rows):
+        """d beta on the slice ``rows`` of the grid's first axis."""
+        q, p = self.dy.values, self.dx.values
+        d = _fd6_partial(q, 0, rows)
+        d -= _fd6_partial(p, 1, rows)
+        return d
+
     def exterior_derivative(self):
         """d beta = (dq/dx - dp/dy) dx ^ dy as a GridFunction2D.
 
@@ -192,8 +224,10 @@ class OneForm2D:
         spectral machinery used to build primitives, so residual audits
         measure a genuine discrepancy rather than an algebraic identity.
         """
-        vals = (_fd6_partial(self.dy.values, 0)
-                - _fd6_partial(self.dx.values, 1))
+        n = self.dx.n
+        vals = np.empty((n, n))
+        for rows in tiles(n, n):
+            vals[rows] = self._d_rows(rows)
         return GridFunction2D(values=vals, compact=False)
 
 
@@ -234,9 +268,12 @@ def poincare_primitive(eta: GridFunction2D) -> OneForm2D:
 
     a = g.sum(axis=1) / n                      # (n,) column means = int g dy
     a = a - a.mean()                           # remove the 1e-8 slack exactly
-    b = np.real(spectral_cumulative(a, axis=0))
-    u = -g + a[:, None] * chi_y[None, :]
-    v = spectral_cumulative(u, axis=1)
+    b = spectral_cumulative(a, axis=0)
+    # v runs along the rows, each transformed alone: a few rows at a time
+    v = np.empty(g.shape)
+    for rows in tiles(n, 2 * n):
+        u = -g[rows] + a[rows, None] * chi_y[None, :]
+        v[rows] = spectral_cumulative(u, axis=1)
 
     # In exact arithmetic v and b vanish on the margin band (the inputs are
     # two cells inside); zero exactly those cells so the compact-support
@@ -254,8 +291,13 @@ def poincare_primitive(eta: GridFunction2D) -> OneForm2D:
 
 
 def primitive_residual(eta: GridFunction2D, beta: OneForm2D) -> float:
-    """sup norm of d beta - eta on the grid."""
-    return float(np.max(np.abs(beta.exterior_derivative().values - eta.values)))
+    """sup norm of d beta - eta on the grid, a few rows at a time."""
+    maxima = []
+    for rows in tiles(eta.n, eta.n):
+        d = beta._d_rows(rows)
+        d -= eta.values[rows]
+        maxima.append(np.max(np.abs(d, out=d)))
+    return float(np.max(maxima))
 
 
 def _poly_bump(t, a, b, power=6, order=0):
@@ -277,18 +319,20 @@ def zero_integral_fixture(idx, n=256):
     2. the difference of two product bumps, balanced on the grid;
     3. a product bump weighted by a centered linear factor.
     """
+    # the two axes broadcast to the (n, n) grid, values[i, j] = f(x_i, y_j)
     x = np.arange(n) / n
-    xx, yy = np.meshgrid(x, x, indexing="ij")
+    xx, yy = x[:, None], x[None, :]
     if idx == 1:
         vals = _poly_bump(xx, 0.15, 0.85, order=1) * _poly_bump(yy, 0.2, 0.8)
     elif idx == 2:
-        a = _poly_bump(xx, 0.2, 0.8, 5) * _poly_bump(yy, 0.25, 0.75, 5)
+        vals = _poly_bump(xx, 0.2, 0.8, 5) * _poly_bump(yy, 0.25, 0.75, 5)
         b = _poly_bump(xx, 0.1, 0.9, 5) * _poly_bump(yy, 0.1, 0.9, 5)
-        vals = a - b * (a.sum() / b.sum())
+        b *= vals.sum() / b.sum()
+        vals -= b
     elif idx == 3:
-        w = _poly_bump(xx, 0.12, 0.88) * _poly_bump(yy, 0.15, 0.85)
-        center = (w * xx).sum() / w.sum()
-        vals = w * (xx - center)
+        vals = _poly_bump(xx, 0.12, 0.88) * _poly_bump(yy, 0.15, 0.85)
+        center = (vals * xx).sum() / vals.sum()
+        vals *= xx - center
     else:
         raise ConfigurationError(f"no fixture {idx}; choose 1, 2 or 3")
     return GridFunction2D(values=vals, compact=True)

@@ -482,11 +482,12 @@ def _run_return_map(params, rng):
 
 def _run_poincare(params, rng):
     n = params["n"]
-    eta = zero_integral_fixture(params["fixture"], n)
-    beta = poincare_primitive(eta)
-    res = primitive_residual(eta, beta)
-    eta2 = zero_integral_fixture(params["fixture"], 2 * n)
-    res2 = primitive_residual(eta2, poincare_primitive(eta2))
+
+    def residual(m):  # one grid at a time: its arrays go before the next
+        eta = zero_integral_fixture(params["fixture"], m)
+        return primitive_residual(eta, poincare_primitive(eta))
+
+    res, res2 = residual(n), residual(2 * n)
     order = float(np.log2(res / res2)) if res2 > 0 else float("inf")
     results = {"residual": res, "residual_doubled": res2, "observed_order": order}
     checks = [

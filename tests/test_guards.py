@@ -74,9 +74,9 @@ def _densities_with(value, cell, both=False):
             GridFunction2D(g1, compact=False))
 
 
-def _nan_on_the_margin():
+def _nan_at(index):
     values = np.zeros((16, 16))
-    values[0, 0] = np.nan
+    values[index] = np.nan
     return values
 
 
@@ -169,7 +169,11 @@ GUARDS = {
     # a NaN fails each comparison of these guards, so each refuses it
     "GridFunction2D-nan_margin": (
         PreconditionError, "do not vanish on the 2-cell boundary margin",
-        lambda: GridFunction2D(_nan_on_the_margin(), compact=True)),
+        lambda: GridFunction2D(_nan_at((0, 0)), compact=True)),
+    # an interior NaN makes the margin's scale NaN
+    "GridFunction2D-nan_interior": (
+        PreconditionError, "do not vanish on the 2-cell boundary margin",
+        lambda: GridFunction2D(_nan_at((8, 8)), compact=True)),
     "moser_flow-nan_interior": (
         PreconditionError, "positive everywhere",
         lambda: moser_flow(*_densities_with(np.nan, (8, 8)), MoserSettings(2))),

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from reebcut import (
 from reebcut.hamiltonians import QuinticField
 from reebcut import moser
 from reebcut.moser import MoserMap, _tensor_splines_ev, g_function_values
-from reebcut.geometry import polar_grid
+from reebcut.geometry import polar_grid, tiles
 
 from conftest import assert_no_child_left, compact_disc_hamiltonian, count_forks
 
@@ -108,6 +109,133 @@ def test_primitive_residual_order_under_doubling():
         res[n] = primitive_residual(eta, poincare_primitive(eta))
     order = np.log2(res[128] / res[256])
     assert order >= 2.0
+
+
+# The square-side pipeline works in place and in row tiles.  The whole-array
+# expressions below are the reference: every value must equal theirs to the
+# last bit, so no report byte can move.
+
+
+def _fixture_whole(idx, n):
+    x = np.arange(n) / n
+    xx, yy = np.meshgrid(x, x, indexing="ij")
+    bump = moser._poly_bump
+    if idx == 1:
+        return bump(xx, 0.15, 0.85, order=1) * bump(yy, 0.2, 0.8)
+    if idx == 2:
+        a = bump(xx, 0.2, 0.8, 5) * bump(yy, 0.25, 0.75, 5)
+        b = bump(xx, 0.1, 0.9, 5) * bump(yy, 0.1, 0.9, 5)
+        return a - b * (a.sum() / b.sum())
+    w = bump(xx, 0.12, 0.88) * bump(yy, 0.15, 0.85)
+    center = (w * xx).sum() / w.sum()
+    return w * (xx - center)
+
+
+def _cumulative_whole(values, axis):
+    k = moser._wavenumbers(values.shape[axis])
+    shape = [1] * values.ndim
+    shape[axis] = -1
+    k = k.reshape(shape)
+    hat = np.fft.fft(values, axis=axis)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hat = np.where(k == 0, 0.0, hat / np.where(k == 0, 1.0, k))
+    prim = np.real(np.fft.ifft(hat, axis=axis))
+    return prim - np.take(prim, [0], axis=axis)
+
+
+def _fd6_whole(values, axis):
+    h = 1.0 / values.shape[axis]
+
+    def roll(k):
+        return np.roll(values, -k, axis=axis)
+
+    return (-roll(-3) + 9 * roll(-2) - 45 * roll(-1)
+            + 45 * roll(1) - 9 * roll(2) + roll(3)) / (60 * h)
+
+
+def _primitive_whole(g):
+    n = len(g)
+    chi_y = BumpProfile.polynomial()(np.arange(n) / n)
+    chi_y = chi_y / (chi_y.sum() / n)
+    a = g.sum(axis=1) / n
+    a = a - a.mean()
+    b = np.real(_cumulative_whole(a, axis=0))
+    v = _cumulative_whole(-g + a[:, None] * chi_y[None, :], axis=1)
+    v[:2, :] = v[-2:, :] = 0.0
+    v[:, :2] = v[:, -2:] = 0.0
+    b[:2] = b[-2:] = 0.0
+    return v, b[:, None] * chi_y[None, :]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def _assert_bitwise(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("fixture", [1, 2, 3])
+def test_poincare_pipeline_is_the_whole_array_pipeline(fixture, n):
+    eta = zero_integral_fixture(fixture, n)
+    _assert_bitwise(eta.values, _fixture_whole(fixture, n))
+    beta = poincare_primitive(eta)
+    v, w = _primitive_whole(eta.values)
+    _assert_bitwise(beta.dx.values, v)
+    _assert_bitwise(beta.dy.values, w)
+    d = _fd6_whole(w, 0) - _fd6_whole(v, 1)
+    _assert_bitwise(beta.exterior_derivative().values, d)
+    want = float(np.max(np.abs(d - eta.values)))
+    assert primitive_residual(eta, beta).hex() == want.hex()
+
+
+def test_the_pipeline_cases_span_several_tiles():
+    # so the cases above compare more than one row tile with the whole grid
+    assert len(tiles(256, 256)) > 1 and len(tiles(256, 512)) > 1
+
+
+@pytest.mark.parametrize("shape,axes", [
+    ((64,), (0, -1)),
+    ((48, 64), (0, 1, -1)),
+    ((6, 40, 12), (0, 1, -1)),   # (s, r, theta), as _radial_antiderivative
+])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_spectral_cumulative_is_the_out_of_place_transform(shape, axes, dtype,
+                                                           rng):
+    # a complex input (zero imaginary part) would be overwritten by a
+    # transform that skipped the copy, which a float one cannot show
+    values = rng.standard_normal(shape).astype(dtype)
+    before = values.copy()
+    for axis in axes:
+        _assert_bitwise(moser.spectral_cumulative(values, axis),
+                        _cumulative_whole(values, axis))
+        assert np.array_equal(values.view(np.uint64), before.view(np.uint64))
+
+
+def test_a_nan_in_eta_makes_the_residual_nan():
+    eta = zero_integral_fixture(1, 64)
+    beta = poincare_primitive(eta)
+    eta.values[40, 30] = np.nan
+    assert np.isnan(primitive_residual(eta, beta))
+
+
+def test_poincare_scratch_is_bounded():
+    # at n = 512 a grid array is 2 MiB.  The primitive and its residual
+    # trace 4.63 MiB: beta's two components (4 MiB) and row tiles of some
+    # TILE_ELEMENTS floats (0.63 MiB).  The bound allows one more grid
+    # array; the whole-array pipeline traced 14.0 MiB.
+    n = 512
+    eta = zero_integral_fixture(1, n)
+    grid_mib = n * n * 8 / 2**20
+    tracemalloc.start()
+    try:
+        primitive_residual(eta, poincare_primitive(eta))
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * grid_mib
 
 
 # ---------------------------------------------------------------------------
