@@ -37,7 +37,8 @@ from reebcut import (
     periodic_point_scan,
     pullback_residual,
 )
-from reebcut.flows import _run_jobs
+from reebcut import flows
+from reebcut.flows import _flow_batch, _run_jobs
 from reebcut.geometry import TWO_PI, polar_grid
 from reebcut.invariants import linking_curves_r3
 from reebcut.moser import (MoserMap, poincare_primitive, primitive_residual,
@@ -136,6 +137,25 @@ def test_forked_jobs(benchmark):
     out = benchmark.pedantic(_run_jobs, args=([block.copy, block.copy],),
                              rounds=30, iterations=1)
     assert all(np.array_equal(a, block) for a in out)
+
+
+def test_flow_batch(benchmark, small_stage, monkeypatch):
+    # the batch flow of 40,000 seeded points of the support annulus, with
+    # the step count of the W-field build, in two shares; both run in this
+    # process (as in a forked worker, whose job lists run in-process), so
+    # the traced peak holds the two shares and their one output array
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(flows, "_IN_WORKER", True)
+    gen = small_stage.conjugator.generator
+    rng = np.random.default_rng(0)
+    r = np.sqrt(rng.uniform(gen.t0, gen.t1, 40_000))
+    theta = rng.uniform(0.0, TWO_PI, r.size)
+    pts = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+    args = (gen.velocity, pts, -1.0 / 150, 150, _FLOW_BLOCK, None)
+    out, _ = benchmark.pedantic(_flow_batch, args=args, rounds=3,
+                                iterations=1)
+    _record_traced_peak(benchmark, _flow_batch, *args)
+    assert out.shape == pts.shape and np.all(np.isfinite(out))
 
 
 def test_conjugator_inverse_annulus(benchmark, small_stage):

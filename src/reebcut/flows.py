@@ -296,34 +296,36 @@ def _flow_batch(velocity, pts, h, n_steps, block, velocity_jacobian):
     batch.  A flow whose every operation acts on each point alone gives
     each point the same arithmetic in any block, share and process, so
     the result is bitwise the flow of the whole batch at once.
+
+    Every share writes its blocks into its slice of one output array and
+    returns that slice: a worker's slice comes back pickled alone and is
+    copied in, a share run in the caller is already in place.
     """
     pts = np.asarray(pts, dtype=float)
     flat = pts.reshape(-1, 2)
     # allocated and freed at once: an mmapped chunk, untouched
     np.empty(_HEAP_RAISE_BYTES, dtype=np.uint8)
+    out = np.empty(flat.shape)
+    jac = None if velocity_jacobian is None else np.empty((len(flat), 2, 2))
 
     def share(lo, hi):
-        # each block is written into the share's arrays as soon as it is done
-        out = np.empty((hi - lo, 2))
-        jac = None if velocity_jacobian is None else np.empty((hi - lo, 2, 2))
         for i in range(lo, hi, block):
             j = min(i + block, hi)
-            y, dy = _rk4_steps(velocity, flat[i:j], 0.0, h, n_steps,
-                               velocity_jacobian)
-            out[i - lo:j - lo] = y
+            out[i:j], dy = _rk4_steps(velocity, flat[i:j], 0.0, h, n_steps,
+                                      velocity_jacobian)
             if jac is not None:
-                jac[i - lo:j - lo] = dy
-        return out, jac
+                jac[i:j] = dy
+        return out[lo:hi], None if jac is None else jac[lo:hi]
 
     count = min(_cpu_count(), max(1, -(-len(flat) // block)))
-    jobs = [functools.partial(share, lo, hi)
-            for lo, hi in _share_bounds(len(flat), count)]
-    shares = _run_jobs(jobs)
-    out = np.concatenate([y for y, _ in shares]).reshape(pts.shape)
-    if velocity_jacobian is None:
-        return out, None
-    jac = np.concatenate([j for _, j in shares])
-    return out, jac.reshape(pts.shape[:-1] + (2, 2))
+    bounds = _share_bounds(len(flat), count)
+    shares = _run_jobs([functools.partial(share, lo, hi) for lo, hi in bounds])
+    for (lo, hi), (y, dy) in zip(bounds, shares):
+        out[lo:hi] = y
+        if jac is not None:
+            jac[lo:hi] = dy
+    return (out.reshape(pts.shape),
+            None if jac is None else jac.reshape(pts.shape[:-1] + (2, 2)))
 
 
 def _rk4(velocity, y0, s0, s1, step, record=False, point_velocity=None):

@@ -152,6 +152,12 @@ class GridFunction2D:
         if self.values.shape != (n, n):
             raise ConfigurationError("grid values must be square")
         if self.compact:
+            # max |f| is max(max f, -min f), read without an |f| grid; both
+            # are finite only if every value is (a NaN makes both NaN)
+            hi, lo = np.max(self.values), np.min(self.values)
+            if not (np.isfinite(hi) and np.isfinite(lo)):
+                raise PreconditionError(
+                    "values flagged compactly supported are not all finite")
             m = 2
             band = np.concatenate(
                 [
@@ -161,10 +167,7 @@ class GridFunction2D:
                     self.values[:, -m:].ravel(),
                 ]
             )
-            # written so that a NaN anywhere fails: NaN comparisons are false.
-            # max |f| is max(max f, -min f), read without an |f| grid
-            v = self.values
-            scale = np.max([np.max(v), -np.min(v), 1.0])
+            scale = np.max([hi, -lo, 1.0])
             if not np.max(np.abs(band)) <= 1e-12 * scale:
                 raise PreconditionError(
                     "values flagged compactly supported do not vanish on the "

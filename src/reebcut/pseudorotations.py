@@ -322,13 +322,16 @@ class ConjugatedRotationHamiltonian(Hamiltonian):
         lim = 1.0 + _W_PAD
         ax = np.linspace(-lim, lim, grid_n)
         # r^2 of node (i, j) is ax[i]^2 + ax[j]^2; only the support nodes,
-        # in row-major order, are ever stacked into points
+        # in row-major order (that of boolean indexing), become points
         sq = ax ** 2
         w = sq[:, None] + sq[None, :]
-        i, j = np.nonzero((gen.t0 < w) & (w < gen.t1))
-        inv = DiscDiffeo(gen, steps=_W_FLOW_STEPS).inverse(
-            np.stack([ax[i], ax[j]], axis=-1))
-        w[i, j] = inv[:, 0] ** 2 + inv[:, 1] ** 2
+        support = (gen.t0 < w) & (w < gen.t1)
+        pts = np.empty((np.count_nonzero(support), 2))
+        pts[:, 0] = np.broadcast_to(ax[:, None], w.shape)[support]
+        pts[:, 1] = np.broadcast_to(ax[None, :], w.shape)[support]
+        inv = DiscDiffeo(gen, steps=_W_FLOW_STEPS).inverse(pts)
+        del pts
+        w[support] = inv[:, 0] ** 2 + inv[:, 1] ** 2
         self.w_field = QuinticField(ax, ax, w)
         # t1 = (1 - delta)^2: the rigid tail starts where the support ends
         self._switch2 = gen.t1
@@ -550,17 +553,28 @@ def _stage_job(stage, h, settings):
     return result
 
 
+def _orbit_job(ham, iterations):
+    """The ``orbit_statistics`` of ``ham`` from ``_ORBIT_START``; like
+    ``_stage_job`` it drops the spline partials it derived."""
+    result = orbit_statistics(ham, _ORBIT_START, iterations=iterations,
+                              settings=FlowSettings(step=_ORBIT_STEP))
+    ham.w_field.drop_partials()
+    return result
+
+
 def stage_sequence(target_a, count, h, schedule: ConjugatorSchedule = None,
                    settings: FlowSettings = None, w_grid=512,
                    orbit_iterations=0):
     """Build ``count`` stages along the convergents of an irrational target.
 
     Once all are built, the ``_stage_job`` of each and, if
-    ``orbit_iterations`` > 0, the last stage's ``orbit_statistics`` run as
-    the jobs of ``_run_jobs``.  Consecutive stages are compared in C^0, C^1
-    and C^2 norms on a fixed polar grid, from the samples that each stage's
-    job returns: a stage audited in a worker has its partials derived
-    there, never in the caller.
+    ``orbit_iterations`` > 0, the ``_orbit_job`` of the last stage run as
+    the jobs of ``_run_jobs``.  The orbit job comes first, so the caller
+    runs it: it derives two W-field partials where a stage job derives
+    five.  Consecutive stages are compared in C^0, C^1 and C^2 norms on a
+    fixed polar grid, from the samples that each stage's job returns: a
+    stage audited in a worker has its partials derived there, never in
+    the caller.
     """
     schedule = schedule or ConjugatorSchedule()
     settings = settings or FlowSettings()
@@ -575,11 +589,10 @@ def stage_sequence(target_a, count, h, schedule: ConjugatorSchedule = None,
         stages.append(stage)
     jobs = [functools.partial(_stage_job, st, h, settings) for st in stages]
     if orbit_iterations:
-        jobs.append(functools.partial(
-            orbit_statistics, stages[-1].hamiltonian, _ORBIT_START,
-            iterations=orbit_iterations,
-            settings=FlowSettings(step=_ORBIT_STEP)))
+        jobs.insert(0, functools.partial(
+            _orbit_job, stages[-1].hamiltonian, orbit_iterations))
     results = _run_jobs(jobs)
+    orbit = results.pop(0) if orbit_iterations else None
     samples = []
     for stage, (diagnostics, sampled) in zip(stages, results):
         stage.diagnostics = diagnostics
@@ -594,7 +607,7 @@ def stage_sequence(target_a, count, h, schedule: ConjugatorSchedule = None,
         target_a=target_a, h=h, stages=stages, difference_norms=diffs,
         f0_values=[st.diagnostics["f0"] for st in stages],
         f0_expected=[st.diagnostics["f0_expected"] for st in stages],
-        orbit=results[-1] if orbit_iterations else None)
+        orbit=orbit)
 
 
 # ---------------------------------------------------------------------------

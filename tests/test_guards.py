@@ -74,9 +74,9 @@ def _densities_with(value, cell, both=False):
             GridFunction2D(g1, compact=False))
 
 
-def _nan_at(index):
+def _zeros_but(index, value):
     values = np.zeros((16, 16))
-    values[index] = np.nan
+    values[index] = value
     return values
 
 
@@ -168,12 +168,18 @@ GUARDS = {
                         lambda: moser_flow(*_edge_mismatch())),
     # a NaN fails each comparison of these guards, so each refuses it
     "GridFunction2D-nan_margin": (
-        PreconditionError, "do not vanish on the 2-cell boundary margin",
-        lambda: GridFunction2D(_nan_at((0, 0)), compact=True)),
-    # an interior NaN makes the margin's scale NaN
+        PreconditionError, "are not all finite",
+        lambda: GridFunction2D(_zeros_but((0, 0), np.nan), compact=True)),
+    # an interior non-finite value would make the margin's scale NaN or inf
     "GridFunction2D-nan_interior": (
-        PreconditionError, "do not vanish on the 2-cell boundary margin",
-        lambda: GridFunction2D(_nan_at((8, 8)), compact=True)),
+        PreconditionError, "are not all finite",
+        lambda: GridFunction2D(_zeros_but((8, 8), np.nan), compact=True)),
+    "GridFunction2D-inf_interior": (
+        PreconditionError, "are not all finite",
+        lambda: GridFunction2D(_zeros_but((8, 8), np.inf), compact=True)),
+    "GridFunction2D-ninf_interior": (
+        PreconditionError, "are not all finite",
+        lambda: GridFunction2D(_zeros_but((8, 8), -np.inf), compact=True)),
     "moser_flow-nan_interior": (
         PreconditionError, "positive everywhere",
         lambda: moser_flow(*_densities_with(np.nan, (8, 8)), MoserSettings(2))),

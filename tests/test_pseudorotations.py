@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -335,6 +336,53 @@ def test_w_field_lattice_is_the_meshgrid_build(grid_n, monkeypatch):
         assert bitwise_equal(new_part, old_part)
 
 
+def _index_array_w_field(gen, grid_n):
+    """W on the (n, n) lattice, its support nodes found as np.nonzero index
+    arrays, gathered from the axis and stacked into points."""
+    lim = 1.0 + pseudorotations._W_PAD
+    ax = np.linspace(-lim, lim, grid_n)
+    sq = ax ** 2
+    w = sq[:, None] + sq[None, :]
+    i, j = np.nonzero((gen.t0 < w) & (w < gen.t1))
+    inv = pseudorotations.DiscDiffeo(
+        gen, steps=pseudorotations._W_FLOW_STEPS).inverse(
+            np.stack([ax[i], ax[j]], axis=-1))
+    w[i, j] = inv[:, 0] ** 2 + inv[:, 1] ** 2
+    return QuinticField(ax, ax, w)
+
+
+@pytest.mark.parametrize("mode", [1, 2, 3])
+@pytest.mark.parametrize("grid_n", [64, 96])
+def test_w_field_mask_build_is_the_index_array_build(grid_n, mode):
+    # boolean indexing takes the support nodes in row-major order, that of
+    # np.nonzero, so the same points flow and the same W is fitted
+    phi = build_conjugator(ConjugatorSpec(amplitude=0.12, delta=0.2,
+                                          mode=mode, r_inner=0.2))
+    H = pseudorotations.ConjugatedRotationHamiltonian(2, 1, 3, phi,
+                                                      grid_n=grid_n)
+    old = _index_array_w_field(phi.generator, grid_n)
+    for new_part, old_part in zip(H.w_field.tck, old.tck):
+        assert bitwise_equal(new_part, old_part)
+
+
+def test_w_field_build_memory_is_bounded(monkeypatch):
+    # the 512^2 build of the default schedule's stage 2, whose support
+    # (delta = 0.1) is the widest of a two-stage sequence, on one CPU, so
+    # all of it is traced in this process: the points are filled from the
+    # support mask, without index arrays (the index-array build traced
+    # 11.85 MiB)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    phi = build_conjugator(ConjugatorSchedule().spec(2))
+    tracemalloc.start()
+    try:
+        pseudorotations.ConjugatedRotationHamiltonian(2, 1, 3, phi,
+                                                      grid_n=512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10.5 * 2**20
+
+
 def test_forked_flow_is_bitwise_the_one_process_flow(monkeypatch):
     # the affinity set decides the share count: one CPU flows in-process,
     # two fork one worker, and every result agrees bit for bit
@@ -647,6 +695,44 @@ def test_difference_norms_come_from_the_stage_jobs(cpus, monkeypatch):
                  for k, oracle in enumerate(("value", "grad", "hessian"))}
                 for a, b in zip(seq.stages[:-1], seq.stages[1:])]
     assert repr(seq.difference_norms) == repr(expected)
+
+
+def test_orbit_job_runs_in_the_caller(monkeypatch):
+    # the orbit job comes first, so the caller runs it on any CPU count and
+    # drops the partials it derived; the stage results come back in stage
+    # order, bitwise the same on one CPU and on two
+    real = pseudorotations.orbit_statistics
+    ran_in = []
+
+    def orbit_statistics(*args, **kwargs):
+        ran_in.append(os.getpid())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pseudorotations, "orbit_statistics", orbit_statistics)
+    results = {}
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: c)
+        ran_in.clear()
+        seq = stage_sequence(golden_mean_inverse(), 3, h=2,
+                             settings=FlowSettings(step=TWO_PI / 200),
+                             w_grid=64, orbit_iterations=4)
+        assert_no_child_left()
+        assert ran_in == [os.getpid()]
+        for stage in seq.stages:
+            assert set(stage.hamiltonian.w_field._partials) == {(0, 0)}
+            # each stage's own diagnostics: stage order is kept
+            f0_expected = 2.0 * (2 + stage.p / stage.q)
+            assert stage.diagnostics["f0_expected"] == f0_expected
+        direct = real(seq.stages[-1].hamiltonian, pseudorotations._ORBIT_START,
+                      iterations=4,
+                      settings=FlowSettings(step=pseudorotations._ORBIT_STEP))
+        assert repr(seq.orbit.to_dict()) == repr(direct.to_dict())
+        for field in ("radii", "angles", "birkhoff_r2", "birkhoff_cos"):
+            assert bitwise_equal(getattr(seq.orbit, field),
+                                 getattr(direct, field))
+        results[len(cpus)] = repr(([st.diagnostics for st in seq.stages],
+                                   seq.difference_norms))
+    assert results[1] == results[2]
 
 
 def test_stage_diagnostics_need_no_refined_scan(fast_flow):
