@@ -36,6 +36,7 @@ from reebcut import (
     orbit_statistics,
     periodic_point_scan,
     pullback_residual,
+    return_map_report,
 )
 from reebcut import flows
 from reebcut.flows import _flow_batch, _run_jobs
@@ -183,17 +184,23 @@ def test_conjugator_velocity_block(benchmark, small_stage):
     assert v.shape == pts.shape and np.all(np.isfinite(v))
 
 
-@pytest.mark.parametrize("field", ["rigid", "cosine-defect"])
-def test_linearized_return(benchmark, field):
-    # the return-map scenario's variational flow: 2000 seeded points, drawn
-    # as that scenario draws them, at step 2pi/2000.  The rigid H(2, 1, 3)
-    # is linear, so one J serves the batch; the cosine defect is not, and
-    # carries a J per point.  Its d is small: at the cut-check's d = 0.5
-    # the draw leaves the disc, the field growing like 1/r at the origin
+def _return_map_draw():
+    # the return-map scenario's 2000 points, drawn as it draws them at the
+    # default seed 0
     rng = np.random.default_rng(0)
     r = np.sqrt(rng.uniform(0.05, 0.9, 2000))
     theta = rng.uniform(0.0, TWO_PI, r.size)
-    pts = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+    return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+
+
+@pytest.mark.parametrize("field", ["rigid", "cosine-defect"])
+def test_linearized_return(benchmark, field):
+    # the return-map scenario's variational flow: its 2000 seeded points at
+    # step 2pi/2000.  The rigid H(2, 1, 3) is linear, so one J serves the
+    # batch; the cosine defect is not, and carries a J per point.  Its d is
+    # small: at the cut-check's d = 0.5 the draw leaves the disc, the field
+    # growing like 1/r at the origin
+    pts = _return_map_draw()
     H = {"rigid": RigidRotationHamiltonian(2, 1, 3),
          "cosine-defect": cosine_defect_hamiltonian(3, 0.4, 0.05)}[field]
     jac = benchmark.pedantic(
@@ -205,6 +212,20 @@ def test_linearized_return(benchmark, field):
     if field == "rigid":
         det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
         assert np.max(np.abs(det - 1.0)) <= 1e-9
+
+
+def test_return_map_report(benchmark):
+    # the return-map scenario's audit as the README config runs it: rigid
+    # H(2, 1, 3), its 2000 seeded points and the rotation radii (0.3, 0.6)
+    # at step 2pi/2000; the radii flow in the points' batch
+    rep = benchmark.pedantic(
+        return_map_report, args=(RigidRotationHamiltonian(2, 1, 3),
+                                 _return_map_draw()),
+        kwargs={"settings": FlowSettings(step=TWO_PI / 2000),
+                "rotation_radii": (0.3, 0.6)},
+        rounds=5, iterations=1,
+    )
+    assert rep.max_area_defect <= 1e-9 and len(rep.rotation_by_radius) == 2
 
 
 @pytest.mark.parametrize("n_points", [2, 8, 24])

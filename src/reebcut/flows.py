@@ -440,23 +440,29 @@ class ReturnMapReport:
 
 
 def return_map_report(H, points, settings=None, rotation_radii=()):
-    """Return map images, Jacobians and rotation estimates at given radii."""
+    """Return map images, Jacobians and rotation estimates at given radii.
+
+    The rotation starts (r, 0) flow in the batch of the points.
+    """
     pts = as_xy(points)
-    jac, images = linearized_return(H, pts, settings, return_endpoint=True)
+    radii = np.asarray(rotation_radii, dtype=float)
+    starts = np.stack([radii, np.zeros_like(radii)], axis=-1)
+    n = math.prod(pts.shape[:-1])
+    jac, images = linearized_return(
+        H, np.concatenate([pts.reshape(n, 2), starts]), settings,
+        return_endpoint=True)
+    ends = images[n:]
+    images = images[:n].reshape(pts.shape)
+    jac = jac[:n].reshape(pts.shape[:-1] + (2, 2))
     det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
-    rotations = []
-    if len(rotation_radii):
-        radii = np.asarray(rotation_radii, dtype=float)
-        img = return_map(H, np.stack([radii, np.zeros_like(radii)], axis=-1),
-                         settings)
-        angles = np.arctan2(img[:, 1], img[:, 0])
-        rotations = [(float(r), float(a)) for r, a in zip(radii, angles)]
+    angles = np.arctan2(ends[:, 1], ends[:, 0])
     return ReturnMapReport(
         points=pts,
         images=images,
         jacobians=jac,
         area_defects=np.abs(det - 1.0),
-        rotation_by_radius=rotations,
+        rotation_by_radius=[(float(r), float(a))
+                            for r, a in zip(radii, angles)],
     )
 
 

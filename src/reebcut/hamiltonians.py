@@ -252,6 +252,22 @@ class QuadraticHamiltonian(Hamiltonian):
         xy = np.asarray(xy, dtype=float)
         return 2.0 * self.a2 * xy
 
+    def velocity(self, s, xy):
+        """X = (c y, -c x) / 2 with c = 2 a2, the constants folded in.
+
+        The base class computes 0.5 * (c * y); this computes (0.5 * c) * y
+        without the gradient array.  A scale by +-0.5 is exact, so it
+        commutes with the rounding of the product and the bits agree,
+        except where |c y| < 2**-1021, whose half is subnormal and may
+        round, or where c y overflows.
+        """
+        xy = np.asarray(xy, dtype=float)
+        c = 2.0 * self.a2
+        out = np.empty(xy.shape)
+        np.multiply(0.5 * c, xy[..., 1], out=out[..., 0])
+        np.multiply(-0.5 * c, xy[..., 0], out=out[..., 1])
+        return out
+
     def hessian(self, s, xy):
         xy = np.asarray(xy, dtype=float)
         hess = np.zeros(xy.shape[:-1] + (2, 2))

@@ -302,8 +302,9 @@ def _strict_json(obj, **kwargs):
 
 def run(config: RunConfig) -> RunReport:
     """Execute one scenario and assemble its report (plus files)."""
-    # numpy loads numpy.random (some 6 MiB) on first use: only the runners
-    # that read the rng load it, and off the clock
+    # numpy loads numpy.random (some 6 MiB) on first use: the runners that
+    # read the rng load it here, off the clock.  self-linking loads it on
+    # the clock, for the seeded draw of invariants._candidate_poles
     rng = (np.random.default_rng(config.seed)
            if config.scenario in _SEEDED_SCENARIOS else None)
     t0 = time.perf_counter()

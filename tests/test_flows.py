@@ -301,6 +301,48 @@ def test_variational_flow_rejects_adaptive_integrator(audit, fast_flow):
     audit(H, p, fast_flow)
 
 
+_REPORT_FIELDS = {
+    "rigid": lambda: RigidRotationHamiltonian(2, 1, 3),
+    "compact": lambda: compact_disc_hamiltonian(),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_REPORT_FIELDS))
+def test_rotation_radii_share_the_batch_flow(field, fast_flow, rng):
+    # the radii ride in the batch flow of the points: four velocity calls
+    # a step, each on the whole batch
+    H = _REPORT_FIELDS[field]()
+    calls = []
+    velocity = H.velocity
+
+    def counted(s, xy):
+        calls.append(np.shape(xy))
+        return velocity(s, xy)
+
+    H.velocity = counted
+    p = random_disc_points(rng, 12, r_max=0.8, r_min=0.3)
+    return_map_report(H, p, fast_flow, rotation_radii=(0.3, 0.6))
+    n_steps, _ = flows._step_grid(0.0, TWO_PI, fast_flow.step)
+    assert len(calls) == 4 * n_steps
+    assert set(calls) == {(14, 2)}
+
+
+@pytest.mark.parametrize("field", sorted(_REPORT_FIELDS))
+def test_rotation_radii_keep_the_batch_shape_and_bits(field, fast_flow, rng):
+    # a (3, 4, 2) batch with radii: its images and Jacobians have the
+    # shapes and the bits of the batch without them
+    H = _REPORT_FIELDS[field]()
+    p = random_disc_points(rng, 12, r_max=0.8, r_min=0.3).reshape(3, 4, 2)
+    want_jac, want_end = linearized_return(H, p, fast_flow,
+                                           return_endpoint=True)
+    for radii in ((0.3, 0.6), ()):
+        rep = return_map_report(H, p, fast_flow, rotation_radii=radii)
+        assert bitwise_equal(rep.images, want_end)
+        assert bitwise_equal(rep.jacobians, want_jac)
+        assert rep.area_defects.shape == (3, 4)
+        assert len(rep.rotation_by_radius) == len(radii)
+
+
 @pytest.mark.parametrize("radii", [(0.3, 0.6), (0.45,), ()])
 def test_rotation_radii_batch_matches_single_point_maps(radii, fast_flow):
     H = RigidRotationHamiltonian(2, 1, 3)

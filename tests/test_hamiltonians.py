@@ -15,8 +15,9 @@ from reebcut import (
     hamiltonian_vector_field,
     liouville_pairing,
 )
-from reebcut.hamiltonians import (CallableHamiltonian, QuinticField,
-                                  check_s_periodicity, slice_weights)
+from reebcut.hamiltonians import (CallableHamiltonian, Hamiltonian,
+                                  QuinticField, check_s_periodicity,
+                                  slice_weights)
 from reebcut.geometry import TWO_PI, spectral_derivative
 
 from conftest import SQRT2, compact_disc_hamiltonian, random_disc_points
@@ -150,6 +151,51 @@ def test_vector_field_definition_on_random_points(rng):
         defect = np.stack([-2 * X[..., 1] - g[..., 0],
                            2 * X[..., 0] - g[..., 1]], axis=-1)
         assert np.max(np.abs(defect)) <= 1e-8
+
+
+_LINEAR_FIELDS = [
+    QuadraticHamiltonian(1.4142, 0.5858),
+    QuadraticHamiltonian(1.0, 0.0),
+    QuadraticHamiltonian(2.0, -0.7),
+    QuadraticHamiltonian(1.0, 10.0),
+    QuadraticHamiltonian(1.0, -10.0),
+    RigidRotationHamiltonian(2, 1, 3),
+]
+
+
+def _velocity_bits(H, xy):
+    # the folded velocity and the base class's, from grad, as int64 views;
+    # 0 * inf is NaN in both
+    with np.errstate(invalid="ignore"):
+        return (H.velocity(0.0, xy).view(np.int64),
+                Hamiltonian.velocity(H, 0.0, xy).view(np.int64))
+
+
+@pytest.mark.parametrize("H", _LINEAR_FIELDS)
+def test_folded_linear_velocity_is_the_base_velocity_bitwise(H, rng):
+    # (0.5 c) y against 0.5 (c y), c = 2 a2: scaling by +-0.5 is exact, so
+    # the bits agree on signed zeros, infinities, NaN and every coordinate
+    # from 1e-300 to 1e3, for a2 from -10 to 10: every product c y is 0, inf,
+    # NaN or of normal magnitude.  The next test shows the exception below
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300, 1e3, -1e3]
+    edge = np.array([(x, y) for x in special for y in special])
+    mags = 10.0 ** rng.uniform(-300, 3, (81, 2))
+    signs = rng.choice([-1.0, 1.0], mags.shape)
+    pts = np.concatenate([edge, signs * mags])
+    for xy in (pts, pts[::13][:12].reshape(3, 4, 2)):
+        got, want = _velocity_bits(H, xy)
+        assert got.shape == want.shape == xy.shape
+        assert np.array_equal(got, want)
+
+
+def test_folded_linear_velocity_subnormal_exception():
+    # the exception the docstring states: c = 2.75, y = 2**-1074.  The
+    # base rounds c y = 2.75 ulp to 3 ulp and halves it to 2 ulp (ties to
+    # even); the folded rounds 1.375 ulp to 1 ulp
+    H = QuadraticHamiltonian(1.0, 1.375)
+    xy = np.array([[0.0, 5e-324]])
+    assert H.velocity(0.0, xy)[0, 0] == 5e-324
+    assert Hamiltonian.velocity(H, 0.0, xy)[0, 0] == 1e-323
 
 
 def _two_call_bump(t, t0, t1, order):
