@@ -37,6 +37,7 @@ from reebcut import (
     periodic_point_scan,
     pullback_residual,
     return_map_report,
+    self_linking,
 )
 from reebcut import flows
 from reebcut.flows import _flow_batch, _run_jobs
@@ -217,7 +218,8 @@ def test_linearized_return(benchmark, field):
 def test_return_map_report(benchmark):
     # the return-map scenario's audit as the README config runs it: rigid
     # H(2, 1, 3), its 2000 seeded points and the rotation radii (0.3, 0.6)
-    # at step 2pi/2000; the radii flow in the points' batch
+    # at step 2pi/2000; the radii flow in the points' batch, and the plot
+    # traces of its first four points are recorded from it
     rep = benchmark.pedantic(
         return_map_report, args=(RigidRotationHamiltonian(2, 1, 3),
                                  _return_map_draw()),
@@ -321,6 +323,17 @@ def test_gauss_linking_integral(benchmark, n):
                                rounds=5, iterations=1)
     _record_traced_peak(benchmark, gauss_linking_integral, p1, p2)
     assert abs(value + 1.0) <= 0.05
+
+
+# the self-linking audit whole: push-off, pole choice, curve distance and
+# Gauss integral; 512 samples is the README config, 4096 the schema's ceiling
+@pytest.mark.parametrize("n", [512, 4096])
+def test_self_linking(benchmark, n):
+    result = benchmark.pedantic(self_linking, args=_ELLIPSOID,
+                                kwargs={"push_eps": 0.02, "n_samples": n},
+                                rounds=5 if n <= 512 else 3, iterations=1)
+    _record_traced_peak(benchmark, self_linking, *_ELLIPSOID, 0.02, n)
+    assert result.value == -1
 
 
 # the ellipsoid scenario's pullback audit: 32^3 is the README config's

@@ -87,12 +87,14 @@ def _step_grid(s0, s1, step):
 
 
 def _rk4_steps(velocity, y, s0, h, n_steps, velocity_jacobian=None,
-               record=False):
+               record=False, trace=None):
     """``n_steps`` fixed RK4 steps of size ``h`` from parameter ``s0``.
 
     Returns ``(y, J)``: J solves dJ/ds = DX_s J from J = I when
     ``velocity_jacobian`` is given, else it is None.  With ``record`` both
-    are stacked over the steps, the start first.
+    are stacked over the steps, the start first.  A ``trace`` array of
+    shape (n_steps + 1, k, ...) gets the first k rows of y at each step,
+    the start first.
 
     ``velocity_jacobian`` returns DX as a (..., 2, 2) array over the batch
     shape of ``y``.  J is carried components first, as a C-contiguous
@@ -128,6 +130,8 @@ def _rk4_steps(velocity, y, s0, h, n_steps, velocity_jacobian=None,
             jacs_components = jacs.transpose(
                 (0,) + tuple(i + 1 for i in to_components))
             jacs_components[0] = jac
+    if trace is not None:
+        trace[0] = y[:trace.shape[1]]
     s = s0
     for i in range(n_steps):
         k1 = velocity(s, y)
@@ -146,6 +150,8 @@ def _rk4_steps(velocity, y, s0, h, n_steps, velocity_jacobian=None,
             jac = jac + (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         s = s0 + (i + 1) * h
+        if trace is not None:
+            trace[i + 1] = y[:trace.shape[1]]
         if record:
             ys[i + 1] = y
             if jac is not None:
@@ -361,11 +367,13 @@ def return_map(H, p, settings=None):
     return integrate_isotopy(H, p, 0.0, TWO_PI, settings, record=False)
 
 
-def linearized_return(H, p, settings=None, s1=TWO_PI, return_endpoint=False):
+def linearized_return(H, p, settings=None, s1=TWO_PI, return_endpoint=False,
+                      trace=None):
     """Solve the variational equation dJ/ds = DX_s(path) J with J(0) = I.
 
     Returns the 2x2 monodromy of the return map (batched when ``p`` is a
-    batch); with ``return_endpoint`` also the flowed points.
+    batch); with ``return_endpoint`` also the flowed points.  A ``trace``
+    array is filled as by ``_rk4_steps``.
 
     For an H with ``linear_velocity`` the batch flows without J, and every
     point gets one J moved from DX at the origin: the same bits.
@@ -375,13 +383,13 @@ def linearized_return(H, p, settings=None, s1=TWO_PI, return_endpoint=False):
     _check_finite(xy, 0.0)
     n_steps, h = _step_grid(0.0, s1, settings.step)
     if H.linear_velocity:
-        end, _ = _rk4_steps(H.velocity, xy, 0.0, h, n_steps)
+        end, _ = _rk4_steps(H.velocity, xy, 0.0, h, n_steps, trace=trace)
         one = _rk4_point_jacobian(H.velocity_jacobian(0.0, np.zeros(2)),
                                   h, n_steps)
         jac = np.broadcast_to(one, xy.shape[:-1] + (2, 2)).copy()
     else:
         end, jac = _rk4_steps(H.velocity, xy, 0.0, h, n_steps,
-                              H.velocity_jacobian)
+                              H.velocity_jacobian, trace=trace)
     _check_in_disc(end, s1)
     if return_endpoint:
         return jac, end
@@ -432,6 +440,8 @@ class ReturnMapReport:
     images: np.ndarray
     jacobians: np.ndarray
     area_defects: np.ndarray
+    # (n_steps + 1, k, 2): the paths of the first k <= TRACE_POINTS points
+    traces: np.ndarray
     rotation_by_radius: list = field(default_factory=list)
 
     @property
@@ -439,18 +449,28 @@ class ReturnMapReport:
         return float(np.max(self.area_defects))
 
 
+# the flattened points whose paths a return_map_report records, for plots
+TRACE_POINTS = 4
+
+
 def return_map_report(H, points, settings=None, rotation_radii=()):
     """Return map images, Jacobians and rotation estimates at given radii.
 
-    The rotation starts (r, 0) flow in the batch of the points.
+    The rotation starts (r, 0) flow in the batch of the points, and the
+    paths of the first ``TRACE_POINTS`` flattened points are recorded from
+    that flow: every RK4 operation acts on each point alone, so they are
+    bitwise the paths of those points flowed alone.
     """
+    settings = settings or FlowSettings()
     pts = as_xy(points)
     radii = np.asarray(rotation_radii, dtype=float)
     starts = np.stack([radii, np.zeros_like(radii)], axis=-1)
     n = math.prod(pts.shape[:-1])
+    n_steps, _ = _step_grid(0.0, TWO_PI, settings.step)
+    traces = np.empty((n_steps + 1, min(TRACE_POINTS, n), 2))
     jac, images = linearized_return(
         H, np.concatenate([pts.reshape(n, 2), starts]), settings,
-        return_endpoint=True)
+        return_endpoint=True, trace=traces)
     ends = images[n:]
     images = images[:n].reshape(pts.shape)
     jac = jac[:n].reshape(pts.shape[:-1] + (2, 2))
@@ -461,6 +481,7 @@ def return_map_report(H, points, settings=None, rotation_radii=()):
         images=images,
         jacobians=jac,
         area_defects=np.abs(det - 1.0),
+        traces=traces,
         rotation_by_radius=[(float(r), float(a))
                             for r, a in zip(radii, angles)],
     )

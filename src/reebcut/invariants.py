@@ -266,21 +266,47 @@ def gauss_linking_integral(curve1, curve2):
     c2 = np.asarray(curve2, dtype=float)
     t1 = spectral_derivative(c1, axis=0) * (TWO_PI / len(c1))
     t2 = spectral_derivative(c2, axis=0) * (TWO_PI / len(c2))
-    # row tiles fill one integrand, so its single sum keeps its order
+    u0, u1, u2 = t2.T
+    # row tiles fill one integrand, so its single sum keeps its order.  A
+    # tile has TILE_ELEMENTS / 3 pairs: (rows, n2) temporaries of a full
+    # TILE_ELEMENTS floats lift the peak RSS of self-linking by 0.7 MiB
     integrand = np.empty((len(c1), len(c2)))
     for rows in tiles(len(c1), 3 * len(c2)):
-        diff = c1[rows, None, :] - c2[None, :, :]
-        dist3 = np.sum(diff**2, axis=-1) ** 1.5
-        cross = np.cross(t1[rows, None, :], t2[None, :, :])
-        integrand[rows] = np.sum(cross * diff, axis=-1) / dist3
+        d0, d1, d2 = _pair_differences(c1[rows], c2)
+        s0, s1, s2 = t1[rows].T[:, :, None]
+        # the cross product and both dot products as np.cross and a sum
+        # over the last axis form them, component by component
+        dist3 = ((d0 * d0 + d1 * d1) + d2 * d2) ** 1.5
+        integrand[rows] = (((s1 * u2 - s2 * u1) * d0
+                            + (s2 * u0 - s0 * u2) * d1)
+                           + (s0 * u1 - s1 * u0) * d2) / dist3
     return float(integrand.sum() / (4.0 * np.pi))
+
+
+def _pair_differences(a, b):
+    """The components of a_i - b_j, each a (len(a), len(b)) array.
+
+    numpy reduces a short contiguous axis left to right, one output at a
+    time, which is slow; sums of these (n1, n2) components taken left to
+    right have its bits at a fraction of its cost.
+    """
+    return [ak[:, None] - bk for ak, bk in zip(a.T, b.T)]
+
+
+def _pair_distances(a, b):
+    """|a_i - b_j| over (len(a), len(b)): bitwise np.linalg.norm of
+    a[:, None] - b[None] over its last axis."""
+    parts = _pair_differences(a, b)
+    total = parts[0] * parts[0]
+    for d in parts[1:]:
+        total = total + d * d
+    return np.sqrt(total)
 
 
 def min_curve_distance(curve1, curve2):
     c1, c2 = np.asarray(curve1), np.asarray(curve2)
-    return float(np.min([
-        np.sqrt(np.sum((c1[rows, None, :] - c2[None, :, :])**2, axis=-1)).min()
-        for rows in tiles(len(c1), 3 * len(c2))]))
+    return float(np.min([_pair_distances(c1[rows], c2).min()
+                         for rows in tiles(len(c1), 3 * len(c2))]))
 
 
 def stereographic_project(points4, pole):
@@ -405,10 +431,12 @@ def _project_from_farthest_pole(curve_b, curve_push):
     sb, sp = (c / np.linalg.norm(c, axis=-1, keepdims=True)
               for c in (curve_b, curve_push))
     poles = _candidate_poles()
-    dists = np.minimum(
-        np.linalg.norm(sb[None] - poles[:, None], axis=-1).min(axis=1),
-        np.linalg.norm(sp[None] - poles[:, None], axis=-1).min(axis=1),
-    )
+    # in tiles of poles too: whole (64, n) temporaries stay in the heap and
+    # lift the peak RSS of self-linking by about 0.5 MiB
+    dists = np.concatenate([
+        np.minimum(_pair_distances(poles[rows], sb).min(axis=1),
+                   _pair_distances(poles[rows], sp).min(axis=1))
+        for rows in tiles(len(poles), 4 * len(sb))])
     pole = poles[int(np.argmax(dists))]
     return stereographic_project(sb, pole), stereographic_project(sp, pole), pole
 

@@ -28,7 +28,7 @@ from .binding import (
     pullback_residual,
 )
 from .errors import EvaluationError, PreconditionError, ValidationError
-from .flows import MAX_SCAN_PERIOD, FlowSettings, integrate_isotopy, return_map_report
+from .flows import MAX_SCAN_PERIOD, FlowSettings, return_map_report
 from .geometry import TWO_PI
 from .hamiltonians import (
     QuadraticHamiltonian,
@@ -471,11 +471,7 @@ def _run_return_map(params, rng):
         "n_points": n,
     }
     checks = [_check("area_defect", rep.max_area_defect, params["area_tol"])]
-    path = integrate_isotopy(H, pts[: min(4, n)], 0.0, TWO_PI, settings)
-    series = [
-        (path.points[:, i, 0], path.points[:, i, 1])
-        for i in range(path.points.shape[1])
-    ]
+    series = [(t[:, 0], t[:, 1]) for t in rep.traces.swapaxes(0, 1)]
     plots = [("orbit_traces", "polyline",
               {"series": series, "title": "isotopy traces over one period"})]
     return results, checks, plots

@@ -53,7 +53,8 @@ def polyline_svg(series, title=""):
     parts = _frame(title, span_x, span_y)
     for i, (sx, sy) in enumerate(series):
         px, py = _map_points(sx, sy, span_x, span_y)
-        pts = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(px, py))
+        pts = " ".join(f"{_fmt(a)},{_fmt(b)}"
+                       for a, b in zip(px.tolist(), py.tolist()))
         parts.append(
             f'<polyline points="{pts}" fill="none" '
             f'stroke="{_COLORS[i % len(_COLORS)]}" stroke-width="1.2"/>'

@@ -357,6 +357,28 @@ def test_rotation_radii_batch_matches_single_point_maps(radii, fast_flow):
                          np.reshape(expected, (-1, 2)))
 
 
+_TRACE_FIELDS = {
+    "rigid": lambda: RigidRotationHamiltonian(2, 1, 3),
+    "quadratic": lambda: QuadraticHamiltonian(1.4142, 0.5858),
+    "compact": lambda: compact_disc_hamiltonian(),
+}
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 50])
+@pytest.mark.parametrize("field", sorted(_TRACE_FIELDS))
+def test_report_traces_are_the_paths_flowed_alone(field, n, fast_flow, rng):
+    # the first points' paths, recorded in the audited batch, are bitwise
+    # the recorded paths of those points flowed alone
+    H = _TRACE_FIELDS[field]()
+    p = random_disc_points(rng, n, r_max=0.8, r_min=0.3)
+    rep = return_map_report(H, p, fast_flow, rotation_radii=(0.3, 0.6))
+    k = min(flows.TRACE_POINTS, n)
+    want = integrate_isotopy(H, p[:k], settings=fast_flow, record=True)
+    n_steps, _ = flows._step_grid(0.0, TWO_PI, fast_flow.step)
+    assert rep.traces.shape == (n_steps + 1, k, 2)
+    assert bitwise_equal(rep.traces, want.points)
+
+
 # ---------------------------------------------------------------------------
 # reeb_period
 # ---------------------------------------------------------------------------

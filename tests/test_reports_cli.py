@@ -412,6 +412,49 @@ def test_orbit_trace_plot_is_polygonal_circle(tmp_path):
     assert svg.count(b"<polyline") >= 4
 
 
+def _return_map_run(tmp_path, monkeypatch):
+    """A README return-map run with plots; returns the points it audited
+    and the _rk4_steps calls it made."""
+    from reebcut import flows, reports
+
+    audited, steps = [], []
+    report_of, rk4_steps = reports.return_map_report, flows._rk4_steps
+
+    def recorded_report(H, points, *args, **kwargs):
+        audited.append(points)
+        return report_of(H, points, *args, **kwargs)
+
+    def counted_steps(*args, **kwargs):
+        steps.append(args[1].shape)
+        return rk4_steps(*args, **kwargs)
+
+    monkeypatch.setattr(reports, "return_map_report", recorded_report)
+    monkeypatch.setattr(flows, "_rk4_steps", counted_steps)
+    config = RunConfig.parse(
+        "return-map", {"hamiltonian": {"type": "rigid", "h": 2, "p": 1, "q": 3}},
+        out_dir=tmp_path / "o", plots=True)
+    assert run(config).passed
+    return audited[0], steps
+
+
+def test_return_map_run_flows_one_batch(tmp_path, monkeypatch):
+    # the plot traces come from the audited batch: one RK4 flow per run,
+    # of the 50 points and the two rotation-radius starts
+    _, steps = _return_map_run(tmp_path, monkeypatch)
+    assert steps == [(52, 2)]
+
+
+def test_orbit_traces_plot_the_paths_flowed_alone(tmp_path, monkeypatch):
+    from reebcut import FlowSettings, RigidRotationHamiltonian, integrate_isotopy
+
+    pts, _ = _return_map_run(tmp_path, monkeypatch)
+    path = integrate_isotopy(RigidRotationHamiltonian(2, 1, 3), pts[:4],
+                             settings=FlowSettings())
+    series = [(path.points[:, i, 0], path.points[:, i, 1]) for i in range(4)]
+    want = polyline_svg(series, title="isotopy traces over one period")
+    assert (tmp_path / "o" / "orbit_traces.svg").read_bytes() == want
+
+
 def test_emit_plots_empty_series_notice(tmp_path):
     from reebcut.reports import RunReport, emit_plots
 

@@ -1,11 +1,13 @@
 """The all-pairs and lattice audits run in tiles, bit for bit as in one shot.
 
 ``gauss_linking_integral`` and ``min_curve_distance`` walk the sample pairs
-in row tiles, and ``pullback_residual`` its (s, r, theta) lattice in tiles
-of s-slices, each of about ``geometry.TILE_ELEMENTS`` floats.  The one-shot
-formulas below build every pair or lattice point at once; they are the
-reference, and each tiled result must equal theirs to the last bit.  The
-tracemalloc bounds keep the n^2 and lattice-sized temporaries from coming
+in row tiles, one (rows, n2) array per component, and ``pullback_residual``
+its (s, r, theta) lattice in tiles of s-slices, each of about
+``geometry.TILE_ELEMENTS`` floats.  The one-shot formulas below build every
+pair or lattice point at once, with numpy's reductions over the component
+axis; they are the reference, and each tiled result must equal theirs to
+the last bit, as the farthest-pole choice must equal its np.linalg.norm
+form.  The tracemalloc bounds keep the n^2 and lattice-sized temporaries from coming
 back: in one shot the README self-linking config traces 22 MiB and the
 32^3 pullback 8.5 MiB.
 """
@@ -25,7 +27,9 @@ from reebcut import (
 )
 from reebcut.binding import _PULLBACK_R_RANGE, _PULLBACK_STEP_FRACTION, _eval_h
 from reebcut.geometry import TWO_PI, spectral_derivative, tiles
-from reebcut.invariants import min_curve_distance
+from reebcut.invariants import (_candidate_poles, _project_from_farthest_pole,
+                                binding_pushoff_curves, min_curve_distance,
+                                stereographic_project)
 
 from conftest import SQRT2, compact_disc_hamiltonian
 
@@ -43,6 +47,19 @@ def _gauss_one_shot(c1, c2):
 def _distance_one_shot(c1, c2):
     diff = c1[:, None, :] - c2[None, :, :]
     return float(np.sqrt(np.sum(diff**2, axis=-1)).min())
+
+
+def _farthest_pole_by_norm(curve_b, curve_push):
+    # the pole choice with np.linalg.norm over the (poles, n, 4) differences
+    sb, sp = (c / np.linalg.norm(c, axis=-1, keepdims=True)
+              for c in (curve_b, curve_push))
+    poles = _candidate_poles()
+    dists = np.minimum(
+        np.linalg.norm(sb[None] - poles[:, None], axis=-1).min(axis=1),
+        np.linalg.norm(sp[None] - poles[:, None], axis=-1).min(axis=1),
+    )
+    pole = poles[int(np.argmax(dists))]
+    return stereographic_project(sb, pole), stereographic_project(sp, pole), pole
 
 
 def _pullback_one_shot(spec, H, n_s, n_r, n_theta):
@@ -129,6 +146,19 @@ def test_pullback_residual_equals_the_one_shot_lattice(grid):
     spec, H = _ellipsoid()
     assert _hex(pullback_residual(spec, H, *grid)) == _hex(
         _pullback_one_shot(spec, H, *grid))
+
+
+@pytest.mark.parametrize("n_samples", [16, 100, 512, 1000])
+def test_farthest_pole_equals_the_norm_form(n_samples):
+    # the README ellipsoid's binding and push-off: the pole and both
+    # projected curves, bit for bit
+    spec, H = _ellipsoid()
+    curves = binding_pushoff_curves(spec, H, 0.02, n_samples)
+    got = _project_from_farthest_pole(*curves)
+    want = _farthest_pole_by_norm(*curves)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def test_pullback_residual_of_a_time_dependent_h_equals_the_one_shot():
