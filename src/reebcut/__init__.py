@@ -21,7 +21,7 @@ from .errors import (
     ResolutionError,
     ValidationError,
 )
-from .geometry import DiscPoint, SolidTorusPoint, polar_grid, wrap_angle
+from .geometry import DiscPoint, polar_grid, wrap_angle
 from .hamiltonians import (
     CallableHamiltonian,
     ContactAuditReport,

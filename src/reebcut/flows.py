@@ -54,10 +54,6 @@ class IsotopyPath:
     s_values: np.ndarray
     points: np.ndarray
 
-    @property
-    def endpoint(self):
-        return self.points[-1]
-
 
 def _check_finite(xy, s):
     if not np.all(np.isfinite(xy)):

@@ -1,7 +1,7 @@
-"""Points of the closed unit disc and the solid torus S^1 x D^2.
+"""Points of the closed unit disc, and the shared grid helpers.
 
 All heavy numerics work on plain ndarrays of shape (..., 2); the point
-classes are thin immutable views used at API boundaries.
+class is a thin immutable view used at API boundaries.
 """
 
 from __future__ import annotations
@@ -55,27 +55,17 @@ class DiscPoint:
     def theta(self) -> float:
         return float(wrap_angle(np.arctan2(self.y, self.x)))
 
-    @classmethod
-    def from_polar(cls, r, theta) -> "DiscPoint":
-        return cls(float(r * np.cos(theta)), float(r * np.sin(theta)))
-
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y], dtype=float)
 
 
-@dataclass(frozen=True)
-class SolidTorusPoint:
-    """A point (s, p) of the solid torus, s normalized to [0, 2*pi)."""
-
-    s: float
-    p: DiscPoint
-
-    def __post_init__(self):
-        object.__setattr__(self, "s", float(wrap_angle(self.s)))
+def wavenumbers(n, period):
+    """i k of the n discrete Fourier modes of samples on one ``period``."""
+    return 1.0j * (TWO_PI / period) * np.fft.fftfreq(n, d=1.0 / n)
 
 
-def spectral_derivative(values, axis=-1, order=1):
-    """d^order/dt^order of samples taken uniformly on t in [0, 2*pi).
+def spectral_derivative(values, axis=-1, order=1, period=TWO_PI):
+    """d^order/dt^order of samples taken uniformly on t in [0, period).
 
     Differentiates along ``axis`` by multiplying the FFT with (i k)^order.
     """
@@ -83,7 +73,7 @@ def spectral_derivative(values, axis=-1, order=1):
     n = values.shape[axis]
     shape = [1] * values.ndim
     shape[axis] = n
-    k = (1.0j * np.fft.fftfreq(n, d=1.0 / n)) ** order
+    k = wavenumbers(n, period) ** order
     hat = np.fft.fft(values, axis=axis) * k.reshape(shape)
     return np.real(np.fft.ifft(hat, axis=axis))
 

@@ -26,9 +26,8 @@ from .geometry import TWO_PI, spectral_derivative, tiles
 from .hamiltonians import QuadraticHamiltonian
 
 DEGENERACY_TOL = 1e-9
-# the second Hopf fiber's phase; count and seed of the random candidate
-# poles of the stereographic chart; the push-off of the visualized binding
-_HOPF_PHASE = 0.3
+# count and seed of the random candidate poles of the stereographic chart;
+# the push-off of the visualized binding
 _N_POLES = 64
 _POLE_SEED = 7
 _VIEW_PUSH_EPS = 0.02
@@ -342,31 +341,6 @@ def _orthonormal_complement(pole):
     return frame
 
 
-def hopf_circles(n=256):
-    """Two fibers of the positive Hopf fibration, as R^4 samples."""
-    t = np.linspace(0.0, TWO_PI, n, endpoint=False)
-    c1 = np.stack([np.cos(t), np.sin(t), np.zeros(n), np.zeros(n)], axis=-1)
-    c2 = np.stack([np.zeros(n), np.zeros(n), np.cos(t + _HOPF_PHASE),
-                   np.sin(t + _HOPF_PHASE)], axis=-1)
-    return c1, c2
-
-
-def split_circles(n=256):
-    """Two far-apart round circles in R^3 (unlinked fixture)."""
-    t = np.linspace(0.0, TWO_PI, n, endpoint=False)
-    c1 = np.stack([np.cos(t), np.sin(t), np.zeros(n)], axis=-1)
-    c2 = np.stack([np.cos(t) + 5.0, np.sin(t), np.full(n, 0.7)], axis=-1)
-    return c1, c2
-
-
-def hopf_circles_r3(n=256):
-    """A geometric Hopf link in R^3: unit circle plus a circle through it."""
-    t = np.linspace(0.0, TWO_PI, n, endpoint=False)
-    c1 = np.stack([np.cos(t), np.sin(t), np.zeros(n)], axis=-1)
-    c2 = np.stack([1.0 + np.cos(t), np.zeros(n), np.sin(t)], axis=-1)
-    return c1, c2
-
-
 @dataclass
 class SelfLinkingResult:
     value: int
@@ -447,16 +421,6 @@ def linking_curves_r3(spec: QuotientMapSpec, H, n_samples=512):
                                                  n_samples)
     p1, p2, _ = _project_from_farthest_pole(curve_b, curve_push)
     return p1, p2
-
-
-def polylines_to_csv(curves, names=None):
-    """CSV text for closed polylines: curve, index, x, y, z."""
-    lines = ["curve,index,x,y,z"]
-    for c, curve in enumerate(curves):
-        label = names[c] if names else str(c)
-        for i, pt in enumerate(np.asarray(curve)):
-            lines.append(f"{label},{i},{pt[0]!r},{pt[1]!r},{pt[2]!r}")
-    return "\n".join(lines) + "\n"
 
 
 def self_linking(spec: QuotientMapSpec, H, push_eps=0.02, n_samples=512):

@@ -300,6 +300,15 @@ def _strict_json(obj, **kwargs):
         raise EvaluationError(f"result is not finite JSON: {exc}") from exc
 
 
+def _csv_text(header, columns):
+    """CSV text: the header line, then one line per index of the equal-length
+    ``columns``.  ``tolist`` turns each cell into a Python number, whose
+    repr is plain (a numpy scalar's is ``np.float64(...)``)."""
+    rows = zip(*(np.asarray(col).tolist() for col in columns))
+    lines = [header] + [",".join(map(repr, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def run(config: RunConfig) -> RunReport:
     """Execute one scenario and assemble its report (plus files)."""
     # numpy loads numpy.random (some 6 MiB) on first use: the runners that
@@ -448,11 +457,9 @@ def _run_cut_check(params, rng):
             "title": "binding function f along the rho ladder, per direction",
         },
     )]
-    lines = ["rho,vartheta,f"]
-    for i, vt in enumerate(dirs):
-        for m, rho in enumerate(rungs):
-            lines.append(f"{rho!r},{vt!r},{prof[i, m]!r}")
-    results["_csv"] = [("f_profile.csv", "\n".join(lines) + "\n")]
+    # one row per (direction, rung), the rungs running fastest
+    results["_csv"] = [("f_profile.csv", _csv_text("rho,vartheta,f", (
+        np.tile(rungs, len(dirs)), np.repeat(dirs, len(rungs)), prof.ravel())))]
     return results, checks, plots
 
 
@@ -554,10 +561,8 @@ def _run_pseudorotation(params, rng):
             "title": "angular histogram, final stage orbit",
         }))
         counts, edges = stats.theta_histogram
-        lines = ["bin_left,bin_right,count"]
-        for i, c in enumerate(counts):
-            lines.append(f"{edges[i]!r},{edges[i + 1]!r},{int(c)}")
-        results["_csv"] = [("theta_histogram.csv", "\n".join(lines) + "\n")]
+        results["_csv"] = [("theta_histogram.csv", _csv_text(
+            "bin_left,bin_right,count", (edges[:-1], edges[1:], counts)))]
     return results, checks, plots
 
 

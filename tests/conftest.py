@@ -193,6 +193,35 @@ def random_disc_points(rng, n, r_max=0.9, r_min=0.02):
     return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
 
 
+# the second Hopf fiber's phase
+_HOPF_PHASE = 0.3
+
+
+def hopf_circles(n=256):
+    """Two fibers of the positive Hopf fibration, as R^4 samples."""
+    t = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    c1 = np.stack([np.cos(t), np.sin(t), np.zeros(n), np.zeros(n)], axis=-1)
+    c2 = np.stack([np.zeros(n), np.zeros(n), np.cos(t + _HOPF_PHASE),
+                   np.sin(t + _HOPF_PHASE)], axis=-1)
+    return c1, c2
+
+
+def split_circles(n=256):
+    """Two far-apart round circles in R^3 (unlinked fixture)."""
+    t = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    c1 = np.stack([np.cos(t), np.sin(t), np.zeros(n)], axis=-1)
+    c2 = np.stack([np.cos(t) + 5.0, np.sin(t), np.full(n, 0.7)], axis=-1)
+    return c1, c2
+
+
+def hopf_circles_r3(n=256):
+    """A geometric Hopf link in R^3: unit circle plus a circle through it."""
+    t = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    c1 = np.stack([np.cos(t), np.sin(t), np.zeros(n)], axis=-1)
+    c2 = np.stack([1.0 + np.cos(t), np.zeros(n), np.sin(t)], axis=-1)
+    return c1, c2
+
+
 def count_forks(monkeypatch):
     """Count the os.fork calls of this process; the children run on."""
     forks = []

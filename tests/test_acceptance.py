@@ -38,15 +38,11 @@ from reebcut import (
     zero_integral_fixture,
 )
 from reebcut.hamiltonians import CallableHamiltonian
-from reebcut.invariants import (
-    Frame,
-    RotationSettings,
-    hopf_circles_r3,
-    split_circles,
-)
+from reebcut.invariants import Frame, RotationSettings
 from reebcut.geometry import TWO_PI
 
-from conftest import SQRT2, compact_disc_hamiltonian, radial_collar_hamiltonian
+from conftest import (SQRT2, compact_disc_hamiltonian, hopf_circles_r3,
+                      radial_collar_hamiltonian, split_circles)
 
 SEED = 214
 

@@ -19,6 +19,13 @@ builtin ``max`` or ``min`` reduces numpy values, running (``x = max(x,
 ...)``) or over a numpy value and any other value, a constant included,
 which drops a NaN.
 
+A definition census rides along: every function, method and class of
+``src/reebcut`` is named somewhere in ``src/`` or ``demos/`` besides its
+own definition (an ``__init__`` export counts), or is allowlisted with its
+reason; dunder methods are exempt.  Names are matched as variables,
+attributes and imports, so like the value census it can miss dead code
+whose name something else carries, never the other way round.
+
 One property census rides along too: every ``Hamiltonian`` class of
 ``src/reebcut`` that declares ``linear_velocity`` gives one DX, bitwise,
 at every point and every s, since ``flows.linearized_return`` then moves
@@ -141,6 +148,61 @@ def test_every_default_has_a_caller():
     assert not missing, f"no call sets these; make each a constant: {missing}"
     # an allowlisted value that some call now sets needs no entry
     assert set(ALLOWED) <= unset
+
+
+# definition -> why it stays though nothing in src/ or demos/ names it
+UNNAMED_ALLOWED = {
+    "pseudorotations.DiscDiffeo.inverse_jacobian":
+        "bench/tracer.py wraps it by name",
+    "invariants.linking_curves_r3": "benchmarks/test_layers.py calls it",
+    "hamiltonians.check_s_periodicity": "a public audit that the README lists",
+    "moser.g_function_values": "a public audit that the README lists",
+}
+
+
+def definitions():
+    """(qualified name, name) of each function, method and class of
+    ``src/reebcut`` at any depth, dunder methods left out."""
+    found = []
+
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    found.append((prefix + node.name, node.name))
+                visit(node.body, f"{prefix}{node.name}.")
+
+    for path in sorted((ROOT / "src" / "reebcut").glob("*.py")):
+        visit(ast.parse(path.read_text()).body, f"{path.stem}.")
+    return found
+
+
+def named():
+    """Every name that ``src/`` or ``demos/`` reads as a variable or an
+    attribute, or imports."""
+    names = set()
+    for folder in ("src", "demos"):
+        for path in (ROOT / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def test_every_definition_has_a_caller():
+    found = named()
+    unnamed = {qualified for qualified, name in definitions()
+               if name not in found}
+    missing = sorted(unnamed - set(UNNAMED_ALLOWED))
+    assert not missing, ("nothing in src/ or demos/ names these; delete them "
+                         f"or move them to tests/: {missing}")
+    # an allowlisted definition that something now names needs no entry
+    assert set(UNNAMED_ALLOWED) <= unnamed
 
 
 # the FITPACK module and the three routines the spline fields call

@@ -47,7 +47,7 @@ def test_rigid_rotation_full_period():
     H = RigidRotationHamiltonian(2, 1, 3)
     path = integrate_isotopy(H, np.array([0.5, 0.0]))
     expected = 0.5 * np.array([np.cos(TWO_PI / 3), np.sin(TWO_PI / 3)])
-    assert np.max(np.abs(path.endpoint - expected)) <= 1e-10
+    assert np.max(np.abs(path.points[-1] - expected)) <= 1e-10
 
 
 def test_constant_hamiltonian_is_static():
@@ -602,7 +602,7 @@ def test_single_point_float_path_matches_array_path(stage_2_1_3, fast_flow,
     starts = _stage_starts(H)
     # the array path: a (1, 2) batch, and the recorded path of one point
     batch = [return_map(H, p[None], fast_flow)[0] for p in starts]
-    recorded = [integrate_isotopy(H, p, settings=fast_flow).endpoint
+    recorded = [integrate_isotopy(H, p, settings=fast_flow).points[-1]
                 for p in starts]
     monkeypatch.setattr(flows, "_rk4_steps", lambda *a, **k: pytest.fail(
         "one unrecorded point must take the float path"))

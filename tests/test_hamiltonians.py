@@ -8,7 +8,6 @@ from reebcut import (
     QuadraticHamiltonian,
     RigidRotationHamiltonian,
     SamplingGrid,
-    SolidTorusPoint,
     contact_audit,
     contact_margin,
     cosine_defect_hamiltonian,
@@ -20,7 +19,8 @@ from reebcut.hamiltonians import (CallableHamiltonian, Hamiltonian,
                                   slice_weights)
 from reebcut.geometry import TWO_PI, spectral_derivative
 
-from conftest import SQRT2, compact_disc_hamiltonian, random_disc_points
+from conftest import (SQRT2, compact_disc_hamiltonian, hopf_circles,
+                      random_disc_points)
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +33,7 @@ def test_disc_point_polar_round_trip():
     for _ in range(200):
         r = rng.uniform(1e-8, 1.0)
         theta = rng.uniform(0.0, TWO_PI)
-        p = DiscPoint.from_polar(r, theta)
+        p = DiscPoint(r * np.cos(theta), r * np.sin(theta))
         assert abs(p.r - r) <= 1e-12
         assert abs((p.theta - theta + np.pi) % TWO_PI - np.pi) <= 1e-12
 
@@ -41,12 +41,6 @@ def test_disc_point_polar_round_trip():
 def test_disc_point_rejects_exterior():
     with pytest.raises(PreconditionError):
         DiscPoint(1.2, 0.3)
-
-
-def test_solid_torus_point_normalizes_s():
-    pt = SolidTorusPoint(7.0, DiscPoint(0.1, 0.2))
-    assert 0.0 <= pt.s < TWO_PI
-    assert abs(pt.s - (7.0 - TWO_PI)) < 1e-15
 
 
 def test_spectral_derivative_exact_on_trig_polynomials():
@@ -62,7 +56,8 @@ def test_spectral_derivative_exact_on_trig_polynomials():
 @pytest.mark.parametrize("n", [7, 8, 64, 65])
 def test_spectral_derivative_matches_the_old_copies_bitwise(n):
     # the helper replaced copies that multiplied by k itself (order 1) and
-    # by k**order; both must give the same bits
+    # by k**order, and the unit-period copy of the Moser Jacobian; all must
+    # give the same bits
     def old(values, axis, order, power):
         k = 1.0j * np.fft.fftfreq(n, d=1.0 / n)
         k = k**order if power else k
@@ -81,6 +76,23 @@ def test_spectral_derivative_matches_the_old_copies_bitwise(n):
         got = spectral_derivative(values, axis=axis, order=order)
         want = old(values, axis, order, power)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def old_unit_period(values, axis):
+        # moser.spectral_partial: 2 pi i k on samples of [0, 1)
+        m = values.shape[axis]
+        k = 2.0j * np.pi * np.fft.fftfreq(m, d=1.0 / m)
+        shape = [1] * values.ndim
+        shape[axis] = -1
+        hat = np.fft.fft(values, axis=axis) * k.reshape(shape)
+        return np.real(np.fft.ifft(hat, axis=axis))
+
+    # n and n + 3 differ in parity, so each axis meets odd and even lengths
+    for values in (rng.standard_normal((n, n + 3)),
+                   rng.standard_normal((n + 3, n))):
+        for axis in (0, 1):
+            got = spectral_derivative(values, axis=axis, period=1.0)
+            want = old_unit_period(values, axis)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_boundary_value_within_tolerance():
@@ -293,7 +305,7 @@ def test_cosine_defect_hessian_against_symbolic_oracle(rng):
 
 def test_pairing_quadratic_closed_form():
     H = QuadraticHamiltonian(0.9, 1.1)
-    p = DiscPoint.from_polar(0.7, 1.23)
+    p = DiscPoint(0.7 * np.cos(1.23), 0.7 * np.sin(1.23))
     assert abs(liouville_pairing(H, 0.0, p) + 1.1 * 0.49) <= 1e-12
 
 
@@ -304,7 +316,7 @@ def test_pairing_vanishes_at_origin():
 
 def test_pairing_rigid_rotation_boundary():
     H = RigidRotationHamiltonian(2, 1, 3)
-    p = DiscPoint.from_polar(1.0, 0.77)
+    p = DiscPoint(np.cos(0.77), np.sin(0.77))
     assert abs(liouville_pairing(H, 0.0, p) - 1.0 / 3.0) <= 1e-12
 
 
@@ -346,7 +358,7 @@ def test_margin_rigid_rotation_boundary():
     # H + lambda(X) at r = 1 is h + p/q: the boundary value of H plus the
     # pairing p/q, exactly the orbit-slope margin of the collapsed action
     H = RigidRotationHamiltonian(2, 1, 3)
-    p = DiscPoint.from_polar(1.0, 0.2)
+    p = DiscPoint(np.cos(0.2), np.sin(0.2))
     assert abs(contact_margin(H, 0.0, p) - (2.0 + 1.0 / 3.0)) <= 1e-12
 
 
@@ -586,16 +598,15 @@ def _first_coordinate(s, xy):
 def _removed_options():
     from reebcut import (BumpProfile, CanonicalRecoverySettings,
                          ConjugatorSchedule, ConjugatorSpec, ExtensionSettings,
-                         GridFunction2D, OneForm2D, build_conjugator,
-                         conjugated_stage, continued_fraction_convergents,
+                         GridFunction2D, build_conjugator, conjugated_stage,
+                         continued_fraction_convergents,
                          primitive_change_audit, reeb_period, stage_sequence)
     from reebcut.binding import (PolarFunction, adapted_collar_g,
                                  extended_contact_audit, pullback_residual,
                                  sample_lift_jets)
     from reebcut.flows import PeriodicPointRecord, periodic_point_scan
     from reebcut.invariants import (RotationSettings, _candidate_poles,
-                                    hopf_circles, linking_curves_r3,
-                                    rotation_number)
+                                    linking_curves_r3, rotation_number)
     from reebcut.moser import (CanonicalHamiltonian, g_function_values,
                                moser_flow, poincare_primitive)
     from reebcut.pseudorotations import (ConjugatedRotationHamiltonian,
@@ -659,8 +670,6 @@ def _removed_options():
         "g_function_values-probe_step":
             lambda: g_function_values(None, 0.0, [], probe_step=1e-6),
         "BumpProfile-support": lambda: BumpProfile(np.sin, support=(0.3, 0.7)),
-        "OneForm2D.exterior_derivative-method":
-            lambda: OneForm2D(None, None).exterior_derivative("spectral"),
         "extended_contact_audit-n_b":
             lambda: extended_contact_audit(None, None, n_b=16),
         "extended_contact_audit-n_dirs":

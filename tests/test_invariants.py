@@ -20,15 +20,12 @@ from reebcut import (
 from reebcut.invariants import (
     RotationSettings,
     _orthonormal_complement,
-    hopf_circles,
-    hopf_circles_r3,
-    split_circles,
     stereographic_project,
 )
 from reebcut.flows import FlowSettings
 from reebcut.geometry import TWO_PI
 
-from conftest import SQRT2
+from conftest import SQRT2, hopf_circles, hopf_circles_r3, split_circles
 
 
 def as_plain_callable(H):
@@ -283,15 +280,3 @@ def test_self_linking_rejects_bad_push():
     spec = QuotientMapSpec("ellipsoid", h=2, a0=SQRT2)
     with pytest.raises(PreconditionError):
         self_linking(spec, QuadraticHamiltonian(SQRT2, 2 - SQRT2), push_eps=0.5)
-
-
-def test_linking_curves_csv_export(quadratic_sqrt2):
-    from reebcut.invariants import linking_curves_r3, polylines_to_csv
-
-    spec = QuotientMapSpec("ellipsoid", h=2, a0=SQRT2)
-    b, push = linking_curves_r3(spec, quadratic_sqrt2, n_samples=64)
-    text = polylines_to_csv([b, push], names=["binding", "pushoff"])
-    lines = text.splitlines()
-    assert lines[0] == "curve,index,x,y,z"
-    assert len(lines) == 1 + 2 * 64
-    assert lines[1].startswith("binding,0,")

@@ -48,16 +48,6 @@ def test_grid_function_compact_margin_enforced():
         GridFunction2D(vals)
 
 
-def test_grid_function_csv_round_trip(tmp_path):
-    eta = zero_integral_fixture(1, 64)
-    path = tmp_path / "grid.csv"
-    eta.to_csv(path)
-    again = GridFunction2D.from_csv(path)
-    assert np.max(np.abs(again.values - eta.values)) <= 1e-12
-    header = path.read_text().splitlines()[0]
-    assert "n=64" in header and "support_x" in header
-
-
 # ---------------------------------------------------------------------------
 # the compactly supported Poincare lemma
 # ---------------------------------------------------------------------------
@@ -132,7 +122,8 @@ def _fixture_whole(idx, n):
 
 
 def _cumulative_whole(values, axis):
-    k = moser._wavenumbers(values.shape[axis])
+    n = values.shape[axis]
+    k = 2j * np.pi * np.fft.fftfreq(n, 1 / n)
     shape = [1] * values.ndim
     shape[axis] = -1
     k = k.reshape(shape)
@@ -186,7 +177,7 @@ def test_poincare_pipeline_is_the_whole_array_pipeline(fixture, n):
     _assert_bitwise(beta.dx.values, v)
     _assert_bitwise(beta.dy.values, w)
     d = _fd6_whole(w, 0) - _fd6_whole(v, 1)
-    _assert_bitwise(beta.exterior_derivative().values, d)
+    _assert_bitwise(beta._d_rows(slice(None)), d)
     want = float(np.max(np.abs(d - eta.values)))
     assert primitive_residual(eta, beta).hex() == want.hex()
 

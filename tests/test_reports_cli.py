@@ -5,6 +5,8 @@ import os
 import numpy as np
 import pytest
 
+from reebcut import reports
+from reebcut.binding import binding_function_f
 from reebcut.cli import main
 from reebcut.errors import ValidationError
 from reebcut.geometry import TWO_PI
@@ -18,6 +20,23 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def read_csv(path, header, types):
+    """The rows of a CSV data file, each cell parsed by its column's type:
+    ``float`` refuses numpy's ``np.float64(...)`` text."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == header
+    rows = [line.split(",") for line in lines[1:]]
+    assert all(len(cells) == len(types) for cells in rows)
+    return [tuple(parse(cell) for parse, cell in zip(types, cells))
+            for cells in rows]
+
+
+def cell_bits(rows):
+    """Rows with each float cell as its hex text, so == compares bits."""
+    return [tuple(v.hex() if isinstance(v, float) else v for v in row)
+            for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +92,15 @@ def test_ellipsoid_scenario_passes(tmp_path):
     assert (tmp_path / "out" / "timings.json").exists()
 
 
-def test_cut_check_scenario_fails_for_angular_collar(tmp_path):
+def test_cut_check_scenario_fails_for_angular_collar(tmp_path, monkeypatch):
+    calls = []
+
+    def recorded(*args):
+        prof = binding_function_f(*args)
+        calls.append((args, prof))
+        return prof
+
+    monkeypatch.setattr(reports, "binding_function_f", recorded)
     config = RunConfig.parse(
         "cut-check",
         {"hamiltonian": {"type": "cosine-defect", "h": 3, "c": 0.4, "d": 0.5}},
@@ -85,7 +112,13 @@ def test_cut_check_scenario_fails_for_angular_collar(tmp_path):
     ext = report.results["extension"]
     assert abs(ext["direction_spread"] - 1.0) <= 0.01
     assert (tmp_path / "out" / "f_profiles.svg").exists()
-    assert (tmp_path / "out" / "f_profile.csv").exists()
+    # the profile the run computed, one row per direction and rung
+    ((_, _, _, rungs, dirs), prof), = calls
+    want = [(rho, vt, prof[i, m]) for i, vt in enumerate(dirs[:, 0])
+            for m, rho in enumerate(rungs[0])]
+    got = read_csv(tmp_path / "out" / "f_profile.csv", "rho,vartheta,f",
+                   (float, float, float))
+    assert cell_bits(got) == cell_bits(want)
 
 
 def test_poincare_scenario(tmp_path):
@@ -479,5 +512,8 @@ def test_pseudorotation_scenario(tmp_path):
     )
     report = run(config)
     assert report.passed
-    assert (tmp_path / "o" / "theta_histogram.csv").exists()
     assert (tmp_path / "o" / "f0_convergence.svg").exists()
+    counts, edges = report.results["orbit_statistics"]["theta_histogram"]
+    got = read_csv(tmp_path / "o" / "theta_histogram.csv",
+                   "bin_left,bin_right,count", (float, float, int))
+    assert cell_bits(got) == cell_bits(zip(edges[:-1], edges[1:], counts))
