@@ -51,7 +51,7 @@ show(cosine_defect_hamiltonian(3, 0.4, 0.0), "radial collar (d = 0)", 3)
 show(cosine_defect_hamiltonian(3, 0.4, 0.5), "angular collar (d = 0.5)", 3)
 
 # --- the extended form along the binding -------------------------------------
-audit = extended_contact_audit(make_f_tilde(H, chart), chart)
+audit = extended_contact_audit(make_f_tilde(H, chart))
 print("\nextended form audit (ellipsoid):")
 print(f"  f on binding min: {audit.f_on_binding_min:.6f} (= 2 a0)")
 print(f"  volume density min: {audit.volume_density_min:.6f}")

@@ -527,7 +527,7 @@ class ExtendedContactReport:
         return out
 
 
-def extended_contact_audit(f_lift, chart: BindingChart):
+def extended_contact_audit(f_lift):
     """Check that the extended form is contact along the binding.
 
     The volume density per db ^ rho drho ^ dvartheta is

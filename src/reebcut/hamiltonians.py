@@ -32,9 +32,11 @@ _PERIODICITY_TOL = 1e-10
 class Hamiltonian:
     """A 2*pi-periodic family of functions on the closed unit disc.
 
-    Subclasses supply ``value`` and the analytic derivative oracles
-    ``grad`` and ``hessian``; the base class raises ``NotImplementedError``
-    for all three, so no derivative is ever a finite difference.
+    Subclasses supply ``value`` and the analytic hooks ``grad_components``
+    -> (gx, gy) and ``hessian_components`` -> (hxx, hxy, hyy), from which
+    the base class alone builds ``grad``, ``hessian``, ``velocity`` and
+    ``velocity_jacobian``; it raises ``NotImplementedError`` for the three,
+    so no derivative is ever a finite difference.
 
     A subclass may also define ``point_velocity(s, x, y)``: the velocity at
     one point given as two floats, returned as a ``(vx, vy)`` float pair
@@ -61,36 +63,43 @@ class Hamiltonian:
     def value(self, s, xy):
         raise NotImplementedError
 
-    def grad(self, s, xy):
+    def grad_components(self, s, xy):
         raise NotImplementedError
 
-    def hessian(self, s, xy):
+    def hessian_components(self, s, xy):
         raise NotImplementedError
 
     # -- derived fields -----------------------------------------------------
 
+    def grad(self, s, xy):
+        """dH as a (..., 2) array."""
+        return np.stack(self.grad_components(s, xy), axis=-1)
+
+    def hessian(self, s, xy):
+        """The symmetric Hessian of H as a (..., 2, 2) array."""
+        hxx, hxy, hyy = self.hessian_components(s, xy)
+        return np.stack([hxx, hxy, hxy, hyy], axis=-1).reshape(
+            np.shape(hxx) + (2, 2))
+
     def velocity(self, s, xy):
         """Hamiltonian vector field X = (dH/dy, -dH/dx) / 2 at (s, xy)."""
-        g = self.grad(s, xy)
-        out = np.empty(g.shape)
-        np.multiply(0.5, g[..., 1], out=out[..., 0])
-        np.multiply(-0.5, g[..., 0], out=out[..., 1])
+        gx, gy = self.grad_components(s, xy)
+        out = np.empty(np.shape(gx) + (2,))
+        np.multiply(0.5, gy, out=out[..., 0])
+        np.multiply(-0.5, gx, out=out[..., 1])
         return out
 
     def velocity_jacobian(self, s, xy):
-        """DX as a (..., 2, 2) array, from the Hessian of H.
-
-        The four entries are written into a C-contiguous components-first
-        (2, 2, ...) buffer and the (..., 2, 2) view of it is returned, so
-        the variational RK4 (``flows._rk4_steps``), which carries J
-        components first, turns it back by a transpose without a copy.
-        """
-        hess = self.hessian(s, xy)
-        out = np.empty((2, 2) + hess.shape[:-2])
-        np.multiply(0.5, hess[..., 1, 0], out=out[0, 0, ...])
-        np.multiply(0.5, hess[..., 1, 1], out=out[0, 1, ...])
-        np.multiply(-0.5, hess[..., 0, 0], out=out[1, 0, ...])
-        np.multiply(-0.5, hess[..., 0, 1], out=out[1, 1, ...])
+        """DX as the (..., 2, 2) view of a C-contiguous components-first
+        (2, 2, ...) buffer, written from the Hessian components: the
+        variational RK4 (``flows._rk4_steps``) carries J components first
+        and turns it back by a transpose without a copy."""
+        hxx, hxy, hyy = self.hessian_components(s, xy)
+        out = np.empty((2, 2) + np.shape(hxx))
+        np.multiply(0.5, hxy, out=out[0, 0, ...])
+        np.multiply(0.5, hyy, out=out[0, 1, ...])
+        np.multiply(-0.5, hxx, out=out[1, 0, ...])
+        np.multiply(-0.5, hxy, out=out[1, 1, ...])
         return out.transpose(tuple(range(2, out.ndim)) + (0, 1))
 
 
@@ -248,15 +257,20 @@ class QuadraticHamiltonian(Hamiltonian):
         r2 = xy[..., 0] ** 2 + xy[..., 1] ** 2
         return self.a2 * r2 + self.a0
 
-    def grad(self, s, xy):
+    def grad_components(self, s, xy):
         xy = np.asarray(xy, dtype=float)
-        return 2.0 * self.a2 * xy
+        c = 2.0 * self.a2
+        return c * xy[..., 0], c * xy[..., 1]
+
+    def hessian_components(self, s, xy):
+        c = np.full(np.shape(xy)[:-1], 2.0 * self.a2)
+        return c, np.zeros(c.shape), c
 
     def velocity(self, s, xy):
         """X = (c y, -c x) / 2 with c = 2 a2, the constants folded in.
 
         The base class computes 0.5 * (c * y); this computes (0.5 * c) * y
-        without the gradient array.  A scale by +-0.5 is exact, so it
+        without the gradient components.  A scale by +-0.5 is exact, so it
         commutes with the rounding of the product and the bits agree,
         except where |c y| < 2**-1021, whose half is subnormal and may
         round, or where c y overflows.
@@ -267,13 +281,6 @@ class QuadraticHamiltonian(Hamiltonian):
         np.multiply(0.5 * c, xy[..., 1], out=out[..., 0])
         np.multiply(-0.5 * c, xy[..., 0], out=out[..., 1])
         return out
-
-    def hessian(self, s, xy):
-        xy = np.asarray(xy, dtype=float)
-        hess = np.zeros(xy.shape[:-1] + (2, 2))
-        hess[..., 0, 0] = 2.0 * self.a2
-        hess[..., 1, 1] = 2.0 * self.a2
-        return hess
 
 
 def _rigid_value(h, pq, r2):
@@ -307,9 +314,9 @@ class RigidRotationHamiltonian(QuadraticHamiltonian):
 class CallableHamiltonian(Hamiltonian):
     """Wrap plain callables ``fn(s, xy)`` as a Hamiltonian.
 
-    ``grad_fn``/``hessian_fn`` are the analytic derivative oracles; without
-    one, ``grad`` or ``hessian`` (and the velocity fields built on them)
-    raise ``NotImplementedError``.
+    ``grad_fn``/``hessian_fn`` are the analytic derivative oracles,
+    returning (..., 2) and symmetric (..., 2, 2) arrays; without one, the
+    derivatives built on it raise ``NotImplementedError``.
     """
 
     def __init__(self, value_fn, boundary_value, grad_fn=None, hessian_fn=None,
@@ -326,15 +333,17 @@ class CallableHamiltonian(Hamiltonian):
         except Exception as exc:  # pragma: no cover - defensive
             raise EvaluationError(f"value oracle failed: {exc}", s=s, point=xy)
 
-    def grad(self, s, xy):
-        if self._grad_fn is not None:
-            return np.asarray(self._grad_fn(s, np.asarray(xy, dtype=float)))
-        return super().grad(s, xy)
+    def grad_components(self, s, xy):
+        if self._grad_fn is None:
+            return super().grad_components(s, xy)
+        g = np.asarray(self._grad_fn(s, np.asarray(xy, dtype=float)))
+        return g[..., 0], g[..., 1]
 
-    def hessian(self, s, xy):
-        if self._hessian_fn is not None:
-            return np.asarray(self._hessian_fn(s, np.asarray(xy, dtype=float)))
-        return super().hessian(s, xy)
+    def hessian_components(self, s, xy):
+        if self._hessian_fn is None:
+            return super().hessian_components(s, xy)
+        hess = np.asarray(self._hessian_fn(s, np.asarray(xy, dtype=float)))
+        return hess[..., 0, 0], hess[..., 1, 0], hess[..., 1, 1]
 
 
 def cosine_defect_hamiltonian(h, c, d):
@@ -355,7 +364,7 @@ def cosine_defect_hamiltonian(h, c, d):
         cos_t = np.where(r > 0, x / np.where(r > 0, r, 1.0), 1.0)
         return h + (1.0 - r2) * (c + d * cos_t)
 
-    def grad(s, xy):
+    def grad_fn(s, xy):
         x, y = xy[..., 0], xy[..., 1]
         r = np.sqrt(x * x + y * y)
         safe = np.where(r > 0, r, 1.0)
@@ -366,7 +375,7 @@ def cosine_defect_hamiltonian(h, c, d):
         gy = np.where(r > 0, gy, 0.0)
         return np.stack([gx, gy], axis=-1)
 
-    def hessian(s, xy):
+    def hessian_fn(s, xy):
         # H - h = g (c + d u) with g = 1 - r^2 and u = x / r
         x, y = xy[..., 0], xy[..., 1]
         r = np.sqrt(x * x + y * y)
@@ -387,8 +396,8 @@ def cosine_defect_hamiltonian(h, c, d):
     return CallableHamiltonian(
         value,
         boundary_value=h,
-        grad_fn=grad,
-        hessian_fn=hessian,
+        grad_fn=grad_fn,
+        hessian_fn=hessian_fn,
         time_dependent=False,
     )
 
@@ -422,8 +431,8 @@ def hamiltonian_vector_field(H, s, p):
 def liouville_pairing(H, s, p):
     """lambda(X_s) = -(x dH/dx + y dH/dy)/2, the radial pairing of the flow."""
     xy = as_xy(p)
-    g = H.grad(s, xy)
-    return -0.5 * (xy[..., 0] * g[..., 0] + xy[..., 1] * g[..., 1])
+    gx, gy = H.grad_components(s, xy)
+    return -0.5 * (xy[..., 0] * gx + xy[..., 1] * gy)
 
 
 def contact_margin(H, s, p):
@@ -510,9 +519,9 @@ def contact_audit(H, grid=None):
     for s in grid.s_values():
         margin = contact_margin(H, s, pts)
         min_margin = float(np.minimum(min_margin, np.min(margin)))
-        g = H.grad(s, bpts)
+        gx, gy = H.grad_components(s, bpts)
         # on r = 1 the radial derivative is x dH/dx + y dH/dy
-        slope = bpts[..., 0] * g[..., 0] + bpts[..., 1] * g[..., 1]
+        slope = bpts[..., 0] * gx + bpts[..., 1] * gy
         slope_max = float(np.maximum(slope_max, np.max(slope)))
     return ContactAuditReport(
         min_margin=min_margin,

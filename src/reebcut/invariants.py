@@ -93,7 +93,7 @@ class CZReport:
         }
 
 
-def cz_ellipsoid(a0, h=None):
+def cz_ellipsoid(a0):
     """Conley-Zehnder indices for the quadratic (ellipsoid) model.
 
     a0 plays the role of the limit slope h + a: the binding orbit rotates

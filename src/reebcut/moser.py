@@ -705,14 +705,14 @@ class CanonicalHamiltonian(Hamiltonian):
         r2 = xy[..., 0] ** 2 + xy[..., 1] ** 2
         return np.where(r2 >= self.support_radius**2, 0.0, out)
 
-    def grad(self, s, xy):
+    def grad_components(self, s, xy):
         xy = np.asarray(xy, dtype=float)
         js, w = self._s_weights(s)
         gx = self.slices.blend(js, w, 1, 0, xy, np.zeros(xy.shape[:-1]))
         gy = self.slices.blend(js, w, 0, 1, xy, np.zeros(xy.shape[:-1]))
         r2 = xy[..., 0] ** 2 + xy[..., 1] ** 2
         inside = r2 < self.support_radius**2
-        return np.stack([np.where(inside, gx, 0.0), np.where(inside, gy, 0.0)], axis=-1)
+        return np.where(inside, gx, 0.0), np.where(inside, gy, 0.0)
 
 
 def canonical_hamiltonian(path, settings: CanonicalRecoverySettings = None

@@ -176,7 +176,8 @@ class _ConjugatorGenerator(Hamiltonian):
         (w,), (p,) = self._jet(np.asarray(xy, dtype=float), 0)
         return self.spec.amplitude * w * p
 
-    def _grad_components(self, xy):
+    def grad_components(self, s, xy):
+        xy = np.asarray(xy, dtype=float)
         x, y = xy[..., 0], xy[..., 1]
         (w, wp), (p, zk1) = self._jet(xy, 1)
         px, py = np.real(zk1), -np.imag(zk1)
@@ -184,19 +185,7 @@ class _ConjugatorGenerator(Hamiltonian):
         gy = self.spec.amplitude * (2.0 * y * wp * p + w * py)
         return gx, gy
 
-    def grad(self, s, xy):
-        return np.stack(self._grad_components(np.asarray(xy, dtype=float)),
-                        axis=-1)
-
-    def velocity(self, s, xy):
-        xy = np.asarray(xy, dtype=float)
-        gx, gy = self._grad_components(xy)
-        out = np.empty(xy.shape)
-        np.multiply(0.5, gy, out=out[..., 0])
-        np.multiply(-0.5, gx, out=out[..., 1])
-        return out
-
-    def hessian(self, s, xy):
+    def hessian_components(self, s, xy):
         xy = np.asarray(xy, dtype=float)
         x, y = xy[..., 0], xy[..., 1]
         (w, wp, wpp), (p, zk1, zk2) = self._jet(xy, 2)
@@ -208,12 +197,7 @@ class _ConjugatorGenerator(Hamiltonian):
         hyy = a * (4 * y * y * wpp * p + 2 * wp * p + 4 * y * wp * py + w * pyy)
         hxy = a * (4 * x * y * wpp * p + 2 * x * wp * py + 2 * y * wp * px
                    + w * pxy)
-        hess = np.empty(xy.shape[:-1] + (2, 2))
-        hess[..., 0, 0] = hxx
-        hess[..., 0, 1] = hxy
-        hess[..., 1, 0] = hxy
-        hess[..., 1, 1] = hyy
-        return hess
+        return hxx, hxy, hyy
 
 
 # points per integration block of DiscDiffeo.  In the 512^2 W-field build,
@@ -344,25 +328,22 @@ class ConjugatedRotationHamiltonian(Hamiltonian):
         return _rigid_value(self.h, self.pq,
                             np.where(tail, r2, self.w_field.ev(0, 0, x, y)))
 
-    def _grad_components(self, xy):
-        """The two partials (dW/dx, dW/dy) as separate arrays."""
+    def grad_components(self, s, xy):
+        """-(p/q) (dW/dx, dW/dy), with W = r^2 on the tail."""
+        xy = np.asarray(xy, float)
         x, y = xy[..., 0], xy[..., 1]
         r2 = x * x + y * y
         tail = r2 >= self._switch2
         gx = np.where(tail, 2.0 * x, self.w_field.ev(1, 0, x, y))
         gy = np.where(tail, 2.0 * y, self.w_field.ev(0, 1, x, y))
-        return gx, gy
-
-    def grad(self, s, xy):
-        xy = np.asarray(xy, float)
-        return -self.pq * np.stack(self._grad_components(xy), axis=-1)
+        return -self.pq * gx, -self.pq * gy
 
     def point_velocity(self, s, x, y):
         """The velocity at one point given as two floats, as a float pair.
 
         One-point return maps (orbit_statistics) are bound by numpy
         dispatch on 2-element arrays, so the flow integrates them through
-        this.  The same tail test and splines as ``_grad_components`` keep
+        this.  The same tail test and splines as ``grad_components`` keep
         it bitwise equal to the batched ``velocity``.
         """
         if x * x + y * y >= self._switch2:
@@ -371,15 +352,8 @@ class ConjugatedRotationHamiltonian(Hamiltonian):
             gx, gy = self.w_field.point_grad(x, y)
         return 0.5 * (-self.pq * gy), -0.5 * (-self.pq * gx)
 
-    def velocity(self, s, xy):
-        # same products, in the same order, as the generic velocity of grad
-        xy = np.asarray(xy, float)
-        if xy.shape == (2,):
-            return np.array(self.point_velocity(s, *xy.tolist()))
-        gx, gy = self._grad_components(xy)
-        return np.stack([0.5 * (-self.pq * gy), -0.5 * (-self.pq * gx)], axis=-1)
-
-    def hessian(self, s, xy):
+    def hessian_components(self, s, xy):
+        """-(p/q) (W_xx, W_xy, W_yy), with W = r^2 on the tail."""
         xy = np.asarray(xy, float)
         x, y = xy[..., 0], xy[..., 1]
         r2 = x * x + y * y
@@ -387,12 +361,7 @@ class ConjugatedRotationHamiltonian(Hamiltonian):
         hxx = np.where(tail, 2.0, self.w_field.ev(2, 0, x, y))
         hyy = np.where(tail, 2.0, self.w_field.ev(0, 2, x, y))
         hxy = np.where(tail, 0.0, self.w_field.ev(1, 1, x, y))
-        hess = np.empty(xy.shape[:-1] + (2, 2))
-        hess[..., 0, 0] = hxx
-        hess[..., 0, 1] = hxy
-        hess[..., 1, 0] = hxy
-        hess[..., 1, 1] = hyy
-        return -self.pq * hess
+        return -self.pq * hxx, -self.pq * hxy, -self.pq * hyy
 
 
 @dataclass
@@ -823,10 +792,10 @@ class ComposedHamiltonian(Hamiltonian):
         js, w = self._s_weights(s)
         return self.slices.blend(js, w, 0, 0, xy, self.K.value(s, xy))
 
-    def grad(self, s, xy):
+    def grad_components(self, s, xy):
         xy = np.asarray(xy, dtype=float)
         js, w = self._s_weights(s)
-        g = self.K.grad(s, xy)
-        gx = self.slices.blend(js, w, 1, 0, xy, np.zeros(xy.shape[:-1]))
-        gy = self.slices.blend(js, w, 0, 1, xy, np.zeros(xy.shape[:-1]))
-        return g + np.stack([gx, gy], axis=-1)
+        kx, ky = self.K.grad_components(s, xy)
+        zero = np.zeros(xy.shape[:-1])
+        return (kx + self.slices.blend(js, w, 1, 0, xy, zero),
+                ky + self.slices.blend(js, w, 0, 1, xy, zero))

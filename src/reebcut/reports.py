@@ -311,11 +311,10 @@ def _csv_text(header, columns):
 
 def run(config: RunConfig) -> RunReport:
     """Execute one scenario and assemble its report (plus files)."""
-    # numpy loads numpy.random (some 6 MiB) on first use: the runners that
-    # read the rng load it here, off the clock.  self-linking loads it on
-    # the clock, for the seeded draw of invariants._candidate_poles
+    # numpy loads numpy.random (some 6 MiB) on first use: the scenarios
+    # that use it load it here, off the clock
     rng = (np.random.default_rng(config.seed)
-           if config.scenario in _SEEDED_SCENARIOS else None)
+           if config.scenario in _RANDOM_SCENARIOS else None)
     t0 = time.perf_counter()
     runner = _RUNNERS[config.scenario]
     results, checks, plots = runner(config.params, rng)
@@ -400,7 +399,7 @@ def _run_ellipsoid(params, rng):
         binding_function_f(H, chart, b[:, None], rho[None, :], vt[:, None])
         - a0 * (2.0 - rho[None, :] ** 2)
     )))
-    audit = extended_contact_audit(make_f_tilde(H, chart), chart)
+    audit = extended_contact_audit(make_f_tilde(H, chart))
 
     results = {
         "cz": cz.to_dict(),
@@ -581,8 +580,9 @@ def _run_self_linking(params, rng):
     return results, checks, []
 
 
-# the scenarios whose runner reads its rng; the others are passed None
-_SEEDED_SCENARIOS = ("ellipsoid", "return-map")
+# the scenarios that load numpy.random: ellipsoid and return-map read their
+# rng, self-linking seeds its own pole draw; the others are passed None
+_RANDOM_SCENARIOS = ("ellipsoid", "return-map", "self-linking")
 
 _RUNNERS = {
     "ellipsoid": _run_ellipsoid,

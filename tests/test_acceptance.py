@@ -91,7 +91,7 @@ def test_02_ellipsoid_binding_function():
 
 def test_03_cz_windows_and_numeric_rotation():
     h = 2
-    cz = cz_ellipsoid(SQRT2, h)
+    cz = cz_ellipsoid(SQRT2)
     windows_ok = cz.mu_binding == 3 and cz.mu_central == 5
 
     numeric = CallableHamiltonian(

@@ -334,7 +334,7 @@ def test_extended_contact_ellipsoid():
     h = 2
     H = QuadraticHamiltonian(SQRT2, h - SQRT2)
     chart = BindingChart(h=h)
-    rep = extended_contact_audit(make_f_tilde(H, chart), chart)
+    rep = extended_contact_audit(make_f_tilde(H, chart))
     assert rep.passed
     assert abs(rep.f_on_binding_min - 2 * SQRT2) <= 1e-8
     assert rep.reeb_pairing_defect <= 1e-9
@@ -342,9 +342,8 @@ def test_extended_contact_ellipsoid():
 
 
 def test_extended_contact_zero_f_fails():
-    chart = BindingChart(h=1)
-    rep = extended_contact_audit(lambda b, r, t: np.zeros(np.broadcast(b, r, t).shape),
-                                 chart)
+    rep = extended_contact_audit(
+        lambda b, r, t: np.zeros(np.broadcast(b, r, t).shape))
     assert not rep.passed
     assert rep.certificate is not None
     assert rep.certificate["f_limit"] == 0.0
@@ -354,12 +353,10 @@ def test_extended_contact_failure_serializes_its_certificate():
     # f < 0 on part of the binding: the serialized report carries the
     # certificate, which names the worst binding angle b = pi (a node of
     # the audit's 16-point b grid) and its limit f = -0.5
-    chart = BindingChart(h=1)
-
     def f_lift(b, rho, vartheta):
         return np.cos(b) + 0.5 + 0.0 * rho * vartheta
 
-    out = extended_contact_audit(f_lift, chart).to_dict()
+    out = extended_contact_audit(f_lift).to_dict()
     assert not out["pass"]
     cert = out["certificate"]
     assert cert["where"] == {"b": np.pi, "vartheta": 0.0}
@@ -390,7 +387,7 @@ def test_eval_h_array_s_matches_a_per_point_loop():
 def test_extended_contact_stage_value():
     H = RigidRotationHamiltonian(2, 1, 3)
     chart = BindingChart(h=2)
-    rep = extended_contact_audit(make_f_tilde(H, chart), chart)
+    rep = extended_contact_audit(make_f_tilde(H, chart))
     assert rep.passed
     assert abs(rep.f_on_binding_min - 2 * (2 + 1 / 3)) <= 1e-8
 

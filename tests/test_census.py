@@ -26,6 +26,18 @@ reason; dunder methods are exempt.  Names are matched as variables,
 attributes and imports, so like the value census it can miss dead code
 whose name something else carries, never the other way round.
 
+A parameter census rides along: every parameter of a function of
+``src/reebcut`` is read in its body, but for the oracle protocol's ``s``,
+the scenario runners' ``rng`` and the parameters of a body that only
+raises.  Like the value census it matches names, so it can miss a dead
+parameter whose name its body reads for something else, never the other
+way round.
+
+One oracle layout: only ``Hamiltonian`` defines ``grad``, ``hessian`` and
+``velocity_jacobian``, built from the ``grad_components`` and
+``hessian_components`` hooks of each family, and only it and the
+allowlisted ``QuadraticHamiltonian`` define ``velocity``.
+
 One property census rides along too: every ``Hamiltonian`` class of
 ``src/reebcut`` that declares ``linear_velocity`` gives one DX, bitwise,
 at every point and every s, since ``flows.linearized_return`` then moves
@@ -203,6 +215,102 @@ def test_every_definition_has_a_caller():
                          f"or move them to tests/: {missing}")
     # an allowlisted definition that something now names needs no entry
     assert set(UNNAMED_ALLOWED) <= unnamed
+
+
+# the oracles a Hamiltonian reads at (s, xy), and the callables a
+# CallableHamiltonian wraps: their s is part of the protocol even where
+# the family does not depend on it
+ORACLES = {"value", "grad_components", "hessian_components", "velocity",
+           "point_velocity", "grad_fn", "hessian_fn"}
+
+
+def unread_parameters():
+    """(qualified name, parameter) of each parameter of a function of
+    ``src/reebcut``, at any depth, that its body never reads; a method's
+    self or cls, the oracles' ``s``, the ``reports._run_*`` runners' ``rng``
+    and the parameters of a body that only raises are left out."""
+    found = []
+
+    def visit(body, prefix, owner):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, f"{prefix}{node.name}.", node)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qualified = prefix + node.name
+                visit(node.body, qualified + ".", node)
+                args = node.args
+                params = [a.arg for a in (args.posonlyargs + args.args
+                                          + args.kwonlyargs)]
+                params += [a.arg for a in (args.vararg, args.kwarg) if a]
+                if (isinstance(owner, ast.ClassDef)
+                        and "staticmethod" not in _decorators(node)):
+                    params = params[1:]
+                code = node.body
+                if (isinstance(code[0], ast.Expr)
+                        and isinstance(code[0].value, ast.Constant)):
+                    code = code[1:]
+                if len(code) == 1 and isinstance(code[0], ast.Raise):
+                    continue
+                read = {n.id for st in node.body for n in ast.walk(st)
+                        if isinstance(n, ast.Name)
+                        and isinstance(n.ctx, ast.Load)}
+                exempt = {"s"} if node.name in ORACLES else set()
+                if qualified.startswith("reports._run_"):
+                    exempt.add("rng")
+                found.extend((qualified, p) for p in params
+                             if p not in read and p not in exempt)
+
+    for path in sorted((ROOT / "src" / "reebcut").glob("*.py")):
+        visit(ast.parse(path.read_text()).body, f"{path.stem}.", None)
+    return found
+
+
+def test_every_parameter_is_read():
+    # a parameter the body never reads is an option with no effect: a
+    # caller that sets it believes it changed something
+    found = unread_parameters()
+    assert not found, f"parameters never read; remove them: {found}"
+
+
+# oracles that only the base class builds from the component hooks
+BUILT_ORACLES = {"grad", "hessian", "velocity", "velocity_jacobian"}
+# (class, oracle) -> why that family overrides the base class's build
+OVERRIDE_ALLOWED = {
+    ("hamiltonians.QuadraticHamiltonian", "velocity"):
+        "folds the constants, (0.5 c) y without the gradient components, "
+        "bitwise (test_folded_linear_velocity_*) and faster on return maps",
+}
+
+
+def oracle_overrides():
+    """(class, oracle) of each class of ``src/reebcut`` other than
+    ``Hamiltonian`` that defines one of ``BUILT_ORACLES``."""
+    found = set()
+    for path in sorted((ROOT / "src" / "reebcut").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and not (
+                    path.stem == "hamiltonians" and node.name == "Hamiltonian"):
+                found.update((f"{path.stem}.{node.name}", fn.name)
+                             for fn in node.body
+                             if isinstance(fn, ast.FunctionDef)
+                             and fn.name in BUILT_ORACLES)
+    return found
+
+
+def test_one_oracle_layout():
+    # the stacked gradient, the packed Hessian and the components-first
+    # DX buffer are laid out in one place; each family supplies only the
+    # gradient and Hessian components of its own H
+    source = (ROOT / "src" / "reebcut" / "hamiltonians.py").read_text()
+    (base,) = [node for node in ast.parse(source).body
+               if isinstance(node, ast.ClassDef) and node.name == "Hamiltonian"]
+    defined = {fn.name for fn in base.body if isinstance(fn, ast.FunctionDef)}
+    assert defined >= BUILT_ORACLES | {"grad_components", "hessian_components"}
+    found = oracle_overrides()
+    extra = sorted(found - set(OVERRIDE_ALLOWED))
+    assert not extra, f"oracles laid out outside Hamiltonian: {extra}"
+    # an allowlisted override that is gone needs no entry
+    assert set(OVERRIDE_ALLOWED) <= found
 
 
 # the FITPACK module and the three routines the spline fields call

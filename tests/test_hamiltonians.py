@@ -671,11 +671,11 @@ def _removed_options():
             lambda: g_function_values(None, 0.0, [], probe_step=1e-6),
         "BumpProfile-support": lambda: BumpProfile(np.sin, support=(0.3, 0.7)),
         "extended_contact_audit-n_b":
-            lambda: extended_contact_audit(None, None, n_b=16),
+            lambda: extended_contact_audit(None, n_b=16),
         "extended_contact_audit-n_dirs":
-            lambda: extended_contact_audit(None, None, n_dirs=32),
+            lambda: extended_contact_audit(None, n_dirs=32),
         "extended_contact_audit-rho_samples":
-            lambda: extended_contact_audit(None, None, rho_samples=[0.1]),
+            lambda: extended_contact_audit(None, rho_samples=[0.1]),
         "adapted_collar_g-collar_width":
             lambda: adapted_collar_g(None, 2, 0.0, 0.0, 0.0, collar_width=0.5),
         "adapted_collar_g-tol":

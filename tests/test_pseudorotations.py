@@ -215,6 +215,27 @@ def _old_angular(gen, xy, d):
     return z ** (gen.spec.mode - d) * np.exp(-1j * gen.spec.phase)
 
 
+def _packed_hessian(hxx, hxy, hyy):
+    hess = np.empty(np.shape(hxx) + (2, 2))
+    hess[..., 0, 0] = hxx
+    hess[..., 0, 1] = hxy
+    hess[..., 1, 0] = hxy
+    hess[..., 1, 1] = hyy
+    return hess
+
+
+def _packed_dx(hess):
+    """DX the way the base class built it from a packed (..., 2, 2)
+    Hessian before the component hooks: four multiplies into a
+    components-first buffer, returned as its (..., 2, 2) view."""
+    out = np.empty((2, 2) + hess.shape[:-2])
+    np.multiply(0.5, hess[..., 1, 0], out=out[0, 0, ...])
+    np.multiply(0.5, hess[..., 1, 1], out=out[0, 1, ...])
+    np.multiply(-0.5, hess[..., 0, 0], out=out[1, 0, ...])
+    np.multiply(-0.5, hess[..., 0, 1], out=out[1, 1, ...])
+    return out.transpose(tuple(range(2, out.ndim)) + (0, 1))
+
+
 FUSED_SPECS = [
     ConjugatorSpec(),
     ConjugatorSpec(amplitude=0.12, delta=0.2, mode=2, r_inner=0.2),
@@ -248,16 +269,32 @@ def test_conjugator_fused_velocity_is_exact(spec, rng):
     assert bitwise_equal(gen.grad(0.0, pts), grad)
     velocity = np.stack([0.5 * grad[..., 1], -0.5 * grad[..., 0]], axis=-1)
     assert bitwise_equal(gen.velocity(0.0, pts), velocity)
+    # the old Hessian, packed from the second jet, and DX from its entries
+    (w, wp, wpp), (p, zk1, zk2) = gen._jet(pts, 2)
+    px, py = np.real(zk1), -np.imag(zk1)
+    pxx, pxy, pyy = np.real(zk2), -np.imag(zk2), -np.real(zk2)
+    a = spec.amplitude
+    hess = _packed_hessian(
+        a * (4 * x * x * wpp * p + 2 * wp * p + 4 * x * wp * px + w * pxx),
+        a * (4 * x * y * wpp * p + 2 * x * wp * py + 2 * y * wp * px + w * pxy),
+        a * (4 * y * y * wpp * p + 2 * wp * p + 4 * y * wp * py + w * pyy))
+    dx = _packed_dx(hess)
+    assert bitwise_equal(gen.hessian(0.0, pts), hess)
+    assert bitwise_equal(gen.velocity_jacobian(0.0, pts), dx)
     # a strided (non-contiguous) batch and single points give the same bits
     strided = np.repeat(pts, 3, axis=1)[::2, ::3]
     assert not strided.flags.c_contiguous
     assert bitwise_equal(gen.velocity(0.0, strided), velocity[::2])
     assert bitwise_equal(gen.grad(0.0, strided), grad[::2])
+    assert bitwise_equal(gen.hessian(0.0, strided), hess[::2])
+    assert bitwise_equal(gen.velocity_jacobian(0.0, strided), dx[::2])
     # every point: on 0-d arrays numpy's complex scalar arithmetic differed
     # in the last bit from the array loops on about one point in six
     for i in range(len(pts)):
         assert bitwise_equal(gen.velocity(0.0, pts[i]), velocity[i])
         assert bitwise_equal(gen.grad(0.0, pts[i]), grad[i])
+        assert bitwise_equal(gen.hessian(0.0, pts[i]), hess[i])
+        assert bitwise_equal(gen.velocity_jacobian(0.0, pts[i]), dx[i])
     # at the origin with negative zeros only the sign of the zero gradient
     # may differ from the composition (a zero base of z ** 1 comes back +0)
     origin = np.array([[-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0]])
@@ -594,11 +631,29 @@ def test_stage_single_point_velocity_is_exact(stage_2_1_3, fast_flow):
         [edge, 0.0],                          # r^2 exactly on the switch
         [np.nextafter(edge, 0.0), 0.0],       # its neighbour inside
         [0.97 * np.cos(1.1), 0.97 * np.sin(1.1)],
+        # signed zeros, inside and on the switch
+        [-0.0, -0.0], [-0.0, 0.5], [0.5, -0.0], [edge, -0.0],
     ]
-    for p in np.array(points):
+    pts = np.array(points)
+    # the old Hessian, -(p/q) times the packed W partials, and DX from its
+    # entries
+    x, y = pts[:, 0], pts[:, 1]
+    tail = x * x + y * y >= switch2
+    hess = -H.pq * _packed_hessian(
+        np.where(tail, 2.0, H.w_field.ev(2, 0, x, y)),
+        np.where(tail, 0.0, H.w_field.ev(1, 1, x, y)),
+        np.where(tail, 2.0, H.w_field.ev(0, 2, x, y)))
+    dx = _packed_dx(hess)
+    assert bitwise_equal(H.hessian(0.0, pts), hess)
+    assert bitwise_equal(H.velocity_jacobian(0.0, pts), dx)
+    for i, p in enumerate(pts):
         one = H.velocity(0.0, p)
         assert one.shape == (2,)
         assert bitwise_equal(one, H.velocity(0.0, p[None])[0])
+        # the float path that (2,) points took before the array path did
+        assert bitwise_equal(one, np.array(H.point_velocity(0.0, *p.tolist())))
+        assert bitwise_equal(H.hessian(0.0, p), hess[i])
+        assert bitwise_equal(H.velocity_jacobian(0.0, p), dx[i])
 
     p = np.array([0.5, 0.0])
     q = p[None]

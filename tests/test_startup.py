@@ -9,7 +9,9 @@ its workers with ``os.fork`` alone, so neither ``multiprocessing`` nor
 ``concurrent.futures`` is imported either.  ``numpy.random`` costs some
 6 MiB and 11 ms: ``ellipsoid`` and ``return-map`` read the run's seeded
 generator and ``self-linking`` draws its projection poles from one, but
-no other scenario loads it.  Each check runs in a fresh interpreter,
+no other scenario loads it.  ``reports.run`` loads it for these three
+before its clock starts, so no runner finds it missing.  Each check runs
+in a fresh interpreter,
 because this test process has long since loaded scipy.
 """
 
@@ -60,7 +62,7 @@ def loaded_heavy():
 
 loaded = {"import reebcut.cli": loaded_heavy()}
 import reebcut
-from reebcut import moser, pseudorotations
+from reebcut import moser, pseudorotations, reports
 from reebcut.reports import RunConfig, run
 
 same = {
@@ -69,12 +71,25 @@ same = {
         reebcut.ComposedHamiltonian is pseudorotations.ComposedHamiltonian,
     "moser_flow": reebcut.moser_flow is moser.moser_flow,
 }
+# whether numpy.random is loaded as each runner starts, off the clock
+on_entry = {}
+
+
+def watched(scenario, runner):
+    def run_watched(params, rng):
+        on_entry[scenario] = "numpy.random" in sys.modules
+        return runner(params, rng)
+    return run_watched
+
+
+for scenario, runner in list(reports._RUNNERS.items()):
+    reports._RUNNERS[scenario] = watched(scenario, runner)
 with tempfile.TemporaryDirectory() as out:
     for scenario, params in json.loads(sys.argv[1]).items():
         run(RunConfig.parse(scenario, params, out_dir=Path(out) / scenario,
                             plots=True))
         loaded[scenario] = loaded_heavy()
-print(json.dumps({"loaded": loaded, "same": same}))
+print(json.dumps({"loaded": loaded, "same": same, "on_entry": on_entry}))
 """
 
 
@@ -106,3 +121,5 @@ def test_numpy_only_scenarios_do_not_load_scipy():
 def test_seeded_scenario_loads_numpy_random(scenario):
     result = _probe({scenario: CONFIGS[scenario]}, [RANDOM])
     assert result["loaded"] == {"import reebcut.cli": [], scenario: [RANDOM]}
+    # reports.run loads it before its clock starts, not the runner
+    assert result["on_entry"] == {scenario: True}
