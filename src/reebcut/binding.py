@@ -151,13 +151,14 @@ def make_f_tilde(H, chart: BindingChart):
 # centered stencils on 7 nodes for the rho-derivatives of orders 1..4, all
 # fourth-order accurate: the order-3/4 jets feed a parity test whose
 # forbidden modes would otherwise collect the second-order truncation of
-# narrower stencils
+# narrower stencils; their step at the rung rho is rho / _ETA_FRAC
 _STENCILS = (
     np.array([0.0, 1.0, -8.0, 0.0, 8.0, -1.0, 0.0]) / 12.0,
     np.array([0.0, -1.0, 16.0, -30.0, 16.0, -1.0, 0.0]) / 12.0,
     np.array([1.0, -8.0, 13.0, 0.0, -13.0, 8.0, -1.0]) / 8.0,
     np.array([-1.0, 12.0, -39.0, 56.0, -39.0, 12.0, -1.0]) / 6.0,
 )
+_ETA_FRAC = 3.5
 
 
 def _extrapolation_weights(nodes):
@@ -169,62 +170,6 @@ def _extrapolation_weights(nodes):
             if i != j:
                 w[i] *= xj / (xj - xi)
     return w
-
-
-@dataclass
-class LiftJetData:
-    """Sampled lift and rho-derivative estimates on a geometric ladder."""
-
-    b_values: np.ndarray          # (nb,)
-    rungs: np.ndarray             # (nm,)
-    directions: np.ndarray        # (nd,)
-    values: np.ndarray            # (nb, nm, nd)
-    deriv_rungs: np.ndarray       # (nk,)
-    d_rho: tuple                  # d_rho[k] (nb, nk, nd): order-k rho-derivative
-                                  # at the sub-ladder, d_rho[0] the lift itself
-
-
-_ETA_FRAC = 3.5
-
-
-def sample_lift_jets(lift, b_values, rungs, n_dirs, n_deriv_rungs):
-    """Evaluate a lift u(b, rho, vartheta) and rho-derivative stencils.
-
-    Derivatives use the centered 7-node ``_STENCILS`` with step
-    rho/_ETA_FRAC; they are only taken on the shallow rungs, where the
-    1/rho^2 cancellation in typical lifts has not yet amplified rounding
-    noise.
-    """
-    b_values = np.asarray(b_values, dtype=float)
-    rungs = np.asarray(rungs, dtype=float)
-    dirs = np.linspace(0.0, TWO_PI, n_dirs, endpoint=False)
-    # derivative estimates live on a slower (ratio sqrt 2) sub-ladder: deep
-    # rungs amplify the 1/rho^2 rounding of the lift as rho^{-k}, while the
-    # extrapolations only need a modest range to cancel their truncation
-    deriv_rungs = rungs[0] * 2.0 ** (-0.5 * np.arange(n_deriv_rungs))
-
-    bb, rr, tt = np.meshgrid(b_values, rungs, dirs, indexing="ij")
-    values = lift(bb, rr, tt)
-
-    offsets = np.arange(-3, 4)
-    rk = deriv_rungs[None, :, None, None]
-    eta = rk / _ETA_FRAC
-    bb4 = b_values[:, None, None, None]
-    tt4 = dirs[None, None, None, :]
-    rho_nodes = rk + offsets[None, None, :, None] * eta
-    stack = lift(bb4, rho_nodes, tt4)  # (nb, nk, 7, nd) by broadcasting
-    eta_k = eta[0, :, 0, 0][None, :, None]
-    d_rho = [stack[:, :, 3, :]]
-    for k, stencil in enumerate(_STENCILS, start=1):
-        d_rho.append(np.einsum("j,bkjd->bkd", stencil, stack) / eta_k**k)
-    return LiftJetData(
-        b_values=b_values,
-        rungs=rungs,
-        directions=dirs,
-        values=values,
-        deriv_rungs=deriv_rungs,
-        d_rho=tuple(d_rho),
-    )
 
 
 def _limit_to_zero(samples, rungs, use=slice(3, 7)):
@@ -368,22 +313,47 @@ def extension_test(H, chart: BindingChart, settings: ExtensionSettings = None):
     settings = settings or ExtensionSettings()
     if settings.n_rungs < 5:
         raise ConfigurationError("the rho ladder needs at least 5 rungs")
-    rungs = settings.rungs()
-    max_reach = rungs[0] * (1.0 + 3.0 / _ETA_FRAC)
+    max_reach = settings.rho0 * (1.0 + 3.0 / _ETA_FRAC)
     if max_reach >= chart.rho_max:
         raise ConfigurationError(
             f"rho ladder (reach {max_reach:.4f}) exits the chart "
             f"(rho_max {chart.rho_max:.4f})"
         )
 
-    lift = make_f_tilde(H, chart)
+    return _judge_lift(make_f_tilde(H, chart), chart, settings)
+
+
+def _judge_lift(lift, chart, settings):
+    """Sample a lift u(b, rho, vartheta) on the settings' ladder and judge,
+    order by order, whether it extends smoothly over rho = 0.
+
+    The rho-derivatives are only taken on the shallow rungs, where the
+    1/rho^2 cancellation in typical lifts has not yet amplified rounding
+    noise.
+    """
     b_values = np.linspace(0.0, TWO_PI, settings.n_b, endpoint=False)
-    data = sample_lift_jets(lift, b_values, rungs, settings.n_dirs,
-                            n_deriv_rungs=settings.n_deriv_rungs)
-    return _assemble_extension_report(chart, settings, data)
+    rungs = settings.rungs()
+    dirs = np.linspace(0.0, TWO_PI, settings.n_dirs, endpoint=False)
+    # derivative estimates live on a slower (ratio sqrt 2) sub-ladder: deep
+    # rungs amplify the 1/rho^2 rounding of the lift as rho^{-k}, while the
+    # extrapolations only need a modest range to cancel their truncation
+    dk = rungs[0] * 2.0 ** (-0.5 * np.arange(settings.n_deriv_rungs))
 
+    bb, rr, tt = np.meshgrid(b_values, rungs, dirs, indexing="ij")
+    values = lift(bb, rr, tt)
 
-def _assemble_extension_report(chart, settings, data: LiftJetData):
+    rk = dk[None, :, None, None]
+    eta = rk / _ETA_FRAC
+    rho_nodes = rk + np.arange(-3, 4)[None, None, :, None] * eta
+    stack = lift(b_values[:, None, None, None], rho_nodes,
+                 dirs[None, None, None, :])  # (nb, nk, 7, nd)
+    eta_k = eta[0, :, 0, 0][None, :, None]
+    # d_rho[k] (nb, nk, nd): the order-k rho-derivative on the sub-ladder,
+    # d_rho[0] the lift itself
+    d_rho = [stack[:, :, 3, :]]
+    for k, stencil in enumerate(_STENCILS, start=1):
+        d_rho.append(np.einsum("j,bkjd->bkd", stencil, stack) / eta_k**k)
+
     verdicts = []
 
     def verdict(order, **parts):
@@ -394,10 +364,9 @@ def _assemble_extension_report(chart, settings, data: LiftJetData):
         verdicts.append(OrderVerdict(order, score, threshold, passed, parts))
 
     # ---- C^0: limits, uniformity, direction independence
-    rungs = data.rungs
-    f0_samples = _limit_to_zero(data.values, rungs,
+    f0_samples = _limit_to_zero(values, rungs,
                                 use=slice(3, min(7, len(rungs))))
-    gaps = np.abs(np.diff(data.values, axis=1))
+    gaps = np.abs(np.diff(values, axis=1))
     uniformity = np.max(gaps, axis=(0, 2))
     spread = float(np.max(
         0.5 * (f0_samples.max(axis=1) - f0_samples.min(axis=1))
@@ -406,8 +375,7 @@ def _assemble_extension_report(chart, settings, data: LiftJetData):
     f0 = float(np.mean(f0_samples))
 
     # ---- derivative ladders
-    f, d1, d2 = data.d_rho[:3]
-    dk = data.deriv_rungs
+    f, d1, d2 = d_rho[:3]
     # reported jets: three shallow nodes keep the 1/rho^2 rounding of the
     # lift out of the stencil (noise-optimal, exact through quadratic
     # rho-dependence, which covers the model jets)
@@ -423,7 +391,6 @@ def _assemble_extension_report(chart, settings, data: LiftJetData):
         # the widest range of a (nb, nd) limit across the directions
         return float(np.max(lim.max(axis=1) - lim.min(axis=1)))
 
-    dirs = data.directions
     cos_t, sin_t = np.cos(dirs), np.sin(dirs)
 
     # ---- C^1: Lemma-style limit conditions
@@ -462,7 +429,7 @@ def _assemble_extension_report(chart, settings, data: LiftJetData):
 
     # ---- orders 3..k_max: trig-polynomial parity of the rho-jets
     for k in range(3, settings.k_max + 1):
-        ck = limit(data.d_rho[k]) / math.factorial(k)
+        ck = limit(d_rho[k]) / math.factorial(k)
         spectrum = np.abs(np.fft.rfft(ck, axis=1)) / settings.n_dirs * 2.0
         modes = np.arange(spectrum.shape[1])
         forbidden = (modes > k) | ((modes % 2) != (k % 2))
@@ -492,9 +459,9 @@ def _assemble_extension_report(chart, settings, data: LiftJetData):
         effective_a=float(effective_a),
         expected_a=settings.expected_a,
         model_jet_defects=model,
-        lift_samples=data.values,
-        b_values=data.b_values,
-        directions=data.directions,
+        lift_samples=values,
+        b_values=b_values,
+        directions=dirs,
     )
 
 
@@ -812,12 +779,7 @@ def primitive_change_audit(F: PolarFunction, h):
         r = 1.0 - np.asarray(rho, float) ** 2
         return np.asarray(rho, float) ** 2 * g_of(r, b - h * vt)
 
-    b_values = np.linspace(0.0, TWO_PI, settings.n_b, endpoint=False)
-    data = sample_lift_jets(lift, b_values, settings.rungs(), settings.n_dirs,
-                            n_deriv_rungs=settings.n_deriv_rungs)
-    chart = BindingChart(
-        h=h, eps=np.minimum(0.99, (settings.rungs()[0] * 2.2) ** 2 + 0.2))
-    report = _assemble_extension_report(chart, settings, data)
+    report = _judge_lift(lift, BindingChart(h=h), settings)
 
     passed = ok_boundary and report.order_passed(2)
     return PrimitiveChangeReport(

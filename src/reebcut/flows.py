@@ -330,20 +330,6 @@ def _flow_batch(velocity, pts, h, n_steps, block, velocity_jacobian):
             None if jac is None else jac.reshape(pts.shape[:-1] + (2, 2)))
 
 
-def _rk4(velocity, y0, s0, s1, step, record=False, point_velocity=None):
-    n_steps, h = _step_grid(s0, s1, step)
-    y = np.array(y0, dtype=float)
-    _check_finite(y, s0)
-    if point_velocity is not None and not record and y.shape == (2,):
-        y = _rk4_point_steps(point_velocity, y, s0, h, n_steps)
-    else:
-        y, _ = _rk4_steps(velocity, y, s0, h, n_steps, record=record)
-    _check_in_disc(y[-1] if record else y, s0 + n_steps * h)
-    if record:
-        return np.linspace(s0, s1, n_steps + 1), y
-    return y
-
-
 def integrate_isotopy(H, p0, s0=0.0, s1=TWO_PI, settings=None, record=True):
     """Solve dp/ds = X_s(p) for one point or a batch.
 
@@ -353,9 +339,18 @@ def integrate_isotopy(H, p0, s0=0.0, s1=TWO_PI, settings=None, record=True):
     integrated in Python floats, bitwise equal to the array path.
     """
     settings = settings or FlowSettings()
-    out = _rk4(H.velocity, as_xy(p0), s0, s1, settings.step, record,
-               getattr(H, "point_velocity", None))
-    return IsotopyPath(*out) if record else out
+    n_steps, h = _step_grid(s0, s1, settings.step)
+    y = np.array(as_xy(p0), dtype=float)
+    _check_finite(y, s0)
+    point_velocity = getattr(H, "point_velocity", None)
+    if point_velocity is not None and not record and y.shape == (2,):
+        y = _rk4_point_steps(point_velocity, y, s0, h, n_steps)
+    else:
+        y, _ = _rk4_steps(H.velocity, y, s0, h, n_steps, record=record)
+    _check_in_disc(y[-1] if record else y, s0 + n_steps * h)
+    if record:
+        return IsotopyPath(np.linspace(s0, s1, n_steps + 1), y)
+    return y
 
 
 def return_map(H, p, settings=None):

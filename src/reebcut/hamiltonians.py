@@ -283,11 +283,6 @@ class QuadraticHamiltonian(Hamiltonian):
         return out
 
 
-def _rigid_value(h, pq, r2):
-    # shared expression so conjugated stages reproduce the tail bitwise
-    return h + pq - pq * r2
-
-
 class RigidRotationHamiltonian(QuadraticHamiltonian):
     """H = h + p/q - (p/q) r^2, whose time-2*pi map rotates by 2*pi*p/q."""
 
@@ -304,11 +299,6 @@ class RigidRotationHamiltonian(QuadraticHamiltonian):
             )
         super().__init__(h + pq, -pq)
         self.boundary_value = float(h)
-
-    def value(self, s, xy):
-        xy = np.asarray(xy, dtype=float)
-        r2 = xy[..., 0] ** 2 + xy[..., 1] ** 2
-        return _rigid_value(self.h, self.p / self.q, r2)
 
 
 class CallableHamiltonian(Hamiltonian):

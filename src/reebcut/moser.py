@@ -566,6 +566,23 @@ def _lambda_pairing(points, vectors):
     return points[..., 0] * vectors[..., 1] - points[..., 1] * vectors[..., 0]
 
 
+def _probe_path(path, s_values, points, h):
+    """Read an isotopy path at (n, 2) points and at their +-h probes.
+
+    Returns the snapshots of the 5n probes (the points, then those moved by
+    +h, -h along x and by +h, -h along y), the points' images and their
+    central-difference Jacobians D psi_s, each with a leading s axis.
+    """
+    n = len(points)
+    probes = np.concatenate([points, points + [h, 0.0], points - [h, 0.0],
+                             points + [0.0, h], points - [0.0, h]])
+    snaps = path.evaluate_on_grid(s_values, probes)
+    jac = np.empty((len(snaps), n, 2, 2))
+    jac[..., 0] = (snaps[:, n:2 * n] - snaps[:, 2 * n:3 * n]) / (2 * h)
+    jac[..., 1] = (snaps[:, 3 * n:4 * n] - snaps[:, 4 * n:]) / (2 * h)
+    return snaps, snaps[:, :n], jac
+
+
 # Small enough that probe truncation (cubic in the step for the
 # determinant) stays under the closedness gate, large enough that rounding
 # (eps / step) does not surface in the recovered values.
@@ -745,33 +762,13 @@ def canonical_hamiltonian(path, settings: CanonicalRecoverySettings = None
     rr, tt = np.meshgrid(r_nodes, theta, indexing="ij")
     base = np.stack([rr * np.cos(tt), rr * np.sin(tt)], axis=-1)  # (nr+1, nt, 2)
     flat = base.reshape(-1, 2)
-    n_pts = len(flat)
-
-    h = _PROBE_STEP
-    probes = np.concatenate(
-        [
-            flat,
-            flat + np.array([h, 0.0]),
-            flat - np.array([h, 0.0]),
-            flat + np.array([0.0, h]),
-            flat - np.array([0.0, h]),
-        ],
-        axis=0,
-    )
 
     s_nodes = np.linspace(0.0, TWO_PI, st.n_s + 1)
-    snaps = path.evaluate_on_grid(s_nodes, probes)
-
-    images = snaps[:, :n_pts]
+    snaps, images, jac = _probe_path(path, s_nodes, flat, _PROBE_STEP)
     id_defect = float(np.max(np.abs(images[0] - flat)))
     if not id_defect <= 1e-8:
         raise PreconditionError(f"path does not start at the identity "
                                 f"(defect {id_defect:.3e})")
-
-    # probe-based Jacobians D psi_s
-    jac = np.empty((len(s_nodes), n_pts, 2, 2))
-    jac[..., 0] = (snaps[:, n_pts:2 * n_pts] - snaps[:, 2 * n_pts:3 * n_pts]) / (2 * h)
-    jac[..., 1] = (snaps[:, 3 * n_pts:4 * n_pts] - snaps[:, 4 * n_pts:]) / (2 * h)
 
     det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
     area_defect = float(np.max(np.abs(det - 1.0)))
@@ -857,7 +854,6 @@ def g_function_values(path, s, targets, route="radial", n_quad=129):
 
     targets = np.asarray(targets, dtype=float)
     out = np.empty(len(targets))
-    h = _LINE_PROBE_STEP
     for i, q in enumerate(targets):
         if route == "radial":
             r0 = np.hypot(*q)
@@ -879,16 +875,10 @@ def g_function_values(path, s, targets, route="radial", n_quad=129):
             sign = 1.0 if q[0] >= xb else -1.0
         else:
             raise ConfigurationError(f"unknown route {route!r}")
-        probes = np.concatenate(
-            [line, line + [h, 0], line - [h, 0], line + [0, h], line - [0, h]]
-        )
-        img = path.evaluate_on_grid([s], probes)[0]
-        n = n_quad
-        jac = np.empty((n, 2, 2))
-        jac[..., 0] = (img[n:2 * n] - img[2 * n:3 * n]) / (2 * h)
-        jac[..., 1] = (img[3 * n:4 * n] - img[4 * n:]) / (2 * h)
-        push = np.einsum("nij,j->ni", jac, tangent)
-        vals = _lambda_pairing(img[:n], push) - _lambda_pairing(line, np.broadcast_to(tangent, (n, 2)))
+        _, img, jac = _probe_path(path, [s], line, _LINE_PROBE_STEP)
+        push = np.einsum("nij,j->ni", jac[0], tangent)
+        vals = (_lambda_pairing(img[0], push)
+                - _lambda_pairing(line, np.broadcast_to(tangent, (n_quad, 2))))
         integral = cumulative_simpson(vals, x=ts, initial=0.0)
         out[i] = sign * integral[-1]
     return out

@@ -34,7 +34,6 @@ from .hamiltonians import (
     RigidRotationHamiltonian,
     SamplingGrid,
     SliceFields,
-    _rigid_value,
     contact_audit,
     slice_weights,
 )
@@ -284,9 +283,9 @@ class ConjugatedRotationHamiltonian(Hamiltonian):
 
     W is splined on a ``grid_n``-squared lattice.  Outside r >= 1 - delta,
     where delta is the support margin of phi's generator, the inverse is the
-    identity and W is computed as the literal |p|^2: H then evaluates
-    through the same expression as the rigid-rotation Hamiltonian, so the
-    tail identity holds bitwise.
+    identity and W is computed as the literal |p|^2.  There H equals the
+    rigid rotation's a2 r^2 + a0 bitwise, with a2 = -p/q and a0 = h + p/q:
+    (-c) r^2 is -(c r^2) exactly, and IEEE addition commutes.
 
     Only lattice points inside the open support t0 < r^2 < t1 of the
     generator are flowed.  Elsewhere the generator's velocity is exactly
@@ -325,8 +324,8 @@ class ConjugatedRotationHamiltonian(Hamiltonian):
         x, y = xy[..., 0], xy[..., 1]
         r2 = x * x + y * y
         tail = r2 >= self._switch2
-        return _rigid_value(self.h, self.pq,
-                            np.where(tail, r2, self.w_field.ev(0, 0, x, y)))
+        return self.h + self.pq - self.pq * np.where(
+            tail, r2, self.w_field.ev(0, 0, x, y))
 
     def grad_components(self, s, xy):
         """-(p/q) (dW/dx, dW/dy), with W = r^2 on the tail."""

@@ -54,16 +54,6 @@ from .pseudorotations import (
     stage_sequence,
 )
 
-SCENARIOS = (
-    "ellipsoid",
-    "cut-check",
-    "return-map",
-    "poincare-lemma",
-    "moser",
-    "pseudorotation",
-    "self-linking",
-)
-
 
 # ---------------------------------------------------------------------------
 # strict schema validation
@@ -166,7 +156,9 @@ class RunConfig:
             raise ValidationError(
                 f"unknown scenario {scenario!r}; choose from {', '.join(SCENARIOS)}"
             )
-        if not isinstance(seed, int) or not 0 <= seed < 2**64:
+        # a bool is an int, but the report would echo it as true/false
+        if (isinstance(seed, bool) or not isinstance(seed, int)
+                or not 0 <= seed < 2**64):
             raise ValidationError("seed must be a 64-bit unsigned integer")
         params = _validate_scenario(scenario, raw_params)
         return cls(scenario=scenario, params=params, seed=seed,
@@ -231,6 +223,7 @@ _SCHEMAS = {
         "n_samples": (int, False, 512, lambda v: 16 <= v <= 4096),
     },
 }
+SCENARIOS = tuple(_SCHEMAS)
 
 
 def _validate_scenario(scenario, raw):

@@ -9,8 +9,10 @@ from reebcut import (
     ComposedHamiltonian,
     ConjugatorSpec,
     FlowSettings,
+    HamiltonianIsotopyPath,
     QuadraticHamiltonian,
     RigidRotationHamiltonian,
+    canonical_hamiltonian,
     conjugated_stage,
 )
 from reebcut.geometry import TWO_PI
@@ -180,6 +182,25 @@ def composed_k_2_1_2():
     time); ``.K`` and ``.H2`` are the two parts."""
     return ComposedHamiltonian(compact_disc_hamiltonian(amp=0.05),
                                RigidRotationHamiltonian(2, 1, 2))
+
+
+def _canonical_recovery(K):
+    path = HamiltonianIsotopyPath(K, steps_per_period=1000)
+    return K, path, canonical_hamiltonian(path)
+
+
+@pytest.fixture(scope="session")
+def autonomous_recovery():
+    """(K, path, H): the canonical Hamiltonian H recovered from the
+    isotopy path of K = compact_disc_hamiltonian(amp=0.02)."""
+    return _canonical_recovery(compact_disc_hamiltonian(amp=0.02))
+
+
+@pytest.fixture(scope="session")
+def time_dependent_recovery():
+    """(K, path, H) as ``autonomous_recovery``, for an s-dependent K."""
+    return _canonical_recovery(compact_disc_hamiltonian(
+        amp=0.015, angular=0.0, time_factor=np.sin))
 
 
 @pytest.fixture(scope="session")

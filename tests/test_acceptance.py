@@ -13,13 +13,11 @@ from reebcut import (
     ConjugatorSpec,
     FlowSettings,
     GridFunction2D,
-    HamiltonianIsotopyPath,
     MoserSettings,
     QuadraticHamiltonian,
     QuotientMapSpec,
     RigidRotationHamiltonian,
     binding_function_f,
-    canonical_hamiltonian,
     conjugated_stage,
     cosine_defect_hamiltonian,
     cz_ellipsoid,
@@ -41,8 +39,8 @@ from reebcut.hamiltonians import CallableHamiltonian
 from reebcut.invariants import Frame, RotationSettings
 from reebcut.geometry import TWO_PI
 
-from conftest import (SQRT2, compact_disc_hamiltonian, hopf_circles_r3,
-                      radial_collar_hamiltonian, split_circles)
+from conftest import (SQRT2, hopf_circles_r3, radial_collar_hamiltonian,
+                      split_circles)
 
 SEED = 214
 
@@ -171,15 +169,11 @@ def test_06_moser_round_trip():
     )
 
 
-def test_07_canonical_hamiltonian_round_trips():
+def test_07_canonical_hamiltonian_round_trips(autonomous_recovery,
+                                              time_dependent_recovery):
     worst = {}
-    for label, K in (
-        ("autonomous", compact_disc_hamiltonian(amp=0.02)),
-        ("s-dependent", compact_disc_hamiltonian(amp=0.015, angular=0.0,
-                                                 time_factor=np.sin)),
-    ):
-        path = HamiltonianIsotopyPath(K, steps_per_period=1000)
-        H = canonical_hamiltonian(path)
+    for label, (K, _, H) in (("autonomous", autonomous_recovery),
+                             ("s-dependent", time_dependent_recovery)):
         vals = H.values_at_images
         err = 0.0
         for j in range(0, len(H.s_nodes), 12):
@@ -262,7 +256,7 @@ def test_10_self_linking():
     )
 
 
-def test_11_conjugation_invariance():
+def test_11_conjugation_invariance(stage_2_1_3):
     rng = np.random.default_rng(SEED)
     r = np.sqrt(rng.uniform(0.01, 0.92, 200))
     t = rng.uniform(0, TWO_PI, 200)
@@ -270,12 +264,13 @@ def test_11_conjugation_invariance():
     flow_settings = FlowSettings(step=TWO_PI / 800)
     specs = [
         ConjugatorSpec(amplitude=0.10, delta=0.2, mode=1, r_inner=0.2),
-        ConjugatorSpec(amplitude=0.12, delta=0.2, mode=2, r_inner=0.2),
+        None,  # mode 2: the fixture's amplitude 0.12, delta 0.2, r_inner 0.2
         ConjugatorSpec(amplitude=0.08, delta=0.25, mode=3, r_inner=0.18),
     ]
     worst = []
     for spec in specs:
-        stage = conjugated_stage(2, 1, 3, spec, w_grid=704)
+        stage = (stage_2_1_3 if spec is None
+                 else conjugated_stage(2, 1, 3, spec, w_grid=704))
         phi = stage.conjugator
         ang = TWO_PI / 3
         rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])

@@ -38,6 +38,11 @@ One oracle layout: only ``Hamiltonian`` defines ``grad``, ``hessian`` and
 ``hessian_components`` hooks of each family, and only it and the
 allowlisted ``QuadraticHamiltonian`` define ``velocity``.
 
+Each decision has one owner: only ``moser._probe_path`` calls a path's
+``evaluate_on_grid``, and only ``binding._judge_lift`` reads the
+rho-stencils ``_STENCILS``, so the probe cloud and the sampled lift are
+each laid out in one place.
+
 One property census rides along too: every ``Hamiltonian`` class of
 ``src/reebcut`` that declares ``linear_velocity`` gives one DX, bitwise,
 at every point and every s, since ``flows.linearized_return`` then moves
@@ -417,6 +422,46 @@ def test_one_batch_flow_splits_batches():
     assert not outside, f"share names outside _flow_batch: {outside}"
     assert inside == {"_share_bounds", "_HEAP_RAISE_BYTES"}
     assert callers == JOB_CALLERS, f"_run_jobs callers: {sorted(callers)}"
+
+
+# name -> the one function of src/reebcut that may use it: the isotopy
+# paths' batch protocol is called only by the probe helper, and the ladder
+# stencils are read only by the lift judge
+SOLE_USERS = {"evaluate_on_grid": ("moser", "_probe_path"),
+              "_STENCILS": ("binding", "_judge_lift")}
+
+
+def sole_user_sites():
+    """(name, module, function or None) of each call of a ``SOLE_USERS``
+    name and each read of one as a variable, found in the syntax tree, so
+    docstrings and comments that name them do not count."""
+    found = set()
+    for path in sorted((ROOT / "src" / "reebcut").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner_of = {}
+        for name, fn in _top_functions(tree):
+            owner_of.update(dict.fromkeys(range(fn.lineno, fn.end_lineno + 1),
+                                          name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = (getattr(node.func, "id", None)
+                        or getattr(node.func, "attr", None))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            else:
+                continue
+            if name in SOLE_USERS:
+                found.add((name, path.stem, owner_of.get(node.lineno)))
+    return found
+
+
+def test_one_path_probe_and_one_lift_judge():
+    # the five-point probe cloud and its Jacobians, and the sampling of a
+    # lift on the rho-ladder, are each built in one function, so a change
+    # to either (a probe step, the ladder's rounding floor) has one place
+    found = sole_user_sites()
+    want = {(name, *owner) for name, owner in SOLE_USERS.items()}
+    assert found == want, f"used outside their owners: {sorted(found - want)}"
 
 
 # array reductions whose results a builtin max or min would compare

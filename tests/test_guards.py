@@ -231,6 +231,10 @@ GUARDS = {
     "RunConfig-seed": (
         ValidationError, "64-bit unsigned",
         lambda: RunConfig.parse("ellipsoid", {"a0": 1.0, "h": 2}, seed=-1)),
+    # True would pass as the seed 1, yet the report would echo "seed": true
+    "RunConfig-seed_bool": (
+        ValidationError, "64-bit unsigned",
+        lambda: RunConfig.parse("ellipsoid", {"a0": 1.0, "h": 2}, seed=True)),
 }
 
 

@@ -602,8 +602,7 @@ def _removed_options():
                          continued_fraction_convergents,
                          primitive_change_audit, reeb_period, stage_sequence)
     from reebcut.binding import (PolarFunction, adapted_collar_g,
-                                 extended_contact_audit, pullback_residual,
-                                 sample_lift_jets)
+                                 extended_contact_audit, pullback_residual)
     from reebcut.flows import PeriodicPointRecord, periodic_point_scan
     from reebcut.invariants import (RotationSettings, _candidate_poles,
                                     linking_curves_r3, rotation_number)
@@ -629,8 +628,6 @@ def _removed_options():
         "ExtensionSettings-threshold_scale":
             lambda: ExtensionSettings(threshold_scale=1.0),
         "ExtensionSettings-eta_frac": lambda: ExtensionSettings(eta_frac=2.0),
-        "sample_lift_jets-eta_frac":
-            lambda: sample_lift_jets(None, [0.0], [0.1], 4, eta_frac=2.0),
         "CanonicalRecoverySettings-area_tol":
             lambda: CanonicalRecoverySettings(area_tol=1.0),
         "CanonicalRecoverySettings-probe_step":

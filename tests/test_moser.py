@@ -407,14 +407,6 @@ def test_forked_moser_flow_is_bitwise_the_one_process_flow(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def autonomous_recovery():
-    K = compact_disc_hamiltonian(amp=0.02)
-    path = HamiltonianIsotopyPath(K, steps_per_period=1000)
-    H = canonical_hamiltonian(path)
-    return K, path, H
-
-
 def test_canonical_round_trip_autonomous(autonomous_recovery):
     K, _, H = autonomous_recovery
     worst = 0.0
@@ -462,11 +454,8 @@ def test_canonical_identity_path_gives_zero():
     assert np.max(np.abs(H.values_at_images)) <= 1e-10
 
 
-def test_canonical_round_trip_time_dependent():
-    K = compact_disc_hamiltonian(amp=0.015, angular=0.0,
-                                 time_factor=np.sin)
-    path = HamiltonianIsotopyPath(K, steps_per_period=1000)
-    H = canonical_hamiltonian(path)
+def test_canonical_round_trip_time_dependent(time_dependent_recovery):
+    K, _, H = time_dependent_recovery
     worst = 0.0
     for j in range(0, len(H.s_nodes), 16):
         s = H.s_nodes[j]

@@ -617,7 +617,12 @@ def test_stage_tail_identity_bitwise(stage_2_1_3):
     theta = np.linspace(0, TWO_PI, 48, endpoint=False)
     for r in (0.8001, 0.87, 0.95, 0.999):
         ring = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
-        assert np.array_equal(H.value(0.0, ring), rigid.value(0.0, ring))
+        assert bitwise_equal(H.value(0.0, ring), rigid.value(0.0, ring))
+    # the first tail point: r^2 equals the switch exactly
+    edge = np.sqrt(H._switch2)
+    assert edge * edge == H._switch2
+    pts = np.array([[edge, 0.0]])
+    assert bitwise_equal(H.value(0.0, pts), rigid.value(0.0, pts))
 
 
 def test_stage_single_point_velocity_is_exact(stage_2_1_3, fast_flow):
