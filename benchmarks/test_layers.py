@@ -102,7 +102,7 @@ def test_stage_diagnostics(benchmark, small_stage):
     # 2pi/600
     diagnostics = benchmark.pedantic(
         _stage_diagnostics, args=(small_stage, 2, FlowSettings(step=TWO_PI / 600)),
-        rounds=3, iterations=1,
+        rounds=10, iterations=1, warmup_rounds=1,
     )
     assert diagnostics["periodic_periods"] == [3]
 

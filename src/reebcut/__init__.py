@@ -77,12 +77,12 @@ from .invariants import (  # noqa: E402
     self_linking,
 )
 from .moser import (  # noqa: E402
-    BumpProfile,
     CanonicalRecoverySettings,
     GridFunction2D,
     HamiltonianIsotopyPath,
     MoserSettings,
     OneForm2D,
+    bump_profile,
     canonical_hamiltonian,
     moser_flow,
     moser_pullback_residual,

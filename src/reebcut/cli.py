@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .errors import ReebcutError, ValidationError
+from .errors import ValidationError
 from .reports import SCENARIOS, RunConfig, run
 
 
@@ -51,10 +51,8 @@ def main(argv=None):
 
     try:
         report = run(config)
-    except ReebcutError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 3
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
+        # every runtime fault maps to the documented exit 3, with no traceback
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
 

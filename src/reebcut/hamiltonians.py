@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,26 +103,6 @@ class Hamiltonian:
         return out.transpose(tuple(range(2, out.ndim)) + (0, 1))
 
 
-def slice_weights(s_nodes, s):
-    """Cubic Lagrange weights in s across the four nearest uniform slices.
-
-    Returns the four slice indices and their weights.  The caller applies
-    its own domain rule to s first (wrap or refuse); near either end the
-    stencil stays inside the nodes.
-    """
-    ds = s_nodes[1] - s_nodes[0]
-    j = int(np.clip(np.floor(s / ds), 1, len(s_nodes) - 3))
-    js = [j - 1, j, j + 1, j + 2]
-    w = []
-    for a in js:
-        num = 1.0
-        for b in js:
-            if b != a:
-                num *= (s - s_nodes[b]) / (s_nodes[a] - s_nodes[b])
-        w.append(num)
-    return js, w
-
-
 @functools.cache
 def _fitpack():
     """scipy's FITPACK module ``interpolate._dfitpack``, loaded without scipy."""
@@ -207,33 +187,48 @@ class QuinticField:
         return gx.item(), gy.item()
 
 
-# slices a SliceFields keeps at a time
+# slices a SlicedHamiltonian keeps at a time
 _SLICE_CACHE = 16
 
 
-class SliceFields(dict):
-    """Time slice j -> its ``QuinticField``, built by ``build(j)`` on first use.
+class SlicedHamiltonian(Hamiltonian):
+    """A Hamiltonian tabulated on the uniform time slices ``s_nodes``.
 
-    At most ``_SLICE_CACHE`` slices are kept.  A new slice evicts the one
-    farthest from it: outer integrations march forward in s, but a caller
-    may also step back.
+    Subclasses supply ``_slice_field(j)``, the ``QuinticField`` of slice j,
+    and apply their own domain rule to s (wrap or refuse) before they call
+    ``_blend``, which interpolates cubically in s across the four nearest
+    slices; near either end the stencil stays inside the nodes.
     """
 
-    def __init__(self, build):
-        super().__init__()
-        self._build = build
+    def __init__(self, s_nodes):
+        self.s_nodes = s_nodes
+        self._slices = {}
 
-    def __missing__(self, j):
-        field = self[j] = self._build(j)
-        if len(self) > _SLICE_CACHE:
-            self.pop(max(self, key=lambda a: abs(a - j)))
-        return field
+    def _slice(self, j):
+        # built on first use; a new slice evicts the one farthest from it:
+        # outer integrations march forward in s, but a caller may step back
+        if j not in self._slices:
+            self._slices[j] = self._slice_field(j)
+            if len(self._slices) > _SLICE_CACHE:
+                self._slices.pop(max(self._slices, key=lambda a: abs(a - j)))
+        return self._slices[j]
 
-    def blend(self, js, w, dx, dy, xy, out):
-        """``out`` plus the ``slice_weights`` blend of the slices' (dx, dy)
+    def _blend(self, s, dx, dy, xy, out):
+        """``out`` plus the cubic Lagrange blend in s of the slices' (dx, dy)
         partials at the points ``xy``, summed slice by slice."""
+        s_nodes = self.s_nodes
+        ds = s_nodes[1] - s_nodes[0]
+        j = int(np.clip(np.floor(s / ds), 1, len(s_nodes) - 3))
+        js = [j - 1, j, j + 1, j + 2]
+        w = []
+        for a in js:
+            num = 1.0
+            for b in js:
+                if b != a:
+                    num *= (s - s_nodes[b]) / (s_nodes[a] - s_nodes[b])
+            w.append(num)
         for a, wa in zip(js, w):
-            out = out + wa * self[a].ev(dx, dy, xy[..., 0], xy[..., 1])
+            out = out + wa * self._slice(a).ev(dx, dy, xy[..., 0], xy[..., 1])
         return out
 
 
@@ -471,12 +466,12 @@ class ContactAuditReport:
     boundary_slope_max: float
     grid: SamplingGrid
     boundary_value: float
-    passed: bool = field(init=False)
 
-    def __post_init__(self):
+    @property
+    def passed(self):
         # a non-finite score fails: NaN comparisons are false, and an
         # infinite margin or slope is no evidence of the contact condition
-        self.passed = bool(
+        return bool(
             np.isfinite(self.min_margin)
             and np.isfinite(self.boundary_slope_max)
             and self.min_margin > 0.0
@@ -497,16 +492,18 @@ def contact_audit(H, grid=None):
     """Minimize the contact margin over a grid and check the boundary slope.
 
     Iteration order is fixed (s-major), so the report is deterministic
-    regardless of how the per-slice work is scheduled.  The reductions
+    regardless of how the per-slice work is scheduled; an H that is not
+    ``time_dependent`` is swept on its first slice alone.  The reductions
     propagate NaN, so a non-finite sample fails the audit.
     """
     grid = grid or SamplingGrid()
     pts = grid.disc_points()
     bpts = grid.boundary_points()
+    s_values = grid.s_values() if H.time_dependent else grid.s_values()[:1]
 
     min_margin = np.inf
     slope_max = -np.inf
-    for s in grid.s_values():
+    for s in s_values:
         margin = contact_margin(H, s, pts)
         min_margin = float(np.minimum(min_margin, np.min(margin)))
         gx, gy = H.grad_components(s, bpts)

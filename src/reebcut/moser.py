@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
 from .errors import ConfigurationError, PreconditionError
 from .flows import _flow_batch, _rk4_steps
 from .geometry import TWO_PI, spectral_derivative, tiles, wavenumbers
-from .hamiltonians import Hamiltonian, QuinticField, SliceFields, slice_weights
+from .hamiltonians import Hamiltonian, QuinticField, SlicedHamiltonian
 
 # ---------------------------------------------------------------------------
 # spectral helpers on periodic grids
@@ -88,38 +89,33 @@ _CHI_SUPPORT = (0.3, 0.7)
 _CHI_POWER = 8
 
 
-@dataclass
-class BumpProfile:
-    """A one-variable bump with unit integral, compactly supported in (0, 1)."""
+def bump_profile(y):
+    """The bump chi: ((y-a)(b-y))^power on [a, b], normalized to integral 1.
 
-    fn: callable
+    [a, b] is ``_CHI_SUPPORT``, and the power ``_CHI_POWER`` keeps the
+    periodic extension C^7, so spectral antiderivatives built from it
+    leave only ~1e-12 dust outside the mathematical support.
+    """
+    a, b = _CHI_SUPPORT
+    # int_0^1 t^p (1-t)^p dt = 1 / ((2p+1) C(2p, p))
+    norm = (2 * _CHI_POWER + 1) * comb(2 * _CHI_POWER, _CHI_POWER) / (b - a)
+    y = np.asarray(y, dtype=float)
+    t = (y - a) / (b - a)
+    inside = (t > 0) & (t < 1)
+    t = np.clip(t, 0.0, 1.0)
+    return np.where(inside, norm * (t * (1.0 - t)) ** _CHI_POWER, 0.0)
 
-    @classmethod
-    def polynomial(cls):
-        """Normalized bump ((y-a)(b-y))^power on [a, b]; integral exactly 1.
 
-        [a, b] is ``_CHI_SUPPORT``, and the power ``_CHI_POWER`` keeps the
-        periodic extension C^7, so spectral antiderivatives built from it
-        leave only ~1e-12 dust outside the mathematical support.
-        """
-        from math import comb
+# the boundary margin, in cells, on which compactly supported grid data vanish
+_MARGIN = 2
 
-        a, b = _CHI_SUPPORT
-        power = _CHI_POWER
-        # int_0^1 t^p (1-t)^p dt = 1 / ((2p+1) C(2p, p))
-        norm = (2 * power + 1) * comb(2 * power, power) / (b - a)
 
-        def fn(y):
-            y = np.asarray(y, dtype=float)
-            t = (y - a) / (b - a)
-            inside = (t > 0) & (t < 1)
-            t = np.clip(t, 0.0, 1.0)
-            return np.where(inside, norm * (t * (1.0 - t)) ** power, 0.0)
-
-        return cls(fn=fn)
-
-    def __call__(self, y):
-        return self.fn(y)
+def edge_band(values):
+    """The ``_MARGIN``-cell strips at the four edges of a grid array, each
+    flattened, in one array: first and last rows, first and last columns."""
+    m = _MARGIN
+    return np.concatenate([values[:m].ravel(), values[-m:].ravel(),
+                           values[:, :m].ravel(), values[:, -m:].ravel()])
 
 
 @dataclass
@@ -127,7 +123,7 @@ class GridFunction2D:
     """Samples of a function on the uniform periodic grid (i/n, j/n).
 
     ``values[i, j] = f(x_i, y_j)``.  When ``compact`` is set, the samples
-    must vanish on a margin of at least two cells at every edge.
+    must vanish on the ``edge_band``.
     """
 
     values: np.ndarray
@@ -145,20 +141,11 @@ class GridFunction2D:
             if not (np.isfinite(hi) and np.isfinite(lo)):
                 raise PreconditionError(
                     "values flagged compactly supported are not all finite")
-            m = 2
-            band = np.concatenate(
-                [
-                    self.values[:m].ravel(),
-                    self.values[-m:].ravel(),
-                    self.values[:, :m].ravel(),
-                    self.values[:, -m:].ravel(),
-                ]
-            )
             scale = np.max([hi, -lo, 1.0])
-            if not np.max(np.abs(band)) <= 1e-12 * scale:
+            if not np.max(np.abs(edge_band(self.values))) <= 1e-12 * scale:
                 raise PreconditionError(
                     "values flagged compactly supported do not vanish on the "
-                    f"{m}-cell boundary margin"
+                    f"{_MARGIN}-cell boundary margin"
                 )
 
     @property
@@ -218,14 +205,13 @@ def poincare_primitive(eta: GridFunction2D) -> OneForm2D:
         a(x) = int_0^1 g(x, y) dy          b(x) = int_0^x a
         u    = -g + a(x) chi(y)            v(x, y) = int_0^y u(x, t) dt
 
-    and beta = v dx + b chi dy, with chi the polynomial ``BumpProfile``.
+    and beta = v dx + b chi dy, with chi the polynomial ``bump_profile``.
     All four pieces are linear in g and vanish near the boundary of the
     square, so beta does.
 
     Raises PreconditionError when the total integral exceeds 1e-8; the
     primitive cannot exist then.
     """
-    chi = BumpProfile.polynomial()
     total = eta.integral()
     if abs(total) > 1e-8:
         raise PreconditionError(
@@ -235,7 +221,7 @@ def poincare_primitive(eta: GridFunction2D) -> OneForm2D:
     g = eta.values
     n = eta.n
     y = np.arange(n) / n
-    chi_y = chi(y)
+    chi_y = bump_profile(y)
     # renormalize on the grid so the discrete column means of u vanish
     # exactly; otherwise v inherits a rounding-level linear drift
     chi_y = chi_y / (chi_y.sum() / n)
@@ -254,7 +240,7 @@ def poincare_primitive(eta: GridFunction2D) -> OneForm2D:
     # flag holds bitwise.  Only aliasing dust (~1e-12 with the default
     # bump) is removed, and the same cells are cleared for every input, so
     # linearity of the construction survives exactly.
-    m = 2
+    m = _MARGIN
     v[:m, :] = v[-m:, :] = 0.0
     v[:, :m] = v[:, -m:] = 0.0
     b[:m] = b[-m:] = 0.0
@@ -482,15 +468,7 @@ def moser_flow(omega0: GridFunction2D, omega1: GridFunction2D,
         )
     if not abs(g0.integral() - g1.integral()) <= 1e-8:
         raise PreconditionError("densities have different total integrals")
-    m = 2
-    edge = np.max(
-        [
-            np.max(np.abs(g0.values[:m] - g1.values[:m])),
-            np.max(np.abs(g0.values[-m:] - g1.values[-m:])),
-            np.max(np.abs(g0.values[:, :m] - g1.values[:, :m])),
-            np.max(np.abs(g0.values[:, -m:] - g1.values[:, -m:])),
-        ]
-    )
+    edge = np.max(np.abs(edge_band(g0.values) - edge_band(g1.values)))
     # measured densities (e.g. refinement passes) carry quadrature noise
     if not edge <= 1e-9:
         raise PreconditionError("densities must agree near the boundary")
@@ -547,9 +525,9 @@ class HamiltonianIsotopyPath:
         return out
 
 
-def _stencil_derivative(samples, ds, axis=0):
-    """Fourth-order d/ds of equally spaced snapshots, one-sided at the ends."""
-    f = np.moveaxis(samples, axis, 0)
+def _stencil_derivative(f, ds):
+    """Fourth-order d/ds of equally spaced snapshots along axis 0, one-sided
+    at the ends."""
     out = np.empty_like(f)
     out[2:-2] = (f[:-4] - 8 * f[1:-3] + 8 * f[3:-1] - f[4:]) / (12 * ds)
     # one-sided 5-point, also fourth order
@@ -558,7 +536,7 @@ def _stencil_derivative(samples, ds, axis=0):
         out[i] = sum(cj * f[i + j] for j, cj in enumerate(c)) / ds
     for i in (-2, -1):
         out[i] = -sum(cj * f[i - j] for j, cj in enumerate(c)) / ds
-    return np.moveaxis(out, 0, axis)
+    return out
 
 
 def _lambda_pairing(points, vectors):
@@ -608,8 +586,16 @@ class CanonicalRecoverySettings:
     n_theta: int = 32
     n_s: int = 192
 
+    def __post_init__(self):
+        # a quintic fit in r needs six nodes (n_r + 1) and the one-sided
+        # s-stencil six snapshots (n_s + 1); the angle nodes are padded to
+        # a spline's worth
+        if self.n_r < 5 or self.n_theta < 2 or self.n_s < 5:
+            raise ConfigurationError(
+                "canonical recovery needs n_r >= 5, n_theta >= 2 and n_s >= 5")
 
-class CanonicalHamiltonian(Hamiltonian):
+
+class CanonicalHamiltonian(SlicedHamiltonian):
     """Hamiltonian recovered from a path of disc diffeomorphisms.
 
     Values are exact on the stored samples, which sit at the images of a
@@ -617,13 +603,13 @@ class CanonicalHamiltonian(Hamiltonian):
     each time slice by splining the mesh map over its parameters,
     inverting it with a vectorized Newton iteration, and splining the
     resulting values on a regular cartesian grid; it vanishes identically
-    outside the recorded support radius.  Slices are built lazily and
-    kept in a bounded ``SliceFields``.
+    outside the recorded support radius.  It is 2pi-periodic in s, so s is
+    wrapped before the slices are blended.
     """
 
     def __init__(self, s_nodes, r_nodes, theta_nodes, images, velocities,
                  g_dot, support_radius):
-        self.s_nodes = s_nodes
+        super().__init__(s_nodes)
         self.r_nodes = r_nodes
         self.theta_nodes = theta_nodes
         self.images = images          # (ns, nr, nt, 2)
@@ -631,7 +617,6 @@ class CanonicalHamiltonian(Hamiltonian):
         self.g_dot = g_dot            # (ns, nr, nt)
         self.support_radius = float(support_radius)
         self.boundary_value = 0.0
-        self.slices = SliceFields(self._slice_field)
 
     # -- scattered samples (used by the round-trip diagnostics) ---------
 
@@ -711,22 +696,17 @@ class CanonicalHamiltonian(Hamiltonian):
         vals[rr >= self.support_radius] = 0.0
         return QuinticField(ax, ax, vals)
 
-    def _s_weights(self, s):
-        # the canonical Hamiltonian is 2pi-periodic in s
-        return slice_weights(self.s_nodes, float(s) % TWO_PI)
-
     def value(self, s, xy):
         xy = np.asarray(xy, dtype=float)
-        js, w = self._s_weights(s)
-        out = self.slices.blend(js, w, 0, 0, xy, np.zeros(xy.shape[:-1]))
+        out = self._blend(float(s) % TWO_PI, 0, 0, xy, np.zeros(xy.shape[:-1]))
         r2 = xy[..., 0] ** 2 + xy[..., 1] ** 2
         return np.where(r2 >= self.support_radius**2, 0.0, out)
 
     def grad_components(self, s, xy):
         xy = np.asarray(xy, dtype=float)
-        js, w = self._s_weights(s)
-        gx = self.slices.blend(js, w, 1, 0, xy, np.zeros(xy.shape[:-1]))
-        gy = self.slices.blend(js, w, 0, 1, xy, np.zeros(xy.shape[:-1]))
+        s = float(s) % TWO_PI
+        gx = self._blend(s, 1, 0, xy, np.zeros(xy.shape[:-1]))
+        gy = self._blend(s, 0, 1, xy, np.zeros(xy.shape[:-1]))
         r2 = xy[..., 0] ** 2 + xy[..., 1] ** 2
         inside = r2 < self.support_radius**2
         return np.where(inside, gx, 0.0), np.where(inside, gy, 0.0)
@@ -782,7 +762,7 @@ def canonical_hamiltonian(path, settings: CanonicalRecoverySettings = None
         raise PreconditionError("path is not finite on the recovery grid")
 
     ds = s_nodes[1] - s_nodes[0]
-    velocities = _stencil_derivative(images, ds, axis=0)  # X_s at image points
+    velocities = _stencil_derivative(images, ds)  # X_s at image points
 
     # gamma(e_r) at the grid nodes; lambda(e_r) = 0 along rays, so only the
     # pushed-forward term survives
@@ -794,7 +774,7 @@ def canonical_hamiltonian(path, settings: CanonicalRecoverySettings = None
     # G(r) = integral from the boundary inward (vanishing normalization)
     g_vals = _radial_antiderivative(gamma_r, r_nodes)
 
-    g_dot = _stencil_derivative(g_vals, ds, axis=0)
+    g_dot = _stencil_derivative(g_vals, ds)
 
     # a NaN image counts as moved
     moved = ~(np.sqrt(np.sum((images - flat[None]) ** 2, axis=-1)) <= 1e-10)

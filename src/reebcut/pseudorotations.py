@@ -33,9 +33,8 @@ from .hamiltonians import (
     QuinticField,
     RigidRotationHamiltonian,
     SamplingGrid,
-    SliceFields,
+    SlicedHamiltonian,
     contact_audit,
-    slice_weights,
 )
 from .binding import BindingChart, ExtensionSettings, extension_test
 
@@ -675,8 +674,9 @@ def orbit_statistics(H, p0, iterations=512, bins=32, settings=None):
     Running Birkhoff averages of r^2 and cos(theta) come along; orbits
     drifting outside the disc abort with the partial data flagged.
     """
-    if iterations > 1_000_000:
-        raise PreconditionError("orbit statistics are desk scale: N <= 1e6")
+    if not 0 <= iterations <= 1_000_000:
+        raise PreconditionError(
+            "orbit statistics are desk scale: 0 <= N <= 1e6")
     settings = settings or FlowSettings()
     pts = np.empty((iterations + 1, 2))
     pts[0] = np.asarray(p0, dtype=float)
@@ -721,7 +721,7 @@ _GRID_PAD = 0.05
 _BUILD_SUBSTEPS = 2
 
 
-class ComposedHamiltonian(Hamiltonian):
+class ComposedHamiltonian(SlicedHamiltonian):
     """K_s + H2 o (Psi^K_s)^{-1}: the generator of Psi^K_s o psi^{H2}_s.
 
     The inverse isotopy is tabulated once on an (s, grid) lattice by
@@ -740,13 +740,12 @@ class ComposedHamiltonian(Hamiltonian):
         self.K = K
         self.H2 = H2
         self.boundary_value = K.boundary_value + H2.boundary_value
+        super().__init__(np.linspace(0.0, TWO_PI, n_slices + 1))
         self._build(n_slices, grid_n)
-        self.slices = SliceFields(self._slice_field)
 
     def _build(self, n_slices, grid_n):
         ax = np.linspace(-1.0 - _GRID_PAD, 1.0 + _GRID_PAD, grid_n)
         self._ax = ax
-        self.s_nodes = np.linspace(0.0, TWO_PI, n_slices + 1)
         xx, yy = np.meshgrid(ax, ax, indexing="ij")
         nodes = np.stack([xx, yy], axis=-1).reshape(-1, 2)
         self._w2 = np.empty((n_slices + 1, grid_n, grid_n))
@@ -776,7 +775,8 @@ class ComposedHamiltonian(Hamiltonian):
     def _slice_field(self, j):
         return QuinticField(self._ax, self._ax, self._w2[j])
 
-    def _s_weights(self, s):
+    @staticmethod
+    def _tabulated(s):
         s = float(s)
         # the composite is in general not 2pi-periodic, so the cubic must
         # not extrapolate; the slack covers RK4's rounding of the last step
@@ -784,17 +784,16 @@ class ComposedHamiltonian(Hamiltonian):
             raise PreconditionError(
                 f"s = {s} lies outside the tabulated domain [0, 2*pi]"
             )
-        return slice_weights(self.s_nodes, s)
+        return s
 
     def value(self, s, xy):
         xy = np.asarray(xy, dtype=float)
-        js, w = self._s_weights(s)
-        return self.slices.blend(js, w, 0, 0, xy, self.K.value(s, xy))
+        return self._blend(self._tabulated(s), 0, 0, xy, self.K.value(s, xy))
 
     def grad_components(self, s, xy):
         xy = np.asarray(xy, dtype=float)
-        js, w = self._s_weights(s)
+        s_tab = self._tabulated(s)
         kx, ky = self.K.grad_components(s, xy)
         zero = np.zeros(xy.shape[:-1])
-        return (kx + self.slices.blend(js, w, 1, 0, xy, zero),
-                ky + self.slices.blend(js, w, 0, 1, xy, zero))
+        return (kx + self._blend(s_tab, 1, 0, xy, zero),
+                ky + self._blend(s_tab, 0, 1, xy, zero))

@@ -41,6 +41,7 @@ from .invariants import cz_ellipsoid, resonance_check, self_linking
 from .moser import (
     GridFunction2D,
     MoserSettings,
+    edge_band,
     moser_flow,
     moser_pullback_residual,
     poincare_primitive,
@@ -146,9 +147,9 @@ class RunConfig:
 
     scenario: str
     params: dict
-    seed: int = 0
-    out_dir: Path = None
-    plots: bool = False
+    seed: int
+    out_dir: Path
+    plots: bool
 
     @classmethod
     def parse(cls, scenario, raw_params, seed=0, out_dir=None, plots=False):
@@ -408,16 +409,11 @@ def _run_ellipsoid(params, rng):
         _check("dynamically_convex", float(cz.dynamically_convex), 1.0, mode=">="),
         _check("extended_contact_pass", float(audit.passed), 1.0, mode=">="),
     ]
-    plots = []
     if params["self_linking"]:
-        sl = self_linking(QuotientMapSpec("ellipsoid", h=h, a0=a0), H,
-                          push_eps=params["push_eps"],
-                          n_samples=params["n_samples"])
-        results["self_linking"] = sl.to_dict()
-        checks.append(_check("self_linking_value", float(sl.value), -1.0,
-                             passed=sl.value == -1))
-        checks.append(_check("self_linking_confidence", sl.confidence, 0.05))
-    return results, checks, plots
+        results["self_linking"], sl_checks = _self_linking_checks(
+            params, "self_linking_confidence")
+        checks += sl_checks
+    return results, checks, []
 
 
 def _run_cut_check(params, rng):
@@ -499,9 +495,7 @@ def _run_moser(params, rng):
     psi = moser_flow(w0, w1, settings=MoserSettings(steps=params["steps"]))
     res = moser_pullback_residual(psi, w0, w1)
     d = psi.displacement()
-    m = 2
-    edge = float(np.max([np.abs(d[:m]).max(), np.abs(d[-m:]).max(),
-                         np.abs(d[:, :m]).max(), np.abs(d[:, -m:]).max()]))
+    edge = float(np.max(np.abs(edge_band(d))))
     results = {"pullback_residual": res, "boundary_displacement": edge,
                "max_displacement": float(np.abs(d).max())}
     checks = [
@@ -558,19 +552,25 @@ def _run_pseudorotation(params, rng):
     return results, checks, plots
 
 
-def _run_self_linking(params, rng):
+def _self_linking_checks(params, confidence_name):
+    """The self-linking number of the ellipsoid's binding orbit, as its
+    report entry and two checks: the value is -1, and its confidence, a
+    check named ``confidence_name``, is at most 0.05."""
     a0, h = params["a0"], params["h"]
-    H = QuadraticHamiltonian(a0, h - a0)
-    sl = self_linking(QuotientMapSpec("ellipsoid", h=h, a0=a0), H,
+    sl = self_linking(QuotientMapSpec("ellipsoid", h=h, a0=a0),
+                      QuadraticHamiltonian(a0, h - a0),
                       push_eps=params["push_eps"],
                       n_samples=params["n_samples"])
-    results = {"self_linking": sl.to_dict()}
-    checks = [
+    return sl.to_dict(), [
         _check("self_linking_value", float(sl.value), -1.0,
                passed=sl.value == -1),
-        _check("confidence", sl.confidence, 0.05),
+        _check(confidence_name, sl.confidence, 0.05),
     ]
-    return results, checks, []
+
+
+def _run_self_linking(params, rng):
+    sl, checks = _self_linking_checks(params, "confidence")
+    return {"self_linking": sl}, checks, []
 
 
 # the scenarios that load numpy.random: ellipsoid and return-map read their

@@ -148,6 +148,22 @@ def polynomial_defect_hamiltonian(h, c, d):
     )
 
 
+def lagrange_slice_weights(s_nodes, s):
+    """The four nearest uniform slices and their cubic Lagrange weights at
+    s, by the loop the sliced Hamiltonians blend with, in its order."""
+    ds = s_nodes[1] - s_nodes[0]
+    j = int(np.clip(np.floor(s / ds), 1, len(s_nodes) - 3))
+    js = [j - 1, j, j + 1, j + 2]
+    w = []
+    for a in js:
+        num = 1.0
+        for b in js:
+            if b != a:
+                num *= (s - s_nodes[b]) / (s_nodes[a] - s_nodes[b])
+        w.append(num)
+    return js, w
+
+
 @pytest.fixture
 def rng(request):
     """A generator seeded from the test's node id alone, so the points a

@@ -7,7 +7,8 @@ or by position, to a function of the same name (a class name stands for
 its ``__init__`` and its dataclass fields).  Calls are matched by name
 only, so the census can miss a dead value whose name another call sets,
 never the other way round.  A value no call sets has one value: it belongs
-in a module constant.
+in a module constant.  So does a value that every call passes as its own
+default expression, read from the syntax tree.
 
 Four structural rules ride along: only ``QuinticField`` and its loader
 name FITPACK's module and routines, and scipy's public spline class is
@@ -72,13 +73,8 @@ CALLER_DIRS = ("src", "tests", "demos", "benchmarks", "bench")
 ALLOWED = {
     ("flows.linearized_return", "s1"):
         "bench/tracer.py binds it by name when it counts RK4 steps",
-    ("hamiltonians.ContactAuditReport", "passed"):
-        "state computed in __post_init__, not an option",
     ("pseudorotations.ApproximationStage", "diagnostics"):
         "state filled in by stage_sequence after the stage is built",
-    ("reports.RunConfig", "seed"): "set by RunConfig.parse through cls(...)",
-    ("reports.RunConfig", "out_dir"): "set by RunConfig.parse through cls(...)",
-    ("reports.RunConfig", "plots"): "set by RunConfig.parse through cls(...)",
 }
 
 
@@ -91,7 +87,8 @@ def _decorators(node):
 
 
 def settable_values():
-    """(qualified name, call names, value, position or None) per value."""
+    """(qualified name, call names, value, position or None, default
+    expression) per value."""
     values = []
 
     def visit(body, module, owner):
@@ -104,7 +101,8 @@ def settable_values():
                     for i, st in enumerate(fields):
                         if st.value is not None:
                             values.append((f"{module}.{node.name}",
-                                           {node.name}, st.target.id, i))
+                                           {node.name}, st.target.id, i,
+                                           st.value))
                 visit(node.body, module, node)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 args = node.args
@@ -119,11 +117,13 @@ def settable_values():
                     if node.name == "__init__":
                         names.add(owner.name)
                 first = len(positional) - len(args.defaults)
-                for i, arg in enumerate(positional[first:], start=first):
-                    values.append((qualified, names, arg.arg, i - skip))
+                for i, (arg, default) in enumerate(
+                        zip(positional[first:], args.defaults), start=first):
+                    values.append((qualified, names, arg.arg, i - skip, default))
                 for arg, default in zip(args.kwonlyargs, args.kw_defaults):
                     if default is not None:
-                        values.append((qualified, names, arg.arg, None))
+                        values.append((qualified, names, arg.arg, None,
+                                       default))
                 visit(node.body, module, node)
 
     for path in sorted((ROOT / "src" / "reebcut").glob("*.py")):
@@ -132,7 +132,8 @@ def settable_values():
 
 
 def calls():
-    """Call name -> [(positional count, passes *args or **kwargs, keywords)]."""
+    """Call name -> [(positional arguments, passes *args or **kwargs,
+    {keyword: argument})], each argument its syntax tree."""
     found = {}
     for folder in CALLER_DIRS:
         for path in (ROOT / folder).rglob("*.py"):
@@ -144,8 +145,8 @@ def calls():
                 unpacked = (any(isinstance(a, ast.Starred) for a in node.args)
                             or any(k.arg is None for k in node.keywords))
                 found.setdefault(name, []).append(
-                    (len(node.args), unpacked,
-                     {k.arg for k in node.keywords if k.arg}))
+                    (node.args, unpacked,
+                     {k.arg: k.value for k in node.keywords if k.arg}))
     return found
 
 
@@ -154,17 +155,58 @@ def test_every_default_has_a_caller():
 
     def is_set(names, value, position):
         return any(unpacked or value in keywords
-                   or (position is not None and n_positional > position)
+                   or (position is not None and len(positional) > position)
                    for name in names
-                   for n_positional, unpacked, keywords in found.get(name, []))
+                   for positional, unpacked, keywords in found.get(name, []))
 
     unset = {(qualified, value)
-             for qualified, names, value, position in settable_values()
+             for qualified, names, value, position, _ in settable_values()
              if not is_set(names, value, position)}
     missing = sorted(unset - set(ALLOWED))
     assert not missing, f"no call sets these; make each a constant: {missing}"
     # an allowlisted value that some call now sets needs no entry
     assert set(ALLOWED) <= unset
+
+
+# (qualified name, value) -> why it stays settable though every call that
+# sets it passes its own default
+DEFAULT_ONLY_ALLOWED = {
+    ("flows.integrate_isotopy", "s0"):
+        "bench/tracer.py binds it by name when it counts RK4 steps",
+}
+
+
+def default_only_values():
+    """(qualified name, value) of each settable value that some call sets,
+    and every call that sets it passes its own default expression, as the
+    syntax tree reads it; a call that unpacks *args or **kwargs may set
+    anything, so it counts as setting another value."""
+    found = calls()
+    out = set()
+    for qualified, names, value, position, default in settable_values():
+        passed = []
+        for name in names:
+            for positional, unpacked, keywords in found.get(name, []):
+                if unpacked:
+                    passed.append(None)
+                elif value in keywords:
+                    passed.append(keywords[value])
+                elif position is not None and len(positional) > position:
+                    passed.append(positional[position])
+        if passed and all(arg is not None and ast.dump(arg) == ast.dump(default)
+                          for arg in passed):
+            out.add((qualified, value))
+    return out
+
+
+def test_no_option_is_passed_only_its_default():
+    # a value that every caller sets to its default has one value, like one
+    # that no call sets: it belongs in the body or in a module constant
+    found = default_only_values()
+    extra = sorted(found - set(DEFAULT_ONLY_ALLOWED))
+    assert not extra, f"every call passes the default; drop the option: {extra}"
+    # an allowlisted value that some call now varies needs no entry
+    assert set(DEFAULT_ONLY_ALLOWED) <= found
 
 
 # definition -> why it stays though nothing in src/ or demos/ names it

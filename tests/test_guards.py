@@ -36,6 +36,7 @@ from reebcut import (
     extension_test,
     golden_mean_inverse,
     moser_flow,
+    orbit_statistics,
     quotient_map,
     rotation_number,
     self_linking,
@@ -48,7 +49,7 @@ from reebcut.moser import g_function_values
 from reebcut.pseudorotations import boundary_jet_check
 from reebcut.reports import RunConfig, parse_hamiltonian
 
-from conftest import SQRT2
+from conftest import SQRT2, compact_disc_hamiltonian
 
 
 def _ellipsoid_model():
@@ -203,6 +204,17 @@ GUARDS = {
     "canonical_hamiltonian-nan_first_slice": (
         PreconditionError, "not start at the identity \\(defect nan\\)",
         lambda: _identity_path_with_nan(0, 5)),
+    # a quintic fit in r needs six nodes, the s-stencil six snapshots;
+    # below these each grid failed inside FITPACK or numpy
+    "CanonicalRecoverySettings-n_r": (
+        ConfigurationError, "needs n_r >= 5",
+        lambda: CanonicalRecoverySettings(n_r=4)),
+    "CanonicalRecoverySettings-n_theta": (
+        ConfigurationError, "n_theta >= 2",
+        lambda: CanonicalRecoverySettings(n_theta=1)),
+    "CanonicalRecoverySettings-n_s": (
+        ConfigurationError, "n_s >= 5",
+        lambda: CanonicalRecoverySettings(n_s=4)),
     "g_function_values-route": (
         ConfigurationError, "unknown route",
         lambda: g_function_values(
@@ -219,6 +231,11 @@ GUARDS = {
     "stage_sequence-contact": (
         PreconditionError, "h \\+ target_a > 0",
         lambda: stage_sequence(golden_mean_inverse(), 2, -1)),
+    # a negative length used to reach an IndexError on the empty orbit
+    "orbit_statistics-iterations": (
+        PreconditionError, "desk scale",
+        lambda: orbit_statistics(RigidRotationHamiltonian(2, 1, 3), (0.5, 0.0),
+                                 iterations=-1)),
     "boundary_jet_check-order": (
         PreconditionError, "limited to order 6",
         lambda: boundary_jet_check(_ellipsoid_model(), 2 - SQRT2, order=7)),
@@ -245,6 +262,14 @@ def test_guard_raises_its_error(guard):
         call()
     # the exact class, not a subclass standing in for it
     assert type(info.value) is error
+
+
+def test_smallest_canonical_recovery_grid_runs():
+    # the guard admits the smallest grid that recovers a Hamiltonian
+    path = HamiltonianIsotopyPath(compact_disc_hamiltonian(time_factor=np.cos),
+                                  steps_per_period=200)
+    H = canonical_hamiltonian(path, CanonicalRecoverySettings(5, 2, 5))
+    assert np.isfinite(H.value(0.3, np.array([0.1, 0.2])))
 
 
 def test_fitpack_error_in_point_grad_is_an_evaluation_error(monkeypatch):

@@ -15,12 +15,12 @@ from reebcut import (
     liouville_pairing,
 )
 from reebcut.hamiltonians import (CallableHamiltonian, Hamiltonian,
-                                  QuinticField, check_s_periodicity,
-                                  slice_weights)
+                                  QuinticField, SlicedHamiltonian,
+                                  check_s_periodicity)
 from reebcut.geometry import TWO_PI, spectral_derivative
 
 from conftest import (SQRT2, compact_disc_hamiltonian, hopf_circles,
-                      random_disc_points)
+                      lagrange_slice_weights, random_disc_points)
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +421,33 @@ def test_contact_audit_fails_on_nan():
     assert not rep.passed
 
 
+def test_contact_audit_sweeps_one_slice_for_an_autonomous_h():
+    # the quadratic model as a callable that counts its value calls: an
+    # autonomous H gives every slice the same samples, so one sweep holds
+    # every bit of the report that n_s sweeps give
+    a0, a2 = SQRT2, 2 - SQRT2
+    grid = SamplingGrid(8, 16, 16)
+
+    def audit(time_dependent):
+        seen = []
+
+        def value(s, xy):
+            seen.append(s)
+            return a0 + a2 * np.sum(xy**2, axis=-1)
+
+        H = CallableHamiltonian(value, a0 + a2,
+                                grad_fn=lambda s, xy: 2.0 * a2 * xy,
+                                time_dependent=time_dependent)
+        return contact_audit(H, grid), seen
+
+    once, once_s = audit(False)
+    every, every_s = audit(True)
+    assert once_s == [0.0] and every_s == list(grid.s_values())
+    assert once.to_dict() == every.to_dict()
+    assert _bits([once.min_margin, once.boundary_slope_max]).tolist() == \
+        _bits([every.min_margin, every.boundary_slope_max]).tolist()
+
+
 def test_contact_audit_rejects_coarse_grid():
     with pytest.raises(ConfigurationError):
         SamplingGrid(4, 64, 64)
@@ -484,43 +511,48 @@ def test_oracle_failure_carries_location():
 # ---------------------------------------------------------------------------
 
 
-def _old_slice_weights(s_nodes, s):
-    """The four-node Lagrange loop each sliced Hamiltonian carried."""
-    ds = s_nodes[1] - s_nodes[0]
-    j = int(np.clip(np.floor(s / ds), 1, len(s_nodes) - 3))
-    js = [j - 1, j, j + 1, j + 2]
-    w = []
-    for a in js:
-        num = 1.0
-        for b in js:
-            if b != a:
-                num *= (s - s_nodes[b]) / (s_nodes[a] - s_nodes[b])
-        w.append(num)
-    return js, w
+def _one_hot(family, s_nodes):
+    """A ``family`` instance whose slice j reads 1 at point j and 0
+    elsewhere, with K = 0 and the support radius 2, so its value and
+    gradient at the origin, taken len(s_nodes) times, read off each
+    slice's weight; the slices built are recorded in ``built``."""
+    from types import SimpleNamespace
+
+    H = object.__new__(family)
+    SlicedHamiltonian.__init__(H, s_nodes)
+    H.K, H.support_radius, H.built = QuadraticHamiltonian(0.0, 0.0), 2.0, []
+
+    def slice_field(j):
+        H.built.append(j)
+        hot = np.eye(len(s_nodes))[j]
+        return SimpleNamespace(ev=lambda dx, dy, x, y: hot.copy())
+
+    H._slice_field = slice_field
+    return H
 
 
 def test_slice_weights_match_the_old_loop_bitwise():
-    from types import SimpleNamespace
-
     from reebcut.moser import CanonicalHamiltonian
     from reebcut.pseudorotations import ComposedHamiltonian
 
-    def same(got, want):
-        return got[0] == want[0] and np.array_equal(
-            np.array(got[1]).view(np.int64), np.array(want[1]).view(np.int64))
-
     s_nodes = np.linspace(0.0, TWO_PI, 33)
-    stub = SimpleNamespace(s_nodes=s_nodes)
+    xy = np.zeros((len(s_nodes), 2))
     mids = 0.5 * (s_nodes[1:] + s_nodes[:-1])
     # nodes (both ends among them), midpoints and the canonical wrap; the
     # canonical Hamiltonian wraps s mod 2pi first, the composite does not
-    for s in list(s_nodes) + list(mids):
-        want = _old_slice_weights(s_nodes, float(s))
-        assert same(slice_weights(s_nodes, float(s)), want)
-        assert same(ComposedHamiltonian._s_weights(stub, s), want)
-    for s in list(s_nodes) + list(mids) + [TWO_PI + 0.3, -0.2]:
-        want = _old_slice_weights(s_nodes, float(s) % TWO_PI)
-        assert same(CanonicalHamiltonian._s_weights(stub, s), want)
+    cases = [(ComposedHamiltonian, s, float(s))
+             for s in list(s_nodes) + list(mids)]
+    cases += [(CanonicalHamiltonian, s, float(s) % TWO_PI)
+              for s in list(s_nodes) + list(mids) + [TWO_PI + 0.3, -0.2]]
+    for family, s, wrapped in cases:
+        js, w = lagrange_slice_weights(s_nodes, wrapped)
+        H = _one_hot(family, s_nodes)
+        for got in (H.value(s, xy), *H.grad_components(s, xy)):
+            # 0 + w is w, and adding the other slices' +-0 keeps it; ==
+            # forgives only the sign of a zero weight
+            assert np.all(got[js] == w) and not np.any(np.delete(got, js))
+        # one slice build each, however often the weights are taken
+        assert H.built == js, (family.__name__, s)
 
 
 def _bits(a):
@@ -596,9 +628,10 @@ def _first_coordinate(s, xy):
 
 
 def _removed_options():
-    from reebcut import (BumpProfile, CanonicalRecoverySettings,
+    from reebcut import (CanonicalRecoverySettings,
                          ConjugatorSchedule, ConjugatorSpec, ExtensionSettings,
-                         GridFunction2D, build_conjugator, conjugated_stage,
+                         GridFunction2D, build_conjugator, bump_profile,
+                         conjugated_stage,
                          continued_fraction_convergents,
                          primitive_change_audit, reeb_period, stage_sequence)
     from reebcut.binding import (PolarFunction, adapted_collar_g,
@@ -666,7 +699,6 @@ def _removed_options():
             lambda: primitive_change_audit(None, 2, boundary_tol=1.0),
         "g_function_values-probe_step":
             lambda: g_function_values(None, 0.0, [], probe_step=1e-6),
-        "BumpProfile-support": lambda: BumpProfile(np.sin, support=(0.3, 0.7)),
         "extended_contact_audit-n_b":
             lambda: extended_contact_audit(None, n_b=16),
         "extended_contact_audit-n_dirs":
@@ -710,10 +742,9 @@ def _removed_options():
             lambda: linking_curves_r3(None, None, pole=np.eye(4)[0]),
         "moser_flow-chi": lambda: moser_flow(None, None, chi=None),
         "poincare_primitive-chi": lambda: poincare_primitive(None, chi=None),
-        "BumpProfile.polynomial-a": lambda: BumpProfile.polynomial(a=0.3),
-        "BumpProfile.polynomial-b": lambda: BumpProfile.polynomial(b=0.7),
-        "BumpProfile.polynomial-power":
-            lambda: BumpProfile.polynomial(power=8),
+        "bump_profile-a": lambda: bump_profile(0.5, a=0.3),
+        "bump_profile-b": lambda: bump_profile(0.5, b=0.7),
+        "bump_profile-power": lambda: bump_profile(0.5, power=8),
         "CanonicalHamiltonian._theta_padded-pad":
             lambda: CanonicalHamiltonian(*[None] * 6, 0.5)._theta_padded(
                 origin, pad=6),

@@ -37,7 +37,7 @@ from reebcut.pseudorotations import fd_weights
 from reebcut.geometry import TWO_PI, polar_grid
 
 from conftest import (assert_no_child_left, compact_disc_hamiltonian,
-                      count_forks, random_disc_points)
+                      count_forks, lagrange_slice_weights, random_disc_points)
 
 
 def rotation_matrix(angle):
@@ -942,26 +942,24 @@ def _canonical_slices(monkeypatch):
 def test_slice_cache_survives_backward_step(case, monkeypatch):
     H, (x, y), want, tol = case(monkeypatch)
     for j in range(5, 30):
-        H.slices[j]
+        H._slice(j)
     # a backward step after a forward sweep used to evict its own slice
-    field = H.slices[2]
+    field = H._slice(2)
     assert field.ev(0, 0, x, y) == pytest.approx(want, abs=tol)
-    assert 2 in H.slices and len(H.slices) == 16
+    assert 2 in H._slices and len(H._slices) == 16
 
 
 def test_composed_value_blends_the_slice_splines():
     # value is K plus the cubic-in-s blend of the quintic slice splines,
     # bitwise; at s = 0, where Psi_0 is the identity, that is K + H2, and a
     # quintic spline reproduces the quadratic H2 (2.2e-15 worst seen)
-    from reebcut.hamiltonians import slice_weights
-
     K = compact_disc_hamiltonian(amp=0.05)
     H2 = RigidRotationHamiltonian(2, 1, 2)
     composite = ComposedHamiltonian(K, H2, n_slices=32, grid_n=21)
     pts = np.random.default_rng(12).uniform(-0.7, 0.7, (50, 2))
     ax = composite._ax
     for s in (0.0, 1.3, TWO_PI):
-        js, w = slice_weights(composite.s_nodes, s)
+        js, w = lagrange_slice_weights(composite.s_nodes, s)
         want = K.value(s, pts)
         for a, wa in zip(js, w):
             spline = RectBivariateSpline(ax, ax, composite._w2[a], kx=5, ky=5)
