@@ -122,7 +122,7 @@ def _eval_h(H, s, xy):
     s = np.asarray(s, dtype=float)
     if s.ndim == 0:
         return H.value(float(s), xy)
-    if not getattr(H, "time_dependent", True):
+    if not H.time_dependent:
         return H.value(0.0, xy)
     s = np.broadcast_to(s, xy.shape[:-1])
     out = np.empty(xy.shape[:-1])
@@ -710,7 +710,6 @@ class PrimitiveChangeReport:
     theta2_defect: float
     mixed_defect: float
     factorization_ok: bool
-    lift_verdicts: list
     passed: bool
 
 
@@ -786,7 +785,6 @@ def primitive_change_audit(F: PolarFunction, h):
         theta2_defect=theta2_defect,
         mixed_defect=mixed_defect,
         factorization_ok=ok_boundary,
-        lift_verdicts=report.verdicts,
         passed=passed,
     ), g_of
 

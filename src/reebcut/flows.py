@@ -427,7 +427,6 @@ def area_preservation_audit(H, grid_points, settings=None):
 class ReturnMapReport:
     """Audited return-map data over a batch of points."""
 
-    points: np.ndarray
     images: np.ndarray
     jacobians: np.ndarray
     area_defects: np.ndarray
@@ -468,7 +467,6 @@ def return_map_report(H, points, settings=None, rotation_radii=()):
     det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
     angles = np.arctan2(ends[:, 1], ends[:, 0])
     return ReturnMapReport(
-        points=pts,
         images=images,
         jacobians=jac,
         area_defects=np.abs(det - 1.0),

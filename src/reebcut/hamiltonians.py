@@ -459,13 +459,18 @@ class ContactAuditReport:
     """Grid audit of the contact condition H + lambda(X) > 0.
 
     ``boundary_slope_max`` is the largest radial derivative of H on the
-    boundary circle; the cut construction additionally needs it below 2h.
+    boundary circle; the cut construction additionally needs it below
+    ``slope_bound``, 2h.
     """
 
     min_margin: float
     boundary_slope_max: float
     grid: SamplingGrid
     boundary_value: float
+
+    @property
+    def slope_bound(self):
+        return 2.0 * self.boundary_value
 
     @property
     def passed(self):
@@ -475,7 +480,7 @@ class ContactAuditReport:
             np.isfinite(self.min_margin)
             and np.isfinite(self.boundary_slope_max)
             and self.min_margin > 0.0
-            and self.boundary_slope_max < 2.0 * self.boundary_value
+            and self.boundary_slope_max < self.slope_bound
         )
 
     def to_dict(self):

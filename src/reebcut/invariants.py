@@ -26,11 +26,9 @@ from .geometry import TWO_PI, spectral_derivative, tiles
 from .hamiltonians import QuadraticHamiltonian
 
 DEGENERACY_TOL = 1e-9
-# count and seed of the random candidate poles of the stereographic chart;
-# the push-off of the visualized binding
+# count and seed of the random candidate poles of the stereographic chart
 _N_POLES = 64
 _POLE_SEED = 7
-_VIEW_PUSH_EPS = 0.02
 # self_linking's least curve distance per longest polyline segment: on the
 # ellipsoid model 0.14 and 0.21 gave wrong integers, 1/3 to 0.42 no integer
 _MIN_SEGMENT_RATIO = 1.0 / 3.0
@@ -53,9 +51,12 @@ def cz_from_rotation(rho):
     """Index window 2 floor(rho) + 1 of an elliptic orbit.
 
     Raises DegenerateOrbitError within 1e-9 of an integer rotation number:
-    the window is then unstable to double-precision wobble.
+    the window is then unstable to double-precision wobble.  A rotation
+    number that is not finite has no window: PreconditionError.
     """
     rho = float(rho)
+    if not np.isfinite(rho):
+        raise PreconditionError(f"rotation number {rho} is not finite")
     if abs(rho - round(rho)) <= DEGENERACY_TOL:
         raise DegenerateOrbitError(
             f"rotation number {rho} is within {DEGENERACY_TOL} of an integer"
@@ -346,7 +347,6 @@ class SelfLinkingResult:
     value: int
     gauss_integral: float
     confidence: float
-    pole: np.ndarray
     push_eps: float
     n_samples: int
 
@@ -401,7 +401,7 @@ def _candidate_poles():
 
 def _project_from_farthest_pole(curve_b, curve_push):
     """Both R^4 curves on the unit sphere, projected from the candidate
-    pole farthest from either; returns the two R^3 curves and the pole."""
+    pole farthest from either; returns the two R^3 curves."""
     sb, sp = (c / np.linalg.norm(c, axis=-1, keepdims=True)
               for c in (curve_b, curve_push))
     poles = _candidate_poles()
@@ -412,15 +412,7 @@ def _project_from_farthest_pole(curve_b, curve_push):
                    _pair_distances(poles[rows], sp).min(axis=1))
         for rows in tiles(len(poles), 4 * len(sb))])
     pole = poles[int(np.argmax(dists))]
-    return stereographic_project(sb, pole), stereographic_project(sp, pole), pole
-
-
-def linking_curves_r3(spec: QuotientMapSpec, H, n_samples=512):
-    """The binding and its push-off as R^3 polylines (for visualization)."""
-    curve_b, curve_push = binding_pushoff_curves(spec, H, _VIEW_PUSH_EPS,
-                                                 n_samples)
-    p1, p2, _ = _project_from_farthest_pole(curve_b, curve_push)
-    return p1, p2
+    return stereographic_project(sb, pole), stereographic_project(sp, pole)
 
 
 def self_linking(spec: QuotientMapSpec, H, push_eps=0.02, n_samples=512):
@@ -437,7 +429,7 @@ def self_linking(spec: QuotientMapSpec, H, push_eps=0.02, n_samples=512):
     if not 1e-3 <= push_eps <= 1e-1:
         raise PreconditionError("push_eps must lie in [1e-3, 1e-1]")
     curve_b, curve_push = binding_pushoff_curves(spec, H, push_eps, n_samples)
-    p1, p2, pole = _project_from_farthest_pole(curve_b, curve_push)
+    p1, p2 = _project_from_farthest_pole(curve_b, curve_push)
 
     ratio = min_curve_distance(p1, p2) / np.max(
         [np.linalg.norm(np.roll(p, -1, axis=0) - p, axis=-1).max() for p in (p1, p2)])
@@ -455,7 +447,6 @@ def self_linking(spec: QuotientMapSpec, H, push_eps=0.02, n_samples=512):
         value=value,
         gauss_integral=integral,
         confidence=confidence,
-        pole=pole,
         push_eps=push_eps,
         n_samples=n_samples,
     )

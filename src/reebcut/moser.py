@@ -152,10 +152,6 @@ class GridFunction2D:
     def n(self):
         return self.values.shape[0]
 
-    def nodes(self):
-        x = np.arange(self.n) / self.n
-        return x, x
-
     def integral(self):
         # exact trapezoid for periodic samples
         return float(self.values.sum()) / self.n**2
@@ -164,7 +160,7 @@ class GridFunction2D:
         nz = np.nonzero(np.abs(self.values) > 0)
         if len(nz[0]) == 0:
             return (0.0, 0.0), (0.0, 0.0)
-        x, _ = self.nodes()
+        x = np.arange(self.n) / self.n
         return (
             (float(x[nz[0].min()]), float(x[nz[0].max()])),
             (float(x[nz[1].min()]), float(x[nz[1].max()])),
@@ -616,7 +612,6 @@ class CanonicalHamiltonian(SlicedHamiltonian):
         self.velocities = velocities  # (ns, nr, nt, 2)
         self.g_dot = g_dot            # (ns, nr, nt)
         self.support_radius = float(support_radius)
-        self.boundary_value = 0.0
 
     # -- scattered samples (used by the round-trip diagnostics) ---------
 

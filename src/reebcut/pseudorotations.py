@@ -129,7 +129,6 @@ class _ConjugatorGenerator(Hamiltonian):
 
     def __init__(self, spec: ConjugatorSpec):
         self.spec = spec
-        self.boundary_value = 0.0
         self.t0 = spec.r_inner**2
         self.t1 = (1.0 - spec.delta) ** 2
         width = self.t1 - self.t0
@@ -620,12 +619,14 @@ def boundary_jet_check(H, a, order=2):
     One-sided stencils reach inward from r = 1; per-order max defects are
     returned.  Rounding grows like step^{-k}, so high orders need wide
     steps: order k steps by max(0.02, 0.01 (k + 1)), and the defects of an
-    exact quadratic tail sit near 1e-11 (k <= 2) to 1e-8 (k = 4).
+    exact quadratic tail sit near 1e-11 (k <= 2) to 1e-8 (k = 4).  An H
+    that is not ``time_dependent`` is checked on its first slice alone.
     """
     if order > 6:
         raise PreconditionError("boundary jets are limited to order 6")
     h_val = H.boundary_value
-    s_vals = np.linspace(0.0, TWO_PI, _JET_N_S, endpoint=False)
+    s_vals = np.linspace(0.0, TWO_PI, _JET_N_S if H.time_dependent else 1,
+                         endpoint=False)
     t_vals = np.linspace(0.0, TWO_PI, _JET_N_THETA, endpoint=False)
     defects = []
     for k in range(order + 1):
@@ -753,7 +754,7 @@ class ComposedHamiltonian(SlicedHamiltonian):
         # For autonomous H2 the scalar itself satisfies the transport
         # recursion W2_{j+1} = W2_j o backstep: one interpolation per march.
         # Time-dependent H2 needs the inverse map tabulated alongside.
-        scalar_march = not getattr(self.H2, "time_dependent", True)
+        scalar_march = not self.H2.time_dependent
         inverse = nodes.copy()            # Psi_0^{-1} = id
         for j in range(n_slices):
             s_hi = self.s_nodes[j + 1]

@@ -12,6 +12,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,8 @@ from .binding import (
     make_f_tilde,
     pullback_residual,
 )
-from .errors import EvaluationError, PreconditionError, ValidationError
+from .errors import (DegenerateOrbitError, EvaluationError, PreconditionError,
+                     ValidationError)
 from .flows import MAX_SCAN_PERIOD, FlowSettings, return_map_report
 from .geometry import TWO_PI
 from .hamiltonians import (
@@ -54,6 +56,7 @@ from .pseudorotations import (
     golden_mean_inverse,
     stage_sequence,
 )
+from .svgplots import histogram_svg, polyline_svg
 
 
 # ---------------------------------------------------------------------------
@@ -89,11 +92,9 @@ def _check_fields(block, schema, path=""):
                 val = float(val)
         if kind is int and isinstance(val, bool):
             raise ValidationError(f"{path}{key} must be an integer", field=path + key)
-        if kind is not None and not isinstance(val, kind):
-            raise ValidationError(
-                f"{path}{key} must be {getattr(kind, '__name__', kind)}",
-                field=path + key,
-            )
+        if not isinstance(val, kind):
+            raise ValidationError(f"{path}{key} must be {kind.__name__}",
+                                  field=path + key)
         # json.load accepts NaN and +-Infinity; no schema float admits them
         if kind is float and not math.isfinite(val):
             raise ValidationError(f"{path}{key} must be finite: {val!r}",
@@ -105,40 +106,41 @@ def _check_fields(block, schema, path=""):
     return out
 
 
-_HAMILTONIAN_SCHEMA = {
-    "type": (str, True, None, lambda v: v in ("quadratic", "rigid", "cosine-defect")),
-    "a0": (float, False, None, lambda v: v > 0),
-    "a2": (float, False, None, None),
-    "h": (int, False, None, lambda v: v >= 1),
-    "p": (int, False, None, None),
-    "q": (int, False, None, lambda v: v >= 1),
-    "c": (float, False, 0.0, None),
-    "d": (float, False, 0.0, None),
+# type -> (constructor, schema): each family's keys are its constructor's
+# parameters, and a block takes no other family's keys
+_HAMILTONIANS = {
+    "quadratic": (QuadraticHamiltonian, {
+        "a0": (float, True, None, lambda v: v > 0),
+        "a2": (float, True, None, None),
+    }),
+    "rigid": (RigidRotationHamiltonian, {
+        "h": (int, True, None, lambda v: v >= 1),
+        "p": (int, True, None, None),
+        "q": (int, True, None, lambda v: v >= 1),
+    }),
+    "cosine-defect": (cosine_defect_hamiltonian, {
+        "h": (int, True, None, lambda v: v >= 1),
+        "c": (float, False, 0.0, None),
+        "d": (float, False, 0.0, None),
+    }),
 }
 
 
 def parse_hamiltonian(block):
     path = "hamiltonian."
-    cfg = _check_fields(block, _HAMILTONIAN_SCHEMA, path)
-    kind = cfg["type"]
-    if kind == "quadratic":
-        if cfg["a0"] is None or cfg["a2"] is None:
-            raise ValidationError(f"{path}a0 and {path}a2 are required",
-                                  field=path)
-        return QuadraticHamiltonian(cfg["a0"], cfg["a2"])
-    if kind == "rigid":
-        if cfg["h"] is None or cfg["p"] is None or cfg["q"] is None:
-            raise ValidationError(f"{path}h, {path}p, {path}q are required",
-                                  field=path)
-        # the family's own precondition (the contact condition h + p/q > 0)
-        # is part of the configuration too
-        try:
-            return RigidRotationHamiltonian(cfg["h"], cfg["p"], cfg["q"])
-        except PreconditionError as exc:
-            raise ValidationError(f"{path[:-1]}: {exc}", field=path) from exc
-    if cfg["h"] is None:
-        raise ValidationError(f"{path}h is required", field=path)
-    return cosine_defect_hamiltonian(cfg["h"], cfg["c"], cfg["d"])
+    # the type alone first: it picks the schema of the other keys
+    head = ({k: v for k, v in block.items() if k == "type"}
+            if isinstance(block, dict) else block)
+    family = {"type": (str, True, None, lambda v: v in _HAMILTONIANS)}
+    build, schema = _HAMILTONIANS[_check_fields(head, family, path)["type"]]
+    cfg = _check_fields({k: v for k, v in block.items() if k != "type"},
+                        schema, path)
+    # the family's own precondition (the contact condition h + p/q > 0)
+    # is part of the configuration too
+    try:
+        return build(**cfg)
+    except PreconditionError as exc:
+        raise ValidationError(f"{path[:-1]}: {exc}", field=path) from exc
 
 
 @dataclass
@@ -231,6 +233,13 @@ def _validate_scenario(scenario, raw):
     params = _check_fields(raw, _SCHEMAS[scenario])
     if "hamiltonian" in params:
         params["hamiltonian_obj"] = parse_hamiltonian(params["hamiltonian"])
+    if scenario == "ellipsoid":
+        # a degenerate binding or central orbit has no CZ index window, nor
+        # has an a0 so small that the binding's rotation 1 + 1/a0 overflows
+        try:
+            cz_ellipsoid(params["a0"])
+        except (DegenerateOrbitError, PreconditionError) as exc:
+            raise ValidationError(f"a0: {exc}", field="a0") from exc
     if scenario == "pseudorotation":
         # each stage's periodic scan runs q return maps; the exact expansion is cheap
         try:
@@ -337,35 +346,20 @@ def run(config: RunConfig) -> RunReport:
     return report
 
 
-def emit_plots(plot_series, out_dir: Path, report: RunReport = None):
-    """Write deterministic SVG files for the plottable series of a run.
+def emit_plots(plots, out_dir: Path, report: RunReport):
+    """Write one deterministic SVG file per (name, render) pair of a run.
 
-    Series the emitter cannot draw are skipped with a notice in the
-    report's results (when a report is supplied).
+    A plot whose ``render()`` raises ``ValueError`` (an empty series) is
+    skipped with a notice; both lists go to the report's results.
     """
-    from . import svgplots
-
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written, notices = [], []
-    for name, kind, payload in plot_series:
+    for name, render in plots:
         try:
-            if kind == "polyline":
-                data = svgplots.polyline_svg(payload["series"], title=payload["title"])
-            elif kind == "histogram":
-                data = svgplots.histogram_svg(payload["edges"], payload["counts"],
-                                              title=payload["title"])
-            else:
-                notices.append(f"{name}: no renderer for kind {kind!r}")
-                continue
-            path = out_dir / f"{name}.svg"
-            path.write_bytes(data)
-            written.append(path.name)
-        except (ValueError, KeyError) as exc:
+            (out_dir / f"{name}.svg").write_bytes(render())
+            written.append(f"{name}.svg")
+        except ValueError as exc:
             notices.append(f"{name}: skipped ({exc})")
-    if report is not None:
-        report.results["plots"] = {"written": written, "notices": notices}
-    return written, notices
+    report.results["plots"] = {"written": written, "notices": notices}
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +423,8 @@ def _run_cut_check(params, rng):
     checks = [
         _check("contact_margin_min", -audit.min_margin, 0.0,
                passed=audit.min_margin > 0),
-        _check("boundary_slope", audit.boundary_slope_max, 2.0 * h,
-               passed=audit.boundary_slope_max < 2.0 * h),
+        _check("boundary_slope", audit.boundary_slope_max, audit.slope_bound,
+               passed=audit.boundary_slope_max < audit.slope_bound),
     ]
     for v in report.verdicts:
         checks.append(_check(f"extension_C{v.order}", v.score, v.threshold,
@@ -438,13 +432,9 @@ def _run_cut_check(params, rng):
     rungs = settings.rungs()
     dirs = np.linspace(0.0, TWO_PI, 8, endpoint=False)
     prof = binding_function_f(H, chart, 0.0, rungs[None, :], dirs[:, None])
-    plots = [(
-        "f_profiles", "polyline",
-        {
-            "series": [(rungs, prof[i]) for i in range(len(dirs))],
-            "title": "binding function f along the rho ladder, per direction",
-        },
-    )]
+    plots = [("f_profiles", partial(
+        polyline_svg, [(rungs, prof[i]) for i in range(len(dirs))],
+        title="binding function f along the rho ladder, per direction"))]
     # one row per (direction, rung), the rungs running fastest
     results["_csv"] = [("f_profile.csv", _csv_text("rho,vartheta,f", (
         np.tile(rungs, len(dirs)), np.repeat(dirs, len(rungs)), prof.ravel())))]
@@ -467,8 +457,8 @@ def _run_return_map(params, rng):
     }
     checks = [_check("area_defect", rep.max_area_defect, params["area_tol"])]
     series = [(t[:, 0], t[:, 1]) for t in rep.traces.swapaxes(0, 1)]
-    plots = [("orbit_traces", "polyline",
-              {"series": series, "title": "isotopy traces over one period"})]
+    plots = [("orbit_traces", partial(polyline_svg, series,
+                                      title="isotopy traces over one period"))]
     return results, checks, plots
 
 
@@ -534,19 +524,16 @@ def _run_pseudorotation(params, rng):
         checks.append(_check(f"stage{st.nu}_f0", abs(f0 - f0x), 1e-8))
         checks.append(_check(f"stage{st.nu}_periodic_q",
                              float(st.q in d["periodic_periods"]), 1.0, mode=">="))
-    plots = [("f0_convergence", "polyline", {
-        "series": [(np.arange(1, len(report.f0_values) + 1),
-                    np.asarray(report.f0_values))],
-        "title": "extension limit f(0) per stage",
-    })]
+    plots = [("f0_convergence", partial(
+        polyline_svg, [(np.arange(1, len(report.f0_values) + 1),
+                        np.asarray(report.f0_values))],
+        title="extension limit f(0) per stage"))]
     stats = report.orbit
     if stats is not None:
-        plots.append(("theta_histogram", "histogram", {
-            "edges": stats.theta_histogram[1],
-            "counts": stats.theta_histogram[0],
-            "title": "angular histogram, final stage orbit",
-        }))
         counts, edges = stats.theta_histogram
+        plots.append(("theta_histogram", partial(
+            histogram_svg, edges, counts,
+            title="angular histogram, final stage orbit")))
         results["_csv"] = [("theta_histogram.csv", _csv_text(
             "bin_left,bin_right,count", (edges[:-1], edges[1:], counts)))]
     return results, checks, plots

@@ -303,9 +303,9 @@ def _segment_ratio_fails(model):
     real = invariants._project_from_farthest_pole
 
     def nan_point(curve_b, curve_push):
-        p1, p2, pole = real(curve_b, curve_push)
+        p1, p2 = real(curve_b, curve_push)
         p2[0] = np.nan
-        return p1, p2, pole
+        return p1, p2
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(invariants, "_project_from_farthest_pole", nan_point)

@@ -44,6 +44,14 @@ Each decision has one owner: only ``moser._probe_path`` calls a path's
 rho-stencils ``_STENCILS``, so the probe cloud and the sampled lift are
 each laid out in one place.
 
+A field census rides along: every field of a ``@dataclass`` of
+``src/reebcut`` is read as an attribute somewhere in ``src/``, ``tests/``,
+``demos/``, ``benchmarks/`` or ``bench/``.  Like the other rules it matches
+names, so it can miss a dead field whose name another object's attribute
+carries, never the other way round: ``ReturnMapReport.points``, whose
+name ``IsotopyPath.points`` shares, was found dead by reading the code,
+not by this rule.
+
 One property census rides along too: every ``Hamiltonian`` class of
 ``src/reebcut`` that declares ``linear_velocity`` gives one DX, bitwise,
 at every point and every s, since ``flows.linearized_return`` then moves
@@ -213,7 +221,6 @@ def test_no_option_is_passed_only_its_default():
 UNNAMED_ALLOWED = {
     "pseudorotations.DiscDiffeo.inverse_jacobian":
         "bench/tracer.py wraps it by name",
-    "invariants.linking_curves_r3": "benchmarks/test_layers.py calls it",
     "hamiltonians.check_s_periodicity": "a public audit that the README lists",
     "moser.g_function_values": "a public audit that the README lists",
 }
@@ -262,6 +269,41 @@ def test_every_definition_has_a_caller():
                          f"or move them to tests/: {missing}")
     # an allowlisted definition that something now names needs no entry
     assert set(UNNAMED_ALLOWED) <= unnamed
+
+
+def dataclass_fields():
+    """(qualified class name, field) of each field of a ``@dataclass`` of
+    ``src/reebcut``, at any depth."""
+    found = []
+    for path in sorted((ROOT / "src" / "reebcut").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and "dataclass" in _decorators(node):
+                found.extend((f"{path.stem}.{node.name}", st.target.id)
+                             for st in node.body
+                             if isinstance(st, ast.AnnAssign)
+                             and isinstance(st.target, ast.Name))
+    return found
+
+
+def attributes_read():
+    """Every name that ``CALLER_DIRS`` read as an attribute."""
+    names = set()
+    for folder in CALLER_DIRS:
+        for path in (ROOT / folder).rglob("*.py"):
+            names.update(node.attr
+                         for node in ast.walk(ast.parse(path.read_text()))
+                         if isinstance(node, ast.Attribute)
+                         and isinstance(node.ctx, ast.Load))
+    return names
+
+
+def test_every_dataclass_field_is_read():
+    # a field that is written but never read is stored data without a
+    # reader: the report or record carries it for nothing
+    read = attributes_read()
+    unread = sorted(f"{owner}.{name}" for owner, name in dataclass_fields()
+                    if name not in read)
+    assert not unread, f"dataclass fields never read; remove them: {unread}"
 
 
 # the oracles a Hamiltonian reads at (s, xy), and the callables a

@@ -33,6 +33,7 @@ from reebcut import (
     ValidationError,
     canonical_hamiltonian,
     cosine_defect_hamiltonian,
+    cz_from_rotation,
     extension_test,
     golden_mean_inverse,
     moser_flow,
@@ -132,6 +133,9 @@ GUARDS = {
         lambda: hamiltonians.QuinticField(
             np.linspace(1.0, 0.0, 8), np.linspace(0.0, 1.0, 8), np.zeros((8, 8)))),
     # invariants.py
+    "cz_from_rotation-finite": (
+        PreconditionError, "rotation number inf is not finite",
+        lambda: cz_from_rotation(float("inf"))),
     "rotation_number-binding_extension": (
         PreconditionError, "needs a C\\^1 extension",
         lambda: rotation_number(cosine_defect_hamiltonian(2, 0.4, 0.5), "B")),
@@ -243,8 +247,13 @@ GUARDS = {
     "RunConfig-params_object": (
         ValidationError, "config must be an object",
         lambda: RunConfig.parse("ellipsoid", [1.0, 2])),
-    "parse_hamiltonian-h": (ValidationError, "hamiltonian.h is required",
+    "parse_hamiltonian-h": (ValidationError,
+                            r"missing field\(s\): hamiltonian\.h$",
                             lambda: parse_hamiltonian({"type": "cosine-defect"})),
+    # the binding rotates by 1 + 1/a0 = 3: no CZ window, refused at parse
+    "RunConfig-ellipsoid_degenerate_a0": (
+        ValidationError, "a0: rotation number 3.0 is within",
+        lambda: RunConfig.parse("ellipsoid", {"a0": 0.5, "h": 2})),
     "RunConfig-seed": (
         ValidationError, "64-bit unsigned",
         lambda: RunConfig.parse("ellipsoid", {"a0": 1.0, "h": 2}, seed=-1)),

@@ -638,7 +638,7 @@ def _removed_options():
                                  extended_contact_audit, pullback_residual)
     from reebcut.flows import PeriodicPointRecord, periodic_point_scan
     from reebcut.invariants import (RotationSettings, _candidate_poles,
-                                    linking_curves_r3, rotation_number)
+                                    rotation_number)
     from reebcut.moser import (CanonicalHamiltonian, g_function_values,
                                moser_flow, poincare_primitive)
     from reebcut.pseudorotations import (ConjugatedRotationHamiltonian,
@@ -736,10 +736,6 @@ def _removed_options():
         "hopf_circles-phase": lambda: hopf_circles(8, phase=0.3),
         "_candidate_poles-n": lambda: _candidate_poles(n=64),
         "_candidate_poles-seed": lambda: _candidate_poles(seed=7),
-        "linking_curves_r3-push_eps":
-            lambda: linking_curves_r3(None, None, push_eps=0.02),
-        "linking_curves_r3-pole":
-            lambda: linking_curves_r3(None, None, pole=np.eye(4)[0]),
         "moser_flow-chi": lambda: moser_flow(None, None, chi=None),
         "poincare_primitive-chi": lambda: poincare_primitive(None, chi=None),
         "bump_profile-a": lambda: bump_profile(0.5, a=0.3),

@@ -21,8 +21,8 @@ from reebcut.hamiltonians import RigidRotationHamiltonian
 from reebcut.moser import _BLOCK, MoserSettings, _tensor_splines_ev, moser_flow
 from reebcut.pseudorotations import (_FLOW_BLOCK, ConjugatorSpec,
                                      continued_fraction_convergents, fd_weights)
-from reebcut.reports import (_HAMILTONIAN_SCHEMA, _SCHEMAS, SCENARIOS,
-                             RunConfig, _moser_densities)
+from reebcut.reports import (_HAMILTONIANS, _SCHEMAS, SCENARIOS, RunConfig,
+                             _moser_densities)
 
 from conftest import compact_disc_hamiltonian, polynomial_defect_hamiltonian
 
@@ -118,9 +118,14 @@ def _blocks(draw, schema, values):
     return block
 
 
+# the type and every family's keys: a block may carry another family's
+_HAMILTONIAN_KEYS = {"type"}.union(*(schema for _, schema in
+                                     _HAMILTONIANS.values()))
+
+
 @st.composite
 def hamiltonian_blocks(draw):
-    block = _blocks(draw, _HAMILTONIAN_SCHEMA, _NUMBERS)
+    block = _blocks(draw, _HAMILTONIAN_KEYS, _NUMBERS)
     if draw(st.booleans()):
         block["type"] = draw(st.sampled_from(["quadratic", "rigid",
                                               "cosine-defect"]))

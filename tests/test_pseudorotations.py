@@ -8,6 +8,7 @@ from scipy.interpolate import RectBivariateSpline
 
 from reebcut import (
     BindingChart,
+    CallableHamiltonian,
     CanonicalRecoverySettings,
     ComposedHamiltonian,
     ConjugatorSchedule,
@@ -24,6 +25,7 @@ from reebcut import (
     conjugated_stage,
     continued_fraction_convergents,
     contact_margin,
+    cosine_defect_hamiltonian,
     extension_test,
     golden_mean_inverse,
     orbit_statistics,
@@ -832,6 +834,31 @@ def test_boundary_jets_quadratic_model():
     H = QuadraticHamiltonian(a0, 3 - a0)
     defects = boundary_jet_check(H, a=a0 - 3, order=3)
     assert all(d <= 1e-8 for d in defects)
+
+
+def test_boundary_jets_sweep_one_slice_for_an_autonomous_h():
+    # the angular collar as a callable that counts its value calls: an
+    # autonomous H gives every slice the same defects, so one slice holds
+    # every bit that all of them give
+    model, order = cosine_defect_hamiltonian(3, 0.4, 0.5), 3
+
+    def jets(time_dependent):
+        seen = []
+
+        def value(s, xy):
+            seen.append(s)
+            return model.value(s, xy)
+
+        H = CallableHamiltonian(value, model.boundary_value,
+                                time_dependent=time_dependent)
+        return np.array(boundary_jet_check(H, a=-0.4, order=order)), seen
+
+    once, once_s = jets(False)
+    every, every_s = jets(True)
+    assert len(once_s) == order + 1 and set(once_s) == {0.0}
+    assert len(every_s) == pseudorotations._JET_N_S * (order + 1) == 32
+    assert once.max() > 1.0  # the collar is far from the quadratic model
+    assert once.view(np.int64).tolist() == every.view(np.int64).tolist()
 
 
 def test_boundary_jets_detect_mismatched_limit():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+from functools import partial
 
 import numpy as np
 import pytest
@@ -259,7 +260,8 @@ def test_quadratic_hamiltonian_block_parses():
     pts = np.array([[0.0, 0.0], [0.3, -0.4], [1.0, 0.0]])
     assert np.array_equal(H.value(0.0, pts),
                           QuadraticHamiltonian(1.2, 0.8).value(0.0, pts))
-    with pytest.raises(ValidationError, match="a0 and hamiltonian.a2"):
+    with pytest.raises(ValidationError,
+                       match=r"missing field\(s\): hamiltonian\.a2$"):
         RunConfig.parse("cut-check",
                         {"hamiltonian": {"type": "quadratic", "a0": 1.2}})
 
@@ -282,6 +284,65 @@ def test_cli_invalid_hamiltonian_exit_two(tmp_path, capsys, block, field):
     with pytest.raises(ValidationError) as exc:
         RunConfig.parse("cut-check", {"hamiltonian": block})
     assert exc.value.field.startswith("hamiltonian.")
+
+
+@pytest.mark.parametrize("block, key", [
+    ({"type": "rigid", "h": 2, "p": 1, "q": 3, "c": 0.4, "a0": 7}, "c"),
+    ({"type": "quadratic", "a0": 1.2, "a2": 0.8, "h": 2}, "h"),
+    ({"type": "cosine-defect", "h": 3, "q": 1}, "q"),
+], ids=["rigid-c", "quadratic-h", "cosine-defect-q"])
+def test_cli_key_of_another_family_exit_two(tmp_path, capsys, block, key):
+    # a family takes its constructor's parameters and nothing else: another
+    # family's key would be ignored, yet echoed into the report
+    cfg = write_config(tmp_path, {"hamiltonian": block})
+    assert main(["return-map", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        f"invalid configuration: unknown field hamiltonian.{key}\n")
+    with pytest.raises(ValidationError) as exc:
+        RunConfig.parse("cut-check", {"hamiltonian": block})
+    assert exc.value.field == f"hamiltonian.{key}"
+
+
+@pytest.mark.parametrize("block, message", [
+    ({"h": 2, "p": 1}, "missing field(s): hamiltonian.type"),
+    ({"type": 3, "h": 2}, "hamiltonian.type must be str"),
+    ({"type": "elliptic", "h": 2}, "hamiltonian.type out of range: 'elliptic'"),
+], ids=["missing", "not-a-string", "unknown"])
+def test_hamiltonian_type_is_checked_first(block, message):
+    # the type picks the family's schema, so it is judged before any other
+    # key, with the messages of the one shared schema it replaced
+    with pytest.raises(ValidationError) as exc:
+        RunConfig.parse("cut-check", {"hamiltonian": block})
+    assert str(exc.value) == message
+    assert exc.value.field == "hamiltonian.type"
+
+
+@pytest.mark.parametrize("a0", [2.0, 0.5, 1.0, 0.25, 1e-310])
+def test_cli_degenerate_ellipsoid_exit_two(tmp_path, capsys, a0):
+    # 1 + 1/a0 or 1 + a0 is an integer (or 1/a0 is beyond the float range):
+    # the binding or the central orbit has no CZ window, a configuration
+    # error refused at parse, not a runtime error after the run has started
+    cfg = write_config(tmp_path, {"a0": a0, "h": 2})
+    assert main(["ellipsoid", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration: a0: rotation number")
+    assert not (tmp_path / "o").exists()
+
+
+def test_cut_check_contact_verdicts_agree():
+    # boundary value 2.3000000000000003: the audit's contact verdict and
+    # the runner's boundary_slope check read one slope bound, 2 h, where
+    # the check used to read 2 round(h) = 4 and fail a slope of 4.2
+    config = RunConfig.parse("cut-check", {
+        "hamiltonian": {"type": "quadratic", "a0": 0.2, "a2": 2.1},
+        "k_max": 0})
+    report = run(config)
+    contact = report.results["contact"]
+    checks = {c["name"]: c for c in report.checks}
+    assert contact["pass"] == (checks["contact_margin_min"]["pass"]
+                               and checks["boundary_slope"]["pass"])
+    assert checks["boundary_slope"]["threshold"] == 2.0 * contact["boundary_value"]
 
 
 @pytest.mark.parametrize("scenario, payload, field", [
@@ -491,16 +552,20 @@ def test_orbit_traces_plot_the_paths_flowed_alone(tmp_path, monkeypatch):
 def test_emit_plots_empty_series_notice(tmp_path):
     from reebcut.reports import RunReport, emit_plots
 
+    # a renderer that raises ValueError on its empty data is skipped with a
+    # notice; the plots around it are still written
     report = RunReport(config={}, results={}, checks=[])
-    written, notices = emit_plots(
-        [("empty", "polyline", {"series": [], "title": "nothing"}),
-         ("mystery", "scatter3d", {})],
+    emit_plots(
+        [("empty", partial(polyline_svg, [], title="nothing")),
+         ("line", partial(polyline_svg, [([0.0, 1.0], [0.0, 1.0])], title="l")),
+         ("no_bins", partial(histogram_svg, [0.0], [], title="nothing"))],
         tmp_path, report,
     )
-    assert written == []
-    assert len(notices) == 2
-    assert not (tmp_path / "empty.svg").exists()
-    assert report.results["plots"]["notices"]
+    plots = report.results["plots"]
+    assert plots["written"] == ["line.svg"]
+    assert [n.split(" (")[0] for n in plots["notices"]] == [
+        "empty: skipped", "no_bins: skipped"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["line.svg"]
 
 
 def test_pseudorotation_scenario(tmp_path):

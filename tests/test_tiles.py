@@ -59,7 +59,7 @@ def _farthest_pole_by_norm(curve_b, curve_push):
         np.linalg.norm(sp[None] - poles[:, None], axis=-1).min(axis=1),
     )
     pole = poles[int(np.argmax(dists))]
-    return stereographic_project(sb, pole), stereographic_project(sp, pole), pole
+    return stereographic_project(sb, pole), stereographic_project(sp, pole)
 
 
 def _pullback_one_shot(spec, H, n_s, n_r, n_theta):
@@ -150,8 +150,8 @@ def test_pullback_residual_equals_the_one_shot_lattice(grid):
 
 @pytest.mark.parametrize("n_samples", [16, 100, 512, 1000])
 def test_farthest_pole_equals_the_norm_form(n_samples):
-    # the README ellipsoid's binding and push-off: the pole and both
-    # projected curves, bit for bit
+    # the README ellipsoid's binding and push-off: both projected curves,
+    # so the pole they are projected from too, bit for bit
     spec, H = _ellipsoid()
     curves = binding_pushoff_curves(spec, H, 0.02, n_samples)
     got = _project_from_farthest_pole(*curves)
